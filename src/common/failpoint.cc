@@ -9,6 +9,7 @@
 
 #include "common/logging.h"
 #include "common/random.h"
+#include "common/string_util.h"
 
 namespace dqm::failpoint {
 
@@ -38,17 +39,6 @@ uint64_t HashName(std::string_view name) {
   return h;
 }
 
-Result<uint64_t> ParseU64(std::string_view text, std::string_view what) {
-  uint64_t value = 0;
-  auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr != text.data() + text.size() || text.empty()) {
-    return Status::InvalidArgument("failpoint spec: bad " + std::string(what) +
-                                   " '" + std::string(text) + "'");
-  }
-  return value;
-}
-
 /// Symbolic errno names the grammar accepts (numeric values also work).
 Result<int> ParseErrno(std::string_view text) {
   struct Entry {
@@ -65,7 +55,8 @@ Result<int> ParseErrno(std::string_view text) {
   for (const Entry& e : kErrnos) {
     if (text == e.name) return e.value;
   }
-  DQM_ASSIGN_OR_RETURN(uint64_t numeric, ParseU64(text, "errno"));
+  DQM_ASSIGN_OR_RETURN(uint64_t numeric,
+                       ParseU64(text, "failpoint spec: errno"));
   if (numeric == 0 || numeric > 4096) {
     return Status::InvalidArgument("failpoint spec: errno out of range '" +
                                    std::string(text) + "'");
@@ -99,7 +90,8 @@ Result<Action> ParseAction(std::string_view text) {
                          CallArgument(text.substr(6), "count"));
     std::string_view rest = text.substr(6 + arg.size() + 1);
     if (rest.starts_with(":")) {
-      DQM_ASSIGN_OR_RETURN(action.budget, ParseU64(arg, "count"));
+      DQM_ASSIGN_OR_RETURN(action.budget,
+                           ParseU64(arg, "failpoint spec: count"));
       if (action.budget == 0) {
         return Status::InvalidArgument("failpoint spec: count(0) is inert");
       }
@@ -154,13 +146,15 @@ Result<Action> ParseAction(std::string_view text) {
           std::string(arg) + "'");
     }
     DQM_ASSIGN_OR_RETURN(action.delay_ms,
-                         ParseU64(ms.substr(0, ms.size() - 2), "delay"));
+                         ParseU64(ms.substr(0, ms.size() - 2),
+                                  "failpoint spec: delay"));
     action.kind = Action::Kind::kDelay;
   } else if (text.starts_with("count(") && text.ends_with(")") &&
              !saw_budget_prefix) {
     DQM_ASSIGN_OR_RETURN(std::string_view arg,
                          CallArgument(text.substr(6), "count"));
-    DQM_ASSIGN_OR_RETURN(action.budget, ParseU64(Trim(arg), "count"));
+    DQM_ASSIGN_OR_RETURN(action.budget,
+                         ParseU64(Trim(arg), "failpoint spec: count"));
     if (action.budget == 0) {
       return Status::InvalidArgument("failpoint spec: count(0) is inert");
     }
@@ -314,6 +308,7 @@ uint64_t Registry::hits(std::string_view name) const {
 
 EvalResult Registry::EvalPoint(std::string_view name) {
   uint64_t delay_ms = 0;
+  std::function<void()> callback;
   EvalResult result;
   {
     MutexLock lock(mutex_);
@@ -347,13 +342,17 @@ EvalResult Registry::EvalPoint(std::string_view name) {
         std::_Exit(kCrashExitCode);
       case Action::Kind::kProbe:
         break;
+      case Action::Kind::kCallback:
+        callback = point.action.callback;
+        break;
     }
   }
+  // Sleep and run callbacks outside the registry lock so a slow edge
+  // doesn't serialize every other armed evaluation in the process.
   if (delay_ms > 0) {
-    // Sleep outside the registry lock so a delayed edge doesn't serialize
-    // every other armed evaluation in the process.
     std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
   }
+  if (callback) callback();
   return result;
 }
 

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -95,10 +96,21 @@ inline EvalResult Eval(std::string_view name) {
 /// One parsed `spec` (everything right of the '='), pre-validated so
 /// arming is infallible once parsing succeeded.
 struct Action {
-  enum class Kind : uint8_t { kError, kReturn, kDelay, kCrash, kProbe };
+  enum class Kind : uint8_t {
+    kError,
+    kReturn,
+    kDelay,
+    kCrash,
+    kProbe,
+    /// Runs `callback` at the edge, outside the registry lock (like delay).
+    /// Code-only: the spec grammar has no spelling for it. Tests arm it to
+    /// act at an exact point, e.g. copy a crash image of a directory.
+    kCallback,
+  };
   Kind kind = Kind::kProbe;
   int error_errno = 0;       // kError
   uint64_t delay_ms = 0;     // kDelay
+  std::function<void()> callback;  // kCallback
   /// Remaining triggers before the point goes inert; UINT64_MAX = no limit.
   uint64_t budget = UINT64_MAX;
   /// Probability the action fires per evaluation, scaled to 2^64; armed

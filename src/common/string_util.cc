@@ -1,6 +1,7 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -107,6 +108,19 @@ bool IsDigits(std::string_view text) {
     if (!std::isdigit(static_cast<unsigned char>(c))) return false;
   }
   return true;
+}
+
+Result<uint64_t> ParseU64(std::string_view text, std::string_view what) {
+  uint64_t value = 0;
+  auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || ec != std::errc() || ptr != text.data() + text.size()) {
+    return Status::InvalidArgument(StrFormat(
+        "%.*s: '%.*s' is not an unsigned integer",
+        static_cast<int>(what.size()), what.data(),
+        static_cast<int>(text.size()), text.data()));
+  }
+  return value;
 }
 
 }  // namespace dqm

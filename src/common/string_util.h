@@ -1,9 +1,12 @@
 #ifndef DQM_COMMON_STRING_UTIL_H_
 #define DQM_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/result.h"
 
 namespace dqm {
 
@@ -39,6 +42,10 @@ std::string StrFormat(const char* format, ...)
 
 /// True iff every character of `text` is an ASCII digit (and non-empty).
 bool IsDigits(std::string_view text);
+
+/// Parses a non-empty run of ASCII decimal digits (no sign, no whitespace)
+/// that fits in 64 bits. InvalidArgument names `what` and echoes `text`.
+Result<uint64_t> ParseU64(std::string_view text, std::string_view what);
 
 }  // namespace dqm
 

@@ -1,6 +1,7 @@
 #include "crowd/io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -40,11 +41,6 @@ const IoMetrics& Metrics() {
   return metrics;
 }
 
-Status ErrnoError(const char* op, const std::string& path, int err) {
-  return Status::IOError(
-      StrFormat("%s '%s': %s", op, path.c_str(), std::strerror(err)));
-}
-
 /// One syscall's transient-errno budget: the first transient error retries
 /// immediately, later ones back off exponentially up to the cap.
 class TransientRetrier {
@@ -81,6 +77,13 @@ class TransientRetrier {
 };
 
 }  // namespace
+
+Status ErrnoError(const char* op, const std::string& path, int err) {
+  std::string message =
+      StrFormat("%s '%s': %s", op, path.c_str(), std::strerror(err));
+  return err == ENOENT ? Status::NotFound(std::move(message))
+                       : Status::IOError(std::move(message));
+}
 
 bool IsTransientErrno(int err) {
   if (err == EINTR || err == EAGAIN) return true;
@@ -274,6 +277,43 @@ Status Ftruncate(const char* failpoint, int fd, uint64_t size,
     if (retrier.ShouldRetry(err)) continue;
     return ErrnoError("truncate", path, err);
   }
+}
+
+Status AtomicWriteFile(const FileEdges& edges, const std::string& path,
+                       std::span<const uint8_t> bytes) {
+  const std::string tmp = path + kTmpSuffix;
+  DQM_ASSIGN_OR_RETURN(
+      int fd, Open(edges.open, tmp, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                   0644));
+  Status status = WriteAll(edges.write, fd, bytes.data(), bytes.size(), tmp);
+  if (status.ok()) status = Fsync(edges.fsync, fd, tmp);
+  ::close(fd);
+  if (status.ok()) status = Rename(edges.rename, tmp, path);
+  if (!status.ok()) {
+    ::unlink(tmp.c_str());  // best effort: never leave an unpublished tmp
+    return status;
+  }
+  // The rename is the commit point; syncing the directory makes it stick
+  // across power loss.
+  return FsyncParentDir(edges.dirsync, path);
+}
+
+Result<std::vector<uint8_t>> ReadFile(const FileEdges& edges,
+                                      const std::string& path) {
+  DQM_ASSIGN_OR_RETURN(int fd, Open(edges.open, path, O_RDONLY | O_CLOEXEC));
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    Status status = ErrnoError("stat", path, errno);
+    ::close(fd);
+    return status;
+  }
+  std::vector<uint8_t> bytes(static_cast<size_t>(st.st_size));
+  Status status = bytes.empty() ? Status::OK()
+                                : ReadExactAt(edges.read, fd, bytes.data(),
+                                              bytes.size(), 0, path);
+  ::close(fd);
+  if (!status.ok()) return status;
+  return bytes;
 }
 
 }  // namespace dqm::crowd::io

@@ -5,17 +5,21 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
 
 /// Failpoint-instrumented POSIX I/O for the durability stack.
 ///
-/// Every syscall the WAL / checkpoint / manifest machinery issues goes
-/// through these wrappers instead of the raw calls (tools/dqm_lint.py's
-/// raw-syscall rule enforces this for crowd/wal.cc and
-/// engine/durability.cc). Each wrapper:
+/// Every syscall the WAL / checkpoint / manifest / replication machinery
+/// issues goes through these wrappers instead of the raw calls, and every
+/// errno is formatted by ErrnoError (tools/dqm_lint.py's raw-syscall rule
+/// enforces both for crowd/wal*.cc, engine/durability*.cc and
+/// engine/replication*.cc). Whole-file publish and read are
+/// AtomicWriteFile and ReadFile. Each syscall wrapper:
 ///
 ///  - evaluates a named failpoint (common/failpoint.h) before EVERY
 ///    attempt, so scripted faults are indistinguishable from real ones to
@@ -31,6 +35,18 @@
 /// I/O; open/read edges ignore them because the caller needs real bytes.
 namespace dqm::crowd::io {
 
+/// The failpoint names one kind of file evaluates, one per syscall edge of
+/// AtomicWriteFile / ReadFile. `dirsync` covers the open + fsync of the
+/// parent directory after the rename.
+struct FileEdges {
+  const char* open;
+  const char* read;
+  const char* write;
+  const char* fsync;
+  const char* rename;
+  const char* dirsync;
+};
+
 /// Failpoint names for the durability-stack syscall edges, one per
 /// (subsystem, operation). Arm them via `--failpoints=` / DQM_FAILPOINTS,
 /// e.g. `dqm.wal.fsync=error(EIO)%0.3`.
@@ -40,20 +56,28 @@ inline constexpr char kWalRead[] = "dqm.wal.read";
 inline constexpr char kWalWrite[] = "dqm.wal.write";
 inline constexpr char kWalFsync[] = "dqm.wal.fsync";
 inline constexpr char kWalTruncate[] = "dqm.wal.truncate";
-inline constexpr char kCheckpointOpen[] = "dqm.checkpoint.open";
-inline constexpr char kCheckpointRead[] = "dqm.checkpoint.read";
-inline constexpr char kCheckpointWrite[] = "dqm.checkpoint.write";
-inline constexpr char kCheckpointFsync[] = "dqm.checkpoint.fsync";
-inline constexpr char kCheckpointRename[] = "dqm.checkpoint.rename";
-inline constexpr char kCheckpointDirsync[] = "dqm.checkpoint.dirsync";
-/// Replication transport edges (engine/replication.cc, LocalDirTransport).
-inline constexpr char kReplOpen[] = "dqm.repl.open";
-inline constexpr char kReplRead[] = "dqm.repl.read";
-inline constexpr char kReplWrite[] = "dqm.repl.write";
-inline constexpr char kReplFsync[] = "dqm.repl.fsync";
-inline constexpr char kReplRename[] = "dqm.repl.rename";
-inline constexpr char kReplDirsync[] = "dqm.repl.dirsync";
+/// Session manifest (engine/durability.cc). Its dirsync edge also covers
+/// the session directory's own dirents.
+inline constexpr FileEdges kManifest{
+    "dqm.manifest.open",   "dqm.manifest.read",   "dqm.manifest.write",
+    "dqm.manifest.fsync",  "dqm.manifest.rename", "dqm.durability.dirsync",
+};
+/// Checkpoint files (crowd/wal.cc).
+inline constexpr FileEdges kCheckpoint{
+    "dqm.checkpoint.open",  "dqm.checkpoint.read",   "dqm.checkpoint.write",
+    "dqm.checkpoint.fsync", "dqm.checkpoint.rename", "dqm.checkpoint.dirsync",
+};
+/// Replication transport artifacts and the primary's WAL reads
+/// (engine/replication.cc, LocalDirTransport).
+inline constexpr FileEdges kRepl{
+    "dqm.repl.open",  "dqm.repl.read",   "dqm.repl.write",
+    "dqm.repl.fsync", "dqm.repl.rename", "dqm.repl.dirsync",
+};
 }  // namespace fpn
+
+/// The one errno formatter: "<op> '<path>': <strerror(err)>". ENOENT is
+/// NotFound; every other errno is IOError.
+Status ErrnoError(const char* op, const std::string& path, int err);
 
 /// True for the errno classes the retry loop treats as transient: EINTR and
 /// EAGAIN/EWOULDBLOCK. Spelled to stay correct on platforms where
@@ -106,6 +130,23 @@ Status Rename(const char* failpoint, const std::string& from,
 /// ftruncate(2).
 Status Ftruncate(const char* failpoint, int fd, uint64_t size,
                  const std::string& path);
+
+/// Suffix of AtomicWriteFile's unpublished file; directory listings skip
+/// names that end in it.
+inline constexpr char kTmpSuffix[] = ".tmp";
+
+/// Publishes `bytes` at `path` so a reader sees the old file or the new one,
+/// never a torn mix: write `path`.tmp (O_CLOEXEC), fsync it, rename it over
+/// `path`, then fsync the parent directory. Any failure before the rename
+/// unlinks the tmp file and leaves `path` untouched; a failed directory
+/// sync surfaces after the rename already replaced `path`.
+Status AtomicWriteFile(const FileEdges& edges, const std::string& path,
+                       std::span<const uint8_t> bytes);
+
+/// Reads the whole file at `path`. A missing file is NotFound (keeping the
+/// strerror text); any other failure is IOError.
+Result<std::vector<uint8_t>> ReadFile(const FileEdges& edges,
+                                      const std::string& path);
 
 }  // namespace dqm::crowd::io
 

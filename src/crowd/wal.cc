@@ -6,7 +6,6 @@
 
 #include <array>
 #include <cerrno>
-#include <cstring>
 #include <utility>
 
 #include "common/logging.h"
@@ -58,11 +57,6 @@ uint32_t GetU32(const uint8_t* p) {
 uint64_t GetU64(const uint8_t* p) {
   return static_cast<uint64_t>(GetU32(p)) |
          (static_cast<uint64_t>(GetU32(p + 4)) << 32);
-}
-
-Status ErrnoError(const char* op, const std::string& path) {
-  return Status::IOError(StrFormat("%s '%s': %s", op, path.c_str(),
-                                   std::strerror(errno)));
 }
 
 // All write/fsync/rename/read edges below go through the failpoint-
@@ -131,8 +125,6 @@ VoteWal::VoteWal(VoteWal&& other) noexcept
       written_size_(other.written_size_),
       sealed_(other.sealed_),
       seal_reason_(std::move(other.seal_reason_)),
-      fail_next_write_(other.fail_next_write_),
-      fail_next_sync_(other.fail_next_sync_),
       buffer_(std::move(other.buffer_)),
       replay_scratch_(std::move(other.replay_scratch_)) {}
 
@@ -147,8 +139,6 @@ VoteWal& VoteWal::operator=(VoteWal&& other) noexcept {
     written_size_ = other.written_size_;
     sealed_ = other.sealed_;
     seal_reason_ = std::move(other.seal_reason_);
-    fail_next_write_ = other.fail_next_write_;
-    fail_next_sync_ = other.fail_next_sync_;
     buffer_ = std::move(other.buffer_);
     replay_scratch_ = std::move(other.replay_scratch_);
   }
@@ -178,7 +168,9 @@ Result<VoteWal> VoteWal::Open(const std::string& path) {
       wal.fd_, io::Open(fpn::kWalOpen, path, O_RDWR | O_CREAT | O_CLOEXEC,
                         0644));
   struct stat st;
-  if (::fstat(wal.fd_, &st) != 0) return ErrnoError("stat", path);
+  if (::fstat(wal.fd_, &st) != 0) {
+    return io::ErrnoError("stat", path, errno);
+  }
   uint64_t size = static_cast<uint64_t>(st.st_size);
   if (size < kWalHeaderBytes) {
     // Fresh file, or a crash landed mid-way through the very first header
@@ -187,7 +179,9 @@ Result<VoteWal> VoteWal::Open(const std::string& path) {
     if (size != 0) {
       DQM_RETURN_NOT_OK(io::Ftruncate(fpn::kWalTruncate, wal.fd_, 0, path));
     }
-    if (::lseek(wal.fd_, 0, SEEK_SET) < 0) return ErrnoError("seek", path);
+    if (::lseek(wal.fd_, 0, SEEK_SET) < 0) {
+      return io::ErrnoError("seek", path, errno);
+    }
     DQM_RETURN_NOT_OK(wal.WriteHeader(1));
   } else {
     uint8_t header[kWalHeaderBytes];
@@ -203,7 +197,9 @@ Result<VoteWal> VoteWal::Open(const std::string& path) {
           "'%s': unsupported WAL version %u", path.c_str(), version));
     }
     wal.generation_ = GetU64(header + 8);
-    if (::lseek(wal.fd_, 0, SEEK_END) < 0) return ErrnoError("seek", path);
+    if (::lseek(wal.fd_, 0, SEEK_END) < 0) {
+      return io::ErrnoError("seek", path, errno);
+    }
     // Whatever an earlier process left on disk is the durable baseline; a
     // torn tail inside it is found and cut by ReplayAndTruncate.
     wal.written_size_ = size;
@@ -263,16 +259,8 @@ Status VoteWal::SealedStatus() const {
 Status VoteWal::WriteBuffered() {
   if (sealed_) return SealedStatus();
   if (buffer_.empty()) return Status::OK();
-  Status status;
-  if (fail_next_write_) {
-    fail_next_write_ = false;
-    status = Status::IOError(
-        StrFormat("write '%s': injected test fault", path_.c_str()));
-  } else {
-    status =
-        io::WriteAll(fpn::kWalWrite, fd_, buffer_.data(), buffer_.size(),
-                     path_);
-  }
+  Status status = io::WriteAll(fpn::kWalWrite, fd_, buffer_.data(),
+                               buffer_.size(), path_);
   if (!status.ok()) {
     // A failed or short write leaves the fd offset and an unknown number of
     // torn bytes past the durable boundary; seal so no future append can be
@@ -289,14 +277,7 @@ Status VoteWal::WriteBuffered() {
 Status VoteWal::Sync() {
   if (sealed_) return SealedStatus();
   DQM_RETURN_NOT_OK(WriteBuffered());
-  Status status;
-  if (fail_next_sync_) {
-    fail_next_sync_ = false;
-    status = Status::IOError(
-        StrFormat("fsync '%s': injected test fault", path_.c_str()));
-  } else {
-    status = io::Fsync(fpn::kWalFsync, fd_, path_);
-  }
+  Status status = io::Fsync(fpn::kWalFsync, fd_, path_);
   if (!status.ok()) {
     // The records reached write(2) but their durability was never
     // acknowledged, so the owner rejects the batch — truncate them away
@@ -371,7 +352,7 @@ Result<VoteWal::ReplayStats> VoteWal::ReplayAndTruncate(
     const std::function<Status(std::span<const VoteEvent>)>& apply) {
   ReplayStats stats;
   struct stat st;
-  if (::fstat(fd_, &st) != 0) return ErrnoError("stat", path_);
+  if (::fstat(fd_, &st) != 0) return io::ErrnoError("stat", path_, errno);
   const uint64_t file_size = static_cast<uint64_t>(st.st_size);
   if (file_size <= kWalHeaderBytes) return stats;
   const size_t body_size = static_cast<size_t>(file_size - kWalHeaderBytes);
@@ -401,7 +382,9 @@ Result<VoteWal::ReplayStats> VoteWal::ReplayAndTruncate(
     written_size_ = file_size;
     durable_size_ = file_size;
   }
-  if (::lseek(fd_, 0, SEEK_END) < 0) return ErrnoError("seek", path_);
+  if (::lseek(fd_, 0, SEEK_END) < 0) {
+    return io::ErrnoError("seek", path_, errno);
+  }
   return stats;
 }
 
@@ -415,7 +398,7 @@ Status VoteWal::Reset(uint64_t new_generation) {
   written_size_ = 0;
   durable_size_ = 0;
   if (::lseek(fd_, 0, SEEK_SET) < 0) {
-    Status status = ErrnoError("seek", path_);
+    Status status = io::ErrnoError("seek", path_, errno);
     Seal(status);
     return status;
   }
@@ -566,38 +549,12 @@ Status WriteCheckpointFile(const std::string& path,
     PutColumn(bytes, data.total);
   }
   PutU32(bytes, Crc32(bytes.data(), bytes.size()));
-
-  const std::string tmp = path + ".tmp";
-  DQM_ASSIGN_OR_RETURN(
-      int fd, io::Open(fpn::kCheckpointOpen, tmp,
-                       O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
-  Status status =
-      io::WriteAll(fpn::kCheckpointWrite, fd, bytes.data(), bytes.size(), tmp);
-  if (status.ok()) status = io::Fsync(fpn::kCheckpointFsync, fd, tmp);
-  ::close(fd);
-  if (!status.ok()) return status;
-  DQM_RETURN_NOT_OK(io::Rename(fpn::kCheckpointRename, tmp, path));
-  // The rename is the commit point; syncing the directory makes it stick
-  // across power loss.
-  return io::FsyncParentDir(fpn::kCheckpointDirsync, path);
+  return io::AtomicWriteFile(fpn::kCheckpoint, path, bytes);
 }
 
 Result<CheckpointData> ReadCheckpointFile(const std::string& path) {
-  DQM_ASSIGN_OR_RETURN(
-      int fd, io::Open(fpn::kCheckpointOpen, path, O_RDONLY | O_CLOEXEC));
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    Status status = ErrnoError("stat", path);
-    ::close(fd);
-    return status;
-  }
-  std::vector<uint8_t> bytes(static_cast<size_t>(st.st_size));
-  Status read = bytes.empty()
-                    ? Status::OK()
-                    : io::ReadExactAt(fpn::kCheckpointRead, fd, bytes.data(),
-                                      bytes.size(), 0, path);
-  ::close(fd);
-  DQM_RETURN_NOT_OK(read);
+  DQM_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
+                       io::ReadFile(fpn::kCheckpoint, path));
   return DecodeCheckpoint(std::span<const uint8_t>(bytes), path);
 }
 

@@ -125,12 +125,6 @@ class VoteWal {
   /// original failure's message).
   Status SealedStatus() const;
 
-  /// Test fault injection: the next WriteBuffered (resp. the fsync inside
-  /// the next Sync) fails as if the device errored, exercising the seal
-  /// path without a real I/O failure.
-  void InjectWriteErrorForTest() { fail_next_write_ = true; }
-  void InjectSyncErrorForTest() { fail_next_sync_ = true; }
-
   /// Bytes currently sitting in the user-space buffer (lost on kill).
   size_t buffered_bytes() const { return buffer_.size(); }
   /// Cumulative bytes handed to write(2) since Open.
@@ -188,8 +182,6 @@ class VoteWal {
   uint64_t written_size_ = 0;
   bool sealed_ = false;
   std::string seal_reason_;
-  bool fail_next_write_ = false;
-  bool fail_next_sync_ = false;
   std::vector<uint8_t> buffer_;
   std::vector<VoteEvent> replay_scratch_;
 };

@@ -1,13 +1,8 @@
 #include "engine/durability.h"
 
-#include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
-#include <cerrno>
-#include <charconv>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <utility>
 
@@ -26,86 +21,6 @@ namespace io = ::dqm::crowd::io;
 constexpr char kManifestFile[] = "MANIFEST";
 constexpr char kWalFile[] = "wal.log";
 constexpr char kCheckpointFile[] = "checkpoint.bin";
-
-Status ErrnoError(const char* op, const std::string& path) {
-  return Status::IOError(
-      StrFormat("%s '%s': %s", op, path.c_str(), std::strerror(errno)));
-}
-
-// Every write/fsync/rename/read edge in this file goes through the
-// failpoint-instrumented, retrying wrappers in crowd/io.h (enforced by the
-// raw-syscall lint rule); only stat and close stay raw.
-
-Status FsyncPath(const std::string& path, bool directory) {
-  int flags = O_RDONLY | O_CLOEXEC | (directory ? O_DIRECTORY : 0);
-  DQM_ASSIGN_OR_RETURN(int fd, io::Open(fpn::kDirSync, path, flags));
-  Status status = io::Fsync(fpn::kDirSync, fd, path);
-  ::close(fd);
-  return status;
-}
-
-std::string ParentDir(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
-}
-
-/// Atomic small-file write: tmp + fsync + rename + fsync parent.
-Status WriteFileAtomic(const std::string& path, std::string_view content) {
-  const std::string tmp = path + ".tmp";
-  DQM_ASSIGN_OR_RETURN(
-      int fd, io::Open(fpn::kManifestOpen, tmp,
-                       O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
-  Status status = io::WriteAll(
-      fpn::kManifestWrite, fd,
-      reinterpret_cast<const uint8_t*>(content.data()), content.size(), tmp);
-  if (status.ok()) status = io::Fsync(fpn::kManifestFsync, fd, tmp);
-  ::close(fd);
-  if (!status.ok()) return status;
-  DQM_RETURN_NOT_OK(io::Rename(fpn::kManifestRename, tmp, path));
-  return FsyncPath(ParentDir(path), /*directory=*/true);
-}
-
-Result<std::string> ReadWholeFile(const std::string& path) {
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0 && errno == ENOENT) {
-    // Keep the strerror text: recovery outcome tables surface this message
-    // verbatim, and "No such file or directory" names the failure class for
-    // an operator the way a bare path does not.
-    return Status::NotFound(StrFormat("no such file: '%s': %s", path.c_str(),
-                                      std::strerror(ENOENT)));
-  }
-  DQM_ASSIGN_OR_RETURN(
-      int fd, io::Open(fpn::kManifestOpen, path, O_RDONLY | O_CLOEXEC));
-  if (::fstat(fd, &st) != 0) {
-    Status status = ErrnoError("stat", path);
-    ::close(fd);
-    return status;
-  }
-  std::string content(static_cast<size_t>(st.st_size), '\0');
-  Status read =
-      content.empty()
-          ? Status::OK()
-          : io::ReadExactAt(fpn::kManifestRead, fd,
-                            reinterpret_cast<uint8_t*>(content.data()),
-                            content.size(), 0, path);
-  ::close(fd);
-  if (!read.ok()) return read;
-  return content;
-}
-
-Result<uint64_t> ParseU64(std::string_view text, const char* key) {
-  uint64_t value = 0;
-  auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr != text.data() + text.size()) {
-    return Status::InvalidArgument(
-        StrFormat("manifest key %s: '%.*s' is not an unsigned integer", key,
-                  static_cast<int>(text.size()), text.data()));
-  }
-  return value;
-}
 
 /// Durability-wide metrics, resolved once (the function-local-static
 /// pattern every hot path in the repo uses).
@@ -263,7 +178,11 @@ std::string ManifestContent(const SessionManifest& m) {
 }
 
 Status WriteManifestFile(const std::string& path, const SessionManifest& m) {
-  return WriteFileAtomic(path, ManifestContent(m));
+  const std::string content = ManifestContent(m);
+  return io::AtomicWriteFile(
+      io::fpn::kManifest, path,
+      std::span<const uint8_t>(
+          reinterpret_cast<const uint8_t*>(content.data()), content.size()));
 }
 
 Result<SessionManifest> ParseManifestContent(std::string_view content,
@@ -285,7 +204,8 @@ Result<SessionManifest> ParseManifestContent(std::string_view content,
       DQM_ASSIGN_OR_RETURN(m.name, PercentDecode(value));
       saw_name = true;
     } else if (key == "num_items") {
-      DQM_ASSIGN_OR_RETURN(m.num_items, ParseU64(value, "num_items"));
+      DQM_ASSIGN_OR_RETURN(m.num_items,
+                           ParseU64(value, "manifest key num_items"));
       saw_items = true;
     } else if (key == "specs") {
       m.specs.clear();
@@ -299,24 +219,29 @@ Result<SessionManifest> ParseManifestContent(std::string_view content,
       m.cadence = std::string(value);
     } else if (key == "ingest_stripes") {
       DQM_ASSIGN_OR_RETURN(m.ingest_stripes,
-                           ParseU64(value, "ingest_stripes"));
+                           ParseU64(value, "manifest key ingest_stripes"));
     } else if (key == "publish_every_votes") {
-      DQM_ASSIGN_OR_RETURN(m.publish_every_votes,
-                           ParseU64(value, "publish_every_votes"));
+      DQM_ASSIGN_OR_RETURN(
+          m.publish_every_votes,
+          ParseU64(value, "manifest key publish_every_votes"));
     } else if (key == "wal_group_commit_votes") {
-      DQM_ASSIGN_OR_RETURN(m.wal_group_commit_votes,
-                           ParseU64(value, "wal_group_commit_votes"));
+      DQM_ASSIGN_OR_RETURN(
+          m.wal_group_commit_votes,
+          ParseU64(value, "manifest key wal_group_commit_votes"));
     } else if (key == "wal_group_commit_ms") {
-      DQM_ASSIGN_OR_RETURN(m.wal_group_commit_ms,
-                           ParseU64(value, "wal_group_commit_ms"));
+      DQM_ASSIGN_OR_RETURN(
+          m.wal_group_commit_ms,
+          ParseU64(value, "manifest key wal_group_commit_ms"));
     } else if (key == "checkpoint_every_votes") {
-      DQM_ASSIGN_OR_RETURN(m.checkpoint_every_votes,
-                           ParseU64(value, "checkpoint_every_votes"));
+      DQM_ASSIGN_OR_RETURN(
+          m.checkpoint_every_votes,
+          ParseU64(value, "manifest key checkpoint_every_votes"));
     } else if (key == "durability_failure_policy") {
       DQM_ASSIGN_OR_RETURN(m.failure_policy,
                            ParseDurabilityFailurePolicy(value));
     } else if (key == "fencing_token") {
-      DQM_ASSIGN_OR_RETURN(m.fencing_token, ParseU64(value, "fencing_token"));
+      DQM_ASSIGN_OR_RETURN(m.fencing_token,
+                           ParseU64(value, "manifest key fencing_token"));
     }
     // Unknown keys are skipped: a manifest written by a newer build stays
     // recoverable by this one.
@@ -330,8 +255,12 @@ Result<SessionManifest> ParseManifestContent(std::string_view content,
 }
 
 Result<SessionManifest> ReadManifestFile(const std::string& path) {
-  DQM_ASSIGN_OR_RETURN(std::string content, ReadWholeFile(path));
-  return ParseManifestContent(content, path);
+  DQM_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
+                       io::ReadFile(io::fpn::kManifest, path));
+  return ParseManifestContent(
+      std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                       bytes.size()),
+      path);
 }
 
 std::string SessionManifestPath(const std::string& session_dir) {
@@ -382,7 +311,8 @@ Result<std::unique_ptr<SessionDurability>> SessionDurability::Create(
                                        ec.message().c_str()));
     }
     for (auto it = created.rbegin(); it != created.rend(); ++it) {
-      DQM_RETURN_NOT_OK(FsyncPath(ParentDir(*it), /*directory=*/true));
+      DQM_RETURN_NOT_OK(
+          io::FsyncParentDir(io::fpn::kManifest.dirsync, *it));
     }
   }
   std::unique_ptr<SessionDurability> durability(
@@ -396,8 +326,8 @@ Result<std::unique_ptr<SessionDurability>> SessionDurability::Create(
   // wal.log was just created; the manifest's atomic write synced the
   // session directory BEFORE it existed, so its dirent needs its own fsync
   // to survive power loss.
-  DQM_RETURN_NOT_OK(
-      FsyncPath(durability->options_.dir, /*directory=*/true));
+  DQM_RETURN_NOT_OK(io::FsyncParentDir(io::fpn::kManifest.dirsync,
+                                       durability->wal_path()));
   durability->checkpoint_bytes_gauge_ =
       telemetry::MetricsRegistry::Global().AcquireGauge(
           telemetry::metric_names::kCheckpointBytes,
@@ -421,8 +351,8 @@ Result<std::unique_ptr<SessionDurability>> SessionDurability::Attach(
   DQM_RETURN_NOT_OK(durability->OpenWal());
   // OpenWal recreates wal.log if it was missing (a crash between the
   // manifest commit and the WAL's creation); persist that dirent too.
-  DQM_RETURN_NOT_OK(
-      FsyncPath(durability->options_.dir, /*directory=*/true));
+  DQM_RETURN_NOT_OK(io::FsyncParentDir(io::fpn::kManifest.dirsync,
+                                       durability->wal_path()));
   durability->checkpoint_bytes_gauge_ =
       telemetry::MetricsRegistry::Global().AcquireGauge(
           telemetry::metric_names::kCheckpointBytes,
@@ -496,15 +426,6 @@ void SessionDurability::FlusherLoop() {
   }
 }
 
-void SessionDurability::RunHook(Phase phase) {
-  if (phase_hook_) phase_hook_(phase);
-}
-
-void SessionDurability::SetPhaseHookForTest(std::function<void(Phase)> hook) {
-  MutexLock lock(wal_mutex_);
-  phase_hook_ = std::move(hook);
-}
-
 void SessionDurability::SetShipHook(
     std::function<void(const ShipEvent&)> hook) {
   MutexLock lock(wal_mutex_);
@@ -528,7 +449,7 @@ Status SessionDurability::FlushLocked(bool sync) {
   tm.bytes->Add(wal_.bytes_written() - before);
   if (status.ok() && sync) {
     pending_votes_ = 0;
-    RunHook(Phase::kFsync);
+    failpoint::Eval(fpn::kAfterFsync);
     if (ship_hook_) {
       // Fired before the commit is acknowledged to the caller (we are still
       // inside its AppendBatch/Flush), so a crash inside the ship path can
@@ -589,7 +510,7 @@ Status SessionDurability::AppendBatch(
       degraded_votes_.fetch_add(votes.size(), std::memory_order_acq_rel);
       tm.degraded_votes->Add(votes.size());
       in_flight_.fetch_add(1, std::memory_order_acq_rel);
-      RunHook(Phase::kAppend);
+      failpoint::Eval(fpn::kAfterAppend);
       return Status::OK();
     }
     // A sealed WAL cannot take new records without breaking the on-disk
@@ -602,7 +523,7 @@ Status SessionDurability::AppendBatch(
   tm.appends->Increment();
   tm.votes->Add(votes.size());
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  RunHook(Phase::kAppend);
+  failpoint::Eval(fpn::kAfterAppend);
   if (pending_votes_ >= options_.group_commit_votes) {
     Status status = FlushLocked(/*sync=*/true);
     if (!status.ok()) {
@@ -672,7 +593,7 @@ Status SessionDurability::CommitCheckpoint(
       checkpoint_bytes_gauge_->Set(static_cast<double>(st.st_size));
     }
   }
-  RunHook(Phase::kCheckpointWrite);
+  failpoint::Eval(fpn::kAfterCheckpointWrite);
   // A crash here leaves checkpoint generation G+1 next to a WAL at G —
   // Recover detects exactly that and discards the (now superseded) WAL.
   DQM_RETURN_NOT_OK(wal_.Reset(next_generation));
@@ -690,7 +611,7 @@ Status SessionDurability::CommitCheckpoint(
                   << degraded_votes_.load(std::memory_order_relaxed)
                   << " votes were acknowledged without durability";
   }
-  RunHook(Phase::kWalReset);
+  failpoint::Eval(fpn::kAfterWalReset);
   if (ship_hook_) {
     ShipEvent event;
     event.kind = ShipEvent::Kind::kCheckpoint;

@@ -38,19 +38,24 @@ const char* DurabilityFailurePolicyName(DurabilityFailurePolicy policy);
 Result<DurabilityFailurePolicy> ParseDurabilityFailurePolicy(
     std::string_view text);
 
-/// Failpoint names for the durability edges owned by this layer (the
-/// WAL/checkpoint edges live in crowd/io.h).
+/// Failpoint names owned by this layer (the file-edge sets, manifest
+/// included, live in crowd/io.h).
 namespace fpn {
-inline constexpr char kManifestOpen[] = "dqm.manifest.open";
-inline constexpr char kManifestRead[] = "dqm.manifest.read";
-inline constexpr char kManifestWrite[] = "dqm.manifest.write";
-inline constexpr char kManifestFsync[] = "dqm.manifest.fsync";
-inline constexpr char kManifestRename[] = "dqm.manifest.rename";
-/// fsync of a directory fd (session dir dirents; manifest parent).
-inline constexpr char kDirSync[] = "dqm.durability.dirsync";
 /// Evaluated by the group-commit flusher thread at each wake: error and
 /// return actions skip that flush cycle, delay stalls it (lock held).
 inline constexpr char kFlusherWake[] = "dqm.wal.flusher";
+/// Commit-protocol phase points, evaluated with the WAL mutex held right
+/// AFTER the named step completed. They are kill points: crash, delay and
+/// the code-only callback act here; error and return do nothing.
+///   after_append            batch buffered (user-space only — dies with us)
+///   after_fsync             group-commit fsync returned
+///   after_checkpoint_write  checkpoint rename-committed, WAL not yet reset
+///   after_wal_reset         WAL truncated to the new generation
+inline constexpr char kAfterAppend[] = "dqm.durability.after_append";
+inline constexpr char kAfterFsync[] = "dqm.durability.after_fsync";
+inline constexpr char kAfterCheckpointWrite[] =
+    "dqm.durability.after_checkpoint_write";
+inline constexpr char kAfterWalReset[] = "dqm.durability.after_wal_reset";
 }  // namespace fpn
 
 /// Per-session durability knobs (resolved from SessionOptions by the
@@ -156,15 +161,6 @@ std::string SessionManifestPath(const std::string& session_dir);
 /// build callback pauses stripes while holding both outer locks.
 class SessionDurability {
  public:
-  /// Kill points, in commit order, for crash-recovery tests: the hook runs
-  /// with the WAL mutex held immediately AFTER the named step completed.
-  enum class Phase {
-    kAppend,           // batch buffered (user-space only — dies with us)
-    kFsync,            // group-commit fsync returned
-    kCheckpointWrite,  // checkpoint file rename-committed, WAL not yet reset
-    kWalReset,         // WAL truncated to the new generation
-  };
-
   /// Creates a FRESH session directory (mkdir -p), writes the manifest, and
   /// opens an empty WAL. FailedPrecondition when the directory already
   /// holds state — recovering an existing session must go through
@@ -244,11 +240,6 @@ class SessionDurability {
   std::string wal_path() const;
   std::string checkpoint_path() const;
 
-  /// Installs a crash-injection hook for tests (called with the WAL mutex
-  /// held after each Phase completes). Install before concurrent use.
-  void SetPhaseHookForTest(std::function<void(Phase)> hook)
-      DQM_EXCLUDES(wal_mutex_);
-
   /// One durability event worth shipping to a replica. Fired synchronously
   /// with the WAL mutex held, so the hook sees events in exact commit order
   /// and the reported durable boundary cannot move under it. The hook must
@@ -289,13 +280,6 @@ class SessionDurability {
     return wal_.generation();
   }
 
-  /// Makes the next WAL fsync fail as if the device errored, sealing the
-  /// log — for flush-failure / seal-and-heal tests.
-  void InjectWalSyncErrorForTest() DQM_EXCLUDES(wal_mutex_) {
-    MutexLock lock(wal_mutex_);
-    wal_.InjectSyncErrorForTest();
-  }
-
   /// True once an I/O failure sealed the WAL (appends are being rejected).
   bool wal_sealed() const DQM_EXCLUDES(wal_mutex_) {
     MutexLock lock(wal_mutex_);
@@ -325,7 +309,6 @@ class SessionDurability {
   /// Flips the session into degraded mode (gauge, log) the first time a
   /// seal is absorbed under degrade_to_volatile.
   void EnterDegradedLocked(const Status& cause) DQM_REQUIRES(wal_mutex_);
-  void RunHook(Phase phase) DQM_REQUIRES(wal_mutex_);
   void StartFlusher();
   void FlusherLoop() DQM_EXCLUDES(wal_mutex_);
 
@@ -343,7 +326,6 @@ class SessionDurability {
   /// wal_mutex_; atomics so snapshot readers see them lock-free.
   std::atomic<bool> degraded_{false};
   std::atomic<uint64_t> degraded_votes_{0};
-  std::function<void(Phase)> phase_hook_ DQM_GUARDED_BY(wal_mutex_);
   std::function<void(const ShipEvent&)> ship_hook_ DQM_GUARDED_BY(wal_mutex_);
   bool stop_flusher_ DQM_GUARDED_BY(wal_mutex_) = false;
   CondVar flusher_cv_;

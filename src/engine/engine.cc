@@ -234,14 +234,17 @@ Result<std::vector<DqmEngine::RecoveredSession>> DqmEngine::RecoverSessions(
   for (const std::string& dir : dirs) {
     Result<SessionManifest> manifest_or =
         ReadManifestFile(SessionManifestPath(dir));
-    if (!manifest_or.ok()) {
-      // No (readable) manifest means OpenSession crashed before the
-      // rename-commit — by the write order there can be no WAL with
-      // accepted votes in such a directory, so skipping loses nothing.
+    if (manifest_or.status().code() == StatusCode::kNotFound) {
+      // No manifest means OpenSession crashed before the rename-commit —
+      // by the write order there can be no WAL with accepted votes in such
+      // a directory, so skipping loses nothing.
       DQM_LOG(Warning) << "RecoverSessions: skipping '" << dir
                        << "': " << manifest_or.status().message();
       continue;
     }
+    // A manifest that exists but cannot be read or parsed may guard
+    // acknowledged votes: fail loudly instead of skipping them.
+    DQM_RETURN_NOT_OK(manifest_or.status());
     DQM_ASSIGN_OR_RETURN(
         RecoveredSession row,
         RecoverSessionDir(dir, root, std::move(manifest_or).value()));
@@ -265,8 +268,15 @@ DqmEngine::RecoverSessionsKeepGoing(const std::string& root) {
     Result<SessionManifest> manifest_or =
         ReadManifestFile(SessionManifestPath(dir));
     if (!manifest_or.ok()) {
-      outcome.state = SessionRecoveryOutcome::State::kSkipped;
+      const bool missing =
+          manifest_or.status().code() == StatusCode::kNotFound;
+      outcome.state = missing ? SessionRecoveryOutcome::State::kSkipped
+                              : SessionRecoveryOutcome::State::kFailed;
       outcome.detail = manifest_or.status().message();
+      if (!missing) {
+        DQM_LOG(Warning) << "RecoverSessionsKeepGoing: '" << dir
+                         << "' failed: " << outcome.detail;
+      }
       outcomes.push_back(std::move(outcome));
       continue;
     }

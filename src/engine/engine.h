@@ -118,8 +118,10 @@ class DqmEngine {
   /// estimates, and registers the session under its original name.
   /// Returns per-session reports sorted by name. Subdirectories without a
   /// manifest (a crash inside OpenSession before the manifest committed)
-  /// are skipped with a warning; a corrupt checkpoint or unreadable WAL
-  /// fails the whole call — silent data loss is not an option here.
+  /// are skipped with a warning. Anything else fails the whole call — a
+  /// manifest that exists but cannot be read or parsed, a corrupt
+  /// checkpoint, an unreadable WAL — silent data loss is not an option
+  /// here.
   Result<std::vector<RecoveredSession>> RecoverSessions(
       const std::string& root);
 
@@ -128,17 +130,18 @@ class DqmEngine {
     enum class State : uint8_t {
       /// Session rebuilt and registered; `report` is valid.
       kRecovered,
-      /// No readable manifest — a crash inside OpenSession before the
+      /// No manifest at all — a crash inside OpenSession before the
       /// manifest committed. Nothing durable can live here; not an error.
       kSkipped,
-      /// Recovery failed (corrupt checkpoint, unreadable WAL, name
-      /// collision, ...); `detail` carries the failure message.
+      /// Recovery failed (unreadable or unparsable manifest, corrupt
+      /// checkpoint, unreadable WAL, name collision, ...); `detail` carries
+      /// the failure message.
       kFailed,
     };
     /// Durability subdirectory this outcome describes.
     std::string dir;
-    /// Session name from the manifest; empty when the manifest itself was
-    /// unreadable (kSkipped, or a kFailed before the manifest parsed).
+    /// Session name from the manifest; empty when there was none to read
+    /// (kSkipped, or a kFailed before the manifest parsed).
     std::string name;
     State state = State::kFailed;
     /// Why the session was skipped or failed; empty on kRecovered.

@@ -1,11 +1,9 @@
 #include "engine/replication.h"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <string_view>
 #include <utility>
@@ -24,76 +22,9 @@ namespace fs = std::filesystem;
 namespace io = crowd::io;
 
 constexpr char kFenceFile[] = "FENCE";
-constexpr char kTmpSuffix[] = ".tmp";
 
 telemetry::Counter& CounterFor(const char* name) {
   return *telemetry::MetricsRegistry::Global().GetCounter(name);
-}
-
-Result<uint64_t> ParseDecimalU64(std::string_view text,
-                                 const std::string& context) {
-  uint64_t value = 0;
-  if (text.empty()) {
-    return Status::InvalidArgument(
-        StrFormat("%s: empty number", context.c_str()));
-  }
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument(StrFormat(
-          "%s: bad number '%.*s'", context.c_str(),
-          static_cast<int>(text.size()), text.data()));
-    }
-    uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) {
-      return Status::InvalidArgument(StrFormat(
-          "%s: number '%.*s' overflows", context.c_str(),
-          static_cast<int>(text.size()), text.data()));
-    }
-    value = value * 10 + digit;
-  }
-  return value;
-}
-
-/// Reads an entire artifact/WAL/checkpoint file through the replication
-/// failpoint edges.
-Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
-  DQM_ASSIGN_OR_RETURN(int fd, io::Open(io::fpn::kReplOpen, path, O_RDONLY));
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    Status status = Status::IOError(StrFormat(
-        "fstat '%s': %s", path.c_str(), std::strerror(errno)));
-    ::close(fd);
-    return status;
-  }
-  std::vector<uint8_t> bytes(static_cast<size_t>(st.st_size));
-  Status status = bytes.empty()
-                      ? Status::OK()
-                      : io::ReadExactAt(io::fpn::kReplRead, fd, bytes.data(),
-                                        bytes.size(), 0, path);
-  ::close(fd);
-  if (!status.ok()) return status;
-  return bytes;
-}
-
-/// tmp + write + fsync + rename + dirsync — the same publish dance the
-/// durability layer uses, so a reader never observes a torn artifact.
-Status WriteFileAtomicRepl(const std::string& path,
-                           std::span<const uint8_t> bytes) {
-  const std::string tmp = path + kTmpSuffix;
-  DQM_ASSIGN_OR_RETURN(
-      int fd, io::Open(io::fpn::kReplOpen, tmp,
-                       O_CREAT | O_TRUNC | O_WRONLY, 0644));
-  Status status =
-      io::WriteAll(io::fpn::kReplWrite, fd, bytes.data(), bytes.size(), tmp);
-  if (status.ok()) status = io::Fsync(io::fpn::kReplFsync, fd, tmp);
-  ::close(fd);
-  if (!status.ok()) {
-    std::error_code ec;
-    fs::remove(tmp, ec);
-    return status;
-  }
-  DQM_RETURN_NOT_OK(io::Rename(io::fpn::kReplRename, tmp, path));
-  return io::FsyncParentDir(io::fpn::kReplDirsync, path);
 }
 
 }  // namespace
@@ -118,7 +49,7 @@ ArtifactId ParseArtifactName(std::string_view name) {
     return id;
   }
   auto parse_field = [](std::string_view text, uint64_t& out) {
-    Result<uint64_t> value = ParseDecimalU64(text, "artifact");
+    Result<uint64_t> value = ParseU64(text, "artifact");
     if (!value.ok()) return false;
     out = value.value();
     return true;
@@ -177,7 +108,7 @@ Status LocalDirTransport::Put(const std::string& name,
         name.c_str(), static_cast<unsigned long long>(fencing_token),
         static_cast<unsigned long long>(fence)));
   }
-  return WriteFileAtomicRepl(dir_ + "/" + name, bytes);
+  return io::AtomicWriteFile(io::fpn::kRepl, dir_ + "/" + name, bytes);
 }
 
 Result<std::vector<std::string>> LocalDirTransport::List() {
@@ -191,7 +122,7 @@ Result<std::vector<std::string>> LocalDirTransport::List() {
   for (const fs::directory_entry& entry : it) {
     std::string name = entry.path().filename().string();
     if (name == kFenceFile) continue;
-    if (name.ends_with(kTmpSuffix)) continue;  // unpublished
+    if (name.ends_with(io::kTmpSuffix)) continue;  // unpublished
     names.push_back(std::move(name));
   }
   std::sort(names.begin(), names.end());
@@ -199,7 +130,7 @@ Result<std::vector<std::string>> LocalDirTransport::List() {
 }
 
 Result<std::vector<uint8_t>> LocalDirTransport::Get(const std::string& name) {
-  return ReadFileBytes(dir_ + "/" + name);
+  return io::ReadFile(io::fpn::kRepl, dir_ + "/" + name);
 }
 
 Status LocalDirTransport::Delete(const std::string& name) {
@@ -216,23 +147,25 @@ Status LocalDirTransport::RaiseFence(uint64_t token) {
   DQM_ASSIGN_OR_RETURN(uint64_t current, Fence());
   if (token <= current) return Status::OK();  // monotonic: never lowers
   std::string text = StrFormat("%llu\n", static_cast<unsigned long long>(token));
-  return WriteFileAtomicRepl(
-      dir_ + "/" + kFenceFile,
+  return io::AtomicWriteFile(
+      io::fpn::kRepl, dir_ + "/" + kFenceFile,
       std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(text.data()),
                                text.size()));
 }
 
 Result<uint64_t> LocalDirTransport::Fence() {
   const std::string path = dir_ + "/" + kFenceFile;
-  std::error_code ec;
-  if (!fs::exists(path, ec)) return 0;  // never fenced
-  DQM_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(path));
-  std::string_view text(reinterpret_cast<const char*>(bytes.data()),
-                        bytes.size());
+  Result<std::vector<uint8_t>> bytes = io::ReadFile(io::fpn::kRepl, path);
+  // Only a missing file means "never fenced": a FENCE that exists but
+  // cannot be read must not let a zombie primary ship.
+  if (bytes.status().code() == StatusCode::kNotFound) return 0;
+  if (!bytes.ok()) return bytes.status();
+  std::string_view text(reinterpret_cast<const char*>(bytes->data()),
+                        bytes->size());
   while (!text.empty() && (text.back() == '\n' || text.back() == '\r')) {
     text.remove_suffix(1);
   }
-  return ParseDecimalU64(text, path);
+  return ParseU64(text, path);
 }
 
 // --- SessionReplicator -----------------------------------------------------
@@ -297,13 +230,17 @@ Result<std::unique_ptr<SessionReplicator>> SessionReplicator::Start(
     MutexLock lock(replicator->mutex_);
     DQM_ASSIGN_OR_RETURN(
         replicator->wal_fd_,
-        io::Open(io::fpn::kReplOpen, durability->wal_path(), O_RDONLY));
+        io::Open(io::fpn::kRepl.open, durability->wal_path(),
+                 O_RDONLY | O_CLOEXEC));
     replicator->shipped_generation_ = wal_generation;
     replicator->shipped_offset_ = crowd::kWalHeaderBytes;
-    std::error_code ec;
-    if (fs::exists(durability->checkpoint_path(), ec)) {
-      DQM_ASSIGN_OR_RETURN(std::vector<uint8_t> ckpt,
-                           ReadFileBytes(durability->checkpoint_path()));
+    Result<std::vector<uint8_t>> ckpt_or =
+        io::ReadFile(io::fpn::kRepl, durability->checkpoint_path());
+    if (!ckpt_or.ok() && ckpt_or.status().code() != StatusCode::kNotFound) {
+      return ckpt_or.status();
+    }
+    if (ckpt_or.ok()) {
+      const std::vector<uint8_t>& ckpt = *ckpt_or;
       DQM_ASSIGN_OR_RETURN(
           crowd::CheckpointData data,
           crowd::DecodeCheckpoint(std::span<const uint8_t>(ckpt),
@@ -394,8 +331,9 @@ Status SessionReplicator::ShipCheckpointLocked(uint64_t generation) {
   if (generation == shipped_generation_) return Status::OK();
   // A checkpoint rename-committed before the WAL reset that bumped the
   // generation, so the file we read is at least `generation`.
-  DQM_ASSIGN_OR_RETURN(std::vector<uint8_t> ckpt,
-                       ReadFileBytes(durability_->checkpoint_path()));
+  DQM_ASSIGN_OR_RETURN(
+      std::vector<uint8_t> ckpt,
+      io::ReadFile(io::fpn::kRepl, durability_->checkpoint_path()));
   DQM_ASSIGN_OR_RETURN(
       crowd::CheckpointData data,
       crowd::DecodeCheckpoint(std::span<const uint8_t>(ckpt),
@@ -430,7 +368,7 @@ Status SessionReplicator::ShipSegmentLocked(uint64_t generation,
   segment.start_offset = shipped_offset_;
   segment.fencing_token = fencing_token_;
   segment.payload.resize(durable_size - shipped_offset_);
-  DQM_RETURN_NOT_OK(io::ReadExactAt(io::fpn::kReplRead, wal_fd_,
+  DQM_RETURN_NOT_OK(io::ReadExactAt(io::fpn::kRepl.read, wal_fd_,
                                     segment.payload.data(),
                                     segment.payload.size(), shipped_offset_,
                                     durability_->wal_path()));

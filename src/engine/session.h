@@ -318,10 +318,6 @@ class EstimationSession {
   /// (ship hooks, durable WAL boundary). nullptr for in-memory sessions.
   SessionDurability* durability_engine() { return durability_.get(); }
 
-  /// Test access to the durability engine (crash-injection phase hooks).
-  /// nullptr for in-memory sessions.
-  SessionDurability* durability_for_test() { return durability_.get(); }
-
   /// Snapshots this session's full compacted state as checkpoint data
   /// (generation 1), quiescing ingest for the duration — the source half of
   /// a migration: EmitCheckpointVotes over the result rebuilds tallies and

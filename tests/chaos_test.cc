@@ -1,8 +1,8 @@
 // Deterministic chaos harness for the durability stack. Each schedule is
 // derived from a seed: a mix of transient-error / delay failpoint specs
 // armed across the WAL, checkpoint, and manifest syscall edges, optionally
-// combined with a point-in-time crash image cut by a commit-protocol phase
-// hook. The invariants, per schedule:
+// combined with a point-in-time crash image cut by a callback armed on a
+// commit-protocol phase failpoint. The invariants, per schedule:
 //
 //  - every ingested batch is acknowledged (the retry layer must absorb the
 //    injected transient faults);
@@ -132,7 +132,7 @@ struct ChaosSchedule {
   std::string failpoints;
   uint64_t failpoint_seed = 0;
   bool crash_image = false;
-  SessionDurability::Phase kill_phase = SessionDurability::Phase::kAppend;
+  const char* kill_point = fpn::kAfterAppend;
   int kill_firing = 1;
   const char* kill_name = "none";
 };
@@ -191,25 +191,24 @@ ChaosSchedule MakeSchedule(uint64_t seed) {
 
   // Half the schedules also cut a crash image at a commit-protocol phase.
   struct KillPoint {
-    SessionDurability::Phase phase;
+    const char* failpoint;
     const char* name;
   };
   static constexpr KillPoint kKillPoints[] = {
-      {SessionDurability::Phase::kAppend, "append"},
-      {SessionDurability::Phase::kFsync, "fsync"},
-      {SessionDurability::Phase::kCheckpointWrite, "checkpoint_write"},
-      {SessionDurability::Phase::kWalReset, "wal_reset"},
+      {fpn::kAfterAppend, "append"},
+      {fpn::kAfterFsync, "fsync"},
+      {fpn::kAfterCheckpointWrite, "checkpoint_write"},
+      {fpn::kAfterWalReset, "wal_reset"},
   };
   if (rng() % 2 == 0) {
     const KillPoint& kill = kKillPoints[rng() % 4];
     schedule.crash_image = true;
-    schedule.kill_phase = kill.phase;
+    schedule.kill_point = kill.failpoint;
     schedule.kill_name = kill.name;
     // Checkpoint-protocol phases only fire at every checkpoint boundary
     // (twice per ~400-vote run); append/fsync fire constantly.
-    const bool rare =
-        kill.phase == SessionDurability::Phase::kCheckpointWrite ||
-        kill.phase == SessionDurability::Phase::kWalReset;
+    const bool rare = kill.failpoint == fpn::kAfterCheckpointWrite ||
+                      kill.failpoint == fpn::kAfterWalReset;
     schedule.kill_firing = static_cast<int>(1 + rng() % (rare ? 2 : 3));
   }
   return schedule;
@@ -281,24 +280,26 @@ TEST_P(ChaosHarnessTest, AcksSurviveAndRecoveryMatchesDurablePrefix) {
       ASSERT_TRUE(session.ok()) << session.status().ToString();
       ASSERT_TRUE((*session)->durable());
 
-      SessionDurability* durability = (*session)->durability_for_test();
-      ASSERT_NE(durability, nullptr);
       int fired = 0;
       bool copied = false;
       if (schedule.crash_image) {
-        durability->SetPhaseHookForTest([&](SessionDurability::Phase phase) {
-          if (phase != schedule.kill_phase || copied) return;
+        failpoint::Action copy_image;
+        copy_image.kind = failpoint::Action::Kind::kCallback;
+        copy_image.callback = [&] {
+          if (copied) return;
           if (++fired < schedule.kill_firing) return;
           fs::copy(root, crash_root,
                    fs::copy_options::recursive |
                        fs::copy_options::overwrite_existing);
           copied = true;
-        });
+        };
+        failpoint::Registry::Global().Arm(schedule.kill_point, copy_image);
       }
 
       // Invariant 1: every batch is acknowledged despite the faults.
       IngestBatches(live, "s", votes, 37);
       if (schedule.crash_image) {
+        failpoint::Registry::Global().Disarm(schedule.kill_point);
         ASSERT_TRUE(copied) << "kill point never fired";
       }
       // The live engine's destructor flushes — after it, `root` holds the
@@ -625,8 +626,9 @@ TEST(KeepGoingRecoveryTest, BrokenSessionDoesNotAbortTheScan) {
     }
   }
 
-  // Corrupt bravo's WAL header (foreign magic) and drop a half-created
-  // directory with an unreadable manifest next to them.
+  // Corrupt bravo's WAL header (foreign magic), drop a half-created
+  // directory next to them (a crash inside OpenSession leaves at most an
+  // unpublished MANIFEST.tmp), and one whose committed manifest is garbage.
   {
     std::fstream wal(root + "/bravo/wal.log",
                      std::ios::in | std::ios::out | std::ios::binary);
@@ -634,7 +636,9 @@ TEST(KeepGoingRecoveryTest, BrokenSessionDoesNotAbortTheScan) {
     wal.write("XXXX", 4);
   }
   fs::create_directories(root + "/halfopen");
-  std::ofstream(root + "/halfopen/MANIFEST") << "garbage\n";
+  std::ofstream(root + "/halfopen/MANIFEST.tmp") << "garbage\n";
+  fs::create_directories(root + "/zgarbled");
+  std::ofstream(root + "/zgarbled/MANIFEST") << "garbage\n";
 
   // Strict recovery refuses the root: silent partial recovery is not OK
   // by default.
@@ -644,11 +648,12 @@ TEST(KeepGoingRecoveryTest, BrokenSessionDoesNotAbortTheScan) {
   }
 
   // Keep-going recovery triages: alpha up, bravo failed with a reason,
-  // halfopen skipped as the benign crashed-OpenSession case.
+  // halfopen skipped as the benign crashed-OpenSession case, zgarbled
+  // failed (a manifest that exists but does not parse is not benign).
   DqmEngine engine;
   auto outcomes = engine.RecoverSessionsKeepGoing(root);
   ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
-  ASSERT_EQ(outcomes->size(), 3u);
+  ASSERT_EQ(outcomes->size(), 4u);
   using Outcome = DqmEngine::SessionRecoveryOutcome;
 
   EXPECT_EQ((*outcomes)[0].name, "alpha");
@@ -661,6 +666,11 @@ TEST(KeepGoingRecoveryTest, BrokenSessionDoesNotAbortTheScan) {
 
   EXPECT_EQ((*outcomes)[2].state, Outcome::State::kSkipped);
   EXPECT_FALSE((*outcomes)[2].detail.empty());
+
+  EXPECT_EQ((*outcomes)[3].state, Outcome::State::kFailed);
+  EXPECT_NE((*outcomes)[3].detail.find("malformed manifest line"),
+            std::string::npos)
+      << (*outcomes)[3].detail;
 
   // The healthy session is genuinely serving.
   auto snapshot = engine.Query("alpha");

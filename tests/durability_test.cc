@@ -1,7 +1,8 @@
 // Durability contract tests: the write-ahead vote log, checkpoint files,
 // and crash recovery. The headline property is crash/recover/parity — kill
 // the process (modeled as a point-in-time copy of the durability
-// directory, taken by a phase hook at each commit-protocol step), recover
+// directory, taken by a callback armed on each commit-protocol phase
+// failpoint), recover
 // from the copy, and the rebuilt session must match an uninterrupted
 // session fed the same durable prefix: bit-identical tallies, pair
 // counts, and count-derived estimates, with EM inside its declared
@@ -18,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "core/dqm.h"
 #include "crowd/response_log.h"
 #include "crowd/wal.h"
@@ -237,7 +239,7 @@ TEST(VoteWalTest, FailedSyncSealsAndDiscardsUnacknowledgedRecords) {
   ASSERT_TRUE(wal->Sync().ok());
 
   wal->Append(std::span<const VoteEvent>(votes.data() + 10, 10));
-  wal->InjectSyncErrorForTest();
+  ASSERT_TRUE(failpoint::Configure("dqm.wal.fsync=count(1):error(EIO)").ok());
   ASSERT_FALSE(wal->Sync().ok());
   EXPECT_TRUE(wal->sealed());
   // Sealed: appends are no-ops, syncs keep failing with the seal error.
@@ -283,7 +285,7 @@ TEST(VoteWalTest, FailedWriteSealsWithoutTearingDurablePrefix) {
   wal->Append(std::span<const VoteEvent>(votes.data(), 10));
   ASSERT_TRUE(wal->Sync().ok());
   wal->Append(std::span<const VoteEvent>(votes.data() + 10, 10));
-  wal->InjectWriteErrorForTest();
+  ASSERT_TRUE(failpoint::Configure("dqm.wal.write=count(1):error(EIO)").ok());
   ASSERT_FALSE(wal->Sync().ok());
   EXPECT_TRUE(wal->sealed());
   auto reopened = VoteWal::Open(path);
@@ -515,7 +517,7 @@ TEST(SessionDurabilityTest, FlushFailureSealsWalUntilCheckpointHeals) {
           .ok());
   (*durability)->NoteApplied();
 
-  (*durability)->InjectWalSyncErrorForTest();
+  ASSERT_TRUE(failpoint::Configure("dqm.wal.fsync=count(1):error(EIO)").ok());
   Status failed =
       (*durability)
           ->AppendBatch(std::span<const VoteEvent>(votes.data() + 5, 5));
@@ -642,18 +644,21 @@ void ExpectSnapshotParity(const Snapshot& recovered, const Snapshot& reference,
 }
 
 struct KillPoint {
-  SessionDurability::Phase phase;
+  const char* failpoint;
   const char* name;
 };
 
-class CrashRecoverParityTest : public testing::TestWithParam<int> {};
+class CrashRecoverParityTest : public testing::TestWithParam<int> {
+ protected:
+  void TearDown() override { failpoint::DisarmAll(); }
+};
 
 TEST_P(CrashRecoverParityTest, RecoveredPrefixMatchesUninterruptedRun) {
   const KillPoint kill_points[] = {
-      {SessionDurability::Phase::kAppend, "append"},
-      {SessionDurability::Phase::kFsync, "fsync"},
-      {SessionDurability::Phase::kCheckpointWrite, "checkpoint_write"},
-      {SessionDurability::Phase::kWalReset, "wal_reset"},
+      {fpn::kAfterAppend, "append"},
+      {fpn::kAfterFsync, "fsync"},
+      {fpn::kAfterCheckpointWrite, "checkpoint_write"},
+      {fpn::kAfterWalReset, "wal_reset"},
   };
   const KillPoint& kill = kill_points[GetParam()];
   const std::vector<std::string>& panel = CheckpointablePanel();
@@ -686,20 +691,22 @@ TEST_P(CrashRecoverParityTest, RecoveredPrefixMatchesUninterruptedRun) {
 
     // The "kill": on the second firing of the target phase, copy the whole
     // durability directory. The copy sees exactly the bytes a process
-    // killed at that instant would leave on disk (the hook holds the WAL
-    // mutex, so no write races the copy).
-    SessionDurability* durability = (*session)->durability_for_test();
-    ASSERT_NE(durability, nullptr);
+    // killed at that instant would leave on disk (the phase point is
+    // evaluated with the WAL mutex held, so no write races the copy).
     int fired = 0;
     bool copied = false;
-    durability->SetPhaseHookForTest([&](SessionDurability::Phase phase) {
-      if (phase != kill.phase || copied) return;
+    failpoint::Action copy_image;
+    copy_image.kind = failpoint::Action::Kind::kCallback;
+    copy_image.callback = [&] {
+      if (copied) return;
       if (++fired < 2) return;
       fs::copy(root, crash_root, fs::copy_options::recursive |
                                      fs::copy_options::overwrite_existing);
       copied = true;
-    });
+    };
+    failpoint::Registry::Global().Arm(kill.failpoint, copy_image);
     IngestBatches(live, "s", votes, 37);
+    failpoint::Registry::Global().Disarm(kill.failpoint);
     ASSERT_TRUE(copied) << "kill point never fired";
 
     // Recover from the crash image into a fresh engine.
@@ -712,7 +719,7 @@ TEST_P(CrashRecoverParityTest, RecoveredPrefixMatchesUninterruptedRun) {
     EXPECT_EQ(report.num_items, num_items);
     EXPECT_EQ(report.torn_records, 0u);  // fsync'd prefixes are never torn
     ASSERT_LE(report.votes_restored, votes.size());
-    if (kill.phase != SessionDurability::Phase::kAppend) {
+    if (kill.failpoint != fpn::kAfterAppend) {
       // Past the first group commit something durable must exist.
       EXPECT_GT(report.votes_restored, 0u);
     }
@@ -841,6 +848,53 @@ TEST(EngineDurabilityTest, RecoverSessionsRebuildsManyAndSkipsStrayDirs) {
   EXPECT_EQ((*reports)[0].votes_restored, 50u);
   EXPECT_EQ((*reports)[1].votes_restored, 50u);
   EXPECT_EQ(recovered.num_sessions(), 2u);
+}
+
+class ManifestFaultTest : public testing::Test {
+ protected:
+  void TearDown() override { failpoint::DisarmAll(); }
+};
+
+TEST_F(ManifestFaultTest, UnreadableManifestFailsRecoveryLoudly) {
+  // Only a missing manifest marks a half-created directory that is safe to
+  // skip. One that exists but cannot be read may guard acknowledged votes.
+  std::string root = ScratchDir("unreadable_manifest");
+  SessionOptions options;
+  options.durability_dir = root;
+  options.wal_group_commit_votes = 1;
+  {
+    DqmEngine engine;
+    auto session = engine.OpenSession(
+        "s", 16, std::span<const std::string>(CheckpointablePanel()),
+        options);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    ASSERT_TRUE(engine.Ingest("s", MakeVotes(50, 16)).ok());
+  }
+  ASSERT_TRUE(failpoint::Configure("dqm.manifest.read=error(EIO)").ok());
+  {
+    DqmEngine engine;
+    auto reports = engine.RecoverSessions(root);
+    EXPECT_FALSE(reports.ok()) << "recovered " << reports->size()
+                               << " session(s) past an unreadable manifest";
+    EXPECT_EQ(reports.status().code(), StatusCode::kIOError);
+    EXPECT_EQ(engine.num_sessions(), 0u);
+  }
+  {
+    DqmEngine engine;
+    auto outcomes = engine.RecoverSessionsKeepGoing(root);
+    ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+    ASSERT_EQ(outcomes->size(), 1u);
+    EXPECT_EQ((*outcomes)[0].state,
+              DqmEngine::SessionRecoveryOutcome::State::kFailed);
+    EXPECT_FALSE((*outcomes)[0].detail.empty());
+  }
+  // With the fault gone the same directory recovers in full.
+  failpoint::DisarmAll();
+  DqmEngine engine;
+  auto reports = engine.RecoverSessions(root);
+  ASSERT_TRUE(reports.ok()) << reports.status().ToString();
+  ASSERT_EQ(reports->size(), 1u);
+  EXPECT_EQ((*reports)[0].votes_restored, 50u);
 }
 
 TEST(EngineDurabilityTest, RecoverSessionsFailsLoudlyOnCorruptCheckpoint) {

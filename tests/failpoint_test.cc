@@ -1,8 +1,9 @@
 // Fault-injection substrate tests: the failpoint spec grammar, arming /
-// budget / probability semantics, the telemetry export bridge, and the
-// retrying I/O wrappers (crowd/io.h) the durability stack issues every
-// syscall through — including the VoteWal regression for transient
-// EINTR/short-I/O faults riding through appends and replay unharmed.
+// budget / probability / callback semantics, the telemetry export bridge,
+// and the retrying I/O wrappers (crowd/io.h) the durability stack issues
+// every syscall through — including whole-file publish and read on every
+// edge set, and the VoteWal regression for transient EINTR/short-I/O
+// faults riding through appends and replay unharmed.
 
 #include <gtest/gtest.h>
 
@@ -315,6 +316,108 @@ TEST_F(FailpointTest, ReturnActionSkipsTheSyscallSilently) {
   // The op reported success but never reached the kernel — lost I/O.
   EXPECT_EQ(fs::file_size(path), 0u);
   ::close(*fd);
+}
+
+TEST_F(FailpointTest, CallbackActionRunsOutsideTheRegistryLock) {
+  // Code-only: the spec grammar has no spelling for a callback.
+  EXPECT_FALSE(failpoint::ParseAction("callback").ok());
+
+  uint64_t hits_seen = 0;
+  Action action;
+  action.kind = Action::Kind::kCallback;
+  action.budget = 2;
+  // Registry::hits takes the registry lock, so this would self-deadlock if
+  // the callback ran while Eval still held it.
+  action.callback = [&] { hits_seen = Registry::Global().hits("t.cb"); };
+  Registry::Global().Arm("t.cb", action);
+  EXPECT_EQ(failpoint::Eval("t.cb").op, EvalResult::Op::kNone);
+  EXPECT_EQ(hits_seen, 1u);
+  EXPECT_EQ(failpoint::Eval("t.cb").op, EvalResult::Op::kNone);
+  EXPECT_EQ(hits_seen, 2u);
+  failpoint::Eval("t.cb");  // budget spent: inert, callback not run
+  EXPECT_EQ(hits_seen, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Whole-file publish and read (io::AtomicWriteFile / io::ReadFile), for
+// every file-edge set the durability and replication layers use.
+// ---------------------------------------------------------------------------
+
+const io::FileEdges* const kEdgeSets[] = {&fpn::kManifest, &fpn::kCheckpoint,
+                                          &fpn::kRepl};
+
+TEST_F(FailpointTest, AtomicWriteFileFailureKeepsOldBytesAndNoTmp) {
+  const std::vector<uint8_t> old_bytes = {1, 2, 3};
+  const std::vector<uint8_t> new_bytes = {9, 8, 7, 6};
+  for (const io::FileEdges* edges : kEdgeSets) {
+    const std::string path = ScratchDir("atomic_write") + "/file.bin";
+    ASSERT_TRUE(io::AtomicWriteFile(*edges, path, old_bytes).ok());
+    for (const char* edge :
+         {edges->open, edges->write, edges->fsync, edges->rename}) {
+      SCOPED_TRACE(edge);
+      ASSERT_TRUE(failpoint::Configure(std::string(edge) + "=error(EIO)").ok());
+      Status status = io::AtomicWriteFile(*edges, path, new_bytes);
+      failpoint::DisarmAll();
+      EXPECT_EQ(status.code(), StatusCode::kIOError) << status.ToString();
+      Result<std::vector<uint8_t>> read = io::ReadFile(*edges, path);
+      ASSERT_TRUE(read.ok()) << read.status().ToString();
+      EXPECT_EQ(*read, old_bytes);
+      EXPECT_FALSE(fs::exists(path + ".tmp"));
+    }
+    // The directory sync runs after the rename committed, so the new bytes
+    // are already in place; the failure must still surface.
+    SCOPED_TRACE(edges->dirsync);
+    ASSERT_TRUE(
+        failpoint::Configure(std::string(edges->dirsync) + "=error(EIO)")
+            .ok());
+    Status status = io::AtomicWriteFile(*edges, path, new_bytes);
+    failpoint::DisarmAll();
+    EXPECT_EQ(status.code(), StatusCode::kIOError) << status.ToString();
+    Result<std::vector<uint8_t>> read = io::ReadFile(*edges, path);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(*read, new_bytes);
+    EXPECT_FALSE(fs::exists(path + ".tmp"));
+  }
+}
+
+TEST_F(FailpointTest, ReadFileClassifiesErrnos) {
+  const std::string dir = ScratchDir("read_file");
+  for (const io::FileEdges* edges : kEdgeSets) {
+    SCOPED_TRACE(edges->open);
+    // Missing: NotFound, keeping the strerror text.
+    Result<std::vector<uint8_t>> missing =
+        io::ReadFile(*edges, dir + "/missing");
+    EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+    EXPECT_NE(missing.status().message().find(std::strerror(ENOENT)),
+              std::string::npos)
+        << missing.status().ToString();
+
+    // Empty: zero bytes, not an error.
+    const std::string empty = dir + "/empty";
+    ASSERT_TRUE(io::AtomicWriteFile(*edges, empty, {}).ok());
+    Result<std::vector<uint8_t>> none = io::ReadFile(*edges, empty);
+    ASSERT_TRUE(none.ok()) << none.status().ToString();
+    EXPECT_TRUE(none->empty());
+
+    // Any other errno, real or injected, stays IOError.
+    const std::string loop = dir + "/loop";
+    fs::remove(loop);
+    fs::create_symlink("loop", loop);  // ELOOP on open
+    EXPECT_EQ(io::ReadFile(*edges, loop).status().code(),
+              StatusCode::kIOError);
+    const std::string full = dir + "/full";
+    const std::vector<uint8_t> bytes = {4, 5};
+    ASSERT_TRUE(io::AtomicWriteFile(*edges, full, bytes).ok());
+    for (const char* edge : {edges->open, edges->read}) {
+      ASSERT_TRUE(failpoint::Configure(std::string(edge) + "=error(EIO)").ok());
+      Status status = io::ReadFile(*edges, full).status();
+      failpoint::DisarmAll();
+      EXPECT_EQ(status.code(), StatusCode::kIOError) << status.ToString();
+    }
+    Result<std::vector<uint8_t>> back = io::ReadFile(*edges, full);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(*back, bytes);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -271,6 +271,28 @@ TEST(LocalDirTransportTest, PutGetListDeleteAndFence) {
   EXPECT_EQ(*fence, 5u);
 }
 
+TEST(LocalDirTransportTest, UnreadableFenceRefusesToShip) {
+  // Only a missing FENCE means "never fenced". One that exists but cannot
+  // be read (here a symlink loop: ELOOP) must stop a zombie primary, not
+  // read as fence 0.
+  std::string dir = ScratchDir("transport_bad_fence");
+  auto opened = LocalDirTransport::Open(dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  LocalDirTransport& t = **opened;
+  ASSERT_TRUE(t.RaiseFence(5).ok());
+  fs::remove(dir + "/FENCE");
+  fs::create_symlink("FENCE", dir + "/FENCE");
+
+  auto fence = t.Fence();
+  EXPECT_FALSE(fence.ok()) << "unreadable FENCE read as " << *fence;
+  EXPECT_EQ(fence.status().code(), StatusCode::kIOError);
+  const std::vector<uint8_t> payload = {1, 2, 3};
+  EXPECT_FALSE(t.Put("a.bin", payload, 1).ok());
+  auto list = t.List();
+  ASSERT_TRUE(list.ok());
+  EXPECT_TRUE(list->empty()) << "the zombie's artifact was published";
+}
+
 // ---------------------------------------------------------------------------
 // The healthy pipeline: primary ships, standby tracks, lag drains, promote
 // serves — across every workload family.

@@ -41,9 +41,12 @@ Rules (each suppressible on a single line with `// dqm-lint: allow(<rule>)`):
                     ...) are forbidden: every syscall edge must go through
                     the crowd/io.h wrappers so fault injection, retry, and
                     the dqm_wal_retries_total accounting see it. A raw call
-                    is an edge chaos tests cannot reach. The patterns are
-                    globs, not a file list, so a new WAL or replication TU
-                    is covered the day it lands.
+                    is an edge chaos tests cannot reach. So is strerror():
+                    errno formatting lives only in crowd/io.cc
+                    (io::ErrnoError), so every I/O error reads the same and
+                    ENOENT is classified NotFound in one place. The
+                    patterns are globs, not a file list, so a new WAL or
+                    replication TU is covered the day it lands.
 
 Usage:
   tools/dqm_lint.py --root src [--compile-commands build/compile_commands.json]
@@ -119,6 +122,8 @@ INCLUDE_LINE = re.compile(r'#\s*include\s*(<([^>]+)>|"([^"]+)")')
 RAW_SYSCALL = re.compile(
     r"(?<![\w:])::\s*(write|pwrite|pwritev|read|pread|preadv|fsync"
     r"|fdatasync|rename|renameat|ftruncate|open|openat)\s*\(")
+# errno formatting outside crowd/io.cc (std::strerror, strerror_r, ...).
+ERRNO_FORMAT = re.compile(r"(?<![\w])(?:std\s*::\s*)?(strerror(?:_r)?)\s*\(")
 SUPPRESS = re.compile(r"dqm-lint:\s*allow\(([a-z-]+)\)")
 
 
@@ -264,6 +269,15 @@ class Linter:
                     "route it through the crowd/io.h wrappers so fault "
                     "injection, transient-errno retry, and the retry "
                     "counters see this edge",
+                    raw[i])
+            m = ERRNO_FORMAT.search(line)
+            if m:
+                self.report(
+                    rel, i + 1, "raw-syscall",
+                    f"{m.group(1)}() in a failpoint-instrumented file; "
+                    "format errno through io::ErrnoError (crowd/io.h) so "
+                    "every I/O error reads the same and ENOENT stays "
+                    "NotFound",
                     raw[i])
 
     # -- seqlock ------------------------------------------------------------

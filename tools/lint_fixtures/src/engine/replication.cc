@@ -1,6 +1,7 @@
 // raw-syscall fixture twin of the real engine/replication.cc: segment and
 // checkpoint shipping I/O must go through the instrumented crowd/io.h
-// wrappers so chaos tests can reach every replication edge.
+// wrappers so chaos tests can reach every replication edge, and errno text
+// must come from io::ErrnoError, never a local strerror().
 
 namespace dqm::engine {
 
@@ -10,6 +11,14 @@ long ShipSegmentRaw(int fd, const void* buf, unsigned long n, long off) {
 
 int OpenTransportArtifactRaw(const char* path) {
   return ::open(path, 0);
+}
+
+const char* DescribeFenceErrorRaw(int err) {
+  return std::strerror(err);
+}
+
+const char* DescribeSuppressed(int err) {
+  return strerror(err);  // dqm-lint: allow(raw-syscall)
 }
 
 }  // namespace dqm::engine
