@@ -2,9 +2,9 @@
 //
 // The paper's comparisons (Figs. 2, 4, 6) score the whole estimator panel —
 // SWITCH, CHAO92, GOOD-TURING, V-CHAO, VOTING, NOMINAL — on the same vote
-// stream. With the closed Method enum that meant six independent
-// single-method `DataQualityMetric` replays: six response-log copies, six
-// sets of per-item tallies, six duplicated positive-vote fingerprints. The
+// stream. One metric per estimator means six independent single-method
+// `DataQualityMetric` replays: six response-log copies, six sets of
+// per-item tallies, six duplicated positive-vote fingerprints. The
 // multi-estimator pipeline attaches all six to ONE log and shares the
 // descriptive statistics, so the comparison costs one replay.
 //
@@ -37,25 +37,19 @@ double SecondsSince(Clock::time_point start) {
 const std::vector<std::string> kPanel = {
     "switch", "chao92", "good-turing", "vchao92", "voting", "nominal"};
 
-const std::vector<dqm::core::Method> kPanelMethods = {
-    dqm::core::Method::kSwitch,  dqm::core::Method::kChao92,
-    dqm::core::Method::kGoodTuring, dqm::core::Method::kVChao92,
-    dqm::core::Method::kVoting,  dqm::core::Method::kNominal};
-
 struct Timed {
   double seconds = 0.0;
   std::vector<double> finals;  // one per panel estimator
 };
 
-/// The old workflow: one full single-method replay per estimator.
+/// One full single-method replay per estimator.
 Timed RunSixReplays(const std::vector<dqm::crowd::VoteEvent>& events,
                     size_t num_items) {
   Timed result;
   Clock::time_point start = Clock::now();
-  for (dqm::core::Method method : kPanelMethods) {
-    dqm::core::DataQualityMetric::Options options;
-    options.method = method;
-    dqm::core::DataQualityMetric metric(num_items, options);
+  for (const std::string& spec : kPanel) {
+    dqm::core::DataQualityMetric metric =
+        dqm::core::DataQualityMetric::Create(num_items, {spec}).value();
     for (const dqm::crowd::VoteEvent& event : events) {
       metric.AddVote(event.task, event.worker, event.item,
                      event.vote == dqm::crowd::Vote::kDirty);

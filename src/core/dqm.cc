@@ -4,40 +4,8 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/string_util.h"
-#include "estimators/baselines.h"
-#include "estimators/chao92.h"
 
 namespace dqm::core {
-
-namespace {
-
-/// Legacy enum path: constructs the estimator directly (bypassing the
-/// registry) so the deprecated Options knobs — vchao_shift and the full
-/// switch_config struct — keep their exact historical behavior.
-std::unique_ptr<estimators::TotalErrorEstimator> MakeLegacyEstimator(
-    Method method, size_t num_items, const DataQualityMetric::Options& options) {
-  switch (method) {
-    case Method::kSwitch:
-      return std::make_unique<estimators::SwitchTotalErrorEstimator>(
-          num_items, options.switch_config);
-    case Method::kChao92:
-      return std::make_unique<estimators::Chao92Estimator>(num_items, true);
-    case Method::kGoodTuring:
-      return std::make_unique<estimators::Chao92Estimator>(num_items, false);
-    case Method::kVChao92:
-      return std::make_unique<estimators::VChao92Estimator>(
-          num_items, options.vchao_shift);
-    case Method::kVoting:
-      return std::make_unique<estimators::VotingEstimator>(num_items);
-    case Method::kNominal:
-      return std::make_unique<estimators::NominalEstimator>(num_items);
-  }
-  DQM_CHECK(false) << "unknown method";
-  return nullptr;
-}
-
-}  // namespace
 
 DataQualityMetric::DataQualityMetric(size_t num_items,
                                      crowd::RetentionPolicy retention,
@@ -47,20 +15,11 @@ DataQualityMetric::DataQualityMetric(size_t num_items,
 }
 
 DataQualityMetric::DataQualityMetric(size_t num_items)
-    : DataQualityMetric(num_items, Options()) {}
-
-DataQualityMetric::DataQualityMetric(size_t num_items, const Options& options)
-    : DataQualityMetric(num_items, options.retention, PrivateTag()) {
-  if (!options.specs.empty()) {
-    Status status = AttachSpecs(options.specs);
-    DQM_CHECK(status.ok()) << status.ToString()
-                           << " (use DataQualityMetric::Create to handle bad "
-                              "specs without aborting)";
-    return;
-  }
-  rows_.push_back(Row{MethodSpec(options.method, options.vchao_shift),
-                      MakeLegacyEstimator(options.method, num_items, options)});
-  observing_.push_back(rows_.back().estimator.get());
+    : DataQualityMetric(num_items, crowd::RetentionPolicy::kFullEvents,
+                        PrivateTag()) {
+  const std::string spec = "switch";
+  Status status = AttachSpecs(std::span<const std::string>(&spec, 1));
+  DQM_CHECK(status.ok()) << status.ToString();
 }
 
 Result<DataQualityMetric> DataQualityMetric::Create(
@@ -236,50 +195,11 @@ std::vector<std::string> DataQualityMetric::estimator_names() const {
   return names;
 }
 
-estimators::EstimatorFactory MakeEstimatorFactory(Method method,
-                                                  uint32_t vchao_shift) {
-  return [method, vchao_shift](size_t num_items)
-             -> std::unique_ptr<estimators::TotalErrorEstimator> {
-    DataQualityMetric::Options options;
-    options.vchao_shift = vchao_shift;
-    return MakeLegacyEstimator(method, num_items, options);
-  };
-}
-
-std::string_view MethodName(Method method) {
-  switch (method) {
-    case Method::kSwitch:
-      return "SWITCH";
-    case Method::kChao92:
-      return "CHAO92";
-    case Method::kGoodTuring:
-      return "GOOD-TURING";
-    case Method::kVChao92:
-      return "V-CHAO";
-    case Method::kVoting:
-      return "VOTING";
-    case Method::kNominal:
-      return "NOMINAL";
-  }
-  return "?";
-}
-
-std::string MethodSpec(Method method, uint32_t vchao_shift) {
-  switch (method) {
-    case Method::kSwitch:
-      return "switch";
-    case Method::kChao92:
-      return "chao92";
-    case Method::kGoodTuring:
-      return "good-turing";
-    case Method::kVChao92:
-      return StrFormat("vchao92?shift=%u", vchao_shift);
-    case Method::kVoting:
-      return "voting";
-    case Method::kNominal:
-      return "nominal";
-  }
-  return "?";
+std::vector<std::string> DataQualityMetric::specs() const {
+  std::vector<std::string> specs;
+  specs.reserve(rows_.size());
+  for (const Row& row : rows_) specs.push_back(row.spec);
+  return specs;
 }
 
 }  // namespace dqm::core

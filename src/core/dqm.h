@@ -12,25 +12,8 @@
 #include "crowd/response_log.h"
 #include "estimators/estimator.h"
 #include "estimators/registry.h"
-#include "estimators/switch_total.h"
 
 namespace dqm::core {
-
-/// Estimation method selector for the facade.
-///
-/// DEPRECATED: the closed enum is kept for source compatibility only. New
-/// code selects estimators by registry spec string ("switch?tau=50",
-/// "vchao92?shift=2", ...) — see estimators/registry.h and
-/// DataQualityMetric::Create — which also covers estimators this enum will
-/// never learn about.
-enum class Method {
-  kSwitch,      // the paper's SWITCH estimator (default, most robust)
-  kChao92,      // plain species estimation (fast convergence, FP-fragile)
-  kGoodTuring,  // Chao92 without the skew correction
-  kVChao92,     // shifted, majority-based Chao92
-  kVoting,      // descriptive majority baseline
-  kNominal,     // descriptive union baseline
-};
 
 /// The user-facing Data Quality Metric (the library's quickstart API).
 ///
@@ -62,30 +45,10 @@ enum class Method {
 /// the *primary* estimator — the first spec.
 class DataQualityMetric {
  public:
-  struct Options {
-    Method method = Method::kSwitch;
-    /// DEPRECATED: use a "vchao92?shift=<s>" spec instead. Still honored
-    /// (only by kVChao92) while enum construction is supported.
-    uint32_t vchao_shift = 1;
-    /// DEPRECATED: use "switch?tau=...&flip_abs=..." spec params instead.
-    /// Still honored (only by kSwitch) while enum construction is supported.
-    estimators::SwitchTotalErrorEstimator::Config switch_config;
-    /// Registry spec strings. When non-empty this wins over `method` and
-    /// the deprecated per-method knobs above. Invalid specs abort via
-    /// DQM_CHECK on this legacy constructor path — prefer Create(), which
-    /// reports them as a Status.
-    std::vector<std::string> specs;
-    /// What the pipeline's internal log retains. kFullEvents (default)
-    /// keeps arrival history available through log().events(); kCounts
-    /// keeps only the compacted per-(worker, item) count matrix, bounding
-    /// steady-state memory by #distinct pairs instead of #votes (the
-    /// serving configuration — see engine::DqmEngine::OpenSession).
-    crowd::RetentionPolicy retention = crowd::RetentionPolicy::kFullEvents;
-  };
-
-  /// `num_items` — size of the record (or candidate-pair) universe N.
+  /// `num_items` — size of the record (or candidate-pair) universe N. The
+  /// quickstart form: the paper's SWITCH estimator (the "switch" spec) over
+  /// a log that keeps full arrival history (kFullEvents).
   explicit DataQualityMetric(size_t num_items);
-  DataQualityMetric(size_t num_items, const Options& options);
 
   /// Builds a multi-estimator pipeline from registry spec strings. The
   /// first spec is the primary estimator (the one the single-method
@@ -192,6 +155,10 @@ class DataQualityMetric {
   /// Display names in spec order (index 0 = primary).
   std::vector<std::string> estimator_names() const;
 
+  /// The spec strings the pipeline was built from, verbatim, in order —
+  /// enough to rebuild the same panel elsewhere.
+  std::vector<std::string> specs() const;
+
   /// Descriptive counts from the underlying log.
   size_t MajorityCount() const { return state_->log.MajorityCount(); }
   size_t NominalCount() const { return state_->log.NominalCount(); }
@@ -231,7 +198,7 @@ class DataQualityMetric {
   DataQualityMetric(size_t num_items, crowd::RetentionPolicy retention,
                     PrivateTag);
 
-  /// Shared by Create and the legacy spec-carrying Options path.
+  /// Shared by Create and the quickstart constructor.
   Status AttachSpecs(std::span<const std::string> specs);
 
   std::unique_ptr<PipelineState> state_;
@@ -240,18 +207,6 @@ class DataQualityMetric {
   /// fan-out list (shared-state scorers are skipped entirely).
   std::vector<estimators::TotalErrorEstimator*> observing_;
 };
-
-/// Builds a factory for any Method, usable with the ExperimentRunner.
-/// DEPRECATED: use EstimatorRegistry::Global().FactoryFor(spec).
-estimators::EstimatorFactory MakeEstimatorFactory(Method method,
-                                                  uint32_t vchao_shift = 1);
-
-/// Canonical display name for a method ("SWITCH", "CHAO92", ...).
-std::string_view MethodName(Method method);
-
-/// The registry spec string equivalent to a legacy Method value
-/// ("switch", "vchao92?shift=2", ...) — the migration bridge from the enum.
-std::string MethodSpec(Method method, uint32_t vchao_shift = 1);
 
 }  // namespace dqm::core
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <functional>
 #include <memory>
 #include <utility>
 
@@ -94,36 +93,15 @@ Status DqmEngine::PrecheckName(const std::string& name) const {
   return Status::OK();
 }
 
-Result<std::shared_ptr<EstimationSession>> DqmEngine::InsertSession(
-    const std::string& name,
-    const std::function<std::shared_ptr<EstimationSession>()>& make_session) {
-  DQM_RETURN_NOT_OK(PrecheckName(name));
-  Shard& shard = ShardFor(name);
-  // Construct outside the shard lock; a racing open of the same name is
-  // resolved by the emplace below (first writer wins).
-  std::shared_ptr<EstimationSession> session = make_session();
+Status DqmEngine::InsertSession(
+    const std::shared_ptr<EstimationSession>& session) {
+  Shard& shard = ShardFor(session->name());
   MutexLock lock(shard.mutex);
-  auto [it, inserted] = shard.sessions.emplace(name, session);
-  if (!inserted) {
-    return Status::AlreadyExists(
-        StrFormat("session '%s' is already open", name.c_str()));
+  if (!shard.sessions.emplace(session->name(), session).second) {
+    return Status::AlreadyExists(StrFormat("session '%s' is already open",
+                                           session->name().c_str()));
   }
-  return session;
-}
-
-Result<std::shared_ptr<EstimationSession>> DqmEngine::OpenSession(
-    const std::string& name, size_t num_items,
-    const core::DataQualityMetric::Options& metric_options) {
-  return InsertSession(name, [&] {
-    return std::make_shared<EstimationSession>(name, num_items,
-                                               metric_options);
-  });
-}
-
-Result<std::shared_ptr<EstimationSession>> DqmEngine::OpenSession(
-    const std::string& name, size_t num_items,
-    std::span<const std::string> specs) {
-  return OpenSession(name, num_items, specs, SessionOptions());
+  return Status::OK();
 }
 
 Result<std::shared_ptr<EstimationSession>> DqmEngine::OpenSession(
@@ -149,10 +127,12 @@ Result<std::shared_ptr<EstimationSession>> DqmEngine::OpenSession(
         CreateSessionDurability(name, num_items, specs, session_options,
                                 metric.SupportsConcurrentIngest()));
   }
+  // Constructed outside the shard lock; a racing open of the same name is
+  // resolved by the insert (first writer wins).
   auto session = std::make_shared<EstimationSession>(
-      name, std::move(metric), session_options, std::move(durability),
-      std::vector<std::string>(specs.begin(), specs.end()));
-  return InsertSession(name, [&] { return session; });
+      name, std::move(metric), session_options, std::move(durability));
+  DQM_RETURN_NOT_OK(InsertSession(session));
+  return session;
 }
 
 Result<std::vector<std::string>> DqmEngine::ListSessionDirs(
@@ -204,12 +184,10 @@ Result<DqmEngine::RecoveredSession> DqmEngine::RecoverSessionDir(
   DQM_ASSIGN_OR_RETURN(std::unique_ptr<SessionDurability> durability,
                        SessionDurability::Attach(durability_options));
   auto session = std::make_shared<EstimationSession>(
-      manifest.name, std::move(metric), options, std::move(durability),
-      manifest.specs);
+      manifest.name, std::move(metric), options, std::move(durability));
   DQM_ASSIGN_OR_RETURN(EstimationSession::RecoveryReport report,
                        session->RecoverFromDurability());
-  DQM_RETURN_NOT_OK(
-      InsertSession(manifest.name, [&] { return session; }).status());
+  DQM_RETURN_NOT_OK(InsertSession(session));
   RecoveredSession row;
   row.name = manifest.name;
   row.num_items = manifest.num_items;
@@ -381,11 +359,6 @@ Status DqmEngine::MigrateSession(const std::string& name, DqmEngine& target,
   }
   DQM_ASSIGN_OR_RETURN(std::shared_ptr<EstimationSession> session,
                        GetSession(name));
-  if (session->specs().empty()) {
-    return Status::FailedPrecondition(StrFormat(
-        "session '%s' was opened without estimator specs; its panel cannot "
-        "be rebuilt on the target engine", name.c_str()));
-  }
   // Durable barrier first: after this, everything the export cut will see
   // is also on disk at the source, so a crash mid-migration loses nothing
   // (the source stays registered until the hand-off completes).

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -33,7 +32,8 @@ namespace dqm::engine {
 /// Typical use:
 ///
 ///     dqm::engine::DqmEngine engine;
-///     engine.OpenSession("restaurants", num_pairs);
+///     const std::vector<std::string> specs = {"switch", "chao92"};
+///     engine.OpenSession("restaurants", num_pairs, specs);
 ///     engine.Ingest("restaurants", batch);        // from any thread
 ///     Snapshot s = engine.Query("restaurants").value();
 ///     // s.estimated_total_errors, s.quality_score, ...
@@ -51,36 +51,24 @@ class DqmEngine {
   DqmEngine(const DqmEngine&) = delete;
   DqmEngine& operator=(const DqmEngine&) = delete;
 
-  /// Creates a session for a universe of `num_items` items. Fails with
-  /// AlreadyExists when the name is taken and InvalidArgument for an empty
-  /// name.
-  Result<std::shared_ptr<EstimationSession>> OpenSession(
-      const std::string& name, size_t num_items,
-      const core::DataQualityMetric::Options& metric_options =
-          core::DataQualityMetric::Options());
-
-  /// As above, but configured by registry spec strings: the session runs
-  /// every listed estimator on the one vote stream and snapshots carry one
-  /// row per spec (spec order; the first spec is the primary estimator).
-  /// Invalid specs are reported as InvalidArgument / NotFound before the
-  /// session is created.
+  /// Creates a session for a universe of `num_items` items, configured by
+  /// registry spec strings: the session runs every listed estimator on the
+  /// one vote stream and snapshots carry one row per spec (spec order; the
+  /// first spec is the primary estimator). Fails with AlreadyExists when
+  /// the name is taken and InvalidArgument for an empty name; invalid specs
+  /// are reported as InvalidArgument / NotFound before the session is
+  /// created.
   ///
-  /// Spec-opened sessions use the serving retention default,
-  /// crowd::RetentionPolicy::kCounts: the session's log keeps the compacted
-  /// per-(worker, item) count matrix rather than every raw vote, so
-  /// steady-state memory is O(#distinct pairs) regardless of how many votes
-  /// stream through. (The legacy Options overload keeps kFullEvents unless
-  /// Options::retention says otherwise.)
-  Result<std::shared_ptr<EstimationSession>> OpenSession(
-      const std::string& name, size_t num_items,
-      std::span<const std::string> specs);
-
-  /// As above with explicit serving knobs: publish cadence and ingest
-  /// striping (see SessionOptions). Producer-order-independent panels
-  /// (no SWITCH) get the striped multi-producer commit path; with a
-  /// coalesced cadence (kEveryNVotes / kManual) many writer threads can
-  /// ingest into the one session while a single publisher runs the
-  /// estimator pipeline.
+  /// Sessions use the serving retention, crowd::RetentionPolicy::kCounts:
+  /// the session's log keeps the compacted per-(worker, item) count matrix
+  /// rather than every raw vote, so steady-state memory is O(#distinct
+  /// pairs) regardless of how many votes stream through.
+  ///
+  /// `session_options` are the serving knobs: publish cadence and ingest
+  /// striping (see SessionOptions). Producer-order-independent panels (no
+  /// SWITCH) get the striped multi-producer commit path; with a coalesced
+  /// cadence (kEveryNVotes / kManual) many writer threads can ingest into
+  /// the one session while a single publisher runs the estimator pipeline.
   ///
   /// When SessionOptions::durability_dir is set this also creates the
   /// session's durability directory (`<dir>/<percent-encoded name>/` with
@@ -91,7 +79,7 @@ class DqmEngine {
   Result<std::shared_ptr<EstimationSession>> OpenSession(
       const std::string& name, size_t num_items,
       std::span<const std::string> specs,
-      const SessionOptions& session_options);
+      const SessionOptions& session_options = SessionOptions());
 
   /// One session rebuilt by RecoverSessions.
   struct RecoveredSession {
@@ -205,9 +193,8 @@ class DqmEngine {
   /// traffic to the source before migrating — votes ingested after the
   /// export cut would stay behind. FailedPrecondition for panels whose
   /// state cannot be rebuilt from compacted counts (SWITCH / full-event
-  /// retention) and for sessions opened without spec strings; on any
-  /// failure the source stays registered and serving, and a half-built
-  /// target session is closed.
+  /// retention); on any failure the source stays registered and serving,
+  /// and a half-built target session is closed.
   Status MigrateSession(const std::string& name, DqmEngine& target,
                         const std::string& target_durability_root = "");
 
@@ -246,11 +233,9 @@ class DqmEngine {
   /// O(num_items) construction.
   Status PrecheckName(const std::string& name) const;
 
-  /// Shared tail of the OpenSession overloads: name pre-check, session
-  /// construction outside the shard lock, racing-open resolution.
-  Result<std::shared_ptr<EstimationSession>> InsertSession(
-      const std::string& name,
-      const std::function<std::shared_ptr<EstimationSession>()>& make_session);
+  /// Registers a constructed session under its name. AlreadyExists when a
+  /// racing open of the same name won (first writer wins).
+  Status InsertSession(const std::shared_ptr<EstimationSession>& session);
 
   /// Rebuilds and registers the session living in durability directory
   /// `dir` from its already-parsed manifest. Shared by the strict and

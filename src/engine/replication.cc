@@ -452,8 +452,8 @@ Result<std::unique_ptr<StandbyApplier>> StandbyApplier::Open(
           "manifest artifact"));
   if (manifest.specs.empty()) {
     return Status::FailedPrecondition(StrFormat(
-        "manifest for '%s' records no estimator specs — only spec-configured "
-        "sessions can be rebuilt on a standby",
+        "manifest for '%s' records no estimator specs; its panel cannot be "
+        "rebuilt on a standby",
         manifest.name.c_str()));
   }
   std::unique_ptr<StandbyApplier> applier(new StandbyApplier(

@@ -258,20 +258,12 @@ size_t ResolveIngestStripes(const SessionOptions& options,
 }
 
 EstimationSession::EstimationSession(
-    std::string name, size_t num_items,
-    const core::DataQualityMetric::Options& options)
-    : EstimationSession(std::move(name),
-                        core::DataQualityMetric(num_items, options)) {}
-
-EstimationSession::EstimationSession(
     std::string name, core::DataQualityMetric metric,
     const SessionOptions& session_options,
-    std::unique_ptr<SessionDurability> durability,
-    std::vector<std::string> specs)
+    std::unique_ptr<SessionDurability> durability)
     : name_(std::move(name)),
       num_items_(metric.num_items()),
       options_(session_options),
-      specs_(std::move(specs)),
       durability_(std::move(durability)),
       metric_(std::move(metric)),
       estimator_names_(InitialNames(metric_)),
@@ -593,10 +585,17 @@ Status EstimationSession::FlushDurability() {
 }
 
 Result<crowd::CheckpointData> EstimationSession::ExportState() {
+  // An order-sensitive estimator (SWITCH) keeps state the compacted counts
+  // do not carry, even under kCounts retention.
+  if (!metric_.SupportsConcurrentIngest()) {
+    return Status::FailedPrecondition(StrFormat(
+        "session '%s': the panel has an order-sensitive estimator or retains "
+        "full events; its state cannot be rebuilt from compacted counts",
+        name_.c_str()));
+  }
   // Same quiescing discipline as a checkpoint cut, minus the WAL protocol:
-  // mutex_ stills the serialized path, the reconcile pause stills striped
-  // committers, and CheckpointFromLog rejects panels whose state cannot be
-  // rebuilt from compacted counts (SWITCH / kFullEvents).
+  // mutex_ stills the serialized path, and the reconcile pause stills
+  // striped committers.
   MutexLock lock(mutex_);
   crowd::ResponseLog::IngestPause pause = metric_.ReconcileForEstimates();
   return crowd::CheckpointFromLog(metric_.log(), /*wal_generation=*/1);

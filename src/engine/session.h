@@ -223,20 +223,12 @@ class SessionDurability;
 /// fed by a single producer per session.
 class EstimationSession {
  public:
-  EstimationSession(std::string name, size_t num_items,
-                    const core::DataQualityMetric::Options& options =
-                        core::DataQualityMetric::Options());
-
-  /// Wraps an already-configured pipeline (the engine's spec-based
-  /// OpenSession path). `durability`, when non-null, write-ahead logs every
-  /// committed batch (the engine constructs it from
-  /// SessionOptions::durability_dir). `specs` are the estimator spec
-  /// strings the pipeline was built from — retained verbatim so the session
-  /// can be re-created elsewhere (MigrateSession, standby opens).
+  /// Wraps an already-configured pipeline (the engine's OpenSession path).
+  /// `durability`, when non-null, write-ahead logs every committed batch
+  /// (the engine constructs it from SessionOptions::durability_dir).
   EstimationSession(std::string name, core::DataQualityMetric metric,
                     const SessionOptions& session_options = SessionOptions(),
-                    std::unique_ptr<SessionDurability> durability = nullptr,
-                    std::vector<std::string> specs = {});
+                    std::unique_ptr<SessionDurability> durability = nullptr);
 
   EstimationSession(const EstimationSession&) = delete;
   EstimationSession& operator=(const EstimationSession&) = delete;
@@ -309,10 +301,9 @@ class EstimationSession {
   /// True when this session write-ahead logs its votes.
   bool durable() const { return durability_ != nullptr; }
 
-  /// Estimator spec strings this session was opened with (empty for
-  /// sessions built from a raw DataQualityMetric without specs). What
-  /// MigrateSession / the standby open path use to rebuild the panel.
-  const std::vector<std::string>& specs() const { return specs_; }
+  /// The verbatim estimator spec strings the wrapped metric was built
+  /// from — what MigrateSession uses to rebuild the panel elsewhere.
+  std::vector<std::string> specs() const { return metric_.specs(); }
 
   /// The session's durability engine — the attach point for replication
   /// (ship hooks, durable WAL boundary). nullptr for in-memory sessions.
@@ -373,8 +364,6 @@ class EstimationSession {
   const std::string name_;
   const size_t num_items_;
   const SessionOptions options_;
-  /// Estimator specs the panel was built from (see specs()).
-  const std::vector<std::string> specs_;
   /// Write-ahead log + checkpoints; null for in-memory sessions. Owns its
   /// own kWal-ranked mutex (see engine/durability.h for the commit
   /// protocol); declared before metric_ so appends outlive nothing.

@@ -143,8 +143,8 @@ struct ConformanceTraits {
   double estimate_tolerance_rel = 0.0;
 };
 
-/// Open name -> factory registry: the extension point that replaced the
-/// closed core::Method enum. Built-in estimators self-register from their
+/// Open name -> factory registry: the one way estimators are selected and
+/// built. Built-in estimators self-register from their
 /// own .cc files (see the internal::RegisterBuiltin* hooks below — explicit
 /// hook functions rather than static initializers, so registration survives
 /// static-library linking and never races program start-up); library users

@@ -14,11 +14,20 @@ SwitchTotalErrorEstimator::SwitchTotalErrorEstimator(size_t num_items)
 
 SwitchTotalErrorEstimator::SwitchTotalErrorEstimator(size_t num_items,
                                                      const Config& config)
-    : config_(config), voting_(num_items), tracker_(num_items, config.tracker) {}
+    : config_(config),
+      voting_(num_items),
+      tracker_(num_items, config.tracker),
+      history_capacity_(std::max<size_t>(
+          {config.trend_window, config.smooth_window, 1})) {}
 
 void SwitchTotalErrorEstimator::Observe(const crowd::VoteEvent& event) {
   if (any_event_ && event.task != current_task_) {
-    majority_history_.push_back(voting_.Estimate());
+    if (majority_history_.size() < history_capacity_) {
+      majority_history_.push_back(voting_.Estimate());
+    } else {
+      majority_history_[history_next_] = voting_.Estimate();
+    }
+    if (++history_next_ == history_capacity_) history_next_ = 0;
     UpdateDirection();
   }
   current_task_ = event.task;
@@ -31,13 +40,13 @@ void SwitchTotalErrorEstimator::UpdateDirection() {
   // Moving average of the most recent VOTING samples (including the live
   // value) so plateau jitter does not reach the regime detector.
   size_t window = std::max<size_t>(config_.smooth_window, 1);
+  size_t samples = std::min(majority_history_.size(), window - 1);
   double sum = voting_.Estimate();
-  size_t count = 1;
-  for (size_t i = majority_history_.size();
-       i > 0 && count < window; --i, ++count) {
-    sum += majority_history_[i - 1];
+  for (size_t i = history_next_, k = 0; k < samples; ++k) {
+    i = PreviousSlot(i);
+    sum += majority_history_[i];
   }
-  double majority = sum / static_cast<double>(count);
+  double majority = sum / static_cast<double>(samples + 1);
 
   double threshold = std::max(config_.flip_threshold_abs,
                               config_.flip_threshold_rel * extreme_);
@@ -59,15 +68,20 @@ void SwitchTotalErrorEstimator::UpdateDirection() {
 double SwitchTotalErrorEstimator::VotingTrend() const {
   // The trend window always includes the live VOTING value so the detector
   // reacts before a task boundary is recorded.
-  std::vector<double> window;
-  size_t start = majority_history_.size() > config_.trend_window
-                     ? majority_history_.size() - config_.trend_window
-                     : 0;
-  window.assign(majority_history_.begin() +
-                    static_cast<std::ptrdiff_t>(start),
-                majority_history_.end());
-  window.push_back(voting_.Estimate());
+  size_t samples = std::min(majority_history_.size(), config_.trend_window);
+  std::vector<double> window(samples + 1);
+  window[samples] = voting_.Estimate();
+  for (size_t i = history_next_, k = samples; k > 0; --k) {
+    i = PreviousSlot(i);
+    window[k - 1] = majority_history_[i];
+  }
   return Slope(window);
+}
+
+size_t SwitchTotalErrorEstimator::PreviousSlot(size_t slot) const {
+  // While the ring is still growing history_next_ == size(), so the newest
+  // sample is at size() - 1; once full, it sits just before history_next_.
+  return (slot == 0 ? majority_history_.size() : slot) - 1;
 }
 
 double SwitchTotalErrorEstimator::Estimate() const {

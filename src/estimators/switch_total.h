@@ -81,12 +81,21 @@ class SwitchTotalErrorEstimator : public TotalErrorEstimator {
 
  private:
   void UpdateDirection();
+  /// The ring slot holding the sample just older than the one in `slot`;
+  /// walking back from history_next_ visits the samples newest first.
+  size_t PreviousSlot(size_t slot) const;
 
   Config config_;
   VotingEstimator voting_;
   SwitchTracker tracker_;
-  /// VOTING count sampled at each completed task boundary.
+  /// VOTING count sampled at the most recent task boundaries: a ring of at
+  /// most history_capacity_ samples, grown lazily (the windows are user
+  /// input, so a large one must not allocate up front). Nothing reads
+  /// further back, so a long-lived session keeps bounded memory.
   std::vector<double> majority_history_;
+  size_t history_capacity_;
+  /// Slot the next sample lands in.
+  size_t history_next_ = 0;
   uint32_t current_task_ = 0;
   bool any_event_ = false;
   int direction_ = 1;

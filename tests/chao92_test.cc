@@ -1,12 +1,14 @@
 #include "estimators/chao92.h"
 
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
 #include "core/scenario.h"
 #include "crowd/simulator.h"
+#include "estimators/registry.h"
 
 namespace dqm::estimators {
 namespace {
@@ -154,6 +156,25 @@ TEST(VChao92EstimatorTest, LargerShiftIsMoreConservative) {
   }
   EXPECT_LE(shift2.Estimate(), shift1.Estimate() * 1.2);
   EXPECT_EQ(shift1.name(), "V-CHAO");
+}
+
+TEST(VChao92EstimatorTest, ShiftSpecMatchesDirectConstruction) {
+  core::Scenario scenario = core::SimulationScenario(0.02, 0.12, 10);
+  core::SimulatedRun run = core::SimulateScenario(scenario, 120, 11);
+  for (uint32_t shift : {0u, 1u, 3u}) {
+    SCOPED_TRACE(shift);
+    VChao92Estimator direct(scenario.num_items, shift);
+    std::unique_ptr<TotalErrorEstimator> by_spec =
+        EstimatorRegistry::Global()
+            .Create("vchao92?shift=" + std::to_string(shift),
+                    scenario.num_items)
+            .value();
+    for (const VoteEvent& e : run.log.events()) {
+      direct.Observe(e);
+      by_spec->Observe(e);
+      ASSERT_EQ(direct.Estimate(), by_spec->Estimate());
+    }
+  }
 }
 
 }  // namespace

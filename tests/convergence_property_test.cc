@@ -10,6 +10,7 @@
 #include "core/dqm.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
+#include "estimators/registry.h"
 
 namespace dqm {
 namespace {
@@ -64,16 +65,19 @@ TEST_P(ConvergenceTest, EstimatesAlwaysFiniteAndNonNegative) {
   scenario.num_candidates = 200;
   scenario.dirty_in_candidates = 20;
   core::SimulatedRun run = core::SimulateScenario(scenario, 150, seed);
-  for (core::Method method :
-       {core::Method::kSwitch, core::Method::kChao92, core::Method::kVChao92,
-        core::Method::kGoodTuring}) {
-    auto estimator = core::MakeEstimatorFactory(method)(scenario.num_items);
+  for (const char* spec : {"switch", "chao92", "vchao92", "good-turing"}) {
+    core::DataQualityMetric metric =
+        core::DataQualityMetric::Create(scenario.num_items, {spec}).value();
+    EXPECT_EQ(metric.method_name(),
+              estimators::EstimatorRegistry::Global().Find(spec).value()
+                  ->display_name);
     for (const crowd::VoteEvent& event : run.log.events()) {
-      estimator->Observe(event);
-      double estimate = estimator->Estimate();
+      metric.AddVote(event.task, event.worker, event.item,
+                     event.vote == crowd::Vote::kDirty);
+      double estimate = metric.EstimatedTotalErrors();
       ASSERT_TRUE(std::isfinite(estimate))
-          << core::MethodName(method) << " fp=" << fp << " fn=" << fn;
-      ASSERT_GE(estimate, 0.0) << core::MethodName(method);
+          << spec << " fp=" << fp << " fn=" << fn;
+      ASSERT_GE(estimate, 0.0) << spec;
     }
   }
 }
@@ -98,7 +102,8 @@ TEST_P(ConvergenceTest, VotingErrorShrinksOverTime) {
   core::ExperimentRunner runner({.permutations = 3, .seed = seed});
   auto results = runner.Run(
       run.log, scenario.num_items,
-      {{"VOTING", core::MakeEstimatorFactory(core::Method::kVoting)}});
+      {{"VOTING",
+        estimators::EstimatorRegistry::Global().FactoryFor("voting").value()}});
   const std::vector<double>& mean = results[0].mean;
   double early_error = std::abs(mean[mean.size() / 3] - 100.0);
   double final_error = std::abs(mean.back() - 100.0);

@@ -2,11 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/experiment.h"
 #include "core/scenario.h"
+#include "estimators/registry.h"
 
 namespace dqm::core {
 namespace {
+
+/// The paper's estimator panel, one spec per estimator.
+const char* const kPanelSpecs[] = {"switch", "chao92",  "good-turing",
+                                   "vchao92", "voting", "nominal"};
+
+std::string DisplayNameOf(const char* spec) {
+  return estimators::EstimatorRegistry::Global().Find(spec).value()
+      ->display_name;
+}
 
 TEST(DataQualityMetricTest, FreshMetricIsPristine) {
   DataQualityMetric metric(100);
@@ -29,19 +41,21 @@ TEST(DataQualityMetricTest, VotesFlowThrough) {
 }
 
 TEST(DataQualityMetricTest, MethodSelection) {
-  for (Method method : {Method::kSwitch, Method::kChao92, Method::kGoodTuring,
-                        Method::kVChao92, Method::kVoting, Method::kNominal}) {
-    DataQualityMetric::Options options;
-    options.method = method;
-    DataQualityMetric metric(10, options);
-    EXPECT_EQ(metric.method_name(), MethodName(method));
+  for (const char* spec : kPanelSpecs) {
+    DataQualityMetric metric = DataQualityMetric::Create(10, {spec}).value();
+    EXPECT_EQ(metric.method_name(), DisplayNameOf(spec));
+    EXPECT_EQ(metric.specs(), std::vector<std::string>{spec});
   }
 }
 
+TEST(DataQualityMetricTest, QuickstartConstructorIsTheSwitchSpec) {
+  DataQualityMetric metric(10);
+  EXPECT_EQ(metric.specs(), std::vector<std::string>{"switch"});
+  EXPECT_EQ(metric.log().retention(), crowd::RetentionPolicy::kFullEvents);
+}
+
 TEST(DataQualityMetricTest, UndetectedIsTotalMinusMajority) {
-  DataQualityMetric::Options options;
-  options.method = Method::kChao92;
-  DataQualityMetric metric(50, options);
+  DataQualityMetric metric = DataQualityMetric::Create(50, {"chao92"}).value();
   // Ten singleton dirty items: Chao92 extrapolates beyond the majority.
   for (uint32_t i = 0; i < 10; ++i) {
     metric.AddVote(i, i, i, true);
@@ -80,16 +94,15 @@ TEST(DataQualityMetricTest, EstimateTracksTruthEndToEnd) {
   EXPECT_NEAR(metric.EstimatedTotalErrors(), 100.0, 20.0);
 }
 
-TEST(MakeEstimatorFactoryTest, ProducesWorkingEstimators) {
-  for (Method method : {Method::kSwitch, Method::kChao92, Method::kVChao92,
-                        Method::kVoting, Method::kNominal,
-                        Method::kGoodTuring}) {
-    estimators::EstimatorFactory factory = MakeEstimatorFactory(method);
+TEST(RegistryFactoryTest, ProducesWorkingEstimators) {
+  for (const char* spec : kPanelSpecs) {
+    estimators::EstimatorFactory factory =
+        estimators::EstimatorRegistry::Global().FactoryFor(spec).value();
     auto estimator = factory(20);
     ASSERT_NE(estimator, nullptr);
     estimator->Observe({0, 0, 1, crowd::Vote::kDirty});
     EXPECT_GE(estimator->Estimate(), 0.0);
-    EXPECT_EQ(estimator->name(), MethodName(method));
+    EXPECT_EQ(estimator->name(), DisplayNameOf(spec));
   }
 }
 

@@ -13,6 +13,7 @@
 #include "dataset/address.h"
 #include "dataset/restaurant_generator.h"
 #include "er/crowder.h"
+#include "estimators/registry.h"
 
 namespace dqm {
 namespace {
@@ -103,8 +104,10 @@ TEST(EndToEndTest, SwitchBeatsChaoUnderFalsePositives) {
   core::ExperimentRunner runner({.permutations = 5, .seed = 23});
   auto results = runner.Run(
       run.log, scenario.num_items,
-      {{"SWITCH", core::MakeEstimatorFactory(core::Method::kSwitch)},
-       {"CHAO92", core::MakeEstimatorFactory(core::Method::kChao92)}});
+      {{"SWITCH",
+        estimators::EstimatorRegistry::Global().FactoryFor("switch").value()},
+       {"CHAO92",
+        estimators::EstimatorRegistry::Global().FactoryFor("chao92").value()}});
   double switch_final = results[0].mean.back();
   double chao_final = results[1].mean.back();
   EXPECT_LT(std::abs(switch_final - 100.0), std::abs(chao_final - 100.0));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,12 +25,15 @@ core::SimulatedRun MakeRun(uint64_t seed, size_t tasks = 60) {
   return core::SimulateScenario(scenario, tasks, seed);
 }
 
+/// The single-estimator panel the engine tests default to.
+const std::vector<std::string> kSwitch = {"switch"};
+
 /// Replays `events` through a plain single-threaded facade.
-core::DataQualityMetric SerialReplay(
-    size_t num_items, const std::vector<VoteEvent>& events,
-    const core::DataQualityMetric::Options& options =
-        core::DataQualityMetric::Options()) {
-  core::DataQualityMetric metric(num_items, options);
+core::DataQualityMetric SerialReplay(size_t num_items,
+                                     const std::vector<VoteEvent>& events,
+                                     const std::string& spec = "switch") {
+  core::DataQualityMetric metric =
+      core::DataQualityMetric::Create(num_items, {spec}).value();
   for (const VoteEvent& event : events) {
     metric.AddVote(event.task, event.worker, event.item,
                    event.vote == Vote::kDirty);
@@ -41,7 +45,7 @@ TEST(EstimationSessionTest, BatchedIngestMatchesSerialFacadeExactly) {
   core::SimulatedRun run = MakeRun(3);
   size_t num_items = run.truth.size();
 
-  EstimationSession session("s", num_items);
+  EstimationSession session("s", core::DataQualityMetric(num_items));
   const std::vector<VoteEvent>& events = run.log.events();
   for (size_t begin = 0; begin < events.size(); begin += 37) {
     size_t size = std::min<size_t>(37, events.size() - begin);
@@ -63,7 +67,7 @@ TEST(EstimationSessionTest, BatchedIngestMatchesSerialFacadeExactly) {
 }
 
 TEST(EstimationSessionTest, OutOfRangeItemRejectsWholeBatchAtomically) {
-  EstimationSession session("s", 10);
+  EstimationSession session("s", core::DataQualityMetric(10));
   std::vector<VoteEvent> batch = {
       {0, 0, 3, Vote::kDirty},
       {0, 0, 10, Vote::kDirty},  // out of range
@@ -76,7 +80,7 @@ TEST(EstimationSessionTest, OutOfRangeItemRejectsWholeBatchAtomically) {
 }
 
 TEST(EstimationSessionTest, EmptyBatchIsOkAndDoesNotBumpVersion) {
-  EstimationSession session("s", 10);
+  EstimationSession session("s", core::DataQualityMetric(10));
   EXPECT_TRUE(session.AddVotes({}).ok());
   EXPECT_EQ(session.snapshot().version, 0u);
 }
@@ -93,7 +97,8 @@ TEST(EngineTest, ConcurrentPerSessionIngestMatchesSerialExactly) {
   DqmEngine engine;
   for (size_t s = 0; s < kSessions; ++s) {
     ASSERT_TRUE(
-        engine.OpenSession("dataset-" + std::to_string(s), num_items).ok());
+        engine.OpenSession("dataset-" + std::to_string(s), num_items, kSwitch)
+            .ok());
   }
 
   ThreadPool pool(kSessions);
@@ -130,10 +135,9 @@ TEST(EngineTest, InterleavedMultiProducerIngestMatchesSerialForTallyMethod) {
   size_t num_items = run.truth.size();
   const std::vector<VoteEvent>& events = run.log.events();
 
-  core::DataQualityMetric::Options options;
-  options.method = core::Method::kChao92;
+  const std::vector<std::string> chao92 = {"chao92"};
   DqmEngine engine;
-  ASSERT_TRUE(engine.OpenSession("shared", num_items, options).ok());
+  ASSERT_TRUE(engine.OpenSession("shared", num_items, chao92).ok());
 
   constexpr size_t kThreads = 4;
   ThreadPool pool(kThreads);
@@ -149,7 +153,7 @@ TEST(EngineTest, InterleavedMultiProducerIngestMatchesSerialForTallyMethod) {
     }
   });
 
-  core::DataQualityMetric serial = SerialReplay(num_items, events, options);
+  core::DataQualityMetric serial = SerialReplay(num_items, events, "chao92");
   Result<Snapshot> snapshot = engine.Query("shared");
   ASSERT_TRUE(snapshot.ok());
   EXPECT_EQ(snapshot->num_votes, serial.num_votes());
@@ -165,7 +169,7 @@ TEST(EngineTest, SnapshotsStayConsistentUnderConcurrentReads) {
   const std::vector<VoteEvent>& events = run.log.events();
 
   DqmEngine engine;
-  ASSERT_TRUE(engine.OpenSession("live", num_items).ok());
+  ASSERT_TRUE(engine.OpenSession("live", num_items, kSwitch).ok());
 
   std::atomic<bool> done{false};
   std::atomic<int> violations{0};
@@ -211,17 +215,17 @@ TEST(EngineTest, UnknownSessionErrorsUseStatusCodes) {
             StatusCode::kNotFound);
   EXPECT_EQ(engine.CloseSession("ghost").code(), StatusCode::kNotFound);
   EXPECT_EQ(engine.GetSession("ghost").status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(engine.OpenSession("", 10).status().code(),
+  EXPECT_EQ(engine.OpenSession("", 10, kSwitch).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(EngineTest, SessionLifecycle) {
   DqmEngine engine(DqmEngine::Options{.num_shards = 4});
   EXPECT_EQ(engine.num_sessions(), 0u);
-  ASSERT_TRUE(engine.OpenSession("b", 10).ok());
-  ASSERT_TRUE(engine.OpenSession("a", 10).ok());
-  ASSERT_TRUE(engine.OpenSession("c", 10).ok());
-  EXPECT_EQ(engine.OpenSession("a", 10).status().code(),
+  ASSERT_TRUE(engine.OpenSession("b", 10, kSwitch).ok());
+  ASSERT_TRUE(engine.OpenSession("a", 10, kSwitch).ok());
+  ASSERT_TRUE(engine.OpenSession("c", 10, kSwitch).ok());
+  EXPECT_EQ(engine.OpenSession("a", 10, kSwitch).status().code(),
             StatusCode::kAlreadyExists);
   EXPECT_EQ(engine.num_sessions(), 3u);
   EXPECT_EQ(engine.SessionNames(), (std::vector<std::string>{"a", "b", "c"}));
@@ -236,7 +240,7 @@ TEST(EngineTest, SessionLifecycle) {
   EXPECT_EQ(held->snapshot().num_votes, 1u);
 
   // The name can be reopened fresh.
-  ASSERT_TRUE(engine.OpenSession("b", 10).ok());
+  ASSERT_TRUE(engine.OpenSession("b", 10, kSwitch).ok());
   EXPECT_EQ(engine.Query("b")->num_votes, 0u);
 }
 
@@ -246,7 +250,7 @@ TEST(EngineTest, ConcurrentOpenCloseAcrossShards) {
   std::atomic<int> opened{0};
   ParallelFor(&pool, 64, [&](size_t i) {
     std::string name = "churn-" + std::to_string(i);
-    if (engine.OpenSession(name, 16).ok()) opened.fetch_add(1);
+    if (engine.OpenSession(name, 16, kSwitch).ok()) opened.fetch_add(1);
     VoteEvent vote{0, 0, static_cast<uint32_t>(i % 16), Vote::kDirty};
     ASSERT_TRUE(engine.Ingest(name, std::span<const VoteEvent>(&vote, 1)).ok());
     if (i % 2 == 0) {

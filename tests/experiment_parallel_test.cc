@@ -3,19 +3,23 @@
 
 #include <gtest/gtest.h>
 
-#include "core/dqm.h"
 #include "core/experiment.h"
+#include "estimators/registry.h"
 #include "estimators/switch_total.h"
 
 namespace dqm::core {
 namespace {
 
+estimators::EstimatorFactory FactoryFor(const std::string& spec) {
+  return estimators::EstimatorRegistry::Global().FactoryFor(spec).value();
+}
+
 std::vector<std::pair<std::string, estimators::EstimatorFactory>>
 DefaultFactories() {
   return {
-      {"VOTING", MakeEstimatorFactory(Method::kVoting)},
-      {"CHAO92", MakeEstimatorFactory(Method::kChao92)},
-      {"SWITCH", MakeEstimatorFactory(Method::kSwitch)},
+      {"VOTING", FactoryFor("voting")},
+      {"CHAO92", FactoryFor("chao92")},
+      {"SWITCH", FactoryFor("switch")},
   };
 }
 
@@ -49,7 +53,7 @@ TEST(ExperimentRunnerParallelTest, RunnerUsesThePermutationSeedSchedule) {
 
   ExperimentRunner runner({.permutations = kPermutations, .seed = kSeed});
   auto results = runner.Run(run.log, s.num_items,
-                            {{"SWITCH", MakeEstimatorFactory(Method::kSwitch)}});
+                            {{"SWITCH", FactoryFor("switch")}});
 
   std::vector<std::vector<double>> expected_rows;
   for (size_t p = 0; p < kPermutations; ++p) {

@@ -6,13 +6,18 @@
 
 #include <gtest/gtest.h>
 
-#include "core/dqm.h"
+#include "estimators/registry.h"
+#include "estimators/switch_total.h"
 
 namespace dqm::core {
 namespace {
 
 using crowd::Vote;
 using crowd::VoteEvent;
+
+estimators::EstimatorFactory FactoryFor(const std::string& spec) {
+  return estimators::EstimatorRegistry::Global().FactoryFor(spec).value();
+}
 
 crowd::ResponseLog MakeLog() {
   crowd::ResponseLog log(6);
@@ -92,8 +97,8 @@ TEST(ExperimentRunnerTest, SeriesShapeAndDeterminism) {
   ExperimentRunner runner({.permutations = 4, .seed = 11});
   auto factories = std::vector<std::pair<std::string,
                                          estimators::EstimatorFactory>>{
-      {"VOTING", MakeEstimatorFactory(Method::kVoting)},
-      {"SWITCH", MakeEstimatorFactory(Method::kSwitch)},
+      {"VOTING", FactoryFor("voting")},
+      {"SWITCH", FactoryFor("switch")},
   };
   auto results_a = runner.Run(run.log, s.num_items, factories);
   auto results_b = runner.Run(run.log, s.num_items, factories);
@@ -114,7 +119,7 @@ TEST(ExperimentRunnerTest, VotingMeanMatchesUnpermutedFinal) {
   ExperimentRunner runner({.permutations = 5, .seed = 3});
   auto results = runner.Run(
       run.log, s.num_items,
-      {{"VOTING", MakeEstimatorFactory(Method::kVoting)}});
+      {{"VOTING", FactoryFor("voting")}});
   EXPECT_DOUBLE_EQ(results[0].mean.back(),
                    static_cast<double>(run.log.MajorityCount()));
   EXPECT_DOUBLE_EQ(results[0].std_dev.back(), 0.0);

@@ -831,18 +831,22 @@ TEST(MigrateSessionTest, MovesSessionAcrossEnginesWithDurability) {
   EXPECT_EQ((*reports)[0].votes_restored, 200u);
 }
 
-TEST(MigrateSessionTest, RefusesUnknownAndSpecLessSessions) {
+TEST(MigrateSessionTest, RefusesUnknownAndOrderSensitiveSessions) {
   DqmEngine a;
   DqmEngine b;
   EXPECT_FALSE(a.MigrateSession("missing", b).ok());
 
-  // Sessions opened without spec strings cannot be rebuilt on the target.
-  auto raw = a.OpenSession("raw", 16);
-  ASSERT_TRUE(raw.ok());
-  Status status = a.MigrateSession("raw", b);
-  EXPECT_FALSE(status.ok());
-  EXPECT_TRUE(a.Query("raw").ok())
+  // SWITCH depends on vote order, which the compacted export drops, so its
+  // session cannot move this way.
+  const std::vector<std::string> specs = {"switch"};
+  auto ordered = a.OpenSession("ordered", 16, specs);
+  ASSERT_TRUE(ordered.ok());
+  Status status = a.MigrateSession("ordered", b);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+      << status.ToString();
+  EXPECT_TRUE(a.Query("ordered").ok())
       << "a failed migration must leave the source serving";
+  EXPECT_EQ(b.num_sessions(), 0u);
 }
 
 }  // namespace

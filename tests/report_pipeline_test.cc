@@ -1,10 +1,12 @@
 // The multi-estimator pipeline contract: one pass over the vote stream must
 // produce, for every attached estimator, exactly the numbers an independent
-// single-method replay produces — bit for bit — while the deprecated enum
-// construction path keeps its historical behavior.
+// single-method replay produces — bit for bit — and exactly what a
+// standalone estimator with no shared statistics computes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "core/experiment.h"
 #include "core/scenario.h"
 #include "engine/engine.h"
+#include "estimators/registry.h"
 
 namespace dqm::core {
 namespace {
@@ -20,10 +23,6 @@ namespace {
 /// The paper's estimator panel (Figs. 2/4/6 comparisons).
 const std::vector<std::string> kPanel = {
     "switch", "chao92", "good-turing", "vchao92", "voting", "nominal"};
-
-const std::vector<Method> kPanelMethods = {
-    Method::kSwitch, Method::kChao92, Method::kGoodTuring,
-    Method::kVChao92, Method::kVoting, Method::kNominal};
 
 SimulatedRun PanelRun(size_t tasks = 150, uint64_t seed = 11) {
   Scenario scenario = SimulationScenario(0.02, 0.15, 10);
@@ -63,17 +62,25 @@ TEST(ReportPipelineTest, OnePassMatchesSixSingleMethodReplaysBitForBit) {
               replay->EstimatedUndetectedErrors());
     EXPECT_EQ(report.estimators[i].quality_score, replay->QualityScore());
 
-    // ...and through the legacy enum path (standalone estimators).
-    DataQualityMetric::Options options;
-    options.method = kPanelMethods[i];
-    DataQualityMetric legacy(num_items, options);
-    Feed(legacy, run.log);
-    EXPECT_EQ(report.estimators[i].total_errors,
-              legacy.EstimatedTotalErrors());
-    EXPECT_EQ(report.estimators[i].undetected_errors,
-              legacy.EstimatedUndetectedErrors());
-    EXPECT_EQ(report.estimators[i].quality_score, legacy.QualityScore());
-    EXPECT_EQ(report.estimators[i].name, MethodName(kPanelMethods[i]));
+    // ...and through a standalone estimator straight from the registry: no
+    // pipeline, no shared statistics, every vote observed by the estimator
+    // itself.
+    std::unique_ptr<estimators::TotalErrorEstimator> standalone =
+        estimators::EstimatorRegistry::Global()
+            .Create(kPanel[i], num_items)
+            .value();
+    for (const crowd::VoteEvent& event : run.log.events()) {
+      standalone->Observe(event);
+    }
+    double total = standalone->Estimate();
+    double undetected =
+        std::max(total - static_cast<double>(run.log.MajorityCount()), 0.0);
+    EXPECT_EQ(report.estimators[i].total_errors, total);
+    EXPECT_EQ(report.estimators[i].undetected_errors, undetected);
+    EXPECT_EQ(report.estimators[i].quality_score,
+              std::clamp(1.0 - undetected / static_cast<double>(num_items),
+                         0.0, 1.0));
+    EXPECT_EQ(report.estimators[i].name, standalone->name());
   }
 }
 
@@ -116,45 +123,6 @@ TEST(ReportPipelineTest, CreateRejectsBadInput) {
   EXPECT_EQ(
       DataQualityMetric::Create(100, "switch?winow=9").status().code(),
       StatusCode::kInvalidArgument);
-}
-
-TEST(ReportPipelineTest, DeprecatedOptionKnobsStillConfigureTheEstimator) {
-  SimulatedRun run = PanelRun(80, 23);
-  size_t num_items = run.truth.size();
-
-  // vchao_shift keeps working through the enum path for one release...
-  DataQualityMetric::Options options;
-  options.method = Method::kVChao92;
-  options.vchao_shift = 3;
-  DataQualityMetric legacy(num_items, options);
-  Feed(legacy, run.log);
-  // ...and matches its spec-string replacement exactly.
-  Result<DataQualityMetric> by_spec =
-      DataQualityMetric::Create(num_items, "vchao92?shift=3");
-  ASSERT_TRUE(by_spec.ok());
-  Feed(*by_spec, run.log);
-  EXPECT_EQ(legacy.EstimatedTotalErrors(), by_spec->EstimatedTotalErrors());
-
-  // Same for switch_config.
-  DataQualityMetric::Options switch_options;
-  switch_options.method = Method::kSwitch;
-  switch_options.switch_config.two_sided = true;
-  switch_options.switch_config.smooth_window = 5;
-  DataQualityMetric legacy_switch(num_items, switch_options);
-  Feed(legacy_switch, run.log);
-  Result<DataQualityMetric> switch_by_spec = DataQualityMetric::Create(
-      num_items, "switch?two_sided=1&smooth_window=5");
-  ASSERT_TRUE(switch_by_spec.ok());
-  Feed(*switch_by_spec, run.log);
-  EXPECT_EQ(legacy_switch.EstimatedTotalErrors(),
-            switch_by_spec->EstimatedTotalErrors());
-
-  // Options::specs wins over the enum when both are set.
-  DataQualityMetric::Options spec_options;
-  spec_options.method = Method::kNominal;
-  spec_options.specs = {"voting"};
-  DataQualityMetric spec_metric(num_items, spec_options);
-  EXPECT_EQ(spec_metric.method_name(), "VOTING");
 }
 
 TEST(ReportPipelineTest, EngineSnapshotCarriesTheFullPanel) {

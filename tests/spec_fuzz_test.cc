@@ -1,6 +1,6 @@
 // Fuzz-style round-trip coverage for the "name?k=v&k=v" spec grammar: a
 // deterministic generator produces thousands of random valid specs (which
-// must parse, canonicalize, and re-parse to the same MethodSpec) and random
+// must parse, canonicalize, and re-parse to the same EstimatorSpec) and random
 // invalid mutations (which must come back as Result<> errors — never an
 // abort). The grammar is shared by the estimator registry, the workload
 // registry, the CLI and the bench configs, so this is the one place its
@@ -91,7 +91,7 @@ TEST(SpecFuzzTest, ValidSpecsRoundTripThroughToString) {
     EXPECT_EQ(parsed->name, expected.canonical_name) << expected.text;
     EXPECT_EQ(parsed->params, expected.canonical_params) << expected.text;
 
-    // Canonical form re-parses to the identical MethodSpec.
+    // Canonical form re-parses to the identical EstimatorSpec.
     Result<EstimatorSpec> reparsed = ParseEstimatorSpec(parsed->ToString());
     ASSERT_TRUE(reparsed.ok()) << parsed->ToString();
     EXPECT_EQ(reparsed->name, parsed->name);

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/stats.h"
+#include "core/dqm.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
 #include "estimators/chao92.h"
@@ -118,6 +122,149 @@ TEST(SwitchTotalTest, VotingTrendReflectsHistory) {
     estimator.Observe({t, t, t, Vote::kDirty});  // VOTING rises by 1/task
   }
   EXPECT_GT(estimator.VotingTrend(), 0.5);
+}
+
+TEST(SwitchTotalTest, SpecParamsMatchConfigStruct) {
+  // Every Config field spelled as spec params must reproduce the
+  // struct-configured estimator bit-identically at every prefix.
+  core::Scenario scenario = core::SimulationScenario(0.02, 0.12, 10);
+  scenario.workers.variation = 0.02;
+  core::SimulatedRun run = core::SimulateScenario(scenario, 120, 37);
+  size_t num_items = run.truth.size();
+
+  SwitchTotalErrorEstimator::Config config;
+  config.trend_window = 30;
+  config.flip_threshold_abs = 5.0;
+  config.flip_threshold_rel = 0.08;
+  config.up_flip_factor = 1.5;
+  config.smooth_window = 4;
+  config.two_sided = true;
+  config.tracker.skew_correction = false;
+  config.tracker.tie_policy = TiePolicy::kStrictMajority;
+  config.tracker.n_mode = SwitchNMode::kSpeciesSum;
+  config.tracker.counting = SwitchCountingMode::kPerRecord;
+  config.tracker.memory = SwitchMemory::kAllSwitches;
+  SwitchTotalErrorEstimator direct(num_items, config);
+
+  const std::string spec =
+      "switch?tau=30&flip_abs=5&flip_rel=0.08&up_flip_factor=1.5"
+      "&smooth_window=4&two_sided=1&skew=0&tie_policy=strict"
+      "&n_mode=species&counting=per-record&memory=all";
+  core::DataQualityMetric by_spec =
+      core::DataQualityMetric::Create(num_items, {spec}).value();
+
+  for (const VoteEvent& event : run.log.events()) {
+    direct.Observe(event);
+    by_spec.AddVote(event.task, event.worker, event.item,
+                    event.vote == Vote::kDirty);
+    ASSERT_EQ(direct.Estimate(), by_spec.EstimatedTotalErrors());
+  }
+}
+
+/// The direction detector and trend slope recomputed from a full,
+/// never-trimmed VOTING history — the reference for the estimator's
+/// bounded ring.
+class FullHistoryReference {
+ public:
+  explicit FullHistoryReference(const SwitchTotalErrorEstimator::Config& config)
+      : config_(config) {}
+
+  /// A task boundary: `majority` is VOTING just before the new task.
+  void OnBoundary(double majority) {
+    history_.push_back(majority);
+    size_t window = std::max<size_t>(config_.smooth_window, 1);
+    double sum = majority;
+    size_t count = 1;
+    for (size_t i = history_.size(); i > 0 && count < window; --i, ++count) {
+      sum += history_[i - 1];
+    }
+    double smoothed = sum / static_cast<double>(count);
+    double threshold = std::max(config_.flip_threshold_abs,
+                                config_.flip_threshold_rel * extreme_);
+    if (direction_ >= 0) {
+      extreme_ = std::max(extreme_, smoothed);
+      if (smoothed <= extreme_ - threshold) {
+        direction_ = -1;
+        extreme_ = smoothed;
+      }
+    } else {
+      extreme_ = std::min(extreme_, smoothed);
+      if (smoothed >= extreme_ + threshold * config_.up_flip_factor) {
+        direction_ = 1;
+        extreme_ = smoothed;
+      }
+    }
+  }
+
+  double Trend(double live) const {
+    size_t start = history_.size() > config_.trend_window
+                       ? history_.size() - config_.trend_window
+                       : 0;
+    std::vector<double> window(history_.begin() + start, history_.end());
+    window.push_back(live);
+    return Slope(window);
+  }
+
+  int direction() const { return direction_; }
+
+ private:
+  SwitchTotalErrorEstimator::Config config_;
+  std::vector<double> history_;
+  int direction_ = 1;
+  double extreme_ = 0.0;
+};
+
+TEST(SwitchTotalTest, BoundedHistoryMatchesFullHistoryOverLongStream) {
+  // A noisy crowd on a small universe, so VOTING keeps moving and the
+  // detector flips both ways; 20k+ tasks wrap the small ring thousands of
+  // times.
+  core::Scenario scenario = core::SimulationScenario(0.1, 0.2, 2);
+  scenario.num_items = 60;
+  scenario.num_candidates = 60;
+  scenario.dirty_in_candidates = 20;
+  core::SimulatedRun run = core::SimulateScenario(scenario, 20500, 29);
+  ASSERT_GE(run.log.num_tasks(), 20000u);
+
+  for (auto [trend_window, smooth_window] :
+       {std::pair<size_t, size_t>{7, 4}, {3, 9}, {5, 0}}) {
+    SCOPED_TRACE(testing::Message() << "trend_window=" << trend_window
+                                    << " smooth_window=" << smooth_window);
+    SwitchTotalErrorEstimator::Config config;
+    config.trend_window = trend_window;
+    config.smooth_window = smooth_window;
+    config.flip_threshold_abs = 0.5;
+    config.flip_threshold_rel = 0.0;
+    config.up_flip_factor = 1.0;
+    SwitchTotalErrorEstimator estimator(scenario.num_items, config);
+    FullHistoryReference reference(config);
+
+    bool any_event = false;
+    uint32_t task = 0;
+    int flips = 0;
+    for (const VoteEvent& event : run.log.events()) {
+      bool boundary = any_event && event.task != task;
+      if (boundary) {
+        int before = reference.direction();
+        reference.OnBoundary(estimator.MajorityCount());
+        if (reference.direction() != before) ++flips;
+      }
+      estimator.Observe(event);
+      any_event = true;
+      task = event.task;
+      if (!boundary) continue;
+      ASSERT_EQ(estimator.direction(), reference.direction());
+      ASSERT_EQ(estimator.VotingTrend(),
+                reference.Trend(estimator.MajorityCount()));
+      double majority = estimator.MajorityCount();
+      double expected =
+          reference.direction() >= 0
+              ? majority + estimator.RemainingPositive()
+              : majority - estimator.RemainingNegative();
+      ASSERT_EQ(estimator.Estimate(), std::max(expected, 0.0));
+    }
+    // Starting at +1, two flips mean both branches were taken.
+    EXPECT_GE(flips, 2);
+  }
 }
 
 }  // namespace

@@ -23,9 +23,10 @@
 // write-ahead logged (group commit tuned by --wal_group_commit) and
 // checkpointed every --checkpoint_every votes under <dir>/<session>.
 // --recover rebuilds all sessions found under that root (manifest +
-// checkpoint + WAL tail) and prints the report instead of ingesting;
-// --crash_after_ingest _Exit(0)s right after ingest, skipping every
-// destructor and flush — the crash half of the CI crash/recover smoke.
+// checkpoint + WAL tail) and prints the report instead of ingesting.
+// --failpoints=dqm.cli.after_ingest=crash exits 77 right after ingest,
+// skipping every destructor and flush — the crash half of the CI
+// crash/recover smoke.
 //
 // --replicate_to=/mnt/standby ships every durable session's checkpoints and
 // sealed WAL segments to a per-session transport directory while ingest
@@ -396,8 +397,6 @@ int main(int argc, char** argv) {
       "comma-separated estimator specs run per dataset in one pass, e.g. "
       "switch,chao92,vchao92?shift=2 (names from the estimator registry; "
       "default: switch)");
-  std::string* method_name = flags.AddString(
-      "method", "", "DEPRECATED single-estimator alias for --methods");
   std::string* workloads = flags.AddString(
       "workload", "",
       "comma-separated workload specs to generate and serve instead of the "
@@ -472,11 +471,6 @@ int main(int argc, char** argv) {
       "total attempts per WAL/checkpoint syscall for transient errno "
       "classes (EINTR/EAGAIN) before the error surfaces; 0 keeps the "
       "built-in default");
-  bool* crash_after_ingest = flags.AddBool(
-      "crash_after_ingest", false,
-      "simulate a crash: _Exit(0) immediately after ingest, skipping "
-      "publishes, flushes, and destructors (the crash half of the "
-      "crash/recover smoke)");
   int64_t* demo_datasets = flags.AddInt(
       "demo_datasets", 6, "datasets simulated when no CSV files are given");
   int64_t* demo_tasks =
@@ -522,22 +516,8 @@ int main(int argc, char** argv) {
     dqm::crowd::io::SetRetryOptions(retry);
   }
 
-  // --method (deprecated) maps 1:1 onto a single-entry spec list; the old
-  // enum names are all registered spec names (or aliases).
-  if (!method_name->empty() && !methods->empty()) {
-    std::fprintf(stderr,
-                 "--method is a deprecated alias of --methods; pass only "
-                 "--methods\n");
-    return 1;
-  }
-  if (!method_name->empty()) {
-    std::fprintf(stderr, "note: --method is deprecated, use --methods=%s\n",
-                 method_name->c_str());
-  }
-  std::string spec_list = !method_name->empty() ? *method_name
-                          : methods->empty()    ? "switch"
-                                                : *methods;
-  std::vector<std::string> specs = dqm::estimators::SplitSpecList(spec_list);
+  std::vector<std::string> specs =
+      dqm::estimators::SplitSpecList(methods->empty() ? "switch" : *methods);
   if (specs.empty()) {
     std::fprintf(stderr, "--methods must name at least one estimator\n");
     return 1;
@@ -909,7 +889,7 @@ int main(int argc, char** argv) {
   // Hot-standby shipping: one replicator per session, each with its own
   // transport directory, installed before the first vote so the standby
   // sees the complete durable stream. They stay alive through ingest (and
-  // through a --crash_after_ingest _Exit — dying with segments shipped is
+  // through a dqm.cli.after_ingest crash — dying with segments shipped is
   // exactly the failover drill).
   std::vector<std::unique_ptr<dqm::engine::SessionReplicator>> replicators;
   if (!replicate_to->empty()) {
@@ -962,15 +942,12 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (*crash_after_ingest) {
-    // The crash half of the crash/recover smoke: die with the sessions
-    // still open. _Exit skips destructors and stdio flushes, so anything a
-    // real crash would lose (the unsynced WAL group-commit tail) is lost
-    // here too; recovery must come entirely from what fsync already pinned.
-    std::printf("crash_after_ingest: exiting without clean shutdown\n");
-    std::fflush(stdout);
-    std::_Exit(0);
-  }
+  // The crash half of the crash/recover smoke: armed with `crash`, this
+  // dies with the sessions still open. _Exit skips destructors and stdio
+  // flushes, so anything a real crash would lose (the unsynced WAL
+  // group-commit tail) is lost here too; recovery must come entirely from
+  // what fsync already pinned. Error / return actions do nothing here.
+  dqm::failpoint::Eval("dqm.cli.after_ingest");
   // Manual / coalesced cadences leave a committed tail unpublished; flush
   // every session so the report reflects the full stream.
   if (session_options->cadence != dqm::engine::PublishCadence::kEveryBatch) {
