@@ -1,11 +1,25 @@
 #include "core/dqm.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "common/logging.h"
 
 namespace dqm::core {
+
+namespace {
+
+/// Debug reference for the striped fingerprint: true iff `f` equals, bucket
+/// by bucket, the O(items) rebuild from the per-item dirty-vote counts.
+[[maybe_unused]] bool MatchesRebuild(const estimators::FStatistics& f,
+                                     std::span<const uint32_t> counts) {
+  estimators::FStatistics reference;
+  reference.RebuildFromCounts(counts);
+  return f.histogram() == reference.histogram();
+}
+
+}  // namespace
 
 DataQualityMetric::DataQualityMetric(size_t num_items,
                                      crowd::RetentionPolicy retention,
@@ -104,10 +118,13 @@ void DataQualityMetric::CommitVotesConcurrent(
 crowd::ResponseLog::IngestPause DataQualityMetric::ReconcileForEstimates() {
   crowd::ResponseLog::IngestPause pause = state_->log.PauseAndReconcile();
   if (state_->maintain_positive_f && state_->log.concurrent_ingest()) {
-    // The striped commit path defers fingerprint maintenance; re-derive it
-    // from the reconciled per-item dirty counts (bit-identical to the
-    // incremental AddVote stream).
-    state_->positive_f.RebuildFromCounts(state_->log.positive_counts());
+    // The striped log keeps the fingerprint per stripe at commit and sums it
+    // at reconcile; load that sum (bit-identical to the incremental AddVote
+    // stream) in O(deepest pile).
+    state_->positive_f.AssignFingerprint(state_->log.positive_fingerprint());
+    DQM_DCHECK(MatchesRebuild(state_->positive_f,
+                              state_->log.positive_counts()))
+        << "striped positive-vote fingerprint diverged from the tallies";
   }
   return pause;
 }

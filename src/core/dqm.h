@@ -96,10 +96,12 @@ class DataQualityMetric {
   /// must be < num_items(); the caller validates (the engine session does).
   void CommitVotesConcurrent(std::span<const crowd::VoteEvent> votes);
 
-  /// Pauses committers, reconciles the striped log, and rebuilds the shared
-  /// positive-vote fingerprint from the reconciled tallies (one flat-array
-  /// scan, bit-identical to incremental maintenance). Estimates / Report
-  /// calls are valid while — and only while — the returned guard lives.
+  /// Pauses committers, reconciles the striped log, and loads the shared
+  /// positive-vote fingerprint from the sum of the histograms the stripes
+  /// keep at commit (O(stripes x deepest pile), bit-identical to incremental
+  /// maintenance; Debug builds also compare it bucket by bucket with a
+  /// rebuild from the tallies). Estimates / Report calls are valid while —
+  /// and only while — the returned guard lives.
   /// No-op guard when concurrent ingest is not enabled.
   [[nodiscard]] crowd::ResponseLog::IngestPause ReconcileForEstimates();
 

@@ -30,6 +30,11 @@ inline uint64_t MixPair(uint32_t worker, uint32_t item) {
 /// false-share.
 constexpr size_t kStripeGranuleItems = kCacheLineBytes / sizeof(uint32_t);
 
+/// Fingerprint entries per cache line: each stripe reserves one full line up
+/// front, and vector growth doubles capacity, so a stripe fingerprint always
+/// spans whole lines of its own.
+constexpr size_t kFingerprintLineEntries = kCacheLineBytes / sizeof(uint64_t);
+
 }  // namespace
 
 void CompactedVoteStore::Add(uint32_t worker, uint32_t item, Vote vote) {
@@ -156,13 +161,19 @@ size_t ResponseLog::RetainedBytes() const {
              concurrent_->stripe_metrics.capacity() * sizeof(StripeMetrics) +
              concurrent_->num_stripes * sizeof(Stripe);
     for (size_t s = 0; s < concurrent_->num_stripes; ++s) {
-      // The shard's vectors grow under the stripe lock; take it (one stripe
-      // at a time, never nested) so a live committer can't resize them
-      // mid-measurement. See the header contract: never call this while
-      // holding the PauseAndReconcile guard.
+      // The shard and fingerprint vectors grow under the stripe lock; take
+      // it (one stripe at a time, never nested) so a live committer can't
+      // resize them mid-measurement. See the header contract: never call
+      // this while holding the PauseAndReconcile guard.
       Stripe& stripe = concurrent_->stripes[s];
       MutexLock lock(stripe.mutex);
-      bytes += stripe.counts.MemoryBytes();
+      bytes += stripe.counts.MemoryBytes() +
+               stripe.positive_f.capacity() * sizeof(uint64_t);
+      // The summed fingerprint is written only by a reconcile, which holds
+      // every stripe lock, so holding any one of them reads it race-free.
+      if (s == 0) {
+        bytes += positive_fingerprint_.capacity() * sizeof(uint64_t);
+      }
     }
   }
   return bytes;
@@ -231,6 +242,11 @@ void ResponseLog::EnableConcurrentIngest(size_t num_stripes,
   state->num_stripes = std::max<size_t>((items + chunk - 1) / chunk, 1);
   state->maintain_pair_counts = maintain_pair_counts;
   state->stripes = std::make_unique<Stripe[]>(state->num_stripes);
+  for (size_t s = 0; s < state->num_stripes; ++s) {
+    Stripe& stripe = state->stripes[s];
+    MutexLock lock(stripe.mutex);
+    stripe.positive_f.reserve(kFingerprintLineEntries);
+  }
   // Per-stripe lock counters, resolved once here so the reconcile-time fold
   // never takes the registry mutex per stripe stat. Stripe indices repeat
   // across logs, so these aggregate over every striped log in the process.
@@ -263,7 +279,6 @@ void ResponseLog::AppendConcurrent(std::span<const VoteEvent> events) {
   ConcurrentState& cs = *concurrent_;
   const uint32_t shift = cs.stripe_shift;
   const size_t num_stripes = cs.num_stripes;
-  const bool pair_counts = cs.maintain_pair_counts;
 
   // Bucket the batch by stripe once, unlocked (a counting sort over event
   // indices), so each stripe's lock is held only for that stripe's own
@@ -291,19 +306,37 @@ void ResponseLog::AppendConcurrent(std::span<const VoteEvent> events) {
 
   // Rotate the visit order per commit: concurrent committers start on
   // different stripes instead of convoying behind each other on stripe 0.
-  // Committers hold one stripe lock at a time, so any visit order is
-  // deadlock-free against other committers and the all-stripe publish lock.
+  // A stripe another committer holds right now is deferred to the end of
+  // the visit instead of blocking; the commit blocks only when it reaches
+  // that stripe a second time. Committers hold one stripe lock at a time,
+  // so any visit order is deadlock-free against other committers and the
+  // all-stripe publish lock.
   const size_t start = static_cast<size_t>(
       cs.rotation.fetch_add(1, std::memory_order_relaxed) % num_stripes);
   const bool timed = telemetry::Enabled();
+  auto stripe_indices = [&](size_t s) {
+    return std::span<const uint32_t>(bucketed.data() + bucket_ends[s],
+                                     bucket_ends[s + 1] - bucket_ends[s]);
+  };
+  thread_local std::vector<uint32_t> deferred;
+  deferred.clear();
   for (size_t k = 0; k < num_stripes; ++k) {
     size_t s = start + k;
     if (s >= num_stripes) s -= num_stripes;
     if (bucket_ends[s] == bucket_ends[s + 1]) continue;  // untouched stripe
     Stripe& stripe = cs.stripes[s];
-    // Contention probe: try_lock first. The uncontended path costs the same
-    // one lock operation it always did; only a blocked acquisition pays the
-    // two clock reads that time the wait.
+    if (!stripe.mutex.TryLock()) {
+      deferred.push_back(static_cast<uint32_t>(s));
+      continue;
+    }
+    MutexLock lock(stripe.mutex, kAdoptLock);
+    CommitToStripeLocked(stripe, events, stripe_indices(s), timed);
+  }
+  for (uint32_t s : deferred) {
+    Stripe& stripe = cs.stripes[s];
+    // Contention probe: try_lock again first. Only an acquisition that
+    // actually blocks counts as contended and pays the two clock reads that
+    // time the wait.
     bool contended = false;
     uint64_t wait_start = 0;
     if (!stripe.mutex.TryLock()) {
@@ -312,36 +345,50 @@ void ResponseLog::AppendConcurrent(std::span<const VoteEvent> events) {
       stripe.mutex.Lock();
     }
     MutexLock lock(stripe.mutex, kAdoptLock);
-    ++stripe.lock_acquisitions;
     if (contended) {
       ++stripe.lock_contended;
       if (timed) stripe.lock_wait_ns += telemetry::NowNanos() - wait_start;
     }
-    // Hold-time sampling: 1 in 64 acquisitions, so the steady-state commit
-    // pays no clock reads for it.
-    const bool sample_hold = timed && (stripe.lock_acquisitions & 63) == 0;
-    const uint64_t hold_start = sample_hold ? telemetry::NowNanos() : 0;
-    for (uint32_t b = bucket_ends[s]; b < bucket_ends[s + 1]; ++b) {
-      const VoteEvent& event = events[bucketed[b]];
-      // The cheap commit: flat counter increments only. Derived aggregates
-      // (NOMINAL/VOTING, totals, bounds) are re-derived at publish time by
-      // ReconcileLocked's vectorized scan.
-      ++total_[event.item];
-      if (event.vote == Vote::kDirty) {
-        ++positive_[event.item];
-        ++stripe.total_positive;
-      }
-      ++stripe.num_events;
-      stripe.task_bound =
-          std::max(stripe.task_bound, static_cast<uint64_t>(event.task) + 1);
-      stripe.worker_bound = std::max(stripe.worker_bound,
-                                     static_cast<uint64_t>(event.worker) + 1);
-      if (pair_counts) stripe.counts.Add(event.worker, event.item, event.vote);
+    CommitToStripeLocked(stripe, events, stripe_indices(s), timed);
+  }
+}
+
+void ResponseLog::CommitToStripeLocked(Stripe& stripe,
+                                       std::span<const VoteEvent> events,
+                                       std::span<const uint32_t> indices,
+                                       bool timed) {
+  const bool pair_counts = concurrent_->maintain_pair_counts;
+  ++stripe.lock_acquisitions;
+  // Hold-time sampling: 1 in 64 acquisitions, so the steady-state commit
+  // pays no clock reads for it.
+  const bool sample_hold = timed && (stripe.lock_acquisitions & 63) == 0;
+  const uint64_t hold_start = sample_hold ? telemetry::NowNanos() : 0;
+  for (uint32_t index : indices) {
+    const VoteEvent& event = events[index];
+    // The cheap commit: flat counter increments, plus the fingerprint move
+    // of a dirty vote (its item goes from f_from to f_{from+1}).
+    // NOMINAL/VOTING, totals and bounds are re-derived at publish time by
+    // ReconcileLocked's vectorized scan.
+    ++total_[event.item];
+    if (event.vote == Vote::kDirty) {
+      const uint32_t from = positive_[event.item]++;
+      auto& f = stripe.positive_f;
+      const size_t depth = static_cast<size_t>(from) + 2;
+      if (depth > f.size()) f.resize(depth, 0);
+      if (from != 0) --f[from];
+      ++f[from + 1];
+      ++stripe.total_positive;
     }
-    if (sample_hold) {
-      stripe.lock_hold_ns += telemetry::NowNanos() - hold_start;
-      ++stripe.lock_hold_samples;
-    }
+    ++stripe.num_events;
+    stripe.task_bound =
+        std::max(stripe.task_bound, static_cast<uint64_t>(event.task) + 1);
+    stripe.worker_bound = std::max(stripe.worker_bound,
+                                   static_cast<uint64_t>(event.worker) + 1);
+    if (pair_counts) stripe.counts.Add(event.worker, event.item, event.vote);
+  }
+  if (sample_hold) {
+    stripe.lock_hold_ns += telemetry::NowNanos() - hold_start;
+    ++stripe.lock_hold_samples;
   }
 }
 
@@ -403,8 +450,16 @@ void ResponseLog::ReconcileLocked() {
   uint64_t task_bound = 0;
   uint64_t worker_bound = 0;
   uint64_t max_stripe_events = 0;
+  // Stripes partition the items, so the stripe fingerprints sum to the
+  // global one exactly: O(stripes x deepest pile), independent of items.
+  positive_fingerprint_.clear();
   for (size_t s = 0; s < concurrent_->num_stripes; ++s) {
     Stripe& stripe = concurrent_->stripes[s];
+    const auto& f = stripe.positive_f;
+    if (f.size() > positive_fingerprint_.size()) {
+      positive_fingerprint_.resize(f.size(), 0);
+    }
+    for (size_t j = 0; j < f.size(); ++j) positive_fingerprint_[j] += f[j];
     events += stripe.num_events;
     positive += stripe.total_positive;
     task_bound = std::max(task_bound, stripe.task_bound);
@@ -440,6 +495,17 @@ void ResponseLog::ReconcileLocked() {
   // a mismatch means a committer raced the pause guard.
   DQM_CHECK_EQ(scan.total_votes, events);
   DQM_CHECK_EQ(scan.positive_votes, positive);
+  uint64_t species = 0;
+  uint64_t observations = 0;
+  for (size_t j = 1; j < positive_fingerprint_.size(); ++j) {
+    species += positive_fingerprint_[j];
+    observations += j * positive_fingerprint_[j];
+  }
+  // invariant: the commit-time fingerprint moves mirror the tally increments
+  // under the same stripe lock; a mismatch means one of them lost a vote.
+  DQM_CHECK_EQ(species, scan.nominal_count);
+  // invariant: as above — sum_j j * f_j counts every dirty vote once.
+  DQM_CHECK_EQ(observations, scan.positive_votes);
   num_events_ = events;
   total_positive_ = positive;
   nominal_count_ = static_cast<size_t>(scan.nominal_count);

@@ -83,8 +83,10 @@ enum class RetentionPolicy {
 
 /// Aggregates derivable from the per-item tally columns in one pass — the
 /// publish-side scan the striped ingest path uses instead of maintaining
-/// NOMINAL/VOTING transitions on every commit. The loop is branch-free over
-/// two flat SoA columns, so the autovectorizer can chew through it.
+/// NOMINAL/VOTING transitions on every commit, and the reference its
+/// per-stripe fingerprints are cross-checked against. The loop is
+/// branch-free over two flat SoA columns, so the autovectorizer can chew
+/// through it.
 struct TallyScanResult {
   uint64_t nominal_count = 0;    // #items with at least one dirty vote
   uint64_t majority_count = 0;   // #items with 2 * positive > total
@@ -109,17 +111,21 @@ TallyScanResult ScanTallies(std::span<const uint32_t> positive,
 /// positive counters, and (when a consumer needs the response matrix) its
 /// own CompactedVoteStore shard. `AppendConcurrent` then commits batches
 /// from any number of producer threads at once — a commit touches only the
-/// stripes its items map to, and does nothing but bump flat tally counters,
-/// so N producers scale until the stripes saturate. The derived aggregates
-/// (NOMINAL/VOTING counts, vote totals, task/worker bounds) are *not*
-/// maintained per vote in this mode; `PauseAndReconcile` blocks committers,
-/// folds the stripe counters, and re-derives the aggregates with the
-/// vectorized tally scan. Read accessors reflect the most recent reconcile
-/// and may only race-free be called while the returned pause guard is held
-/// (or while no committer is running). Tallies and counts reconciled this
-/// way are bit-identical to a serialized Append of the same votes in any
-/// order; compacted-matrix *slot order* depends on the commit interleaving,
-/// which float-summing consumers (EM) must tolerate.
+/// stripes its items map to, and does nothing but bump flat tally counters
+/// and the stripe's positive-vote fingerprint (one dirty vote moves its item
+/// from f_j to f_{j+1}), so N producers scale until the stripes saturate.
+/// The other derived aggregates (NOMINAL/VOTING counts, vote totals,
+/// task/worker bounds) are *not* maintained per vote in this mode;
+/// `PauseAndReconcile` blocks committers, folds the stripe counters, sums
+/// the stripe fingerprints (stripes partition the items, so the sum is the
+/// exact global fingerprint), re-derives NOMINAL/VOTING with the vectorized
+/// tally scan, and cross-checks the fingerprint against that scan. Read
+/// accessors reflect the most recent reconcile and may only race-free be
+/// called while the returned pause guard is held (or while no committer is
+/// running). Tallies, counts and the fingerprint reconciled this way are
+/// bit-identical to a serialized Append of the same votes in any order;
+/// compacted-matrix *slot order* depends on the commit interleaving, which
+/// float-summing consumers (EM) must tolerate.
 class ResponseLog {
  public:
   /// `num_items` = N, the size of the record (or pair) universe.
@@ -180,14 +186,23 @@ class ResponseLog {
   /// n_i — total votes on `item`.
   uint32_t total_votes(size_t item) const { return total_[item]; }
   /// The full per-item tally columns (length num_items()) — the SoA inputs
-  /// of the vectorized publish-side scans (ScanTallies,
-  /// FStatistics::RebuildFromCounts).
+  /// of the vectorized publish-side scan (ScanTallies).
   std::span<const uint32_t> positive_counts() const { return positive_; }
   std::span<const uint32_t> total_counts() const { return total_; }
   /// n^+ — total positive votes across items.
   uint64_t total_positive_votes() const { return total_positive_; }
   /// Total votes across items.
   uint64_t total_votes_all() const { return num_events_; }
+
+  /// The positive-vote fingerprint as of the most recent reconcile: entry j
+  /// is f_j, the number of items with exactly j dirty votes (entry 0 is
+  /// always 0). The sum of the histograms the stripes keep at commit, so
+  /// reading it costs nothing per item. Concurrent ingest mode only — empty
+  /// otherwise (the serialized path's consumers keep their own FStatistics
+  /// per vote).
+  std::span<const uint64_t> positive_fingerprint() const {
+    return positive_fingerprint_;
+  }
 
   /// Majority label of `item`: dirty iff n_i^+ > n_i / 2 (strictly more
   /// dirty than clean votes; ties and unseen items default to clean, the
@@ -199,7 +214,8 @@ class ResponseLog {
   /// Approximate heap bytes retained for vote storage — the raw event
   /// vector under kFullEvents, the compacted matrix (including every
   /// concurrent-ingest stripe shard) under kCounts — plus the per-item
-  /// tallies. The number the retention-policy memory comparison
+  /// tallies and, in concurrent ingest mode, the stripe fingerprints and
+  /// their sum. The number the retention-policy memory comparison
   /// (bench_engine_throughput's long-session sweep) reports. In concurrent
   /// ingest mode each stripe's lock is taken (one at a time) while its
   /// shard is measured, so the read is safe against live committers; do NOT
@@ -234,7 +250,9 @@ class ResponseLog {
   /// concurrently once EnableConcurrentIngest was called. Items must be
   /// < num_items(). Each stripe the batch touches is locked once; stripes
   /// are visited starting from a rotating offset so concurrent committers
-  /// do not convoy behind each other on stripe 0.
+  /// do not convoy behind each other on stripe 0, and a stripe that is busy
+  /// when first reached is retried after the rest of the batch instead of
+  /// blocking.
   void AppendConcurrent(std::span<const VoteEvent> events);
 
   /// RAII guard blocking every AppendConcurrent committer while alive.
@@ -264,12 +282,12 @@ class ResponseLog {
   };
 
   /// Locks every stripe (ascending — committers hold at most one stripe at
-  /// a time, so this cannot deadlock), folds the per-stripe counters into
-  /// the canonical aggregate fields, and re-derives NOMINAL/VOTING with the
-  /// vectorized tally scan. While the returned guard is alive committers
-  /// block and every read accessor is race-free and current — the publish
-  /// window in which the estimator pipeline runs. No-op (empty guard) when
-  /// concurrent ingest is not enabled.
+  /// a time, so this cannot deadlock), folds the per-stripe counters and
+  /// fingerprints into the canonical aggregate fields, and re-derives
+  /// NOMINAL/VOTING with the vectorized tally scan. While the returned guard
+  /// is alive committers block and every read accessor is race-free and
+  /// current — the publish window in which the estimator pipeline runs.
+  /// No-op (empty guard) when concurrent ingest is not enabled.
   [[nodiscard]] IngestPause PauseAndReconcile();
 
  private:
@@ -283,6 +301,11 @@ class ResponseLog {
     Mutex mutex{LockRank::kStripe, "response-log-stripe"};
     CompactedVoteStore counts
         DQM_GUARDED_BY(mutex);  // shard; empty when pair counts are off
+    /// Positive-vote fingerprint of this stripe's items (entry j = #items
+    /// with exactly j dirty votes), kept at commit. Cache-line allocated in
+    /// whole lines, so neighboring committers never false-share it.
+    std::vector<uint64_t, CacheAlignedAllocator<uint64_t>> positive_f
+        DQM_GUARDED_BY(mutex);
     uint64_t num_events DQM_GUARDED_BY(mutex) = 0;
     uint64_t total_positive DQM_GUARDED_BY(mutex) = 0;
     /// max task id + 1 committed to this stripe
@@ -319,6 +342,12 @@ class ResponseLog {
     std::vector<StripeMetrics> stripe_metrics;
   };
 
+  /// Commits the votes `events[indices]` (all mapping to `stripe`) and
+  /// counts the lock acquisition; the caller holds the stripe lock.
+  void CommitToStripeLocked(Stripe& stripe, std::span<const VoteEvent> events,
+                            std::span<const uint32_t> indices, bool timed)
+      DQM_REQUIRES(stripe.mutex);
+
   // The next three work on the dynamically sized set of stripe locks (one
   // per stripe, acquired in a loop), which the thread-safety analysis cannot
   // model — the debug lock-order checker covers them at run time instead
@@ -342,6 +371,8 @@ class ResponseLog {
   TallyColumn total_;
   uint64_t num_events_ = 0;
   uint64_t total_positive_ = 0;
+  /// Summed stripe fingerprints; written only by ReconcileLocked.
+  std::vector<uint64_t> positive_fingerprint_;
   size_t nominal_count_ = 0;
   size_t majority_count_ = 0;
   size_t num_tasks_ = 0;

@@ -101,6 +101,26 @@ void SnapshotCell::LoadInto(Snapshot& snapshot) const {
   }
 }
 
+namespace {
+
+enum class DecimalParse { kOk, kNotDigits, kOverflow };
+
+/// Parses a run of decimal digits into `*out`, refusing any non-digit and
+/// any value that does not fit in uint64 (instead of wrapping).
+DecimalParse ParseDecimalU64(std::string_view digits, uint64_t* out) {
+  uint64_t n = 0;
+  for (char c : digits) {
+    if (c < '0' || c > '9') return DecimalParse::kNotDigits;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (n > (UINT64_MAX - digit) / 10) return DecimalParse::kOverflow;
+    n = n * 10 + digit;
+  }
+  *out = n;
+  return DecimalParse::kOk;
+}
+
+}  // namespace
+
 Result<SessionOptions> ParsePublishCadenceSpec(std::string_view spec,
                                                SessionOptions base) {
   if (spec == "every_batch") {
@@ -126,13 +146,17 @@ Result<SessionOptions> ParsePublishCadenceSpec(std::string_view spec,
     if (rest.empty()) {
       return Status::InvalidArgument("publish cadence every_n_votes: missing N");
     }
-    for (char c : rest) {
-      if (c < '0' || c > '9') {
+    switch (ParseDecimalU64(rest, &n)) {
+      case DecimalParse::kOk:
+        break;
+      case DecimalParse::kNotDigits:
         return Status::InvalidArgument(StrFormat(
             "bad publish cadence threshold '%.*s'",
             static_cast<int>(rest.size()), rest.data()));
-      }
-      n = n * 10 + static_cast<uint64_t>(c - '0');
+      case DecimalParse::kOverflow:
+        return Status::InvalidArgument(StrFormat(
+            "bad publish cadence '%.*s': overflows uint64",
+            static_cast<int>(spec.size()), spec.data()));
     }
     if (n == 0) {
       return Status::InvalidArgument(
@@ -161,19 +185,17 @@ Result<SessionOptions> ParseWalGroupCommitSpec(std::string_view spec,
         static_cast<int>(spec.size()), spec.data()));
   }
   uint64_t n = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') {
+  switch (ParseDecimalU64(digits, &n)) {
+    case DecimalParse::kOk:
+      break;
+    case DecimalParse::kNotDigits:
       return Status::InvalidArgument(StrFormat(
           "bad WAL group commit '%.*s': expected N (votes) or Nms",
           static_cast<int>(spec.size()), spec.data()));
-    }
-    const uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (n > (UINT64_MAX - digit) / 10) {
+    case DecimalParse::kOverflow:
       return Status::InvalidArgument(StrFormat(
           "bad WAL group commit '%.*s': overflows uint64",
           static_cast<int>(spec.size()), spec.data()));
-    }
-    n = n * 10 + digit;
   }
   if (n == 0) {
     return Status::InvalidArgument(

@@ -58,14 +58,19 @@ class FStatistics {
 
   /// Rebuilds the whole fingerprint from a per-species observation-count
   /// column: f_j = #entries equal to j (entries of 0 are unobserved species
-  /// and contribute nothing). This is the publish-side form of the
-  /// incremental AddSingleton/Promote stream — bit-identical to feeding the
-  /// counts in one vote at a time — used by the striped ingest path, which
-  /// defers fingerprint maintenance off the commit path and re-derives it
-  /// from the reconciled tallies in one branch-light flat-array scan.
-  /// Retains the vector's capacity across calls, so a fingerprint rebuilt
-  /// every publish allocates only while the deepest pile is still growing.
+  /// and contribute nothing). Bit-identical to feeding the counts in one
+  /// vote at a time through AddSingleton/Promote, but O(column length) per
+  /// call — the debug reference the striped ingest path's per-stripe
+  /// fingerprint is checked against; AssignFingerprint is the serving form.
   void RebuildFromCounts(std::span<const uint32_t> species_counts);
+
+  /// Replaces the fingerprint with `fingerprint`, indexed by frequency
+  /// (entry j = f_j; entry 0 must be 0), and re-derives c and n from it in
+  /// O(fingerprint.size()). The striped ingest path loads the histogram it
+  /// keeps per stripe at commit this way. Retains the vector's capacity, so
+  /// a fingerprint assigned every publish allocates only while the deepest
+  /// pile is still growing.
+  void AssignFingerprint(std::span<const uint64_t> fingerprint);
 
   /// f_j — number of species with exactly `j` observations (j >= 1).
   uint64_t f(uint32_t j) const { return j < f_.size() ? f_[j] : 0; }

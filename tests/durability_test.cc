@@ -821,6 +821,52 @@ TEST(EngineDurabilityTest, OrderSensitivePanelRecoversViaFullWalReplay) {
   }
 }
 
+TEST(EngineDurabilityTest, StripedTallyOnlyPanelRecoversLiveRows) {
+  // A tally-only panel checkpoints the kTallies variant; the striped
+  // session recovered from that checkpoint plus the WAL tail must serve the
+  // live session's chao92 / vchao92 rows exactly. (The kPairs variant is
+  // covered by CrashRecoverParityTest's em-voting panel.)
+  size_t num_items = 0;
+  std::vector<VoteEvent> votes =
+      GenerateVotes(FamilySpecs().front(), 13, &num_items);
+  const std::vector<std::string> panel = {"chao92", "vchao92?shift=2",
+                                          "voting"};
+  std::string root = ScratchDir("striped_tallies");
+  SessionOptions options;
+  options.cadence = PublishCadence::kEveryNVotes;
+  options.publish_every_votes = 128;
+  options.ingest_stripes = 4;
+  options.durability_dir = root;
+  options.wal_group_commit_votes = 64;
+  options.checkpoint_every_votes = 150;
+  Snapshot live;
+  {
+    DqmEngine engine;
+    auto session = engine.OpenSession(
+        "s", num_items, std::span<const std::string>(panel), options);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    ASSERT_TRUE((*session)->concurrent_ingest());
+    IngestBatches(engine, "s", votes, 37);
+    ASSERT_TRUE((*session)->FlushDurability().ok());
+    (*session)->Publish();
+    live = (*session)->snapshot();
+  }
+  auto checkpoint = crowd::ReadCheckpointFile(root + "/s/checkpoint.bin");
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  EXPECT_EQ(checkpoint->variant, CheckpointData::Variant::kTallies);
+  EXPECT_LT(checkpoint->num_events, votes.size());  // a WAL tail remains
+
+  DqmEngine recovered;
+  auto reports = recovered.RecoverSessions(root);
+  ASSERT_TRUE(reports.ok()) << reports.status().ToString();
+  ASSERT_EQ(reports->size(), 1u);
+  EXPECT_TRUE((*reports)[0].had_checkpoint);
+  EXPECT_EQ((*reports)[0].votes_restored, votes.size());
+  auto snapshot = recovered.Query("s");
+  ASSERT_TRUE(snapshot.ok());
+  ExpectSnapshotParity(*snapshot, live, "striped kTallies recovery");
+}
+
 TEST(EngineDurabilityTest, RecoverSessionsRebuildsManyAndSkipsStrayDirs) {
   std::string root = ScratchDir("multi");
   std::vector<std::string> specs = {"chao92", "voting"};

@@ -277,6 +277,17 @@ TEST(SessionOptionsTest, ParsePublishCadenceSpec) {
   EXPECT_FALSE(ParsePublishCadenceSpec("every_n_votes:").ok());
   EXPECT_FALSE(ParsePublishCadenceSpec("every_n_votes:0").ok());
   EXPECT_FALSE(ParsePublishCadenceSpec("every_n_votes:12x").ok());
+  // Largest representable threshold parses; 2^64 + 1 must not wrap to 1.
+  Result<SessionOptions> max =
+      ParsePublishCadenceSpec("every_n_votes:18446744073709551615");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(max->publish_every_votes, UINT64_MAX);
+  Result<SessionOptions> wrapped =
+      ParsePublishCadenceSpec("every_n_votes:18446744073709551617");
+  ASSERT_FALSE(wrapped.ok());
+  EXPECT_NE(wrapped.status().message().find("overflows uint64"),
+            std::string::npos)
+      << wrapped.status().ToString();
 }
 
 TEST(SessionOptionsTest, ParseWalGroupCommitSpec) {

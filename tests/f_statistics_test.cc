@@ -171,6 +171,54 @@ TEST(FStatisticsTest, RebuildFromCountsResetsPreviousState) {
   EXPECT_EQ(f.singletons(), 0u);
 }
 
+/// Dense fingerprint of a count column: entry j = #counts equal to j.
+std::vector<uint64_t> DenseFingerprint(const std::vector<uint32_t>& counts) {
+  std::vector<uint64_t> dense;
+  for (uint32_t count : counts) {
+    if (count == 0) continue;
+    if (count + 1 > dense.size()) dense.resize(count + 1, 0);
+    ++dense[count];
+  }
+  return dense;
+}
+
+void ExpectSameFingerprint(const FStatistics& a, const FStatistics& b) {
+  EXPECT_EQ(a.histogram(), b.histogram());
+  EXPECT_EQ(a.NumSpecies(), b.NumSpecies());
+  EXPECT_EQ(a.TotalObservations(), b.TotalObservations());
+  EXPECT_EQ(a.SumIiMinus1(), b.SumIiMinus1());
+  FStatistics::ShiftedView sa = a.Shifted(2, a.TotalObservations());
+  FStatistics::ShiftedView sb = b.Shifted(2, b.TotalObservations());
+  EXPECT_EQ(sa.f1, sb.f1);
+  EXPECT_EQ(sa.n, sb.n);
+  EXPECT_EQ(sa.c, sb.c);
+  EXPECT_EQ(sa.sum_ii1, sb.sum_ii1);
+}
+
+TEST(FStatisticsTest, AssignFingerprintMatchesRebuildFromCounts) {
+  Rng rng(43);
+  std::vector<uint32_t> counts(400, 0);
+  for (size_t step = 0; step < 3000; ++step) {
+    ++counts[rng.UniformIndex(counts.size())];
+  }
+  FStatistics rebuilt;
+  rebuilt.RebuildFromCounts(counts);
+  FStatistics assigned;
+  assigned.AssignFingerprint(DenseFingerprint(counts));
+  ExpectSameFingerprint(assigned, rebuilt);
+
+  // A shallower fingerprint assigned over a deeper one leaves no stale
+  // buckets behind.
+  std::vector<uint32_t> shallow = {0, 1, 2, 1, 0, 3};
+  rebuilt.RebuildFromCounts(shallow);
+  assigned.AssignFingerprint(DenseFingerprint(shallow));
+  ExpectSameFingerprint(assigned, rebuilt);
+  EXPECT_EQ(assigned.f(4), 0u);
+  assigned.AssignFingerprint(std::vector<uint64_t>{});
+  EXPECT_EQ(assigned.NumSpecies(), 0u);
+  EXPECT_EQ(assigned.TotalObservations(), 0u);
+}
+
 TEST(FStatisticsDeathTest, PromoteMissingClassAborts) {
   FStatistics f;
   EXPECT_DEATH(f.Promote(1), "no species");

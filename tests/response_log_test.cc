@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "estimators/f_statistics.h"
 
 namespace dqm::crowd {
 namespace {
@@ -248,6 +249,107 @@ TEST(ResponseLogConcurrentTest, ManyProducersReconcileToSerialTallies) {
     ASSERT_EQ(striped.positive_votes(i), serial.positive_votes(i)) << i;
     ASSERT_EQ(striped.total_votes(i), serial.total_votes(i)) << i;
   }
+}
+
+/// The positive-vote fingerprint a serialized consumer keeps per vote
+/// (AddSingleton on an item's first dirty vote, Promote after), from a
+/// serialized Append feed of `events`.
+estimators::FStatistics SerialFingerprint(std::span<const VoteEvent> events,
+                                          size_t num_items) {
+  ResponseLog serial(num_items, RetentionPolicy::kCounts);
+  estimators::FStatistics f;
+  for (const VoteEvent& event : events) {
+    if (event.vote == Vote::kDirty) {
+      const uint32_t count = serial.positive_votes(event.item);
+      if (count == 0) {
+        f.AddSingleton();
+      } else {
+        f.Promote(count);
+      }
+    }
+    serial.Append(event);
+  }
+  return f;
+}
+
+TEST(ResponseLogConcurrentTest, StripeFingerprintsSumToSerialFingerprint) {
+  // 128 items in 4 stripes of 32. Item 5 (stripe 0) collects a pile far
+  // deeper than any other item, so the stripe histograms have unequal
+  // lengths; stripe 3 (items 96..127) only ever sees clean votes, so its
+  // histogram stays empty.
+  constexpr size_t kItems = 128;
+  constexpr size_t kProducers = 4;
+  constexpr size_t kRounds = 5;
+  Rng rng(11);
+  std::vector<VoteEvent> events;
+  for (size_t e = 0; e < 6000; ++e) {
+    const uint32_t item = e % 10 == 0
+                              ? 5u
+                              : static_cast<uint32_t>(rng.UniformInt(0, 127));
+    const bool dirty = item < 96 && (item == 5 || rng.Bernoulli(0.3));
+    events.push_back({static_cast<uint32_t>(e / 16),
+                      static_cast<uint32_t>(rng.UniformInt(0, 11)), item,
+                      dirty ? Vote::kDirty : Vote::kClean});
+  }
+
+  ResponseLog striped(kItems, RetentionPolicy::kCounts);
+  striped.EnableConcurrentIngest(4, /*maintain_pair_counts=*/false);
+  ASSERT_EQ(striped.num_stripes(), 4u);
+  const size_t per_round = events.size() / kRounds;
+  for (size_t round = 0; round < kRounds; ++round) {
+    // Each producer commits its share of this round in random batch splits.
+    const size_t round_begin = round * per_round;
+    const size_t chunk = per_round / kProducers;
+    std::vector<std::thread> producers;
+    for (size_t t = 0; t < kProducers; ++t) {
+      producers.emplace_back([&, t] {
+        Rng splits(100 * round + t);
+        size_t b = round_begin + t * chunk;
+        const size_t end = b + chunk;
+        while (b < end) {
+          const size_t size = std::min<size_t>(
+              static_cast<size_t>(splits.UniformInt(1, 64)), end - b);
+          striped.AppendConcurrent(
+              std::span<const VoteEvent>(&events[b], size));
+          b += size;
+        }
+      });
+    }
+    for (std::thread& producer : producers) producer.join();
+    const size_t committed = round_begin + kProducers * chunk;
+
+    auto pause = striped.PauseAndReconcile();
+    estimators::FStatistics expected = SerialFingerprint(
+        std::span<const VoteEvent>(events.data(), committed), kItems);
+    std::span<const uint64_t> got = striped.positive_fingerprint();
+    ASSERT_FALSE(got.empty());
+    EXPECT_EQ(got[0], 0u);
+    const uint32_t deepest = expected.histogram().back().first;
+    ASSERT_GT(deepest, 20u) << "item 5 must pile deeper than the rest";
+    EXPECT_EQ(got.size(), deepest + 1u) << "round " << round;
+    for (uint32_t j = 1; j < got.size(); ++j) {
+      EXPECT_EQ(got[j], expected.f(j)) << "round " << round << ", f_" << j;
+    }
+  }
+}
+
+TEST(ResponseLogConcurrentTest, RetainedBytesGrowWithFingerprintDepth) {
+  // Pair counts off: the only storage a dirty vote can grow is the stripe
+  // fingerprint and its reconciled sum.
+  ResponseLog striped(256, RetentionPolicy::kCounts);
+  striped.EnableConcurrentIngest(4, /*maintain_pair_counts=*/false);
+  std::vector<VoteEvent> spread;
+  for (uint32_t item = 0; item < 256; ++item) {
+    spread.push_back({0, 0, item, Vote::kDirty});
+  }
+  striped.AppendConcurrent(spread);
+  { auto pause = striped.PauseAndReconcile(); }
+  const size_t shallow_bytes = striped.RetainedBytes();
+
+  std::vector<VoteEvent> pile(40, VoteEvent{1, 1, 7, Vote::kDirty});
+  striped.AppendConcurrent(pile);
+  { auto pause = striped.PauseAndReconcile(); }
+  EXPECT_GT(striped.RetainedBytes(), shallow_bytes);
 }
 
 TEST(ResponseLogConcurrentTest, RetainedBytesCoversStripeShards) {
