@@ -4,13 +4,14 @@
 // on the FP-heavy Restaurant workload and the mixed simulation workload.
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common/ascii.h"
 #include "common/stats.h"
 #include "common/string_util.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
-#include "estimators/chao92.h"
 #include "figure_common.h"
 
 namespace {
@@ -23,25 +24,34 @@ void RunSweep(const char* title, const char* tag,
   dqm::core::SimulatedRun run =
       dqm::core::SimulateScenario(scenario, num_tasks, seed);
   double truth = static_cast<double>(scenario.num_dirty());
-  dqm::AsciiTable table({"shift s", "mid-run est", "final est", "SRMSE"});
-  for (uint32_t shift = 0; shift <= 4; ++shift) {
-    std::vector<double> finals, mids;
-    for (uint64_t p = 0; p < 5; ++p) {
-      dqm::crowd::ResponseLog permuted =
-          dqm::core::PermuteTasks(run.log, seed + p);
-      dqm::estimators::VChao92Estimator estimator(scenario.num_items, shift);
-      std::vector<double> series =
-          dqm::estimators::EstimateSeriesByTask(permuted, estimator);
-      mids.push_back(series[series.size() / 2]);
-      finals.push_back(series.back());
+  // One panel row per shift: vchao92?shift=0 .. shift=4.
+  constexpr uint32_t kMaxShift = 4;
+  std::vector<std::string> specs;
+  for (uint32_t shift = 0; shift <= kMaxShift; ++shift) {
+    specs.push_back(dqm::StrFormat("vchao92?shift=%u", shift));
+  }
+  // mids[s] / finals[s]: shift s's estimate after half / all of the tasks,
+  // one entry per permutation.
+  std::vector<std::vector<double>> mids(specs.size()), finals(specs.size());
+  for (uint64_t p = 0; p < 5; ++p) {
+    dqm::crowd::ResponseLog permuted =
+        dqm::core::PermuteTasks(run.log, seed + p);
+    std::vector<std::vector<double>> series =
+        dqm::core::PanelSeriesByTask(permuted, specs).value();
+    for (size_t s = 0; s < specs.size(); ++s) {
+      mids[s].push_back(series[s][series[s].size() / 2]);
+      finals[s].push_back(series[s].back());
     }
+  }
+  dqm::AsciiTable table({"shift s", "mid-run est", "final est", "SRMSE"});
+  for (uint32_t shift = 0; shift <= kMaxShift; ++shift) {
     table.AddRow({dqm::StrFormat("%u", shift),
-                  dqm::StrFormat("%.1f", dqm::Mean(mids)),
-                  dqm::StrFormat("%.1f", dqm::Mean(finals)),
-                  dqm::StrFormat("%.3f", dqm::ScaledRmse(finals, truth))});
+                  dqm::StrFormat("%.1f", dqm::Mean(mids[shift])),
+                  dqm::StrFormat("%.1f", dqm::Mean(finals[shift])),
+                  dqm::StrFormat("%.3f", dqm::ScaledRmse(finals[shift], truth))});
     json.AddResult(dqm::StrFormat("%s_shift%u", tag, shift),
-                   {{"final_estimate", dqm::Mean(finals)},
-                    {"srmse", dqm::ScaledRmse(finals, truth)},
+                   {{"final_estimate", dqm::Mean(finals[shift])},
+                    {"srmse", dqm::ScaledRmse(finals[shift], truth)},
                     {"truth", truth}});
   }
   std::fputs(table.Render().c_str(), stdout);

@@ -19,51 +19,25 @@
 #include "common/string_util.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
-#include "estimators/switch_total.h"
 #include "figure_common.h"
 
 namespace {
 
-using dqm::estimators::SwitchMemory;
-using dqm::estimators::SwitchNMode;
-using dqm::estimators::SwitchTotalErrorEstimator;
-using dqm::estimators::TiePolicy;
-
+/// A SWITCH design variant, as a registry spec.
 struct Variant {
   std::string name;
-  SwitchTotalErrorEstimator::Config config;
+  std::string spec;
 };
 
 std::vector<Variant> Variants() {
-  std::vector<Variant> variants;
-  Variant base{"default (live, all-votes, tie-switch, 1-sided)", {}};
-  variants.push_back(base);
-
-  Variant frozen = base;
-  frozen.name = "memory: keep frozen switches";
-  frozen.config.tracker.memory = SwitchMemory::kAllSwitches;
-  variants.push_back(frozen);
-
-  Variant species_sum = base;
-  species_sum.name = "n: species sum (paper's first def)";
-  species_sum.config.tracker.n_mode = SwitchNMode::kSpeciesSum;
-  variants.push_back(species_sum);
-
-  Variant strict = base;
-  strict.name = "tie policy: strict majority";
-  strict.config.tracker.tie_policy = TiePolicy::kStrictMajority;
-  variants.push_back(strict);
-
-  Variant two_sided = base;
-  two_sided.name = "correction: two-sided";
-  two_sided.config.two_sided = true;
-  variants.push_back(two_sided);
-
-  Variant no_skew = base;
-  no_skew.name = "no gamma^2 skew correction";
-  no_skew.config.tracker.skew_correction = false;
-  variants.push_back(no_skew);
-  return variants;
+  return {
+      {"default (live, all-votes, tie-switch, 1-sided)", "switch"},
+      {"memory: keep frozen switches", "switch?memory=all"},
+      {"n: species sum (paper's first def)", "switch?n_mode=species"},
+      {"tie policy: strict majority", "switch?tie_policy=strict"},
+      {"correction: two-sided", "switch?two_sided=1"},
+      {"no gamma^2 skew correction", "switch?skew=0"},
+  };
 }
 
 void RunWorkload(const char* title, const char* tag,
@@ -75,25 +49,30 @@ void RunWorkload(const char* title, const char* tag,
       dqm::core::SimulateScenario(scenario, num_tasks, seed);
   double truth = static_cast<double>(scenario.num_dirty());
 
-  dqm::AsciiTable table({"variant", "mid-run est", "final est", "SRMSE"});
-  for (const Variant& variant : Variants()) {
-    // Average over task-order permutations, as in the paper.
-    std::vector<double> finals, mids;
-    for (uint64_t p = 0; p < 5; ++p) {
-      dqm::crowd::ResponseLog permuted =
-          dqm::core::PermuteTasks(run.log, seed + 100 + p);
-      SwitchTotalErrorEstimator estimator(scenario.num_items, variant.config);
-      std::vector<double> series =
-          dqm::estimators::EstimateSeriesByTask(permuted, estimator);
-      mids.push_back(series[series.size() / 2]);
-      finals.push_back(series.back());
+  // Average over task-order permutations, as in the paper; every variant
+  // is one row of the panel each permutation replays through.
+  const std::vector<Variant> variants = Variants();
+  std::vector<std::string> specs;
+  for (const Variant& variant : variants) specs.push_back(variant.spec);
+  std::vector<std::vector<double>> mids(specs.size()), finals(specs.size());
+  for (uint64_t p = 0; p < 5; ++p) {
+    dqm::crowd::ResponseLog permuted =
+        dqm::core::PermuteTasks(run.log, seed + 100 + p);
+    std::vector<std::vector<double>> series =
+        dqm::core::PanelSeriesByTask(permuted, specs).value();
+    for (size_t v = 0; v < specs.size(); ++v) {
+      mids[v].push_back(series[v][series[v].size() / 2]);
+      finals[v].push_back(series[v].back());
     }
-    table.AddRow({variant.name, dqm::StrFormat("%.1f", dqm::Mean(mids)),
-                  dqm::StrFormat("%.1f", dqm::Mean(finals)),
-                  dqm::StrFormat("%.3f", dqm::ScaledRmse(finals, truth))});
-    json.AddResult(std::string(tag) + ":" + variant.name,
-                   {{"final_estimate", dqm::Mean(finals)},
-                    {"srmse", dqm::ScaledRmse(finals, truth)},
+  }
+  dqm::AsciiTable table({"variant", "mid-run est", "final est", "SRMSE"});
+  for (size_t v = 0; v < variants.size(); ++v) {
+    table.AddRow({variants[v].name, dqm::StrFormat("%.1f", dqm::Mean(mids[v])),
+                  dqm::StrFormat("%.1f", dqm::Mean(finals[v])),
+                  dqm::StrFormat("%.3f", dqm::ScaledRmse(finals[v], truth))});
+    json.AddResult(std::string(tag) + ":" + variants[v].name,
+                   {{"final_estimate", dqm::Mean(finals[v])},
+                    {"srmse", dqm::ScaledRmse(finals[v], truth)},
                     {"truth", truth}});
   }
   std::fputs(table.Render().c_str(), stdout);

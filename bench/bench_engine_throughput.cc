@@ -210,7 +210,7 @@ struct TimedRun {
   std::vector<dqm::core::SeriesResult> series;
 };
 
-TimedRun MeasureRunner(const dqm::crowd::ResponseLog& log, size_t num_items,
+TimedRun MeasureRunner(const dqm::crowd::ResponseLog& log,
                        size_t permutations, size_t threads) {
   const std::vector<std::string> specs = {"switch", "chao92", "vchao92",
                                           "voting"};
@@ -218,7 +218,7 @@ TimedRun MeasureRunner(const dqm::crowd::ResponseLog& log, size_t num_items,
       {.permutations = permutations, .seed = 42, .threads = threads});
   TimedRun result;
   Clock::time_point start = Clock::now();
-  result.series = runner.Run(log, num_items, specs).value();
+  result.series = runner.Run(log, specs).value();
   result.seconds = SecondsSince(start);
   return result;
 }
@@ -615,7 +615,7 @@ int main(int argc, char** argv) {
   // --- (c) Parallel ExperimentRunner speedup (bit-identity checked). ---
   std::printf("\n== ExperimentRunner::Run — serial vs pool ==\n");
   size_t r = static_cast<size_t>(*permutations);
-  TimedRun serial = MeasureRunner(run.log, scenario.num_items, r, 1);
+  TimedRun serial = MeasureRunner(run.log, r, 1);
   dqm::AsciiTable runner_table({"threads", "seconds", "speedup", "identical"});
   runner_table.AddRow({"1", dqm::StrFormat("%.3f", serial.seconds), "1.00",
                        "-"});
@@ -624,7 +624,7 @@ int main(int argc, char** argv) {
                                    {"speedup", 1.0}});
   bool all_identical = true;
   for (size_t threads : {4u, 8u}) {
-    TimedRun parallel = MeasureRunner(run.log, scenario.num_items, r, threads);
+    TimedRun parallel = MeasureRunner(run.log, r, threads);
     bool identical = parallel.series.size() == serial.series.size();
     for (size_t f = 0; identical && f < parallel.series.size(); ++f) {
       identical = parallel.series[f].mean == serial.series[f].mean &&

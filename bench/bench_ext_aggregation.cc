@@ -13,7 +13,6 @@
 #include "common/string_util.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
-#include "estimators/em_voting.h"
 #include "figure_common.h"
 
 int main() {
@@ -34,7 +33,7 @@ int main() {
   const std::vector<std::string> specs = {"voting", "em-voting", "switch"};
   dqm::core::ExperimentRunner runner({.permutations = 5, .seed = 11});
   std::vector<dqm::core::SeriesResult> series =
-      runner.Run(run.log, scenario.num_items, specs).value();
+      runner.Run(run.log, specs).value();
 
   dqm::bench::PrintSeriesTable({"VOTING", "EM-VOTING", "SWITCH"}, series, 10,
                                static_cast<double>(scenario.num_dirty()));

@@ -9,11 +9,11 @@
 // even at low coverage; SWITCH handles both regimes.
 
 #include <cstdio>
+#include <span>
 
 #include "common/ascii.h"
 #include "common/stats.h"
 #include "common/string_util.h"
-#include "estimators/registry.h"
 #include "figure_common.h"
 
 namespace {
@@ -23,22 +23,18 @@ namespace {
 std::vector<double> SrmseAt(const dqm::core::Scenario& scenario,
                             size_t num_tasks, uint64_t seed,
                             const std::vector<std::string>& methods, size_t r) {
-  std::vector<dqm::estimators::EstimatorFactory> factories;
-  for (const std::string& method : methods) {
-    factories.push_back(
-        dqm::estimators::EstimatorRegistry::Global().FactoryFor(method)
-            .value());
-  }
   std::vector<std::vector<double>> estimates(methods.size());
   for (size_t rep = 0; rep < r; ++rep) {
     dqm::core::SimulatedRun run =
         dqm::core::SimulateScenario(scenario, num_tasks, seed + rep * 131);
+    dqm::core::DataQualityMetric metric =
+        dqm::core::DataQualityMetric::Create(
+            scenario.num_items, std::span<const std::string>(methods))
+            .value();
+    dqm::bench::FeedLog(metric, run.log);
+    dqm::core::DataQualityMetric::QualityReport report = metric.Report();
     for (size_t m = 0; m < methods.size(); ++m) {
-      auto estimator = factories[m](scenario.num_items);
-      for (const dqm::crowd::VoteEvent& event : run.log.events()) {
-        estimator->Observe(event);
-      }
-      estimates[m].push_back(estimator->Estimate());
+      estimates[m].push_back(report.estimators[m].total_errors);
     }
   }
   std::vector<double> srmse;

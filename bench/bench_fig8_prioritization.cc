@@ -31,13 +31,11 @@ double SwitchSrmse(double heuristic_error, double epsilon, size_t num_tasks,
     truth = static_cast<double>(scenario.num_dirty());
     dqm::core::SimulatedRun run =
         dqm::core::SimulateScenario(scenario, num_tasks, seed + rep * 271);
-    auto estimator = dqm::estimators::EstimatorRegistry::Global()
-                         .Create("switch", scenario.num_items)
-                         .value();
-    for (const dqm::crowd::VoteEvent& event : run.log.events()) {
-      estimator->Observe(event);
-    }
-    estimates.push_back(estimator->Estimate());
+    dqm::core::DataQualityMetric metric =
+        dqm::core::DataQualityMetric::Create(scenario.num_items, {"switch"})
+            .value();
+    dqm::bench::FeedLog(metric, run.log);
+    estimates.push_back(metric.EstimatedTotalErrors());
   }
   return dqm::ScaledRmse(estimates, truth);
 }

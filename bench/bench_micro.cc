@@ -10,10 +10,7 @@
 #include "core/scenario.h"
 #include "dataset/restaurant_generator.h"
 #include "er/blocking.h"
-#include "estimators/chao92.h"
 #include "estimators/f_statistics.h"
-#include "estimators/registry.h"
-#include "estimators/switch_total.h"
 #include "text/levenshtein.h"
 #include "text/similarity.h"
 #include "figure_common.h"
@@ -29,18 +26,15 @@ const dqm::core::SimulatedRun& SharedRun() {
 }
 
 void BM_EstimatorObserve(benchmark::State& state, const char* spec) {
-  const auto& events = SharedRun().log.events();
-  dqm::estimators::EstimatorFactory factory =
-      dqm::estimators::EstimatorRegistry::Global().FactoryFor(spec).value();
+  const dqm::crowd::ResponseLog& log = SharedRun().log;
   for (auto _ : state) {
-    auto estimator = factory(1000);
-    for (const auto& event : events) {
-      estimator->Observe(event);
-    }
-    benchmark::DoNotOptimize(estimator->Estimate());
+    dqm::core::DataQualityMetric metric =
+        dqm::core::DataQualityMetric::Create(1000, {spec}).value();
+    dqm::bench::FeedLog(metric, log);
+    benchmark::DoNotOptimize(metric.EstimatedTotalErrors());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(events.size()));
+                          static_cast<int64_t>(log.num_events()));
 }
 BENCHMARK_CAPTURE(BM_EstimatorObserve, voting, "voting");
 BENCHMARK_CAPTURE(BM_EstimatorObserve, chao92, "chao92");
@@ -48,12 +42,12 @@ BENCHMARK_CAPTURE(BM_EstimatorObserve, vchao92, "vchao92");
 BENCHMARK_CAPTURE(BM_EstimatorObserve, switch_est, "switch");
 
 void BM_EstimateEveryTask(benchmark::State& state) {
-  // Full estimate series (estimate after each of the 500 tasks).
+  // Full SWITCH estimate series (estimate after each of the 500 tasks).
+  const std::vector<std::string> specs = {"switch"};
   for (auto _ : state) {
-    dqm::estimators::SwitchTotalErrorEstimator estimator(1000);
-    std::vector<double> series =
-        dqm::estimators::EstimateSeriesByTask(SharedRun().log, estimator);
-    benchmark::DoNotOptimize(series.back());
+    std::vector<std::vector<double>> series =
+        dqm::core::PanelSeriesByTask(SharedRun().log, specs).value();
+    benchmark::DoNotOptimize(series.front().back());
   }
 }
 BENCHMARK(BM_EstimateEveryTask);

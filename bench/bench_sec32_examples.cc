@@ -9,9 +9,10 @@
 
 #include <cstdio>
 
+#include "core/dqm.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
-#include "estimators/chao92.h"
+#include "estimators/f_statistics.h"
 #include "figure_common.h"
 
 namespace {
@@ -23,29 +24,30 @@ void RunExample(const char* title, const char* tag, double fp_rate,
   dqm::core::Scenario scenario =
       dqm::core::SimulationScenario(fp_rate, 0.1, 20);
   dqm::core::SimulatedRun run = dqm::core::SimulateScenario(scenario, 100, seed);
-  dqm::estimators::Chao92Estimator chao(scenario.num_items,
-                                        /*skew_correction=*/false);
-  for (const dqm::crowd::VoteEvent& event : run.log.events()) {
-    chao.Observe(event);
-  }
+  // Chao92 without the skew correction: the Good-Turing form of Eq. 3.
+  dqm::core::DataQualityMetric chao =
+      dqm::core::DataQualityMetric::Create(scenario.num_items, {"good-turing"})
+          .value();
+  dqm::bench::FeedLog(chao, run.log);
+  double estimate = chao.EstimatedTotalErrors();
+  dqm::estimators::FStatistics f;
+  f.RebuildFromCounts(run.log.positive_counts());
   size_t nominal = run.log.NominalCount();
   std::printf("%s\n", title);
   std::printf("  c_nominal = %zu unique marked errors\n", nominal);
   std::printf("  n+        = %llu positive votes\n",
               static_cast<unsigned long long>(run.log.total_positive_votes()));
   std::printf("  f1        = %llu singletons\n",
-              static_cast<unsigned long long>(
-                  chao.f_statistics().singletons()));
-  std::printf("  D_hat     = %.1f total (remaining = %.1f)\n",
-              chao.Estimate(),
-              chao.Estimate() - static_cast<double>(nominal));
+              static_cast<unsigned long long>(f.singletons()));
+  std::printf("  D_hat     = %.1f total (remaining = %.1f)\n", estimate,
+              estimate - static_cast<double>(nominal));
   std::printf("  truth     = 100 duplicates\n\n");
   json.AddResult(tag,
                  {{"c_nominal", static_cast<double>(nominal)},
                   {"n_positive",
                    static_cast<double>(run.log.total_positive_votes())},
-                  {"f1", static_cast<double>(chao.f_statistics().singletons())},
-                  {"estimate", chao.Estimate()},
+                  {"f1", static_cast<double>(f.singletons())},
+                  {"estimate", estimate},
                   {"truth", 100.0}});
 }
 

@@ -12,7 +12,6 @@
 #include "common/ascii.h"
 #include "common/string_util.h"
 #include "estimators/extrapolation.h"
-#include "estimators/registry.h"
 #include "telemetry/export.h"
 #include "telemetry/metrics.h"
 
@@ -140,6 +139,13 @@ std::string BenchJsonWriter::Render() const {
   return out;
 }
 
+void FeedLog(core::DataQualityMetric& metric, const crowd::ResponseLog& log) {
+  for (const crowd::VoteEvent& event : log.events()) {
+    metric.AddVote(event.task, event.worker, event.item,
+                   event.vote == crowd::Vote::kDirty);
+  }
+}
+
 std::vector<size_t> SampleIndices(size_t n, size_t count) {
   std::vector<size_t> indices;
   if (n == 0) return indices;
@@ -189,21 +195,18 @@ std::vector<double> RunTotalErrorFigure(const FigureSpec& spec) {
       core::SimulateScenario(spec.scenario, spec.num_tasks, spec.seed);
   double truth = static_cast<double>(spec.scenario.num_dirty());
 
-  std::vector<std::pair<std::string, estimators::EstimatorFactory>> factories;
   std::vector<std::string> names;
+  std::vector<std::string> specs;
   for (const auto& [name, estimator_spec] : spec.methods) {
-    // Registry lookup; a typo'd spec in a bench config aborts with the
-    // status message (benches are trusted callers).
-    factories.emplace_back(
-        name, estimators::EstimatorRegistry::Global()
-                  .FactoryFor(estimator_spec)
-                  .value());
     names.push_back(name);
+    specs.push_back(estimator_spec);
   }
   core::ExperimentRunner runner(
       {.permutations = spec.permutations, .seed = spec.seed ^ 0xbeef});
-  std::vector<core::SeriesResult> series =
-      runner.Run(run.log, spec.scenario.num_items, factories);
+  // A typo'd spec in a bench config aborts with the status message
+  // (benches are trusted callers).
+  std::vector<core::SeriesResult> series = runner.Run(run.log, specs).value();
+  for (size_t i = 0; i < names.size(); ++i) series[i].name = names[i];
 
   PrintSeriesTable(names, series, spec.table_points, truth);
 

@@ -42,6 +42,9 @@ std::vector<double> RunTotalErrorFigure(const FigureSpec& spec);
 /// negative switches vs the ground-truth switches still needed.
 void RunSwitchPanels(const FigureSpec& spec);
 
+/// Feeds every vote of `log`, in order, into `metric`.
+void FeedLog(core::DataQualityMetric& metric, const crowd::ResponseLog& log);
+
 /// Prints a mean +/- std series as a sampled table.
 void PrintSeriesTable(const std::vector<std::string>& names,
                       const std::vector<core::SeriesResult>& series,

@@ -25,7 +25,7 @@ DataQualityMetric::DataQualityMetric(size_t num_items,
                                      crowd::RetentionPolicy retention,
                                      PrivateTag)
     : state_(std::make_unique<PipelineState>(num_items, retention)) {
-  state_->shared.log = &state_->log;
+  state_->view.log = &state_->log;
 }
 
 DataQualityMetric::DataQualityMetric(size_t num_items)
@@ -67,8 +67,8 @@ Status DataQualityMetric::AttachSpecs(std::span<const std::string> specs) {
       estimators::EstimatorRegistry::Global();
 
   // Pass 1: parse and resolve every spec so the pipeline knows — before any
-  // estimator is built — whether the shared positive-vote fingerprint must
-  // be maintained.
+  // estimator is built — whether the positive-vote fingerprint must be
+  // maintained.
   std::vector<estimators::EstimatorSpec> parsed;
   parsed.reserve(specs.size());
   for (const std::string& spec : specs) {
@@ -81,15 +81,14 @@ Status DataQualityMetric::AttachSpecs(std::span<const std::string> specs) {
     if (entry->wants_pair_counts) state_->need_pair_counts = true;
     parsed.push_back(std::move(one));
   }
-  state_->shared.positive_f =
+  state_->view.positive_f =
       state_->maintain_positive_f ? &state_->positive_f : nullptr;
 
-  // Pass 2: build each estimator against the shared stats.
-  estimators::EstimatorEnv env{state_->log.num_items(), &state_->shared};
+  // Pass 2: build each estimator against the view.
   for (size_t i = 0; i < parsed.size(); ++i) {
     DQM_ASSIGN_OR_RETURN(
         std::unique_ptr<estimators::TotalErrorEstimator> estimator,
-        registry.Create(parsed[i], env));
+        registry.Create(parsed[i], state_->view));
     rows_.push_back(Row{specs[i], std::move(estimator)});
     if (rows_.back().estimator->needs_observe()) {
       observing_.push_back(rows_.back().estimator.get());
@@ -138,7 +137,8 @@ void DataQualityMetric::AddVote(uint32_t task, uint32_t worker, uint32_t item,
     // Bounds check before the tally read — everywhere else Append's own
     // check fires before any indexing.
     DQM_CHECK_LT(item, state.log.num_items()) << "item id out of range";
-    // Mirror of Chao92Estimator::Observe, keyed on the pre-append count.
+    // The item moves from frequency `count` to `count + 1` (keyed on the
+    // pre-append tally).
     uint32_t count = state.log.positive_votes(item);
     if (count == 0) {
       state.positive_f.AddSingleton();

@@ -77,8 +77,8 @@ class DataQualityMetric {
   // --- Concurrent ingest (the engine's striped commit path) --------------
 
   /// True when this pipeline can ingest from many producer threads at once:
-  /// every attached estimator is a shared-stats scorer (no per-event
-  /// Observe fan-out — order-sensitive estimators like SWITCH need one) and
+  /// no attached estimator needs the per-event Observe fan-out
+  /// (order-sensitive estimators like SWITCH do) and
   /// the log runs kCounts retention. Such panels are producer-order
   /// independent: their state is a function of the per-(worker, item) vote
   /// multiset, so tallies and tally-derived estimates from any commit
@@ -190,7 +190,8 @@ class DataQualityMetric {
     /// Some attached estimator reads the response matrix (EM-VOTING); the
     /// striped ingest path maintains the matrix shards iff set.
     bool need_pair_counts = false;
-    estimators::SharedVoteStats shared;
+    /// What every estimator reads: &log, plus &positive_f when maintained.
+    estimators::VoteStatsView view;
   };
   struct Row {
     std::string spec;
@@ -206,7 +207,7 @@ class DataQualityMetric {
   std::unique_ptr<PipelineState> state_;
   std::vector<Row> rows_;
   /// Estimators whose needs_observe() is true, in row order — the per-event
-  /// fan-out list (shared-state scorers are skipped entirely).
+  /// fan-out list (estimators that only read the view are skipped).
   std::vector<estimators::TotalErrorEstimator*> observing_;
 };
 

@@ -62,6 +62,31 @@ crowd::ResponseLog PermuteTasks(const crowd::ResponseLog& log, uint64_t seed) {
   return permuted;
 }
 
+Result<std::vector<std::vector<double>>> PanelSeriesByTask(
+    const crowd::ResponseLog& log, std::span<const std::string> specs) {
+  DQM_ASSIGN_OR_RETURN(
+      DataQualityMetric metric,
+      DataQualityMetric::Create(log.num_items(), specs,
+                                crowd::RetentionPolicy::kCounts));
+  std::vector<std::vector<double>> series(specs.size());
+  DataQualityMetric::QualityReport report;
+  auto sample = [&] {
+    metric.ReportInto(report);
+    for (size_t s = 0; s < specs.size(); ++s) {
+      series[s].push_back(report.estimators[s].total_errors);
+    }
+  };
+  const std::vector<crowd::VoteEvent>& events = log.events();
+  for (size_t e = 0; e < events.size(); ++e) {
+    const crowd::VoteEvent& event = events[e];
+    if (e > 0 && event.task != events[e - 1].task) sample();
+    metric.AddVote(event.task, event.worker, event.item,
+                   event.vote == crowd::Vote::kDirty);
+  }
+  if (!events.empty()) sample();
+  return series;
+}
+
 SimulatedRun SimulateScenario(const Scenario& scenario, size_t num_tasks,
                               uint64_t seed) {
   std::vector<bool> truth = BuildTruth(scenario, seed);
@@ -72,50 +97,34 @@ SimulatedRun SimulateScenario(const Scenario& scenario, size_t num_tasks,
   return SimulatedRun{std::move(log), std::move(truth)};
 }
 
-std::vector<SeriesResult> ExperimentRunner::Run(
-    const crowd::ResponseLog& log, size_t num_items,
-    const std::vector<std::pair<std::string, estimators::EstimatorFactory>>&
-        factories) const {
+Result<std::vector<SeriesResult>> ExperimentRunner::Run(
+    const crowd::ResponseLog& log, std::span<const std::string> specs) const {
   DQM_CHECK_GT(config_.permutations, 0u);
-  // rows[f][p] = series of estimator f on permutation p. Each permutation
-  // writes only its own p-slots, so the replays are embarrassingly parallel
-  // and the aggregate below sees the same layout regardless of thread count.
-  std::vector<std::vector<std::vector<double>>> rows(
-      factories.size(), std::vector<std::vector<double>>(config_.permutations));
+  // Validate the specs once so a bad one fails here, not mid-replay.
+  DQM_RETURN_NOT_OK(DataQualityMetric::Create(1, specs).status());
+  // runs[p] = per-spec series on permutation p. Each permutation writes only
+  // its own slot, so the replays are embarrassingly parallel and the
+  // aggregate below sees the same layout regardless of thread count.
+  std::vector<std::vector<std::vector<double>>> runs(config_.permutations);
   auto replay = [&](size_t p) {
     crowd::ResponseLog permuted =
         PermuteTasks(log, PermutationSeed(config_.seed, p));
-    for (size_t f = 0; f < factories.size(); ++f) {
-      std::unique_ptr<estimators::TotalErrorEstimator> estimator =
-          factories[f].second(num_items);
-      rows[f][p] = estimators::EstimateSeriesByTask(permuted, *estimator);
-    }
+    runs[p] = PanelSeriesByTask(permuted, specs).value();
   };
   std::optional<ThreadPool> pool = MakeReplayPool(config_, config_.permutations);
   ParallelFor(pool ? &*pool : nullptr, config_.permutations, replay);
   std::vector<SeriesResult> results;
-  results.reserve(factories.size());
-  for (size_t f = 0; f < factories.size(); ++f) {
-    SeriesBand band = AggregateSeries(rows[f]);
+  results.reserve(specs.size());
+  for (size_t s = 0; s < specs.size(); ++s) {
+    std::vector<std::vector<double>> rows(config_.permutations);
+    for (size_t p = 0; p < config_.permutations; ++p) {
+      rows[p] = std::move(runs[p][s]);
+    }
+    SeriesBand band = AggregateSeries(rows);
     results.push_back(
-        SeriesResult{factories[f].first, std::move(band.mean),
-                     std::move(band.std_dev)});
+        SeriesResult{specs[s], std::move(band.mean), std::move(band.std_dev)});
   }
   return results;
-}
-
-Result<std::vector<SeriesResult>> ExperimentRunner::Run(
-    const crowd::ResponseLog& log, size_t num_items,
-    std::span<const std::string> specs) const {
-  std::vector<std::pair<std::string, estimators::EstimatorFactory>> factories;
-  factories.reserve(specs.size());
-  for (const std::string& spec : specs) {
-    DQM_ASSIGN_OR_RETURN(
-        estimators::EstimatorFactory factory,
-        estimators::EstimatorRegistry::Global().FactoryFor(spec));
-    factories.emplace_back(spec, std::move(factory));
-  }
-  return Run(log, num_items, factories);
 }
 
 Result<ExperimentRunner::WorkloadReport> ExperimentRunner::RunWorkload(

@@ -11,7 +11,6 @@
 #include "common/stats.h"
 #include "core/scenario.h"
 #include "crowd/response_log.h"
-#include "estimators/estimator.h"
 #include "estimators/switch_total.h"
 #include "estimators/switch_tracker.h"
 
@@ -28,6 +27,13 @@ crowd::ResponseLog PermuteTasks(const crowd::ResponseLog& log, uint64_t seed);
 /// index), never on evaluation order, so serial and pool-parallel replays of
 /// the same config are bit-identical.
 uint64_t PermutationSeed(uint64_t base, size_t index);
+
+/// Replays `log` once through one multi-estimator panel built from `specs`
+/// (kCounts retention) and returns series[s][t] = spec s's estimate after
+/// tasks 0..t inclusive, sampled at every task boundary. Empty series for
+/// an empty log. Fails on unknown names or bad params.
+Result<std::vector<std::vector<double>>> PanelSeriesByTask(
+    const crowd::ResponseLog& log, std::span<const std::string> specs);
 
 /// Simulates `num_tasks` tasks of `scenario` and returns the log plus the
 /// hidden truth (for ground-truth lines in reports).
@@ -61,19 +67,14 @@ class ExperimentRunner {
 
   explicit ExperimentRunner(const Config& config) : config_(config) {}
 
-  /// For each named factory: replays `permutations` shuffles of `log` and
-  /// aggregates the per-task estimate series into mean/std. All series share
-  /// the x grid 1..num_tasks.
-  std::vector<SeriesResult> Run(
-      const crowd::ResponseLog& log, size_t num_items,
-      const std::vector<std::pair<std::string, estimators::EstimatorFactory>>&
-          factories) const;
-
-  /// As above with the estimator lineup drawn from the registry: one series
-  /// per spec string ("switch", "vchao92?shift=2", ...), named after the
-  /// spec. Fails up front on unknown names or bad params.
+  /// Replays `permutations` shuffles of `log`, each through one
+  /// multi-estimator panel built from `specs` (kCounts retention), and
+  /// aggregates each spec's per-task estimate series into mean/std: one
+  /// series per spec, named after the spec, on the x grid 1..num_tasks
+  /// (index t = estimate after tasks 0..t inclusive). Fails up front on
+  /// unknown names or bad params.
   Result<std::vector<SeriesResult>> Run(
-      const crowd::ResponseLog& log, size_t num_items,
+      const crowd::ResponseLog& log,
       std::span<const std::string> specs) const;
 
   /// One estimator's final numbers on one generated workload.

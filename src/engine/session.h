@@ -205,8 +205,9 @@ class SessionDurability;
 ///
 /// ## Commit paths
 ///
-/// *Striped* (producer-order-independent panels — every estimator a
-/// shared-stats scorer: CHAO92 family, VOTING, NOMINAL, EM-VOTING — under
+/// *Striped* (producer-order-independent panels — every estimator reads
+/// only the pipeline's VoteStatsView: CHAO92 family, VOTING, NOMINAL,
+/// EM-VOTING — under
 /// the serving kCounts retention): `AddVotes` commits tallies into
 /// per-item-range stripes of the shared log, each with its own lock, so N
 /// producers ingest into ONE session concurrently; the publish path pauses

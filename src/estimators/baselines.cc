@@ -1,71 +1,19 @@
 #include "estimators/baselines.h"
 
-#include <memory>
-
 #include "common/logging.h"
 #include "estimators/registry.h"
 
 namespace dqm::estimators {
 
-NominalEstimator::NominalEstimator(size_t num_items)
-    : positive_(num_items, 0) {}
-
-void NominalEstimator::Observe(const crowd::VoteEvent& event) {
-  DQM_CHECK_LT(event.item, positive_.size());
-  if (event.vote == crowd::Vote::kDirty) {
-    if (positive_[event.item] == 0) ++count_;
-    ++positive_[event.item];
-  }
+// The ResponseLog already maintains exactly these counts, so the rows are
+// free: no per-event work, no duplicated tallies.
+double NominalScore(const VoteStatsView& view) {
+  return static_cast<double>(view.log->NominalCount());
 }
 
-VotingEstimator::VotingEstimator(size_t num_items)
-    : positive_(num_items, 0), total_(num_items, 0) {}
-
-void VotingEstimator::Observe(const crowd::VoteEvent& event) {
-  DQM_CHECK_LT(event.item, positive_.size());
-  size_t item = event.item;
-  bool was_majority = MajorityDirty(item);
-  ++total_[item];
-  if (event.vote == crowd::Vote::kDirty) ++positive_[item];
-  bool is_majority = MajorityDirty(item);
-  if (is_majority && !was_majority) ++count_;
-  if (!is_majority && was_majority) --count_;
+double VotingScore(const VoteStatsView& view) {
+  return static_cast<double>(view.log->MajorityCount());
 }
-
-namespace {
-
-/// Pipeline forms of the descriptive baselines: the ResponseLog already
-/// maintains exactly these counts, so attached to shared stats the rows are
-/// free — no per-event work, no duplicated tallies.
-class SharedVotingScorer : public TotalErrorEstimator {
- public:
-  explicit SharedVotingScorer(const crowd::ResponseLog* log) : log_(log) {}
-  void Observe(const crowd::VoteEvent&) override {}
-  bool needs_observe() const override { return false; }
-  double Estimate() const override {
-    return static_cast<double>(log_->MajorityCount());
-  }
-  std::string_view name() const override { return "VOTING"; }
-
- private:
-  const crowd::ResponseLog* log_;
-};
-
-class SharedNominalScorer : public TotalErrorEstimator {
- public:
-  explicit SharedNominalScorer(const crowd::ResponseLog* log) : log_(log) {}
-  void Observe(const crowd::VoteEvent&) override {}
-  bool needs_observe() const override { return false; }
-  double Estimate() const override {
-    return static_cast<double>(log_->NominalCount());
-  }
-  std::string_view name() const override { return "NOMINAL"; }
-
- private:
-  const crowd::ResponseLog* log_;
-};
-
-}  // namespace
 
 void internal::RegisterBuiltinBaselines(EstimatorRegistry& registry) {
   // The descriptive counts depend only on the per-item tallies, survive
@@ -81,34 +29,14 @@ void internal::RegisterBuiltinBaselines(EstimatorRegistry& registry) {
       .display_name = "VOTING",
       .help = "majority-consensus count (descriptive); no params",
       .traits = descriptive_traits,
-      .factory = [](const EstimatorEnv& env, const EstimatorSpec& spec)
-          -> Result<std::unique_ptr<TotalErrorEstimator>> {
-        SpecParamReader params(spec);
-        DQM_RETURN_NOT_OK(params.VerifyAllConsumed());
-        if (env.shared != nullptr) {
-          return std::unique_ptr<TotalErrorEstimator>(
-              std::make_unique<SharedVotingScorer>(env.shared->log));
-        }
-        return std::unique_ptr<TotalErrorEstimator>(
-            std::make_unique<VotingEstimator>(env.num_items));
-      }});
+      .factory = ParameterlessScorer("VOTING", VotingScore)});
   DQM_CHECK(status.ok()) << status.ToString();
   status = registry.Register(EstimatorRegistry::Entry{
       .name = "nominal",
       .display_name = "NOMINAL",
       .help = "at-least-one-dirty-vote count (descriptive); no params",
       .traits = descriptive_traits,
-      .factory = [](const EstimatorEnv& env, const EstimatorSpec& spec)
-          -> Result<std::unique_ptr<TotalErrorEstimator>> {
-        SpecParamReader params(spec);
-        DQM_RETURN_NOT_OK(params.VerifyAllConsumed());
-        if (env.shared != nullptr) {
-          return std::unique_ptr<TotalErrorEstimator>(
-              std::make_unique<SharedNominalScorer>(env.shared->log));
-        }
-        return std::unique_ptr<TotalErrorEstimator>(
-            std::make_unique<NominalEstimator>(env.num_items));
-      }});
+      .factory = ParameterlessScorer("NOMINAL", NominalScore)});
   DQM_CHECK(status.ok()) << status.ToString();
 }
 

@@ -1,9 +1,6 @@
 #ifndef DQM_ESTIMATORS_BASELINES_H_
 #define DQM_ESTIMATORS_BASELINES_H_
 
-#include <cstdint>
-#include <vector>
-
 #include "estimators/estimator.h"
 
 namespace dqm::estimators {
@@ -11,42 +8,12 @@ namespace dqm::estimators {
 /// NOMINAL (Section 2.2.1): counts the records marked dirty by at least one
 /// worker. Descriptive — neither forward-looking nor robust to false
 /// positives.
-class NominalEstimator : public TotalErrorEstimator {
- public:
-  explicit NominalEstimator(size_t num_items);
-
-  void Observe(const crowd::VoteEvent& event) override;
-  double Estimate() const override { return static_cast<double>(count_); }
-  std::string_view name() const override { return "NOMINAL"; }
-
- private:
-  std::vector<uint32_t> positive_;
-  size_t count_ = 0;
-};
+double NominalScore(const VoteStatsView& view);
 
 /// VOTING (Section 2.2.2): the current majority consensus — records where
 /// strictly more workers said dirty than clean. The paper's strongest
 /// descriptive baseline and the quantity the SWITCH estimator corrects.
-class VotingEstimator : public TotalErrorEstimator {
- public:
-  explicit VotingEstimator(size_t num_items);
-
-  void Observe(const crowd::VoteEvent& event) override;
-  double Estimate() const override { return static_cast<double>(count_); }
-  std::string_view name() const override { return "VOTING"; }
-
-  /// c_majority as an integer (used by vChao92).
-  size_t MajorityCount() const { return count_; }
-
- private:
-  bool MajorityDirty(size_t item) const {
-    return positive_[item] * 2 > total_[item];
-  }
-
-  std::vector<uint32_t> positive_;
-  std::vector<uint32_t> total_;
-  size_t count_ = 0;
-};
+double VotingScore(const VoteStatsView& view);
 
 }  // namespace dqm::estimators
 

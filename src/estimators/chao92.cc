@@ -7,209 +7,44 @@
 
 namespace dqm::estimators {
 
-Chao92Estimator::Chao92Estimator(size_t num_items, bool skew_correction)
-    : positive_(num_items, 0), skew_correction_(skew_correction) {}
-
-void Chao92Estimator::Observe(const crowd::VoteEvent& event) {
-  DQM_CHECK_LT(event.item, positive_.size());
-  if (event.vote != crowd::Vote::kDirty) return;  // clean votes are no-ops
-  uint32_t& count = positive_[event.item];
-  if (count == 0) {
-    f_.AddSingleton();
-  } else {
-    f_.Promote(count);
-  }
-  ++count;
+double Chao92Score(const VoteStatsView& view, bool skew_correction) {
+  const FStatistics& f = *view.positive_f;
+  return Chao92Point(f.NumSpecies(), f.singletons(), f.TotalObservations(),
+                     f.SumIiMinus1(), skew_correction);
 }
 
-double Chao92Estimator::Estimate() const {
-  return Chao92Point(f_.NumSpecies(), f_.singletons(),
-                     f_.TotalObservations(), f_.SumIiMinus1(),
-                     skew_correction_);
-}
-
-Chao1Estimator::Chao1Estimator(size_t num_items) : positive_(num_items, 0) {}
-
-void Chao1Estimator::Observe(const crowd::VoteEvent& event) {
-  DQM_CHECK_LT(event.item, positive_.size());
-  if (event.vote != crowd::Vote::kDirty) return;
-  uint32_t& count = positive_[event.item];
-  if (count == 0) {
-    f_.AddSingleton();
-  } else {
-    f_.Promote(count);
-  }
-  ++count;
-}
-
-double Chao1Estimator::Estimate() const {
-  double c = static_cast<double>(f_.NumSpecies());
-  double f1 = static_cast<double>(f_.singletons());
-  double f2 = static_cast<double>(f_.f(2));
+double Chao1Score(const VoteStatsView& view) {
+  const FStatistics& f = *view.positive_f;
+  double c = static_cast<double>(f.NumSpecies());
+  double f1 = static_cast<double>(f.singletons());
+  double f2 = static_cast<double>(f.f(2));
   return c + f1 * (f1 - 1.0) / (2.0 * (f2 + 1.0));
 }
 
-JackknifeEstimator::JackknifeEstimator(size_t num_items)
-    : positive_(num_items, 0) {}
-
-void JackknifeEstimator::Observe(const crowd::VoteEvent& event) {
-  DQM_CHECK_LT(event.item, positive_.size());
-  if (event.vote != crowd::Vote::kDirty) return;
-  uint32_t& count = positive_[event.item];
-  if (count == 0) {
-    f_.AddSingleton();
-  } else {
-    f_.Promote(count);
-  }
-  ++count;
-}
-
-double JackknifeEstimator::Estimate() const {
-  uint64_t n = f_.TotalObservations();
+double Jackknife1Score(const VoteStatsView& view) {
+  const FStatistics& f = *view.positive_f;
+  uint64_t n = f.TotalObservations();
   if (n == 0) return 0.0;
   double nd = static_cast<double>(n);
-  return static_cast<double>(f_.NumSpecies()) +
-         static_cast<double>(f_.singletons()) * (nd - 1.0) / nd;
+  return static_cast<double>(f.NumSpecies()) +
+         static_cast<double>(f.singletons()) * (nd - 1.0) / nd;
 }
 
-VChao92Estimator::VChao92Estimator(size_t num_items, uint32_t shift,
-                                   bool skew_correction)
-    : voting_(num_items),
-      positive_(num_items, 0),
-      shift_(shift),
-      skew_correction_(skew_correction) {}
-
-void VChao92Estimator::Observe(const crowd::VoteEvent& event) {
-  DQM_CHECK_LT(event.item, positive_.size());
-  voting_.Observe(event);
-  if (event.vote != crowd::Vote::kDirty) return;
-  uint32_t& count = positive_[event.item];
-  if (count == 0) {
-    f_.AddSingleton();
-  } else {
-    f_.Promote(count);
-  }
-  ++count;
-  ++total_positive_;
-}
-
-double VChao92Estimator::Estimate() const {
-  FStatistics::ShiftedView view = f_.Shifted(shift_, total_positive_);
+double VChao92Score(const VoteStatsView& view, uint32_t shift,
+                    bool skew_correction) {
+  FStatistics::ShiftedView shifted =
+      view.positive_f->Shifted(shift, view.log->total_positive_votes());
   // c_majority replaces c_nominal (Eq. 6); the f-statistics and the skew
   // term come from the shifted fingerprint.
-  uint64_t c = voting_.MajorityCount();
+  uint64_t c = view.log->MajorityCount();
   if (c == 0) {
     // No majority-dirty records yet; fall back to the shifted species count
     // so the estimate is still defined in the earliest tasks.
-    c = view.c;
+    c = shifted.c;
   }
-  return Chao92Point(c, view.f1, view.n, view.sum_ii1, skew_correction_);
+  return Chao92Point(c, shifted.f1, shifted.n, shifted.sum_ii1,
+                     skew_correction);
 }
-
-namespace {
-
-/// Pipeline forms of the species-family estimators: Chao92, Good-Turing,
-/// Chao1, Jackknife1 and vChao92 all consume the exact same positive-vote
-/// fingerprint, so attached to shared stats they are pure scorers — the
-/// pipeline maintains one FStatistics and each row only differs in how it
-/// turns the fingerprint into an estimate.
-class SharedChao92Scorer : public TotalErrorEstimator {
- public:
-  SharedChao92Scorer(const FStatistics* f, bool skew_correction)
-      : f_(f), skew_correction_(skew_correction) {}
-  void Observe(const crowd::VoteEvent&) override {}
-  bool needs_observe() const override { return false; }
-  double Estimate() const override {
-    return Chao92Point(f_->NumSpecies(), f_->singletons(),
-                       f_->TotalObservations(), f_->SumIiMinus1(),
-                       skew_correction_);
-  }
-  std::string_view name() const override {
-    return skew_correction_ ? "CHAO92" : "GOOD-TURING";
-  }
-
- private:
-  const FStatistics* f_;
-  bool skew_correction_;
-};
-
-class SharedChao1Scorer : public TotalErrorEstimator {
- public:
-  explicit SharedChao1Scorer(const FStatistics* f) : f_(f) {}
-  void Observe(const crowd::VoteEvent&) override {}
-  bool needs_observe() const override { return false; }
-  double Estimate() const override {
-    double c = static_cast<double>(f_->NumSpecies());
-    double f1 = static_cast<double>(f_->singletons());
-    double f2 = static_cast<double>(f_->f(2));
-    return c + f1 * (f1 - 1.0) / (2.0 * (f2 + 1.0));
-  }
-  std::string_view name() const override { return "CHAO1"; }
-
- private:
-  const FStatistics* f_;
-};
-
-class SharedJackknifeScorer : public TotalErrorEstimator {
- public:
-  explicit SharedJackknifeScorer(const FStatistics* f) : f_(f) {}
-  void Observe(const crowd::VoteEvent&) override {}
-  bool needs_observe() const override { return false; }
-  double Estimate() const override {
-    uint64_t n = f_->TotalObservations();
-    if (n == 0) return 0.0;
-    double nd = static_cast<double>(n);
-    return static_cast<double>(f_->NumSpecies()) +
-           static_cast<double>(f_->singletons()) * (nd - 1.0) / nd;
-  }
-  std::string_view name() const override { return "JACKKNIFE1"; }
-
- private:
-  const FStatistics* f_;
-};
-
-class SharedVChao92Scorer : public TotalErrorEstimator {
- public:
-  SharedVChao92Scorer(const crowd::ResponseLog* log, const FStatistics* f,
-                      uint32_t shift, bool skew_correction)
-      : log_(log), f_(f), shift_(shift), skew_correction_(skew_correction) {}
-  void Observe(const crowd::VoteEvent&) override {}
-  bool needs_observe() const override { return false; }
-  double Estimate() const override {
-    FStatistics::ShiftedView view =
-        f_->Shifted(shift_, log_->total_positive_votes());
-    uint64_t c = log_->MajorityCount();
-    if (c == 0) c = view.c;
-    return Chao92Point(c, view.f1, view.n, view.sum_ii1, skew_correction_);
-  }
-  std::string_view name() const override { return "V-CHAO"; }
-
- private:
-  const crowd::ResponseLog* log_;
-  const FStatistics* f_;
-  uint32_t shift_;
-  bool skew_correction_;
-};
-
-/// True when the env provides a maintained positive-vote fingerprint.
-bool HasSharedFingerprint(const EstimatorEnv& env) {
-  return env.shared != nullptr && env.shared->positive_f != nullptr;
-}
-
-template <typename Standalone, typename Scorer>
-Result<std::unique_ptr<TotalErrorEstimator>> MakeFingerprintEstimator(
-    const EstimatorEnv& env, const EstimatorSpec& spec) {
-  SpecParamReader params(spec);
-  DQM_RETURN_NOT_OK(params.VerifyAllConsumed());
-  if (HasSharedFingerprint(env)) {
-    return std::unique_ptr<TotalErrorEstimator>(
-        std::make_unique<Scorer>(env.shared->positive_f));
-  }
-  return std::unique_ptr<TotalErrorEstimator>(
-      std::make_unique<Standalone>(env.num_items));
-}
-
-}  // namespace
 
 void internal::RegisterBuiltinChaoFamily(EstimatorRegistry& registry) {
   // Every member of the species family scores a function of the per-item
@@ -228,36 +63,19 @@ void internal::RegisterBuiltinChaoFamily(EstimatorRegistry& registry) {
       .help = "Chao92 species estimate with skew correction; no params",
       .wants_positive_fingerprint = true,
       .traits = kFingerprintTraits,
-      .factory = [](const EstimatorEnv& env, const EstimatorSpec& spec)
-          -> Result<std::unique_ptr<TotalErrorEstimator>> {
-        SpecParamReader params(spec);
-        DQM_RETURN_NOT_OK(params.VerifyAllConsumed());
-        if (HasSharedFingerprint(env)) {
-          return std::unique_ptr<TotalErrorEstimator>(
-              std::make_unique<SharedChao92Scorer>(env.shared->positive_f,
-                                                   true));
-        }
-        return std::unique_ptr<TotalErrorEstimator>(
-            std::make_unique<Chao92Estimator>(env.num_items, true));
-      }}));
+      .factory = ParameterlessScorer("CHAO92", [](const VoteStatsView& view) {
+        return Chao92Score(view, /*skew_correction=*/true);
+      })}));
   check(registry.Register(EstimatorRegistry::Entry{
       .name = "good-turing",
       .display_name = "GOOD-TURING",
       .help = "Chao92 without the skew correction (Eq. 3); no params",
       .wants_positive_fingerprint = true,
       .traits = kFingerprintTraits,
-      .factory = [](const EstimatorEnv& env, const EstimatorSpec& spec)
-          -> Result<std::unique_ptr<TotalErrorEstimator>> {
-        SpecParamReader params(spec);
-        DQM_RETURN_NOT_OK(params.VerifyAllConsumed());
-        if (HasSharedFingerprint(env)) {
-          return std::unique_ptr<TotalErrorEstimator>(
-              std::make_unique<SharedChao92Scorer>(env.shared->positive_f,
-                                                   false));
-        }
-        return std::unique_ptr<TotalErrorEstimator>(
-            std::make_unique<Chao92Estimator>(env.num_items, false));
-      }}));
+      .factory =
+          ParameterlessScorer("GOOD-TURING", [](const VoteStatsView& view) {
+            return Chao92Score(view, /*skew_correction=*/false);
+          })}));
   check(registry.RegisterAlias("goodturing", "good-turing"));
   check(registry.Register(EstimatorRegistry::Entry{
       .name = "vchao92",
@@ -266,19 +84,17 @@ void internal::RegisterBuiltinChaoFamily(EstimatorRegistry& registry) {
               "skew=<bool> (default 1)",
       .wants_positive_fingerprint = true,
       .traits = kFingerprintTraits,
-      .factory = [](const EstimatorEnv& env, const EstimatorSpec& spec)
+      .factory = [](const VoteStatsView& view, const EstimatorSpec& spec)
           -> Result<std::unique_ptr<TotalErrorEstimator>> {
         SpecParamReader params(spec);
         DQM_ASSIGN_OR_RETURN(uint32_t shift, params.GetUint32("shift", 1));
         DQM_ASSIGN_OR_RETURN(bool skew, params.GetBool("skew", true));
         DQM_RETURN_NOT_OK(params.VerifyAllConsumed());
-        if (HasSharedFingerprint(env)) {
-          return std::unique_ptr<TotalErrorEstimator>(
-              std::make_unique<SharedVChao92Scorer>(
-                  env.shared->log, env.shared->positive_f, shift, skew));
-        }
         return std::unique_ptr<TotalErrorEstimator>(
-            std::make_unique<VChao92Estimator>(env.num_items, shift, skew));
+            std::make_unique<VoteStatsScorer>(
+                "V-CHAO", view, [shift, skew](const VoteStatsView& v) {
+                  return VChao92Score(v, shift, skew);
+                }));
       }}));
   check(registry.RegisterAlias("v-chao", "vchao92"));
   check(registry.Register(EstimatorRegistry::Entry{
@@ -287,15 +103,14 @@ void internal::RegisterBuiltinChaoFamily(EstimatorRegistry& registry) {
       .help = "Chao1 abundance lower bound; no params",
       .wants_positive_fingerprint = true,
       .traits = kFingerprintTraits,
-      .factory = MakeFingerprintEstimator<Chao1Estimator, SharedChao1Scorer>}));
+      .factory = ParameterlessScorer("CHAO1", Chao1Score)}));
   check(registry.Register(EstimatorRegistry::Entry{
       .name = "jackknife1",
       .display_name = "JACKKNIFE1",
       .help = "first-order jackknife species estimate; no params",
       .wants_positive_fingerprint = true,
       .traits = kFingerprintTraits,
-      .factory = MakeFingerprintEstimator<JackknifeEstimator,
-                                          SharedJackknifeScorer>}));
+      .factory = ParameterlessScorer("JACKKNIFE1", Jackknife1Score)}));
   check(registry.RegisterAlias("jackknife", "jackknife1"));
 }
 

@@ -2,41 +2,25 @@
 #define DQM_ESTIMATORS_CHAO92_H_
 
 #include <cstdint>
-#include <vector>
 
-#include "estimators/baselines.h"
 #include "estimators/estimator.h"
-#include "estimators/f_statistics.h"
 
 namespace dqm::estimators {
 
-/// Chao92 applied to error estimation (Section 3.2): species = distinct
-/// records marked dirty, frequency = number of dirty votes a record has
-/// received, n = n^+ (positive votes only; clean votes are no-ops under the
-/// no-false-positive model).
+// The species family. Each estimator is a pure function of the counts on
+// the log and the positive-vote fingerprint (view.positive_f, which must be
+// set): a species is a record marked dirty, its frequency the number of
+// dirty votes it has received, and n = n^+ (positive votes only; clean
+// votes are no-ops under the no-false-positive model).
+
+/// Chao92 applied to error estimation (Section 3.2):
 ///
 ///   D_hat = c / C_hat + f1 * gamma^2 / C_hat,   C_hat = 1 - f1 / n^+
 ///
 /// `skew_correction` off gives the D_noskew / Good-Turing form (Eq. 3).
 /// As the paper shows, this estimator is accurate without false positives
 /// and overestimates badly with them (the singleton-error entanglement).
-class Chao92Estimator : public TotalErrorEstimator {
- public:
-  explicit Chao92Estimator(size_t num_items, bool skew_correction = true);
-
-  void Observe(const crowd::VoteEvent& event) override;
-  double Estimate() const override;
-  std::string_view name() const override {
-    return skew_correction_ ? "CHAO92" : "GOOD-TURING";
-  }
-
-  const FStatistics& f_statistics() const { return f_; }
-
- private:
-  std::vector<uint32_t> positive_;
-  FStatistics f_;
-  bool skew_correction_;
-};
+double Chao92Score(const VoteStatsView& view, bool skew_correction);
 
 /// Chao1 species lower bound (bias-corrected form):
 ///   D = c + f1 * (f1 - 1) / (2 * (f2 + 1)).
@@ -44,61 +28,22 @@ class Chao92Estimator : public TotalErrorEstimator {
 /// in the paper's evaluation but the natural extra baseline — it shares
 /// Chao92's singleton sensitivity (and therefore its false-positive
 /// fragility), which the robustness ablation quantifies.
-class Chao1Estimator : public TotalErrorEstimator {
- public:
-  explicit Chao1Estimator(size_t num_items);
-
-  void Observe(const crowd::VoteEvent& event) override;
-  double Estimate() const override;
-  std::string_view name() const override { return "CHAO1"; }
-
- private:
-  std::vector<uint32_t> positive_;
-  FStatistics f_;
-};
+double Chao1Score(const VoteStatsView& view);
 
 /// First-order jackknife species estimator, D_jk1 = c + f1 * (n-1)/n.
 /// Not part of the paper's evaluation; included as an additional species
 /// baseline for the robustness ablation (same f-statistics, different
 /// functional form, same singleton sensitivity).
-class JackknifeEstimator : public TotalErrorEstimator {
- public:
-  explicit JackknifeEstimator(size_t num_items);
-
-  void Observe(const crowd::VoteEvent& event) override;
-  double Estimate() const override;
-  std::string_view name() const override { return "JACKKNIFE1"; }
-
- private:
-  std::vector<uint32_t> positive_;
-  FStatistics f_;
-};
+double Jackknife1Score(const VoteStatsView& view);
 
 /// vChao92 (Section 3.3): Chao92 made more robust to false positives by
 /// (a) using c_majority instead of c_nominal and (b) shifting the
-/// f-statistics by `s` — f_{1+s} plays the role of f_1 and
+/// f-statistics by `shift` = s — f_{1+s} plays the role of f_1 and
 /// n^{+,s} = n^+ - sum_{i<=s} f_i. Converges more slowly and requires
 /// choosing `s`; may not converge to the ground truth at all (the
 /// shortcomings that motivate SWITCH).
-class VChao92Estimator : public TotalErrorEstimator {
- public:
-  explicit VChao92Estimator(size_t num_items, uint32_t shift = 1,
-                            bool skew_correction = true);
-
-  void Observe(const crowd::VoteEvent& event) override;
-  double Estimate() const override;
-  std::string_view name() const override { return "V-CHAO"; }
-
-  uint32_t shift() const { return shift_; }
-
- private:
-  VotingEstimator voting_;
-  std::vector<uint32_t> positive_;
-  FStatistics f_;
-  uint64_t total_positive_ = 0;
-  uint32_t shift_;
-  bool skew_correction_;
-};
+double VChao92Score(const VoteStatsView& view, uint32_t shift,
+                    bool skew_correction);
 
 }  // namespace dqm::estimators
 

@@ -6,22 +6,16 @@
 
 namespace dqm::estimators {
 
-EmVotingEstimator::EmVotingEstimator(
-    size_t num_items, const crowd::DawidSkene::Options& options,
-    bool warm_start)
-    : em_(options),
-      log_(num_items, crowd::RetentionPolicy::kCounts),
-      warm_start_(warm_start) {}
-
-void EmVotingEstimator::Observe(const crowd::VoteEvent& event) {
-  log_.Append(event);
-}
+EmVotingEstimator::EmVotingEstimator(const crowd::ResponseLog& log,
+                                     const crowd::DawidSkene::Options& options,
+                                     bool warm_start)
+    : em_(options), log_(&log), warm_start_(warm_start) {}
 
 const crowd::DawidSkene::Result& EmVotingEstimator::FitResult() const {
-  if (cached_at_votes_ != log_.num_events()) {
+  if (cached_at_votes_ != log_->num_events()) {
     if (!warm_start_) state_ = crowd::DawidSkene::Result();
-    last_fit_sweeps_ = em_.FitIncremental(log_, state_, workspace_);
-    cached_at_votes_ = log_.num_events();
+    last_fit_sweeps_ = em_.FitIncremental(*log_, state_, workspace_);
+    cached_at_votes_ = log_->num_events();
   }
   return state_;
 }
@@ -29,40 +23,6 @@ const crowd::DawidSkene::Result& EmVotingEstimator::FitResult() const {
 double EmVotingEstimator::Estimate() const {
   return static_cast<double>(crowd::DawidSkene::DirtyCount(FitResult()));
 }
-
-namespace {
-
-/// Pipeline form: fits EM lazily against the pipeline's shared log instead
-/// of duplicating every vote into a private copy. Carries the same
-/// warm-start state across Estimate() calls as the standalone estimator.
-class SharedEmVotingScorer : public TotalErrorEstimator {
- public:
-  SharedEmVotingScorer(const crowd::ResponseLog* log,
-                       const crowd::DawidSkene::Options& options,
-                       bool warm_start)
-      : em_(options), log_(log), warm_start_(warm_start) {}
-  void Observe(const crowd::VoteEvent&) override {}
-  bool needs_observe() const override { return false; }
-  double Estimate() const override {
-    if (cached_at_votes_ != log_->num_events()) {
-      if (!warm_start_) state_ = crowd::DawidSkene::Result();
-      em_.FitIncremental(*log_, state_, workspace_);
-      cached_at_votes_ = log_->num_events();
-    }
-    return static_cast<double>(crowd::DawidSkene::DirtyCount(state_));
-  }
-  std::string_view name() const override { return "EM-VOTING"; }
-
- private:
-  crowd::DawidSkene em_;
-  const crowd::ResponseLog* log_;
-  bool warm_start_;
-  mutable crowd::DawidSkene::Result state_;
-  mutable crowd::DawidSkene::Workspace workspace_;
-  mutable size_t cached_at_votes_ = SIZE_MAX;
-};
-
-}  // namespace
 
 void internal::RegisterBuiltinEmVoting(EstimatorRegistry& registry) {
   Status status = registry.Register(EstimatorRegistry::Entry{
@@ -81,7 +41,7 @@ void internal::RegisterBuiltinEmVoting(EstimatorRegistry& registry) {
       // estimation paths re-fit at different cadences.
       .traits = ConformanceTraits{.estimate_tolerance_abs = 2.0,
                                   .estimate_tolerance_rel = 0.02},
-      .factory = [](const EstimatorEnv& env, const EstimatorSpec& spec)
+      .factory = [](const VoteStatsView& view, const EstimatorSpec& spec)
           -> Result<std::unique_ptr<TotalErrorEstimator>> {
         crowd::DawidSkene::Options options;
         SpecParamReader params(spec);
@@ -106,13 +66,13 @@ void internal::RegisterBuiltinEmVoting(EstimatorRegistry& registry) {
           return Status::InvalidArgument(
               "em-voting: max_iters and warm_sweeps must be positive");
         }
-        if (env.shared != nullptr) {
-          return std::unique_ptr<TotalErrorEstimator>(
-              std::make_unique<SharedEmVotingScorer>(env.shared->log, options,
-                                                     warm));
+        // The DawidSkene constructor aborts unless smoothing > 0.
+        if (!(options.smoothing > 0.0)) {
+          return Status::InvalidArgument(
+              "em-voting: smoothing must be positive");
         }
         return std::unique_ptr<TotalErrorEstimator>(
-            std::make_unique<EmVotingEstimator>(env.num_items, options, warm));
+            std::make_unique<EmVotingEstimator>(*view.log, options, warm));
       }});
   DQM_CHECK(status.ok()) << status.ToString();
 }

@@ -23,16 +23,17 @@ namespace dqm::estimators {
 /// `warm_start = false` (spec: "em-voting?warm=0") for the historical
 /// cold-refit-per-estimate behavior.
 ///
-/// Vote storage is the compacted count matrix (RetentionPolicy::kCounts):
-/// memory is O(#distinct (worker, item) pairs), not O(#votes).
+/// The fit reads the response matrix of the pipeline's log (`log`, which
+/// must outlive the estimator) and keeps no copy of the votes: only the warm
+/// state and the fit scratch are its own.
 class EmVotingEstimator : public TotalErrorEstimator {
  public:
-  EmVotingEstimator(size_t num_items, const crowd::DawidSkene::Options& options,
+  EmVotingEstimator(const crowd::ResponseLog& log,
+                    const crowd::DawidSkene::Options& options,
                     bool warm_start = true);
-  explicit EmVotingEstimator(size_t num_items)
-      : EmVotingEstimator(num_items, crowd::DawidSkene::Options()) {}
 
-  void Observe(const crowd::VoteEvent& event) override;
+  void Observe(const crowd::VoteEvent&) override {}
+  bool needs_observe() const override { return false; }
   double Estimate() const override;
   std::string_view name() const override { return "EM-VOTING"; }
 
@@ -45,7 +46,7 @@ class EmVotingEstimator : public TotalErrorEstimator {
 
  private:
   crowd::DawidSkene em_;
-  crowd::ResponseLog log_;
+  const crowd::ResponseLog* log_;
   bool warm_start_;
   // Warm-start state + reusable scratch: refreshed when the vote count
   // changes.

@@ -2,21 +2,20 @@
 #define DQM_ESTIMATORS_ESTIMATOR_H_
 
 #include <functional>
-#include <memory>
+#include <string>
 #include <string_view>
-#include <vector>
+#include <utility>
 
 #include "crowd/response_log.h"
 #include "crowd/vote.h"
+#include "estimators/f_statistics.h"
 
 namespace dqm::estimators {
 
-/// Interface of every total-error estimator: consume the vote stream one
-/// event at a time, answer "how many dirty items does the dataset contain"
-/// at any moment (the paper's Problem 1).
-///
-/// Implementations keep their own compact per-item state so a full estimate
-/// series over T tasks costs O(#events) amortized, not O(#events * T).
+/// Interface of every total-error estimator: answer "how many dirty items
+/// does the dataset contain" at any moment (the paper's Problem 1).
+/// Estimators are built by the registry against a pipeline's
+/// VoteStatsView (see core::DataQualityMetric), which owns the vote stream.
 class TotalErrorEstimator {
  public:
   virtual ~TotalErrorEstimator() = default;
@@ -31,23 +30,49 @@ class TotalErrorEstimator {
   /// Short display name used in reports ("CHAO92", "SWITCH", ...).
   virtual std::string_view name() const = 0;
 
-  /// False for pipeline-attached scorers whose whole state lives in the
-  /// shared vote statistics (see registry.h): the multi-estimator pipeline
-  /// skips the per-event Observe() fan-out for them. Standalone estimators
-  /// keep the default.
+  /// False for estimators whose whole state lives in the pipeline's
+  /// VoteStatsView (every built-in but SWITCH): the pipeline skips the
+  /// per-event Observe() fan-out for them, and only panels without an
+  /// observing estimator can ingest concurrently.
   virtual bool needs_observe() const { return true; }
 };
 
-/// Creates a fresh estimator for a universe of `num_items` items. The
-/// experiment runner uses factories to evaluate each estimator on many task
-/// permutations independently.
-using EstimatorFactory =
-    std::function<std::unique_ptr<TotalErrorEstimator>(size_t num_items)>;
+/// The vote statistics a pipeline maintains once and every estimator reads:
+/// the paper's counts c and n (per-item tallies on the log) and the
+/// frequency-of-frequencies fingerprint f_j of dirty votes per item.
+/// Pointees outlive every estimator built against the view.
+struct VoteStatsView {
+  /// The pipeline's response log: per-item tallies, NOMINAL / VOTING
+  /// counts, n^+ and (for EM-VOTING) the response matrix. Always set.
+  const crowd::ResponseLog* log = nullptr;
+  /// Fingerprint of dirty votes per item. Maintained iff some attached
+  /// estimator's registry entry sets wants_positive_fingerprint; null
+  /// otherwise.
+  const FStatistics* positive_f = nullptr;
+};
 
-/// Replays `log` into `estimator` and returns the estimate after every task
-/// boundary (index t = estimate after tasks 0..t inclusive).
-std::vector<double> EstimateSeriesByTask(const crowd::ResponseLog& log,
-                                         TotalErrorEstimator& estimator);
+/// A stateless estimator: a display name plus a pure function of the
+/// pipeline's vote statistics. Every tally and fingerprint estimator of the
+/// paper (Chao92, Good-Turing, vChao92, VOTING, NOMINAL, ...) is one of
+/// these; only estimators that need the vote *sequence* (SWITCH) or carry
+/// fit state across estimates (EM-VOTING) are classes of their own.
+class VoteStatsScorer final : public TotalErrorEstimator {
+ public:
+  using ScoreFn = std::function<double(const VoteStatsView&)>;
+
+  VoteStatsScorer(std::string name, const VoteStatsView& view, ScoreFn score)
+      : name_(std::move(name)), view_(view), score_(std::move(score)) {}
+
+  void Observe(const crowd::VoteEvent&) override {}
+  bool needs_observe() const override { return false; }
+  double Estimate() const override { return score_(view_); }
+  std::string_view name() const override { return name_; }
+
+ private:
+  std::string name_;
+  VoteStatsView view_;
+  ScoreFn score_;
+};
 
 }  // namespace dqm::estimators
 

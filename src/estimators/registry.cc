@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <memory>
 
 #include "common/string_util.h"
 
@@ -104,9 +106,10 @@ Result<double> SpecParamReader::GetDouble(std::string_view key,
   char* end = nullptr;
   errno = 0;
   double value = std::strtod(raw->c_str(), &end);
-  if (errno != 0 || end == raw->c_str() || *end != '\0') {
+  if (errno != 0 || end == raw->c_str() || *end != '\0' ||
+      !std::isfinite(value)) {
     return Status::InvalidArgument(
-        StrFormat("spec '%s': param %s=%s is not a number",
+        StrFormat("spec '%s': param %s=%s is not a finite number",
                   spec_.name.c_str(), std::string(key).c_str(), raw->c_str()));
   }
   return value;
@@ -212,33 +215,21 @@ EstimatorRegistry::Find(std::string_view name) const {
 }
 
 Result<std::unique_ptr<TotalErrorEstimator>> EstimatorRegistry::Create(
-    const EstimatorSpec& spec, const EstimatorEnv& env) const {
+    const EstimatorSpec& spec, const VoteStatsView& view) const {
   DQM_ASSIGN_OR_RETURN(std::shared_ptr<const Entry> entry, Find(spec.name));
-  return entry->factory(env, spec);
+  return entry->factory(view, spec);
 }
 
-Result<std::unique_ptr<TotalErrorEstimator>> EstimatorRegistry::Create(
-    std::string_view spec, size_t num_items) const {
-  DQM_ASSIGN_OR_RETURN(EstimatorSpec parsed, ParseEstimatorSpec(spec));
-  return Create(parsed, EstimatorEnv{num_items, nullptr});
-}
-
-Result<EstimatorFactory> EstimatorRegistry::FactoryFor(
-    std::string_view spec) const {
-  DQM_ASSIGN_OR_RETURN(EstimatorSpec parsed, ParseEstimatorSpec(spec));
-  DQM_ASSIGN_OR_RETURN(std::shared_ptr<const Entry> entry, Find(parsed.name));
-  // Validate the params once, against a tiny universe, so a bad spec fails
-  // here instead of aborting mid-experiment.
-  DQM_RETURN_NOT_OK(
-      entry->factory(EstimatorEnv{1, nullptr}, parsed).status());
-  return EstimatorFactory(
-      [entry, parsed](size_t num_items)
-          -> std::unique_ptr<TotalErrorEstimator> {
-        Result<std::unique_ptr<TotalErrorEstimator>> estimator =
-            entry->factory(EstimatorEnv{num_items, nullptr}, parsed);
-        DQM_CHECK(estimator.ok()) << estimator.status().ToString();
-        return std::move(estimator).value();
-      });
+SpecFactory internal::ParameterlessScorer(
+    const char* display_name, VoteStatsScorer::ScoreFn score) {
+  return [display_name, score = std::move(score)](const VoteStatsView& view,
+                                                 const EstimatorSpec& spec)
+             -> Result<std::unique_ptr<TotalErrorEstimator>> {
+    SpecParamReader params(spec);
+    DQM_RETURN_NOT_OK(params.VerifyAllConsumed());
+    return std::unique_ptr<TotalErrorEstimator>(
+        std::make_unique<VoteStatsScorer>(display_name, view, score));
+  };
 }
 
 EstimatorRegistry& EstimatorRegistry::Global() {

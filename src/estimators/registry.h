@@ -13,9 +13,7 @@
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "crowd/response_log.h"
 #include "estimators/estimator.h"
-#include "estimators/f_statistics.h"
 
 namespace dqm::estimators {
 
@@ -59,6 +57,7 @@ class SpecParamReader {
   /// absent, or InvalidArgument when the value does not parse (or violates
   /// the documented range).
   Result<uint32_t> GetUint32(std::string_view key, uint32_t fallback);
+  /// Finite values only: "nan", "inf" and "-inf" are InvalidArgument.
   Result<double> GetDouble(std::string_view key, double fallback);
   /// Accepts 1/0/true/false/yes/no (case-insensitive).
   Result<bool> GetBool(std::string_view key, bool fallback);
@@ -80,35 +79,12 @@ class SpecParamReader {
   std::vector<bool> consumed_;
 };
 
-/// Shared per-pipeline vote statistics (see core::DataQualityMetric): when N
-/// estimators watch one vote stream, the descriptive tallies and the
-/// positive-vote fingerprint they would each rebuild are maintained once by
-/// the pipeline and read by lightweight scorer estimators. Pointees outlive
-/// every estimator created against them.
-struct SharedVoteStats {
-  /// The pipeline's response log: per-item tallies, NOMINAL / VOTING counts.
-  /// Always set when the stats object itself is provided.
-  const crowd::ResponseLog* log = nullptr;
-  /// Frequency-of-frequencies fingerprint of dirty votes per item (the
-  /// Chao92-family state). Null when no selected estimator asked for it —
-  /// factories must fall back to standalone state in that case.
-  const FStatistics* positive_f = nullptr;
-};
-
-/// Everything a factory needs to build one estimator instance.
-struct EstimatorEnv {
-  size_t num_items = 0;
-  /// Non-null when the estimator is being attached to a multi-estimator
-  /// pipeline that maintains shared statistics; null for standalone use
-  /// (ExperimentRunner replays, direct construction).
-  const SharedVoteStats* shared = nullptr;
-};
-
-/// Builds one estimator from a parsed spec. Factories must reject unknown
-/// or out-of-range params with InvalidArgument (use SpecParamReader) and
-/// never abort on bad input.
+/// Builds one estimator from a parsed spec, reading the pipeline's vote
+/// statistics through `view`. Factories must reject unknown or out-of-range
+/// params with InvalidArgument (use SpecParamReader) and never abort on bad
+/// input.
 using SpecFactory = std::function<Result<std::unique_ptr<TotalErrorEstimator>>(
-    const EstimatorEnv& env, const EstimatorSpec& spec)>;
+    const VoteStatsView& view, const EstimatorSpec& spec)>;
 
 /// Metamorphic guarantees an estimator declares about itself. The
 /// conformance harness (tests/conformance/) runs every registered estimator
@@ -116,7 +92,8 @@ using SpecFactory = std::function<Result<std::unique_ptr<TotalErrorEstimator>>(
 /// under every registered workload family, so a new estimator or a new
 /// workload is cross-verified by construction. All flags default to false:
 /// an estimator that declares nothing only gets the universal checks
-/// (finite, non-negative estimates; pipeline-vs-standalone identity).
+/// (finite, non-negative estimates; every row of an N-row panel equals the
+/// same spec's one-row panel).
 struct ConformanceTraits {
   /// Estimate() depends only on the per-item vote multisets: bit-identical
   /// under any task-order permutation of the log (core::PermuteTasks).
@@ -159,11 +136,11 @@ class EstimatorRegistry {
     std::string display_name;
     /// One-line param documentation for --help style listings.
     std::string help;
-    /// True when the estimator's pipeline form reads the shared positive-
-    /// vote fingerprint: the pipeline maintains SharedVoteStats::positive_f
-    /// iff at least one selected estimator wants it.
+    /// True when the estimator reads the positive-vote fingerprint: the
+    /// pipeline maintains VoteStatsView::positive_f iff at least one
+    /// selected estimator wants it.
     bool wants_positive_fingerprint = false;
-    /// True when the estimator's pipeline form reads the per-(worker, item)
+    /// True when the estimator reads the per-(worker, item)
     /// response matrix off the shared log (EM-VOTING). Pipelines whose
     /// panel contains no such estimator may skip maintaining the matrix on
     /// the striped ingest commit path entirely — a commit is then nothing
@@ -194,19 +171,11 @@ class EstimatorRegistry {
   /// The entry for `name` (alias-resolved); NotFound otherwise.
   Result<std::shared_ptr<const Entry>> Find(std::string_view name) const;
 
-  /// Creates an estimator from a parsed spec. NotFound for unknown names,
-  /// InvalidArgument for bad params.
+  /// Creates an estimator from a parsed spec against a pipeline's vote
+  /// statistics. NotFound for unknown names, InvalidArgument for bad params.
+  /// core::DataQualityMetric::Create is the way to build a whole panel.
   Result<std::unique_ptr<TotalErrorEstimator>> Create(
-      const EstimatorSpec& spec, const EstimatorEnv& env) const;
-
-  /// Parse + create in one step, standalone (no shared stats).
-  Result<std::unique_ptr<TotalErrorEstimator>> Create(std::string_view spec,
-                                                      size_t num_items) const;
-
-  /// Validates `spec` now and returns an infallible EstimatorFactory bound
-  /// to it — the bridge to APIs that construct estimators repeatedly
-  /// (ExperimentRunner permutation replays).
-  Result<EstimatorFactory> FactoryFor(std::string_view spec) const;
+      const EstimatorSpec& spec, const VoteStatsView& view) const;
 
   /// The process-wide registry with all built-in estimators registered.
   static EstimatorRegistry& Global();
@@ -225,6 +194,11 @@ class EstimatorRegistry {
 };
 
 namespace internal {
+/// Factory for a built-in scorer that takes no params: the estimator is
+/// `score` over the pipeline's view, shown as `display_name`.
+SpecFactory ParameterlessScorer(const char* display_name,
+                                VoteStatsScorer::ScoreFn score);
+
 /// Built-in registration hooks, defined in the estimator .cc files next to
 /// the estimators they register; EstimatorRegistry::Global() invokes each
 /// exactly once.

@@ -15,7 +15,6 @@ SwitchTotalErrorEstimator::SwitchTotalErrorEstimator(size_t num_items)
 SwitchTotalErrorEstimator::SwitchTotalErrorEstimator(size_t num_items,
                                                      const Config& config)
     : config_(config),
-      voting_(num_items),
       tracker_(num_items, config.tracker),
       history_capacity_(std::max<size_t>(
           {config.trend_window, config.smooth_window, 1})) {}
@@ -23,16 +22,15 @@ SwitchTotalErrorEstimator::SwitchTotalErrorEstimator(size_t num_items,
 void SwitchTotalErrorEstimator::Observe(const crowd::VoteEvent& event) {
   if (any_event_ && event.task != current_task_) {
     if (majority_history_.size() < history_capacity_) {
-      majority_history_.push_back(voting_.Estimate());
+      majority_history_.push_back(MajorityCount());
     } else {
-      majority_history_[history_next_] = voting_.Estimate();
+      majority_history_[history_next_] = MajorityCount();
     }
     if (++history_next_ == history_capacity_) history_next_ = 0;
     UpdateDirection();
   }
   current_task_ = event.task;
   any_event_ = true;
-  voting_.Observe(event);
   tracker_.Observe(event);
 }
 
@@ -41,7 +39,7 @@ void SwitchTotalErrorEstimator::UpdateDirection() {
   // value) so plateau jitter does not reach the regime detector.
   size_t window = std::max<size_t>(config_.smooth_window, 1);
   size_t samples = std::min(majority_history_.size(), window - 1);
-  double sum = voting_.Estimate();
+  double sum = MajorityCount();
   for (size_t i = history_next_, k = 0; k < samples; ++k) {
     i = PreviousSlot(i);
     sum += majority_history_[i];
@@ -70,7 +68,7 @@ double SwitchTotalErrorEstimator::VotingTrend() const {
   // reacts before a task boundary is recorded.
   size_t samples = std::min(majority_history_.size(), config_.trend_window);
   std::vector<double> window(samples + 1);
-  window[samples] = voting_.Estimate();
+  window[samples] = MajorityCount();
   for (size_t i = history_next_, k = samples; k > 0; --k) {
     i = PreviousSlot(i);
     window[k - 1] = majority_history_[i];
@@ -85,7 +83,7 @@ size_t SwitchTotalErrorEstimator::PreviousSlot(size_t slot) const {
 }
 
 double SwitchTotalErrorEstimator::Estimate() const {
-  double majority = voting_.Estimate();
+  double majority = MajorityCount();
   double xi_pos = tracker_.EstimateRemainingPositive();
   double xi_neg = tracker_.EstimateRemainingNegative();
   double estimate;
@@ -201,13 +199,13 @@ void internal::RegisterBuiltinSwitch(EstimatorRegistry& registry) {
       // a task preserves every per-item vote stream and the task-boundary
       // VOTING samples.
       .traits = ConformanceTraits{.within_task_invariant = true},
-      .factory = [](const EstimatorEnv& env, const EstimatorSpec& spec)
+      .factory = [](const VoteStatsView& view, const EstimatorSpec& spec)
           -> Result<std::unique_ptr<TotalErrorEstimator>> {
         DQM_ASSIGN_OR_RETURN(SwitchTotalErrorEstimator::Config config,
                              SwitchConfigFromSpec(spec));
         return std::unique_ptr<TotalErrorEstimator>(
-            std::make_unique<SwitchTotalErrorEstimator>(env.num_items,
-                                                        config));
+            std::make_unique<SwitchTotalErrorEstimator>(
+                view.log->num_items(), config));
       }});
   DQM_CHECK(status.ok()) << status.ToString();
 }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "estimators/baselines.h"
 #include "estimators/estimator.h"
 #include "estimators/switch_tracker.h"
 
@@ -66,7 +65,9 @@ class SwitchTotalErrorEstimator : public TotalErrorEstimator {
   }
 
   /// Current VOTING count (the quantity being corrected).
-  double MajorityCount() const { return voting_.Estimate(); }
+  double MajorityCount() const {
+    return static_cast<double>(tracker_.MajorityCount());
+  }
 
   /// Slope of the recent VOTING history (exposed for diagnostics/tests).
   double VotingTrend() const;
@@ -86,7 +87,8 @@ class SwitchTotalErrorEstimator : public TotalErrorEstimator {
   size_t PreviousSlot(size_t slot) const;
 
   Config config_;
-  VotingEstimator voting_;
+  /// Also keeps the VOTING count (MajorityCount()) from its per-item
+  /// tallies.
   SwitchTracker tracker_;
   /// VOTING count sampled at the most recent task boundaries: a ring of at
   /// most history_capacity_ samples, grown lazily (the windows are user

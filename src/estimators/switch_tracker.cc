@@ -66,10 +66,19 @@ void SwitchTracker::Rediscover(ItemState& state) {
 void SwitchTracker::Observe(const crowd::VoteEvent& event) {
   DQM_CHECK_LT(event.item, items_.size());
   ItemState& state = items_[event.item];
+  const bool was_majority = state.pos > state.neg;
   if (event.vote == crowd::Vote::kDirty) {
     ++state.pos;
   } else {
     ++state.neg;
+  }
+  const bool is_majority = state.pos > state.neg;
+  if (is_majority != was_majority) {
+    if (is_majority) {
+      ++majority_count_;
+    } else {
+      --majority_count_;
+    }
   }
 
   if (DetectSwitch(state)) {

@@ -118,6 +118,11 @@ class SwitchTracker {
   /// The tracker's current consensus label for `item`.
   bool ConsensusDirty(size_t item) const;
 
+  /// c_majority: items with strictly more dirty than clean votes — the
+  /// VOTING count, kept current by Observe from the same per-item tallies.
+  /// Independent of the tie policy (it is not the tracked label).
+  size_t MajorityCount() const { return majority_count_; }
+
   /// Combined / sign-restricted statistics in species-estimator form.
   SwitchStatistics Statistics() const;
   SwitchStatistics PositiveStatistics() const;
@@ -161,6 +166,7 @@ class SwitchTracker {
   uint64_t positive_switches_ = 0;
   uint64_t negative_switches_ = 0;
   uint64_t items_with_switches_ = 0;
+  size_t majority_count_ = 0;
 };
 
 /// Ground-truth switches needed: compares the strict-majority labels implied

@@ -1,14 +1,14 @@
 #include "estimators/chao92.h"
 
-#include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/dqm.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
-#include "crowd/simulator.h"
-#include "estimators/registry.h"
+#include "crowd/response_log.h"
 
 namespace dqm::estimators {
 namespace {
@@ -16,163 +16,181 @@ namespace {
 using crowd::Vote;
 using crowd::VoteEvent;
 
-TEST(Chao92EstimatorTest, EmptyGivesZero) {
-  Chao92Estimator chao(10);
-  EXPECT_DOUBLE_EQ(chao.Estimate(), 0.0);
+/// A one-row metric for `spec`: the one way a species estimator runs.
+core::DataQualityMetric OneRow(const std::string& spec, size_t num_items) {
+  return core::DataQualityMetric::Create(num_items, {spec}).value();
 }
 
-TEST(Chao92EstimatorTest, CleanVotesAreNoOps) {
-  Chao92Estimator chao(10);
-  for (uint32_t i = 0; i < 10; ++i) {
-    chao.Observe({0, 0, i, Vote::kClean});
-  }
-  EXPECT_DOUBLE_EQ(chao.Estimate(), 0.0);
+void Add(core::DataQualityMetric& metric, const VoteEvent& event) {
+  metric.AddVote(event.task, event.worker, event.item,
+                 event.vote == Vote::kDirty);
 }
 
-TEST(Chao92EstimatorTest, FullCoverageConverges) {
+void Feed(core::DataQualityMetric& metric, const crowd::ResponseLog& log) {
+  for (const VoteEvent& event : log.events()) Add(metric, event);
+}
+
+TEST(Chao92ScoreTest, EmptyGivesZero) {
+  EXPECT_DOUBLE_EQ(OneRow("chao92", 10).EstimatedTotalErrors(), 0.0);
+}
+
+TEST(Chao92ScoreTest, CleanVotesAreNoOps) {
+  core::DataQualityMetric chao = OneRow("chao92", 10);
+  for (uint32_t i = 0; i < 10; ++i) Add(chao, {0, 0, i, Vote::kClean});
+  EXPECT_DOUBLE_EQ(chao.EstimatedTotalErrors(), 0.0);
+}
+
+TEST(Chao92ScoreTest, FullCoverageConverges) {
   // Every item marked dirty twice: no singletons, D = c exactly.
-  Chao92Estimator chao(5);
+  core::DataQualityMetric chao = OneRow("chao92", 5);
   for (uint32_t round = 0; round < 2; ++round) {
-    for (uint32_t i = 0; i < 5; ++i) {
-      chao.Observe({round, round, i, Vote::kDirty});
-    }
+    for (uint32_t i = 0; i < 5; ++i) Add(chao, {round, round, i, Vote::kDirty});
   }
-  EXPECT_DOUBLE_EQ(chao.Estimate(), 5.0);
+  EXPECT_DOUBLE_EQ(chao.EstimatedTotalErrors(), 5.0);
 }
 
-TEST(Chao92EstimatorTest, SingletonsInflateEstimate) {
+TEST(Chao92ScoreTest, SingletonsInflateEstimate) {
   // 4 doubletons + 2 singletons: estimate must exceed c = 6.
-  Chao92Estimator chao(10, /*skew_correction=*/false);
+  core::DataQualityMetric chao = OneRow("good-turing", 10);
   for (uint32_t i = 0; i < 4; ++i) {
-    chao.Observe({0, 0, i, Vote::kDirty});
-    chao.Observe({1, 1, i, Vote::kDirty});
+    Add(chao, {0, 0, i, Vote::kDirty});
+    Add(chao, {1, 1, i, Vote::kDirty});
   }
-  chao.Observe({2, 2, 8, Vote::kDirty});
-  chao.Observe({2, 2, 9, Vote::kDirty});
-  EXPECT_GT(chao.Estimate(), 6.0);
+  Add(chao, {2, 2, 8, Vote::kDirty});
+  Add(chao, {2, 2, 9, Vote::kDirty});
+  EXPECT_GT(chao.EstimatedTotalErrors(), 6.0);
 }
 
-TEST(Chao92EstimatorTest, PaperExampleOneRegression) {
+TEST(Chao92ScoreTest, ScoresTheViewItIsGiven) {
+  // The free function over a hand-built view: 3 species, f1 = 1, n = 5,
+  // sum_ii1 = 2 + 2 = 4. Good-Turing: C = 1 - 1/5, D = 3 / 0.8.
+  crowd::ResponseLog log(10);
+  FStatistics f;
+  f.RebuildFromCounts(std::vector<uint32_t>{2, 2, 1});
+  VoteStatsView view{&log, &f};
+  EXPECT_DOUBLE_EQ(Chao92Score(view, /*skew_correction=*/false), 3.0 / 0.8);
+  EXPECT_GE(Chao92Score(view, /*skew_correction=*/true),
+            Chao92Score(view, /*skew_correction=*/false));
+}
+
+TEST(Chao92ScoreTest, PaperExampleOneRegression) {
   // Section 3.2.1 Example 1 regenerated end-to-end: 1000 pairs / 100 dups,
   // 20 items per task, 0.9 detection rate, no false positives, 100 tasks.
   // The remaining-error estimate should be small and nearly unbiased
   // (paper: ~16.6 with cnominal ~83; exact values depend on the stream).
   core::Scenario scenario = core::SimulationScenario(0.0, 0.1, 20);
   core::SimulatedRun run = core::SimulateScenario(scenario, 100, 7);
-  Chao92Estimator chao(scenario.num_items, /*skew_correction=*/false);
-  for (const VoteEvent& event : run.log.events()) chao.Observe(event);
+  core::DataQualityMetric chao = OneRow("good-turing", scenario.num_items);
+  Feed(chao, run.log);
   double nominal = static_cast<double>(run.log.NominalCount());
   EXPECT_GT(nominal, 70.0);
   EXPECT_LT(nominal, 100.0);
   // Total estimate lands near the true 100 (within 15%).
-  EXPECT_NEAR(chao.Estimate(), 100.0, 15.0);
+  EXPECT_NEAR(chao.EstimatedTotalErrors(), 100.0, 15.0);
 }
 
-TEST(Chao92EstimatorTest, FalsePositivesCauseOverestimate) {
+TEST(Chao92ScoreTest, FalsePositivesCauseOverestimate) {
   // The singleton-error entanglement (Section 3.2.2): with 1% FP the
   // estimate overshoots the true 100 markedly.
   core::Scenario clean = core::SimulationScenario(0.0, 0.1, 20);
   core::Scenario noisy = core::SimulationScenario(0.01, 0.1, 20);
   core::SimulatedRun run_clean = core::SimulateScenario(clean, 100, 7);
   core::SimulatedRun run_noisy = core::SimulateScenario(noisy, 100, 7);
-  Chao92Estimator chao_clean(clean.num_items, false);
-  Chao92Estimator chao_noisy(noisy.num_items, false);
-  for (const VoteEvent& e : run_clean.log.events()) chao_clean.Observe(e);
-  for (const VoteEvent& e : run_noisy.log.events()) chao_noisy.Observe(e);
-  EXPECT_GT(chao_noisy.Estimate(), chao_clean.Estimate() + 20.0);
+  core::DataQualityMetric chao_clean = OneRow("good-turing", clean.num_items);
+  core::DataQualityMetric chao_noisy = OneRow("good-turing", noisy.num_items);
+  Feed(chao_clean, run_clean.log);
+  Feed(chao_noisy, run_noisy.log);
+  EXPECT_GT(chao_noisy.EstimatedTotalErrors(),
+            chao_clean.EstimatedTotalErrors() + 20.0);
 }
 
-TEST(Chao92EstimatorTest, SkewCorrectionAtLeastNoskew) {
+TEST(Chao92ScoreTest, SkewCorrectionAtLeastNoskew) {
   core::Scenario scenario = core::SimulationScenario(0.01, 0.1, 15);
   core::SimulatedRun run = core::SimulateScenario(scenario, 60, 11);
-  Chao92Estimator skew(scenario.num_items, true);
-  Chao92Estimator noskew(scenario.num_items, false);
-  for (const VoteEvent& e : run.log.events()) {
-    skew.Observe(e);
-    noskew.Observe(e);
-  }
-  EXPECT_GE(skew.Estimate(), noskew.Estimate());
+  core::DataQualityMetric panel = core::DataQualityMetric::Create(
+      scenario.num_items, {"chao92", "good-turing"}).value();
+  Feed(panel, run.log);
+  core::DataQualityMetric::QualityReport report = panel.Report();
+  EXPECT_GE(report.estimators[0].total_errors,
+            report.estimators[1].total_errors);
 }
 
-TEST(JackknifeEstimatorTest, BasicBehavior) {
-  JackknifeEstimator jk(10);
-  EXPECT_DOUBLE_EQ(jk.Estimate(), 0.0);
+TEST(Jackknife1ScoreTest, BasicBehavior) {
+  core::DataQualityMetric jk = OneRow("jackknife1", 10);
+  EXPECT_DOUBLE_EQ(jk.EstimatedTotalErrors(), 0.0);
   // 3 species, 1 singleton, n = 5: D = 3 + 1 * 4/5.
-  jk.Observe({0, 0, 0, Vote::kDirty});
-  jk.Observe({0, 0, 1, Vote::kDirty});
-  jk.Observe({1, 1, 0, Vote::kDirty});
-  jk.Observe({1, 1, 1, Vote::kDirty});
-  jk.Observe({2, 2, 2, Vote::kDirty});
-  EXPECT_NEAR(jk.Estimate(), 3.0 + 0.8, 1e-12);
-  EXPECT_EQ(jk.name(), "JACKKNIFE1");
+  Add(jk, {0, 0, 0, Vote::kDirty});
+  Add(jk, {0, 0, 1, Vote::kDirty});
+  Add(jk, {1, 1, 0, Vote::kDirty});
+  Add(jk, {1, 1, 1, Vote::kDirty});
+  Add(jk, {2, 2, 2, Vote::kDirty});
+  EXPECT_NEAR(jk.EstimatedTotalErrors(), 3.0 + 0.8, 1e-12);
+  EXPECT_EQ(jk.method_name(), "JACKKNIFE1");
 }
 
-TEST(VChao92EstimatorTest, UsesMajorityNotNominal) {
+TEST(VChao92ScoreTest, UsesMajorityNotNominal) {
   // One item: 1 dirty vote then 2 clean votes -> majority clean.
   // Plain Chao92 would report ~1+ species; vChao92's c is 0.
-  VChao92Estimator vchao(5, /*shift=*/1);
-  vchao.Observe({0, 0, 0, Vote::kDirty});
-  vchao.Observe({1, 1, 0, Vote::kClean});
-  vchao.Observe({2, 2, 0, Vote::kClean});
+  core::DataQualityMetric vchao = OneRow("vchao92?shift=1", 5);
+  Add(vchao, {0, 0, 0, Vote::kDirty});
+  Add(vchao, {1, 1, 0, Vote::kClean});
+  Add(vchao, {2, 2, 0, Vote::kClean});
   // c_majority = 0, and the shifted f-stats have no f_2 either.
-  EXPECT_DOUBLE_EQ(vchao.Estimate(), 0.0);
+  EXPECT_DOUBLE_EQ(vchao.EstimatedTotalErrors(), 0.0);
 }
 
-TEST(VChao92EstimatorTest, ShiftSuppressesSingletonNoise) {
+TEST(VChao92ScoreTest, ShiftSuppressesSingletonNoise) {
   // The false-positive regime vChao92 was designed for: 8 true errors each
   // confirmed by four workers, and 6 false-positive singletons that other
   // workers voted clean (majority clean). Chao92's c_nominal counts the
   // FPs and its f1 is inflated; vChao92 suppresses both.
-  auto feed = [](TotalErrorEstimator& estimator) {
-    for (uint32_t round = 0; round < 4; ++round) {
-      for (uint32_t i = 0; i < 8; ++i) {
-        estimator.Observe({round, round, i, Vote::kDirty});
-      }
-    }
-    for (uint32_t i = 8; i < 14; ++i) {
-      estimator.Observe({4, 4, i, Vote::kDirty});
-      estimator.Observe({5, 5, i, Vote::kClean});
-      estimator.Observe({6, 6, i, Vote::kClean});
-    }
-  };
-  Chao92Estimator chao(20, false);
-  VChao92Estimator vchao(20, 1, false);
-  feed(chao);
-  feed(vchao);
-  EXPECT_LT(vchao.Estimate(), chao.Estimate());
+  core::DataQualityMetric panel = core::DataQualityMetric::Create(
+      20, {"good-turing", "vchao92?shift=1&skew=0"}).value();
+  for (uint32_t round = 0; round < 4; ++round) {
+    for (uint32_t i = 0; i < 8; ++i) Add(panel, {round, round, i, Vote::kDirty});
+  }
+  for (uint32_t i = 8; i < 14; ++i) {
+    Add(panel, {4, 4, i, Vote::kDirty});
+    Add(panel, {5, 5, i, Vote::kClean});
+    Add(panel, {6, 6, i, Vote::kClean});
+  }
+  core::DataQualityMetric::QualityReport report = panel.Report();
+  double chao = report.estimators[0].total_errors;
+  double vchao = report.estimators[1].total_errors;
+  EXPECT_LT(vchao, chao);
   // vChao92 lands on the true count (8); Chao92 overestimates it.
-  EXPECT_DOUBLE_EQ(vchao.Estimate(), 8.0);
-  EXPECT_GT(chao.Estimate(), 14.0);
+  EXPECT_DOUBLE_EQ(vchao, 8.0);
+  EXPECT_GT(chao, 14.0);
 }
 
-TEST(VChao92EstimatorTest, LargerShiftIsMoreConservative) {
+TEST(VChao92ScoreTest, LargerShiftIsMoreConservative) {
   core::Scenario scenario = core::SimulationScenario(0.02, 0.1, 15);
   core::SimulatedRun run = core::SimulateScenario(scenario, 80, 13);
-  VChao92Estimator shift1(scenario.num_items, 1);
-  VChao92Estimator shift2(scenario.num_items, 2);
-  for (const VoteEvent& e : run.log.events()) {
-    shift1.Observe(e);
-    shift2.Observe(e);
-  }
-  EXPECT_LE(shift2.Estimate(), shift1.Estimate() * 1.2);
-  EXPECT_EQ(shift1.name(), "V-CHAO");
+  core::DataQualityMetric panel = core::DataQualityMetric::Create(
+      scenario.num_items, {"vchao92?shift=1", "vchao92?shift=2"}).value();
+  Feed(panel, run.log);
+  core::DataQualityMetric::QualityReport report = panel.Report();
+  EXPECT_LE(report.estimators[1].total_errors,
+            report.estimators[0].total_errors * 1.2);
+  EXPECT_EQ(report.estimators[0].name, "V-CHAO");
 }
 
-TEST(VChao92EstimatorTest, ShiftSpecMatchesDirectConstruction) {
+TEST(VChao92ScoreTest, ShiftSpecScoresTheShiftedFormula) {
+  // "vchao92?shift=s" must be exactly VChao92Score(view, s, skew) over the
+  // pipeline's statistics, after every vote.
   core::Scenario scenario = core::SimulationScenario(0.02, 0.12, 10);
   core::SimulatedRun run = core::SimulateScenario(scenario, 120, 11);
   for (uint32_t shift : {0u, 1u, 3u}) {
     SCOPED_TRACE(shift);
-    VChao92Estimator direct(scenario.num_items, shift);
-    std::unique_ptr<TotalErrorEstimator> by_spec =
-        EstimatorRegistry::Global()
-            .Create("vchao92?shift=" + std::to_string(shift),
-                    scenario.num_items)
-            .value();
+    core::DataQualityMetric by_spec =
+        OneRow("vchao92?shift=" + std::to_string(shift), scenario.num_items);
+    FStatistics f;
     for (const VoteEvent& e : run.log.events()) {
-      direct.Observe(e);
-      by_spec->Observe(e);
-      ASSERT_EQ(direct.Estimate(), by_spec->Estimate());
+      Add(by_spec, e);
+      f.RebuildFromCounts(by_spec.log().positive_counts());
+      VoteStatsView view{&by_spec.log(), &f};
+      ASSERT_EQ(by_spec.EstimatedTotalErrors(),
+                VChao92Score(view, shift, /*skew_correction=*/true));
     }
   }
 }

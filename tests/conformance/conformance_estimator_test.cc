@@ -43,7 +43,7 @@ TEST(EstimatorConformanceTest, EstimatesAreFiniteAndNonNegativeEverywhere) {
     workload::GeneratedWorkload run = MustGenerate(workload_spec, kSeed);
     for (const std::string& name : EstimatorNames()) {
       double estimate =
-          StandaloneEstimate(name, run.log.num_items(), run.log.events());
+          OneRowEstimate(name, run.log.num_items(), run.log.events());
       EXPECT_TRUE(std::isfinite(estimate))
           << name << " on " << workload_spec;
       EXPECT_GE(estimate, 0.0) << name << " on " << workload_spec;
@@ -59,12 +59,12 @@ TEST(EstimatorConformanceTest, PermutationInvariantEstimatorsSurviveShuffles) {
     for (const std::string& name : EstimatorNames()) {
       if (!TraitsFor(name).permutation_invariant) continue;
       double baseline =
-          StandaloneEstimate(name, run.log.num_items(), run.log.events());
+          OneRowEstimate(name, run.log.num_items(), run.log.events());
       for (uint64_t permutation = 0; permutation < 3; ++permutation) {
         crowd::ResponseLog permuted =
             core::PermuteTasks(run.log, kSeed + permutation);
-        double shuffled = StandaloneEstimate(name, permuted.num_items(),
-                                             permuted.events());
+        double shuffled = OneRowEstimate(name, permuted.num_items(),
+                                         permuted.events());
         EXPECT_EQ(baseline, shuffled)
             << name << " on " << workload_spec << ", permutation "
             << permutation;
@@ -83,9 +83,8 @@ TEST(EstimatorConformanceTest, WithinTaskReorderIsInvisible) {
         ShuffleWithinTasks(run.log.events(), kSeed ^ 0xabcd);
     for (const std::string& name : EstimatorNames()) {
       if (!TraitsFor(name).within_task_invariant) continue;
-      EXPECT_EQ(StandaloneEstimate(name, run.log.num_items(),
-                                   run.log.events()),
-                StandaloneEstimate(name, run.log.num_items(), shuffled))
+      EXPECT_EQ(OneRowEstimate(name, run.log.num_items(), run.log.events()),
+                OneRowEstimate(name, run.log.num_items(), shuffled))
           << name << " on " << workload_spec;
     }
   }
@@ -107,8 +106,8 @@ TEST(EstimatorConformanceTest, DuplicationInvariantsAndMonotonicity) {
     for (const std::string& name : EstimatorNames()) {
       if (!TraitsFor(name).duplication_invariant) continue;
       EXPECT_EQ(
-          StandaloneEstimate(name, run.log.num_items(), run.log.events()),
-          StandaloneEstimate(name, run.log.num_items(), doubled))
+          OneRowEstimate(name, run.log.num_items(), run.log.events()),
+          OneRowEstimate(name, run.log.num_items(), doubled))
           << name << " on " << workload_spec;
     }
   }
@@ -124,22 +123,17 @@ TEST(EstimatorConformanceTest, DirtyVotesOnlyGrowMonotoneEstimators) {
 
   for (const std::string& name : EstimatorNames()) {
     if (!TraitsFor(name).monotone_in_dirty_votes) continue;
-    Result<std::unique_ptr<estimators::TotalErrorEstimator>> estimator =
-        estimators::EstimatorRegistry::Global().Create(name, num_items);
-    ASSERT_TRUE(estimator.ok()) << estimator.status().ToString();
-    for (const crowd::VoteEvent& event : run.log.events()) {
-      (*estimator)->Observe(event);
-    }
-    double last = (*estimator)->Estimate();
+    core::DataQualityMetric metric =
+        ReplayPipeline(num_items, {name}, run.log.events());
+    double last = metric.EstimatedTotalErrors();
     uint32_t task = static_cast<uint32_t>(run.log.num_tasks());
     uint32_t worker = static_cast<uint32_t>(run.log.num_workers());
     for (int extra = 0; extra < 200; ++extra) {
       auto item = static_cast<uint32_t>(rng.UniformIndex(num_items));
-      (*estimator)->Observe(
-          crowd::VoteEvent{task + static_cast<uint32_t>(extra),
-                           worker + static_cast<uint32_t>(extra), item,
-                           crowd::Vote::kDirty});
-      double now = (*estimator)->Estimate();
+      metric.AddVote(task + static_cast<uint32_t>(extra),
+                     worker + static_cast<uint32_t>(extra), item,
+                     /*is_dirty=*/true);
+      double now = metric.EstimatedTotalErrors();
       EXPECT_GE(now, last) << name << " shrank after extra dirty vote "
                            << extra;
       last = now;
@@ -147,11 +141,11 @@ TEST(EstimatorConformanceTest, DirtyVotesOnlyGrowMonotoneEstimators) {
   }
 }
 
-TEST(EstimatorConformanceTest, PipelineMatchesStandaloneOnRandomizedSpecs) {
-  // Pipeline-vs-standalone bit-identity on randomized panels: a shuffled
-  // subset of every registered estimator plus randomized param variants of
-  // the parameterized ones, attached to one shared-stats pipeline, must
-  // reproduce each row's standalone replay exactly.
+TEST(EstimatorConformanceTest, NRowPanelMatchesEachOneRowPanel) {
+  // N-row vs one-row bit-identity on randomized panels: every registered
+  // estimator plus randomized param variants of the parameterized ones,
+  // shuffled into one panel over one vote stream, must reproduce each row's
+  // one-row panel exactly — no row may see another row's state.
   Rng rng(kSeed ^ 0xfeed);
   std::vector<std::string> workload_specs = ConformanceWorkloadSpecs();
   for (int round = 0; round < 4; ++round) {
@@ -181,8 +175,8 @@ TEST(EstimatorConformanceTest, PipelineMatchesStandaloneOnRandomizedSpecs) {
       // Bit-identity for bit-stable estimators; estimators that declare a
       // re-estimation tolerance (warm-started EM) are held to that bound.
       ExpectEstimatesAgree(TraitsFor(panel[i]),
-                           StandaloneEstimate(panel[i], run.log.num_items(),
-                                              run.log.events()),
+                           OneRowEstimate(panel[i], run.log.num_items(),
+                                          run.log.events()),
                            report.estimators[i].total_errors,
                            panel[i] + " on " + workload_spec + ", round " +
                                std::to_string(round));

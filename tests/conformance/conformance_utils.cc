@@ -8,7 +8,6 @@
 
 #include "common/logging.h"
 #include "common/random.h"
-#include "estimators/estimator.h"
 
 namespace dqm::conformance {
 
@@ -33,15 +32,9 @@ workload::GeneratedWorkload MustGenerate(const std::string& spec,
   return (*generator)->Generate(seed);
 }
 
-double StandaloneEstimate(const std::string& spec, size_t num_items,
-                          const std::vector<crowd::VoteEvent>& events) {
-  Result<std::unique_ptr<estimators::TotalErrorEstimator>> estimator =
-      estimators::EstimatorRegistry::Global().Create(spec, num_items);
-  DQM_CHECK(estimator.ok()) << estimator.status().ToString();
-  for (const crowd::VoteEvent& event : events) {
-    (*estimator)->Observe(event);
-  }
-  return (*estimator)->Estimate();
+double OneRowEstimate(const std::string& spec, size_t num_items,
+                      const std::vector<crowd::VoteEvent>& events) {
+  return ReplayPipeline(num_items, {spec}, events).EstimatedTotalErrors();
 }
 
 core::DataQualityMetric ReplayPipeline(

@@ -27,10 +27,10 @@ std::vector<std::string> ConformanceWorkloadSpecs();
 workload::GeneratedWorkload MustGenerate(const std::string& spec,
                                          uint64_t seed);
 
-/// Builds a standalone estimator for `spec` and replays `events` through it,
-/// returning the final estimate.
-double StandaloneEstimate(const std::string& spec, size_t num_items,
-                          const std::vector<crowd::VoteEvent>& events);
+/// Replays `events` through a one-row panel for `spec` and returns its
+/// final estimate — the reference every N-row panel row must reproduce.
+double OneRowEstimate(const std::string& spec, size_t num_items,
+                      const std::vector<crowd::VoteEvent>& events);
 
 /// Replays `events` through a multi-estimator pipeline over `specs`.
 core::DataQualityMetric ReplayPipeline(size_t num_items,

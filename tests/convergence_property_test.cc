@@ -100,10 +100,8 @@ TEST_P(ConvergenceTest, VotingErrorShrinksOverTime) {
   core::Scenario scenario = core::SimulationScenario(fp, fn, 15);
   core::SimulatedRun run = core::SimulateScenario(scenario, 600, seed + 100);
   core::ExperimentRunner runner({.permutations = 3, .seed = seed});
-  auto results = runner.Run(
-      run.log, scenario.num_items,
-      {{"VOTING",
-        estimators::EstimatorRegistry::Global().FactoryFor("voting").value()}});
+  std::vector<core::SeriesResult> results =
+      runner.Run(run.log, std::vector<std::string>{"voting"}).value();
   const std::vector<double>& mean = results[0].mean;
   double early_error = std::abs(mean[mean.size() / 3] - 100.0);
   double final_error = std::abs(mean.back() - 100.0);

@@ -147,32 +147,33 @@ TEST(DawidSkeneTest, StripedLogFitTracksSerialFit) {
 }
 
 TEST(EmVotingEstimatorTest, MatchesDirectFit) {
-  estimators::EmVotingEstimator estimator(4);
-  ResponseLog log(4);
+  // The estimator fits the log it was given; no copy of the votes.
+  ResponseLog log(4, RetentionPolicy::kCounts);
+  estimators::EmVotingEstimator estimator(log, DawidSkene::Options());
   for (uint32_t w = 0; w < 4; ++w) {
     for (uint32_t item = 0; item < 4; ++item) {
       Vote vote = (item < 2) ? Vote::kDirty : Vote::kClean;
-      VoteEvent event{w, w, item, vote};
-      estimator.Observe(event);
-      log.Append(event);
+      log.Append(VoteEvent{w, w, item, vote});
     }
   }
   DawidSkene em;
   EXPECT_DOUBLE_EQ(estimator.Estimate(),
                    static_cast<double>(DawidSkene::DirtyCount(em.Fit(log))));
   EXPECT_EQ(estimator.name(), "EM-VOTING");
+  EXPECT_FALSE(estimator.needs_observe());
 }
 
 TEST(EmVotingEstimatorTest, CacheInvalidatesOnNewVotes) {
-  estimators::EmVotingEstimator estimator(2);
-  estimator.Observe({0, 0, 0, Vote::kDirty});
-  estimator.Observe({0, 0, 1, Vote::kClean});
+  ResponseLog log(2, RetentionPolicy::kCounts);
+  estimators::EmVotingEstimator estimator(log, DawidSkene::Options());
+  log.Append({0, 0, 0, Vote::kDirty});
+  log.Append({0, 0, 1, Vote::kClean});
   double first = estimator.Estimate();
   EXPECT_DOUBLE_EQ(first, 1.0);
   // Outvote item 0 with clean votes; the estimate must drop.
   for (uint32_t w = 1; w < 6; ++w) {
-    estimator.Observe({w, w, 0, Vote::kClean});
-    estimator.Observe({w, w, 1, Vote::kClean});
+    log.Append({w, w, 0, Vote::kClean});
+    log.Append({w, w, 1, Vote::kClean});
   }
   EXPECT_DOUBLE_EQ(estimator.Estimate(), 0.0);
 }

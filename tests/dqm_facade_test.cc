@@ -94,15 +94,13 @@ TEST(DataQualityMetricTest, EstimateTracksTruthEndToEnd) {
   EXPECT_NEAR(metric.EstimatedTotalErrors(), 100.0, 20.0);
 }
 
-TEST(RegistryFactoryTest, ProducesWorkingEstimators) {
+TEST(RegistryFactoryTest, OneRowPanelsProduceWorkingEstimators) {
   for (const char* spec : kPanelSpecs) {
-    estimators::EstimatorFactory factory =
-        estimators::EstimatorRegistry::Global().FactoryFor(spec).value();
-    auto estimator = factory(20);
-    ASSERT_NE(estimator, nullptr);
-    estimator->Observe({0, 0, 1, crowd::Vote::kDirty});
-    EXPECT_GE(estimator->Estimate(), 0.0);
-    EXPECT_EQ(estimator->name(), DisplayNameOf(spec));
+    Result<DataQualityMetric> metric = DataQualityMetric::Create(20, {spec});
+    ASSERT_TRUE(metric.ok()) << metric.status().ToString();
+    metric->AddVote(0, 0, 1, /*is_dirty=*/true);
+    EXPECT_GE(metric->EstimatedTotalErrors(), 0.0);
+    EXPECT_EQ(metric->method_name(), DisplayNameOf(spec));
   }
 }
 

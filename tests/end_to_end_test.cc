@@ -13,7 +13,6 @@
 #include "dataset/address.h"
 #include "dataset/restaurant_generator.h"
 #include "er/crowder.h"
-#include "estimators/registry.h"
 
 namespace dqm {
 namespace {
@@ -102,12 +101,9 @@ TEST(EndToEndTest, SwitchBeatsChaoUnderFalsePositives) {
   core::Scenario scenario = core::SimulationScenario(0.01, 0.1, 15);
   core::SimulatedRun run = core::SimulateScenario(scenario, 600, 19);
   core::ExperimentRunner runner({.permutations = 5, .seed = 23});
-  auto results = runner.Run(
-      run.log, scenario.num_items,
-      {{"SWITCH",
-        estimators::EstimatorRegistry::Global().FactoryFor("switch").value()},
-       {"CHAO92",
-        estimators::EstimatorRegistry::Global().FactoryFor("chao92").value()}});
+  std::vector<core::SeriesResult> results =
+      runner.Run(run.log, std::vector<std::string>{"switch", "chao92"})
+          .value();
   double switch_final = results[0].mean.back();
   double chao_final = results[1].mean.back();
   EXPECT_LT(std::abs(switch_final - 100.0), std::abs(chao_final - 100.0));

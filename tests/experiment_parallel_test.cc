@@ -3,25 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/experiment.h"
-#include "estimators/registry.h"
 #include "estimators/switch_total.h"
 
 namespace dqm::core {
 namespace {
 
-estimators::EstimatorFactory FactoryFor(const std::string& spec) {
-  return estimators::EstimatorRegistry::Global().FactoryFor(spec).value();
-}
-
-std::vector<std::pair<std::string, estimators::EstimatorFactory>>
-DefaultFactories() {
-  return {
-      {"VOTING", FactoryFor("voting")},
-      {"CHAO92", FactoryFor("chao92")},
-      {"SWITCH", FactoryFor("switch")},
-  };
-}
+const std::vector<std::string> kSpecs = {"voting", "chao92", "switch"};
 
 TEST(PermutationSeedTest, PinnedValues) {
   // The seed schedule is a compatibility contract: serial and pool-parallel
@@ -52,16 +44,26 @@ TEST(ExperimentRunnerParallelTest, RunnerUsesThePermutationSeedSchedule) {
   const size_t kPermutations = 3;
 
   ExperimentRunner runner({.permutations = kPermutations, .seed = kSeed});
-  auto results = runner.Run(run.log, s.num_items,
-                            {{"SWITCH", FactoryFor("switch")}});
+  std::vector<SeriesResult> results =
+      runner.Run(run.log, std::vector<std::string>{"switch"}).value();
 
+  // Reference: a directly constructed SWITCH estimator over each permuted
+  // log, sampled after every task.
   std::vector<std::vector<double>> expected_rows;
   for (size_t p = 0; p < kPermutations; ++p) {
     crowd::ResponseLog permuted =
         PermuteTasks(run.log, PermutationSeed(kSeed, p));
     estimators::SwitchTotalErrorEstimator estimator(s.num_items);
-    expected_rows.push_back(
-        estimators::EstimateSeriesByTask(permuted, estimator));
+    std::vector<double> series;
+    const std::vector<crowd::VoteEvent>& events = permuted.events();
+    for (size_t e = 0; e < events.size(); ++e) {
+      if (e > 0 && events[e].task != events[e - 1].task) {
+        series.push_back(estimator.Estimate());
+      }
+      estimator.Observe(events[e]);
+    }
+    series.push_back(estimator.Estimate());
+    expected_rows.push_back(std::move(series));
   }
   SeriesBand expected = AggregateSeries(expected_rows);
   EXPECT_EQ(results[0].mean, expected.mean);
@@ -71,22 +73,22 @@ TEST(ExperimentRunnerParallelTest, RunnerUsesThePermutationSeedSchedule) {
 TEST(ExperimentRunnerParallelTest, ParallelRunBitIdenticalToSerial) {
   Scenario s = SimulationScenario(0.01, 0.1, 10);
   SimulatedRun run = SimulateScenario(s, 40, 9);
-  auto factories = DefaultFactories();
-
   ExperimentRunner serial({.permutations = 6, .seed = 17, .threads = 1});
-  auto serial_results = serial.Run(run.log, s.num_items, factories);
+  std::vector<SeriesResult> serial_results =
+      serial.Run(run.log, kSpecs).value();
   for (size_t threads : {2u, 4u, 8u}) {
     ExperimentRunner parallel(
         {.permutations = 6, .seed = 17, .threads = threads});
-    auto parallel_results = parallel.Run(run.log, s.num_items, factories);
+    std::vector<SeriesResult> parallel_results =
+        parallel.Run(run.log, kSpecs).value();
     ASSERT_EQ(parallel_results.size(), serial_results.size());
     for (size_t f = 0; f < serial_results.size(); ++f) {
       EXPECT_EQ(parallel_results[f].name, serial_results[f].name);
       // Element-wise double equality: bit-identical, not approximately equal.
       EXPECT_EQ(parallel_results[f].mean, serial_results[f].mean)
-          << "threads=" << threads << " factory=" << serial_results[f].name;
+          << "threads=" << threads << " spec=" << serial_results[f].name;
       EXPECT_EQ(parallel_results[f].std_dev, serial_results[f].std_dev)
-          << "threads=" << threads << " factory=" << serial_results[f].name;
+          << "threads=" << threads << " spec=" << serial_results[f].name;
     }
   }
 }
@@ -94,11 +96,10 @@ TEST(ExperimentRunnerParallelTest, ParallelRunBitIdenticalToSerial) {
 TEST(ExperimentRunnerParallelTest, HardwareThreadsModeMatchesSerial) {
   Scenario s = SimulationScenario(0.02, 0.15, 8);
   SimulatedRun run = SimulateScenario(s, 20, 13);
-  auto factories = DefaultFactories();
   ExperimentRunner serial({.permutations = 4, .seed = 3, .threads = 1});
   ExperimentRunner hardware({.permutations = 4, .seed = 3, .threads = 0});
-  auto a = serial.Run(run.log, s.num_items, factories);
-  auto b = hardware.Run(run.log, s.num_items, factories);
+  std::vector<SeriesResult> a = serial.Run(run.log, kSpecs).value();
+  std::vector<SeriesResult> b = hardware.Run(run.log, kSpecs).value();
   for (size_t f = 0; f < a.size(); ++f) {
     EXPECT_EQ(a[f].mean, b[f].mean);
     EXPECT_EQ(a[f].std_dev, b[f].std_dev);

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "estimators/registry.h"
 #include "estimators/switch_total.h"
 
 namespace dqm::core {
@@ -14,10 +15,6 @@ namespace {
 
 using crowd::Vote;
 using crowd::VoteEvent;
-
-estimators::EstimatorFactory FactoryFor(const std::string& spec) {
-  return estimators::EstimatorRegistry::Global().FactoryFor(spec).value();
-}
 
 crowd::ResponseLog MakeLog() {
   crowd::ResponseLog log(6);
@@ -95,15 +92,11 @@ TEST(ExperimentRunnerTest, SeriesShapeAndDeterminism) {
   Scenario s = SimulationScenario(0.01, 0.1, 10);
   SimulatedRun run = SimulateScenario(s, 30, 5);
   ExperimentRunner runner({.permutations = 4, .seed = 11});
-  auto factories = std::vector<std::pair<std::string,
-                                         estimators::EstimatorFactory>>{
-      {"VOTING", FactoryFor("voting")},
-      {"SWITCH", FactoryFor("switch")},
-  };
-  auto results_a = runner.Run(run.log, s.num_items, factories);
-  auto results_b = runner.Run(run.log, s.num_items, factories);
+  const std::vector<std::string> specs = {"voting", "switch"};
+  std::vector<SeriesResult> results_a = runner.Run(run.log, specs).value();
+  std::vector<SeriesResult> results_b = runner.Run(run.log, specs).value();
   ASSERT_EQ(results_a.size(), 2u);
-  EXPECT_EQ(results_a[0].name, "VOTING");
+  EXPECT_EQ(results_a[0].name, "voting");
   EXPECT_EQ(results_a[0].mean.size(), 30u);
   EXPECT_EQ(results_a[0].std_dev.size(), 30u);
   // Deterministic for a fixed config.
@@ -117,12 +110,24 @@ TEST(ExperimentRunnerTest, VotingMeanMatchesUnpermutedFinal) {
   Scenario s = SimulationScenario(0.02, 0.2, 10);
   SimulatedRun run = SimulateScenario(s, 40, 9);
   ExperimentRunner runner({.permutations = 5, .seed = 3});
-  auto results = runner.Run(
-      run.log, s.num_items,
-      {{"VOTING", FactoryFor("voting")}});
+  std::vector<SeriesResult> results =
+      runner.Run(run.log, std::vector<std::string>{"voting"}).value();
   EXPECT_DOUBLE_EQ(results[0].mean.back(),
                    static_cast<double>(run.log.MajorityCount()));
   EXPECT_DOUBLE_EQ(results[0].std_dev.back(), 0.0);
+}
+
+TEST(ExperimentRunnerTest, BadSpecFailsBeforeAnyReplay) {
+  SimulatedRun run = SimulateScenario(SimulationScenario(0.0, 0.1, 10), 5, 1);
+  ExperimentRunner runner({.permutations = 2, .seed = 3});
+  EXPECT_EQ(runner.Run(run.log, std::vector<std::string>{"voting", "chao93"})
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(runner.Run(run.log, std::vector<std::string>{"switch?winow=9"})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ExperimentRunnerTest, SwitchDiagnosticsShapes) {

@@ -2,14 +2,15 @@
 // Chao1 extra baseline.
 
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/dqm.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
 #include "crowd/assignment.h"
 #include "crowd/simulator.h"
-#include "estimators/chao92.h"
 
 namespace dqm {
 namespace {
@@ -113,40 +114,48 @@ TEST(ItemNoiseTest, ScenarioBuildsNoiseDeterministically) {
   }
 }
 
-TEST(Chao1EstimatorTest, HandComputedValue) {
-  estimators::Chao1Estimator chao1(10);
-  EXPECT_DOUBLE_EQ(chao1.Estimate(), 0.0);
+/// Feeds `events` into a fresh one-row "chao1" metric.
+core::DataQualityMetric Chao1After(size_t num_items,
+                                   const std::vector<crowd::VoteEvent>& events) {
+  core::DataQualityMetric chao1 =
+      core::DataQualityMetric::Create(num_items, {"chao1"}).value();
+  for (const crowd::VoteEvent& event : events) {
+    chao1.AddVote(event.task, event.worker, event.item,
+                  event.vote == Vote::kDirty);
+  }
+  return chao1;
+}
+
+TEST(Chao1ScoreTest, HandComputedValue) {
+  EXPECT_DOUBLE_EQ(Chao1After(10, {}).EstimatedTotalErrors(), 0.0);
   // 3 singletons, 1 doubleton: c=4, f1=3, f2=1.
   // D = 4 + 3*2 / (2*(1+1)) = 5.5.
-  for (uint32_t i = 0; i < 3; ++i) {
-    chao1.Observe({0, 0, i, Vote::kDirty});
-  }
-  chao1.Observe({1, 1, 5, Vote::kDirty});
-  chao1.Observe({2, 2, 5, Vote::kDirty});
-  EXPECT_DOUBLE_EQ(chao1.Estimate(), 5.5);
-  EXPECT_EQ(chao1.name(), "CHAO1");
+  core::DataQualityMetric chao1 = Chao1After(
+      10, {{0, 0, 0, Vote::kDirty}, {0, 0, 1, Vote::kDirty},
+           {0, 0, 2, Vote::kDirty}, {1, 1, 5, Vote::kDirty},
+           {2, 2, 5, Vote::kDirty}});
+  EXPECT_DOUBLE_EQ(chao1.EstimatedTotalErrors(), 5.5);
+  EXPECT_EQ(chao1.method_name(), "CHAO1");
 }
 
-TEST(Chao1EstimatorTest, NoSingletonsGivesObservedCount) {
-  estimators::Chao1Estimator chao1(5);
+TEST(Chao1ScoreTest, NoSingletonsGivesObservedCount) {
+  std::vector<crowd::VoteEvent> events;
   for (uint32_t round = 0; round < 2; ++round) {
     for (uint32_t i = 0; i < 5; ++i) {
-      chao1.Observe({round, round, i, Vote::kDirty});
+      events.push_back({round, round, i, Vote::kDirty});
     }
   }
-  EXPECT_DOUBLE_EQ(chao1.Estimate(), 5.0);
+  EXPECT_DOUBLE_EQ(Chao1After(5, events).EstimatedTotalErrors(), 5.0);
 }
 
-TEST(Chao1EstimatorTest, SharesChao92FalsePositiveFragility) {
+TEST(Chao1ScoreTest, SharesChao92FalsePositiveFragility) {
   // Under FP noise Chao1, like Chao92, overestimates — the reason the
   // paper needed a different estimator.
   core::Scenario scenario = core::SimulationScenario(0.01, 0.1, 15);
   core::SimulatedRun run = core::SimulateScenario(scenario, 400, 5);
-  estimators::Chao1Estimator chao1(scenario.num_items);
-  for (const crowd::VoteEvent& event : run.log.events()) {
-    chao1.Observe(event);
-  }
-  EXPECT_GT(chao1.Estimate(), 130.0);  // truth is 100
+  EXPECT_GT(Chao1After(scenario.num_items, run.log.events())
+                .EstimatedTotalErrors(),
+            130.0);  // truth is 100
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/dqm.h"
 #include "estimators/chao92.h"
 
 namespace dqm::estimators {
@@ -54,6 +55,12 @@ TEST(SplitSpecListTest, SplitsAndTrims) {
   EXPECT_TRUE(SplitSpecList(" , ").empty());
 }
 
+/// Status of building `spec` as a one-row panel — the factory path every
+/// API (engine sessions, the CLI, ExperimentRunner) goes through.
+StatusCode CreateCode(const std::string& spec) {
+  return core::DataQualityMetric::Create(10, {spec}).status().code();
+}
+
 TEST(EstimatorRegistryTest, RoundTripsEveryBuiltinName) {
   // spec string -> factory -> estimator -> display name, for every
   // registered estimator.
@@ -69,14 +76,24 @@ TEST(EstimatorRegistryTest, RoundTripsEveryBuiltinName) {
   EXPECT_EQ(names.size(), expected_display.size());
   for (const std::string& name : names) {
     ASSERT_TRUE(expected_display.contains(name)) << name;
-    Result<std::unique_ptr<TotalErrorEstimator>> estimator =
-        registry.Create(name, 20);
-    ASSERT_TRUE(estimator.ok()) << estimator.status().ToString();
-    EXPECT_EQ((*estimator)->name(), expected_display.at(name)) << name;
-    // The FactoryFor bridge produces the same estimator.
-    Result<EstimatorFactory> factory = registry.FactoryFor(name);
-    ASSERT_TRUE(factory.ok()) << factory.status().ToString();
-    EXPECT_EQ((*factory)(20)->name(), expected_display.at(name)) << name;
+    Result<core::DataQualityMetric> metric =
+        core::DataQualityMetric::Create(20, {name});
+    ASSERT_TRUE(metric.ok()) << metric.status().ToString();
+    EXPECT_EQ(metric->method_name(), expected_display.at(name)) << name;
+    // The entry's display name is the estimator's.
+    EXPECT_EQ((*registry.Find(name))->display_name, expected_display.at(name));
+  }
+}
+
+TEST(EstimatorRegistryTest, OnlySwitchObservesTheStream) {
+  // Every other built-in is a function of the pipeline's vote statistics,
+  // which is what lets their panels ingest concurrently.
+  for (const std::string& name : EstimatorRegistry::Global().Names()) {
+    core::DataQualityMetric metric =
+        core::DataQualityMetric::Create(20, {name},
+                                        crowd::RetentionPolicy::kCounts)
+            .value();
+    EXPECT_EQ(metric.SupportsConcurrentIngest(), name != "switch") << name;
   }
 }
 
@@ -85,62 +102,63 @@ TEST(EstimatorRegistryTest, AliasesResolveToCanonicalEntries) {
   EXPECT_TRUE(registry.Contains("goodturing"));
   EXPECT_TRUE(registry.Contains("v-chao"));
   EXPECT_TRUE(registry.Contains("jackknife"));
-  EXPECT_EQ((*registry.Create("goodturing", 10))->name(), "GOOD-TURING");
+  EXPECT_EQ(core::DataQualityMetric::Create(10, {"goodturing"})->method_name(),
+            "GOOD-TURING");
   // Aliases are reachable but not listed twice.
   std::vector<std::string> names = registry.Names();
   EXPECT_EQ(std::count(names.begin(), names.end(), "goodturing"), 0);
 }
 
 TEST(EstimatorRegistryTest, UnknownNameIsNotFound) {
-  Result<std::unique_ptr<TotalErrorEstimator>> estimator =
-      EstimatorRegistry::Global().Create("chao93", 10);
-  EXPECT_EQ(estimator.status().code(), StatusCode::kNotFound);
+  Result<std::shared_ptr<const EstimatorRegistry::Entry>> entry =
+      EstimatorRegistry::Global().Find("chao93");
+  EXPECT_EQ(entry.status().code(), StatusCode::kNotFound);
   // The message lists what *is* registered, for discoverability.
-  EXPECT_NE(estimator.status().message().find("switch"), std::string::npos);
+  EXPECT_NE(entry.status().message().find("switch"), std::string::npos);
+  EXPECT_EQ(CreateCode("chao93"), StatusCode::kNotFound);
 }
 
 TEST(EstimatorRegistryTest, UnknownAndMalformedParamsAreInvalidArgument) {
-  EstimatorRegistry& registry = EstimatorRegistry::Global();
-  EXPECT_EQ(registry.Create("switch?winow=9", 10).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(registry.Create("voting?shift=1", 10).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(registry.Create("vchao92?shift=-1", 10).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(registry.Create("vchao92?shift=two", 10).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(registry.Create("switch?two_sided=perhaps", 10).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(registry.Create("switch?tie_policy=bogus", 10).status().code(),
-            StatusCode::kInvalidArgument);
-  // tau is an alias of trend_window; setting both is ambiguous.
-  EXPECT_EQ(registry.Create("switch?tau=5&trend_window=9", 10).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_TRUE(registry.Create("switch?tau=5", 10).ok());
-  // FactoryFor validates eagerly, not at first construction.
-  EXPECT_EQ(registry.FactoryFor("switch?winow=9").status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(registry.FactoryFor("chao93").status().code(),
-            StatusCode::kNotFound);
+  for (const char* spec : {
+           "switch?winow=9",
+           "voting?shift=1",
+           "vchao92?shift=-1",
+           "vchao92?shift=two",
+           "switch?two_sided=perhaps",
+           "switch?tie_policy=bogus",
+           // tau is an alias of trend_window; setting both is ambiguous.
+           "switch?tau=5&trend_window=9",
+           // The DawidSkene constructor would abort on these: the factory
+           // rejects them first.
+           "em-voting?smoothing=0",
+           "em-voting?smoothing=-1",
+           "em-voting?smoothing=nan",
+           "em-voting?max_iters=0",
+           // strtod parses these, but a double param must be finite.
+           "switch?flip_abs=nan",
+           "switch?flip_rel=inf",
+           "em-voting?tolerance=-inf",
+       }) {
+    EXPECT_EQ(CreateCode(spec), StatusCode::kInvalidArgument) << spec;
+  }
+  EXPECT_EQ(CreateCode("switch?tau=5"), StatusCode::kOk);
+  EXPECT_EQ(CreateCode("em-voting?smoothing=0.5"), StatusCode::kOk);
 }
 
 TEST(EstimatorRegistryTest, SpecParamsConfigureTheEstimator) {
-  // vchao92?shift=2 must behave exactly like a directly constructed
-  // VChao92Estimator with shift 2.
-  EstimatorRegistry& registry = EstimatorRegistry::Global();
-  std::unique_ptr<TotalErrorEstimator> by_spec =
-      registry.Create("vchao92?shift=2", 50).value();
-  VChao92Estimator direct(50, 2);
+  // vchao92?shift=2 must score VChao92Score(view, 2, skew=true) over the
+  // pipeline's statistics.
+  core::DataQualityMetric by_spec =
+      core::DataQualityMetric::Create(50, {"vchao92?shift=2"}).value();
   for (uint32_t task = 0; task < 30; ++task) {
     for (uint32_t i = 0; i < 5; ++i) {
-      crowd::VoteEvent event{task, task, (task * 3 + i) % 50,
-                             i % 3 == 0 ? crowd::Vote::kDirty
-                                        : crowd::Vote::kClean};
-      by_spec->Observe(event);
-      direct.Observe(event);
+      by_spec.AddVote(task, task, (task * 3 + i) % 50, i % 3 == 0);
     }
   }
-  EXPECT_EQ(by_spec->Estimate(), direct.Estimate());
+  FStatistics f;
+  f.RebuildFromCounts(by_spec.log().positive_counts());
+  VoteStatsView view{&by_spec.log(), &f};
+  EXPECT_EQ(by_spec.EstimatedTotalErrors(), VChao92Score(view, 2, true));
 }
 
 /// A user-provided estimator: the registry is open, not a baked-in list.
@@ -161,7 +179,7 @@ TEST(EstimatorRegistryTest, OpenForUserEstimators) {
       .name = "constant",
       .display_name = "CONSTANT",
       .help = "fixed answer; params: value=<float>",
-      .factory = [](const EstimatorEnv&, const EstimatorSpec& spec)
+      .factory = [](const VoteStatsView&, const EstimatorSpec& spec)
           -> Result<std::unique_ptr<TotalErrorEstimator>> {
         SpecParamReader params(spec);
         DQM_ASSIGN_OR_RETURN(double value, params.GetDouble("value", 0.0));
@@ -171,12 +189,17 @@ TEST(EstimatorRegistryTest, OpenForUserEstimators) {
       }});
   ASSERT_TRUE(status.ok()) << status.ToString();
 
-  EXPECT_EQ((*registry.Create("constant?value=42", 10))->Estimate(), 42.0);
+  crowd::ResponseLog log(10);
+  VoteStatsView view{&log, nullptr};
+  EXPECT_EQ(
+      (*registry.Create(ParseEstimatorSpec("constant?value=42").value(), view))
+          ->Estimate(),
+      42.0);
   // Duplicate registrations and aliases to nowhere are rejected.
   EXPECT_EQ(registry
                 .Register(EstimatorRegistry::Entry{
                     .name = "constant",
-                    .factory = [](const EstimatorEnv&, const EstimatorSpec&)
+                    .factory = [](const VoteStatsView&, const EstimatorSpec&)
                         -> Result<std::unique_ptr<TotalErrorEstimator>> {
                       return Status::Internal("unreachable");
                     }})

@@ -1,7 +1,8 @@
 // The multi-estimator pipeline contract: one pass over the vote stream must
 // produce, for every attached estimator, exactly the numbers an independent
-// single-method replay produces — bit for bit — and exactly what a
-// standalone estimator with no shared statistics computes.
+// one-row replay produces — bit for bit — and exactly the paper's formula
+// for that estimator over independently rebuilt statistics. The figure
+// benches and the engine both run estimators through this one pipeline.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,10 @@
 #include "core/experiment.h"
 #include "core/scenario.h"
 #include "engine/engine.h"
-#include "estimators/registry.h"
+#include "estimators/baselines.h"
+#include "estimators/chao92.h"
+#include "estimators/em_voting.h"
+#include "estimators/switch_total.h"
 
 namespace dqm::core {
 namespace {
@@ -49,7 +53,7 @@ TEST(ReportPipelineTest, OnePassMatchesSixSingleMethodReplaysBitForBit) {
 
   for (size_t i = 0; i < kPanel.size(); ++i) {
     SCOPED_TRACE(kPanel[i]);
-    // Independent single-method replay through the spec path...
+    // Independent one-row replay through the spec path.
     std::vector<std::string> single = {kPanel[i]};
     Result<DataQualityMetric> replay =
         DataQualityMetric::Create(num_items,
@@ -61,27 +65,50 @@ TEST(ReportPipelineTest, OnePassMatchesSixSingleMethodReplaysBitForBit) {
     EXPECT_EQ(report.estimators[i].undetected_errors,
               replay->EstimatedUndetectedErrors());
     EXPECT_EQ(report.estimators[i].quality_score, replay->QualityScore());
+    EXPECT_EQ(report.estimators[i].name, replay->method_name());
+  }
+}
 
-    // ...and through a standalone estimator straight from the registry: no
-    // pipeline, no shared statistics, every vote observed by the estimator
-    // itself.
-    std::unique_ptr<estimators::TotalErrorEstimator> standalone =
-        estimators::EstimatorRegistry::Global()
-            .Create(kPanel[i], num_items)
-            .value();
-    for (const crowd::VoteEvent& event : run.log.events()) {
-      standalone->Observe(event);
-    }
-    double total = standalone->Estimate();
+TEST(ReportPipelineTest, RowsAreTheirFormulaOverRebuiltStatistics) {
+  // Each row must be its estimator's formula over statistics rebuilt from
+  // scratch (not the pipeline's incrementally maintained fingerprint), and
+  // SWITCH must be a directly constructed estimator observing every vote.
+  SimulatedRun run = PanelRun();
+  size_t num_items = run.truth.size();
+  Result<DataQualityMetric> pipeline =
+      DataQualityMetric::Create(num_items, std::span<const std::string>(kPanel));
+  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+  Feed(*pipeline, run.log);
+  DataQualityMetric::QualityReport report = pipeline->Report();
+
+  estimators::FStatistics f;
+  f.RebuildFromCounts(run.log.positive_counts());
+  estimators::VoteStatsView view{&run.log, &f};
+  estimators::SwitchTotalErrorEstimator switch_estimator(num_items);
+  for (const crowd::VoteEvent& event : run.log.events()) {
+    switch_estimator.Observe(event);
+  }
+  const std::vector<double> expected = {
+      switch_estimator.Estimate(),
+      estimators::Chao92Score(view, /*skew_correction=*/true),
+      estimators::Chao92Score(view, /*skew_correction=*/false),
+      estimators::VChao92Score(view, /*shift=*/1, /*skew_correction=*/true),
+      estimators::VotingScore(view),
+      estimators::NominalScore(view),
+  };
+  ASSERT_EQ(expected.size(), kPanel.size());
+  for (size_t i = 0; i < kPanel.size(); ++i) {
+    SCOPED_TRACE(kPanel[i]);
     double undetected =
-        std::max(total - static_cast<double>(run.log.MajorityCount()), 0.0);
-    EXPECT_EQ(report.estimators[i].total_errors, total);
+        std::max(expected[i] - static_cast<double>(run.log.MajorityCount()),
+                 0.0);
+    EXPECT_EQ(report.estimators[i].total_errors, expected[i]);
     EXPECT_EQ(report.estimators[i].undetected_errors, undetected);
     EXPECT_EQ(report.estimators[i].quality_score,
               std::clamp(1.0 - undetected / static_cast<double>(num_items),
                          0.0, 1.0));
-    EXPECT_EQ(report.estimators[i].name, standalone->name());
   }
+  EXPECT_EQ(report.estimators[0].name, switch_estimator.name());
 }
 
 TEST(ReportPipelineTest, ReportCarriesDescriptiveCountsAndSpecs) {
@@ -181,7 +208,7 @@ TEST(ReportPipelineTest, EngineSnapshotCarriesTheFullPanel) {
   EXPECT_EQ(engine.num_sessions(), 1u);
 }
 
-TEST(ReportPipelineTest, SharedEmVotingMatchesStandalone) {
+TEST(ReportPipelineTest, EmVotingRowMatchesAnEstimatorOverItsOwnLog) {
   SimulatedRun run = PanelRun(60, 5);
   size_t num_items = run.truth.size();
   Result<DataQualityMetric> pipeline =
@@ -189,17 +216,12 @@ TEST(ReportPipelineTest, SharedEmVotingMatchesStandalone) {
   ASSERT_TRUE(pipeline.ok());
   Feed(*pipeline, run.log);
 
-  // Standalone construction (no shared stats): the registry env without a
-  // pipeline falls back to the self-contained EmVotingEstimator.
-  std::unique_ptr<estimators::TotalErrorEstimator> standalone =
-      estimators::EstimatorRegistry::Global()
-          .Create("em-voting", num_items)
-          .value();
-  for (const crowd::VoteEvent& event : run.log.events()) {
-    standalone->Observe(event);
-  }
-  EXPECT_EQ(pipeline->Report().estimators[0].total_errors,
-            standalone->Estimate());
+  // The same estimator over a log this test owns: the pipeline row is
+  // exactly the EM fit of the pipeline's log, no copy and no drift.
+  crowd::ResponseLog log(num_items, crowd::RetentionPolicy::kCounts);
+  for (const crowd::VoteEvent& event : run.log.events()) log.Append(event);
+  estimators::EmVotingEstimator own(log, crowd::DawidSkene::Options());
+  EXPECT_EQ(pipeline->Report().estimators[0].total_errors, own.Estimate());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -163,7 +164,9 @@ TEST(SpecFuzzTest, ParamReaderRejectsGarbageValuesWithErrors) {
     if (!as_uint.ok()) {
       EXPECT_EQ(as_uint.status().code(), StatusCode::kInvalidArgument);
     }
-    if (!as_double.ok()) {
+    if (as_double.ok()) {
+      EXPECT_TRUE(std::isfinite(*as_double)) << value;
+    } else {
       EXPECT_EQ(as_double.status().code(), StatusCode::kInvalidArgument);
     }
     if (as_bool.ok()) {
@@ -179,6 +182,20 @@ TEST(SpecFuzzTest, ParamReaderRejectsGarbageValuesWithErrors) {
       ASSERT_TRUE(as_double.ok()) << value;
       EXPECT_EQ(static_cast<double>(*as_uint), *as_double) << value;
     }
+  }
+}
+
+TEST(SpecFuzzTest, DoubleGetterRejectsNonFiniteSpellings) {
+  // strtod accepts every one of these; a double param must be finite.
+  for (const char* value : {"nan", "NAN", "-nan", "nan(0x1)", "inf", "-inf",
+                            "+INF", "infinity", "-Infinity", "1e400"}) {
+    Result<EstimatorSpec> spec =
+        ParseEstimatorSpec(std::string("fuzz?k=") + value);
+    ASSERT_TRUE(spec.ok()) << value;
+    SpecParamReader reader(*spec);
+    EXPECT_EQ(reader.GetDouble("k", 0.0).status().code(),
+              StatusCode::kInvalidArgument)
+        << value;
   }
 }
 

@@ -11,7 +11,6 @@
 #include "core/dqm.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
-#include "estimators/chao92.h"
 
 namespace dqm::estimators {
 namespace {
@@ -104,14 +103,16 @@ TEST(SwitchTotalTest, RobustToFalsePositivesAtScale) {
   // stays near the truth where Chao92 overestimates severely.
   core::Scenario scenario = core::SimulationScenario(0.01, 0.1, 15);
   core::SimulatedRun run = core::SimulateScenario(scenario, 800, 17);
-  SwitchTotalErrorEstimator switch_est(scenario.num_items);
-  Chao92Estimator chao(scenario.num_items);
+  core::DataQualityMetric panel =
+      core::DataQualityMetric::Create(scenario.num_items, {"switch", "chao92"})
+          .value();
   for (const VoteEvent& event : run.log.events()) {
-    switch_est.Observe(event);
-    chao.Observe(event);
+    panel.AddVote(event.task, event.worker, event.item,
+                  event.vote == Vote::kDirty);
   }
-  double switch_error = std::abs(switch_est.Estimate() - 100.0);
-  double chao_error = std::abs(chao.Estimate() - 100.0);
+  core::DataQualityMetric::QualityReport report = panel.Report();
+  double switch_error = std::abs(report.estimators[0].total_errors - 100.0);
+  double chao_error = std::abs(report.estimators[1].total_errors - 100.0);
   EXPECT_LT(switch_error, 25.0);
   EXPECT_GT(chao_error, switch_error);
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "crowd/response_log.h"
 
 namespace dqm::estimators {
 namespace {
@@ -259,6 +260,30 @@ TEST_P(SwitchEquationPropertyTest, LiveOnlyInvariants) {
     ASSERT_EQ(pos.n + neg.n, stats.n);
     // Live mass never exceeds total votes.
     ASSERT_LE(stats.n, step + 1);
+  }
+}
+
+TEST(SwitchTrackerMajorityTest, MajorityCountMatchesResponseLogAfterEveryVote) {
+  // SWITCH reads the VOTING count off its tracker; it must be exactly the
+  // log's strict-majority count at every point of a seeded stream, whatever
+  // the tie policy (ties are clean for VOTING in both).
+  for (TiePolicy policy :
+       {TiePolicy::kTieAsSwitch, TiePolicy::kStrictMajority}) {
+    SCOPED_TRACE(policy == TiePolicy::kTieAsSwitch ? "tie" : "strict");
+    const size_t num_items = 25;
+    SwitchTracker::Config config;
+    config.tie_policy = policy;
+    SwitchTracker tracker(num_items, config);
+    crowd::ResponseLog log(num_items);
+    Rng rng(1234);
+    for (uint32_t i = 0; i < 2000; ++i) {
+      VoteEvent event{i / 8, i / 8,
+                      static_cast<uint32_t>(rng.UniformIndex(num_items)),
+                      rng.Bernoulli(0.45) ? D : C};
+      tracker.Observe(event);
+      log.Append(event);
+      ASSERT_EQ(tracker.MajorityCount(), log.MajorityCount()) << "vote " << i;
+    }
   }
 }
 

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/dqm.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
 #include "crowd/dawid_skene.h"
@@ -63,20 +64,17 @@ TEST(WarmStartEmTest, LongSessionTracksColdFitWithinDeclaredTolerance) {
   const std::vector<VoteEvent>& events = run.log.events();
   size_t num_items = run.log.num_items();
 
-  estimators::EmVotingEstimator warm(num_items);
-  ResponseLog replay(num_items, RetentionPolicy::kCounts);
+  ResponseLog log(num_items, RetentionPolicy::kCounts);
+  estimators::EmVotingEstimator warm(log, DawidSkene::Options());
   DawidSkene em;
   size_t checkpoints = 0;
   for (size_t begin = 0; begin < events.size(); begin += 50) {
     size_t end = std::min(begin + 50, events.size());
-    for (size_t e = begin; e < end; ++e) {
-      warm.Observe(events[e]);
-      replay.Append(events[e]);
-    }
+    for (size_t e = begin; e < end; ++e) log.Append(events[e]);
     double warm_estimate = warm.Estimate();
     if ((begin / 50) % 16 == 0 || end == events.size()) {
       double cold_estimate =
-          static_cast<double>(DawidSkene::DirtyCount(em.Fit(replay)));
+          static_cast<double>(DawidSkene::DirtyCount(em.Fit(log)));
       EXPECT_LE(std::abs(warm_estimate - cold_estimate),
                 DeclaredBound(warm_estimate, cold_estimate))
           << "at " << end << " votes";
@@ -92,12 +90,13 @@ TEST(WarmStartEmTest, SweepsPerBatchBoundedByConstantNotHistory) {
   const std::vector<VoteEvent>& events = run.log.events();
 
   DawidSkene::Options options;
-  estimators::EmVotingEstimator warm(run.log.num_items(), options);
+  ResponseLog log(run.log.num_items(), RetentionPolicy::kCounts);
+  estimators::EmVotingEstimator warm(log, options);
   size_t max_warm_sweeps = 0;
   size_t batches = 0;
   for (size_t begin = 0; begin < events.size(); begin += 64) {
     size_t end = std::min(begin + 64, events.size());
-    for (size_t e = begin; e < end; ++e) warm.Observe(events[e]);
+    for (size_t e = begin; e < end; ++e) log.Append(events[e]);
     warm.Estimate();
     ++batches;
     if (batches > 1) {
@@ -122,30 +121,27 @@ TEST(WarmStartEmTest, ColdRefitSpecDisablesWarmState) {
   const std::vector<VoteEvent>& events = run.log.events();
   size_t num_items = run.log.num_items();
 
-  auto cold_estimator = estimators::EstimatorRegistry::Global()
-                            .Create("em-voting?warm=0", num_items)
-                            .value();
-  ResponseLog replay(num_items, RetentionPolicy::kCounts);
+  core::DataQualityMetric cold =
+      core::DataQualityMetric::Create(num_items, {"em-voting?warm=0"},
+                                      RetentionPolicy::kCounts)
+          .value();
   DawidSkene em;
   for (size_t begin = 0; begin < events.size(); begin += 40) {
     size_t end = std::min(begin + 40, events.size());
     for (size_t e = begin; e < end; ++e) {
-      cold_estimator->Observe(events[e]);
-      replay.Append(events[e]);
+      cold.AddVote(events[e].task, events[e].worker, events[e].item,
+                   events[e].vote == Vote::kDirty);
     }
-    EXPECT_EQ(cold_estimator->Estimate(),
-              static_cast<double>(DawidSkene::DirtyCount(em.Fit(replay))))
+    EXPECT_EQ(cold.EstimatedTotalErrors(),
+              static_cast<double>(DawidSkene::DirtyCount(em.Fit(cold.log()))))
         << "at " << end << " votes";
   }
 }
 
 TEST(WarmStartEmTest, NewWorkersMidStreamEnterAtNeutralRates) {
-  estimators::EmVotingEstimator warm(6);
-  ResponseLog replay(6, RetentionPolicy::kCounts);
-  auto observe = [&](const VoteEvent& event) {
-    warm.Observe(event);
-    replay.Append(event);
-  };
+  ResponseLog log(6, RetentionPolicy::kCounts);
+  estimators::EmVotingEstimator warm(log, DawidSkene::Options());
+  auto observe = [&](const VoteEvent& event) { log.Append(event); };
   for (uint32_t w = 0; w < 3; ++w) {
     for (uint32_t i = 0; i < 6; ++i) {
       observe({w, w, i, i < 2 ? Vote::kDirty : Vote::kClean});
@@ -162,7 +158,7 @@ TEST(WarmStartEmTest, NewWorkersMidStreamEnterAtNeutralRates) {
   double warm_estimate = warm.Estimate();
   DawidSkene em;
   double cold_estimate =
-      static_cast<double>(DawidSkene::DirtyCount(em.Fit(replay)));
+      static_cast<double>(DawidSkene::DirtyCount(em.Fit(log)));
   EXPECT_LE(std::abs(warm_estimate - cold_estimate),
             DeclaredBound(warm_estimate, cold_estimate));
   const DawidSkene::Result& state = warm.FitResult();

@@ -59,6 +59,7 @@
 #include "common/status.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "core/dqm.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
 #include "crowd/io.h"
@@ -523,11 +524,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   for (const std::string& spec : specs) {
-    dqm::Result<dqm::estimators::EstimatorFactory> factory =
-        dqm::estimators::EstimatorRegistry::Global().FactoryFor(spec);
-    if (!factory.ok()) {
+    dqm::Status status =
+        dqm::core::DataQualityMetric::Create(1, {spec}).status();
+    if (!status.ok()) {
       std::fprintf(stderr, "bad estimator spec '%s': %s\n", spec.c_str(),
-                   factory.status().ToString().c_str());
+                   status.ToString().c_str());
       return 1;
     }
   }
