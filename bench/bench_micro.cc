@@ -63,7 +63,7 @@ void BM_FStatisticsPromote(benchmark::State& state) {
         f.Promote(freq);
       }
     }
-    benchmark::DoNotOptimize(f.SumIiMinus1());
+    benchmark::DoNotOptimize(dqm::estimators::SumIiMinus1(f.fingerprint()));
   }
 }
 BENCHMARK(BM_FStatisticsPromote);

@@ -5,60 +5,59 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "estimators/f_statistics.h"
 
 namespace dqm::core {
 
 namespace {
 
-/// Debug reference for the striped fingerprint: true iff `f` equals, bucket
-/// by bucket, the O(items) rebuild from the per-item dirty-vote counts.
-[[maybe_unused]] bool MatchesRebuild(const estimators::FStatistics& f,
+/// Debug reference for the striped fingerprint: true iff `fingerprint`
+/// equals, bucket by bucket, the O(items) rebuild from the per-item
+/// dirty-vote counts.
+[[maybe_unused]] bool MatchesRebuild(std::span<const uint64_t> fingerprint,
                                      std::span<const uint32_t> counts) {
   estimators::FStatistics reference;
   reference.RebuildFromCounts(counts);
-  return f.histogram() == reference.histogram();
+  std::span<const uint64_t> expected = reference.fingerprint();
+  for (size_t j = 0; j < std::max(fingerprint.size(), expected.size()); ++j) {
+    if (estimators::FingerprintAt(fingerprint, j) !=
+        estimators::FingerprintAt(expected, j)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
 
-DataQualityMetric::DataQualityMetric(size_t num_items,
-                                     crowd::RetentionPolicy retention,
-                                     PrivateTag)
-    : state_(std::make_unique<PipelineState>(num_items, retention)) {
-  state_->view.log = &state_->log;
-}
-
-DataQualityMetric::DataQualityMetric(size_t num_items)
-    : DataQualityMetric(num_items, crowd::RetentionPolicy::kFullEvents,
-                        PrivateTag()) {
+DataQualityMetric::DataQualityMetric(size_t num_items) {
   const std::string spec = "switch";
-  Status status = AttachSpecs(std::span<const std::string>(&spec, 1));
+  Status status =
+      AttachSpecs(num_items, std::span<const std::string>(&spec, 1));
   DQM_CHECK(status.ok()) << status.ToString();
 }
 
 Result<DataQualityMetric> DataQualityMetric::Create(
-    size_t num_items, std::span<const std::string> specs,
-    crowd::RetentionPolicy retention) {
-  DataQualityMetric metric(num_items, retention, PrivateTag());
-  DQM_RETURN_NOT_OK(metric.AttachSpecs(specs));
+    size_t num_items, std::span<const std::string> specs) {
+  DataQualityMetric metric;
+  DQM_RETURN_NOT_OK(metric.AttachSpecs(num_items, specs));
   return metric;
 }
 
 Result<DataQualityMetric> DataQualityMetric::Create(
-    size_t num_items, std::initializer_list<std::string> specs,
-    crowd::RetentionPolicy retention) {
+    size_t num_items, std::initializer_list<std::string> specs) {
   std::vector<std::string> copy(specs);
-  return Create(num_items, std::span<const std::string>(copy), retention);
+  return Create(num_items, std::span<const std::string>(copy));
 }
 
 Result<DataQualityMetric> DataQualityMetric::Create(
-    size_t num_items, const std::string& spec_list,
-    crowd::RetentionPolicy retention) {
+    size_t num_items, const std::string& spec_list) {
   std::vector<std::string> specs = estimators::SplitSpecList(spec_list);
-  return Create(num_items, std::span<const std::string>(specs), retention);
+  return Create(num_items, std::span<const std::string>(specs));
 }
 
-Status DataQualityMetric::AttachSpecs(std::span<const std::string> specs) {
+Status DataQualityMetric::AttachSpecs(size_t num_items,
+                                      std::span<const std::string> specs) {
   if (specs.empty()) {
     return Status::InvalidArgument(
         "DataQualityMetric needs at least one estimator spec");
@@ -66,29 +65,29 @@ Status DataQualityMetric::AttachSpecs(std::span<const std::string> specs) {
   const estimators::EstimatorRegistry& registry =
       estimators::EstimatorRegistry::Global();
 
-  // Pass 1: parse and resolve every spec so the pipeline knows — before any
-  // estimator is built — whether the positive-vote fingerprint must be
-  // maintained.
+  // Pass 1: parse and resolve every spec so the pipeline knows — before the
+  // log is built — whether it must retain the pair matrix.
   std::vector<estimators::EstimatorSpec> parsed;
   parsed.reserve(specs.size());
+  bool wants_pair_counts = false;
   for (const std::string& spec : specs) {
     DQM_ASSIGN_OR_RETURN(estimators::EstimatorSpec one,
                          estimators::ParseEstimatorSpec(spec));
     DQM_ASSIGN_OR_RETURN(
         std::shared_ptr<const estimators::EstimatorRegistry::Entry> entry,
         registry.Find(one.name));
-    if (entry->wants_positive_fingerprint) state_->maintain_positive_f = true;
-    if (entry->wants_pair_counts) state_->need_pair_counts = true;
+    wants_pair_counts = wants_pair_counts || entry->wants_pair_counts;
     parsed.push_back(std::move(one));
   }
-  state_->view.positive_f =
-      state_->maintain_positive_f ? &state_->positive_f : nullptr;
+  log_ = std::make_unique<crowd::ResponseLog>(
+      num_items, wants_pair_counts ? crowd::RetentionPolicy::kCounts
+                                   : crowd::RetentionPolicy::kTallies);
 
-  // Pass 2: build each estimator against the view.
+  // Pass 2: build each estimator against the log.
   for (size_t i = 0; i < parsed.size(); ++i) {
     DQM_ASSIGN_OR_RETURN(
         std::unique_ptr<estimators::TotalErrorEstimator> estimator,
-        registry.Create(parsed[i], state_->view));
+        registry.Create(parsed[i], *log_));
     rows_.push_back(Row{specs[i], std::move(estimator)});
     if (rows_.back().estimator->needs_observe()) {
       observing_.push_back(rows_.back().estimator.get());
@@ -98,33 +97,27 @@ Status DataQualityMetric::AttachSpecs(std::span<const std::string> specs) {
 }
 
 bool DataQualityMetric::SupportsConcurrentIngest() const {
-  return observing_.empty() &&
-         state_->log.retention() == crowd::RetentionPolicy::kCounts;
+  return observing_.empty();
 }
 
 void DataQualityMetric::EnableConcurrentIngest(size_t num_stripes) {
   DQM_CHECK(SupportsConcurrentIngest())
-      << "panel has an order-sensitive (observing) estimator or retains "
-         "full events; concurrent ingest would break it";
-  state_->log.EnableConcurrentIngest(num_stripes, state_->need_pair_counts);
+      << "panel has an order-sensitive (observing) estimator; concurrent "
+         "ingest would break it";
+  log_->EnableConcurrentIngest(num_stripes);
 }
 
 void DataQualityMetric::CommitVotesConcurrent(
     std::span<const crowd::VoteEvent> votes) {
-  state_->log.AppendConcurrent(votes);
+  log_->AppendConcurrent(votes);
 }
 
 crowd::ResponseLog::IngestPause DataQualityMetric::ReconcileForEstimates() {
-  crowd::ResponseLog::IngestPause pause = state_->log.PauseAndReconcile();
-  if (state_->maintain_positive_f && state_->log.concurrent_ingest()) {
-    // The striped log keeps the fingerprint per stripe at commit and sums it
-    // at reconcile; load that sum (bit-identical to the incremental AddVote
-    // stream) in O(deepest pile).
-    state_->positive_f.AssignFingerprint(state_->log.positive_fingerprint());
-    DQM_DCHECK(MatchesRebuild(state_->positive_f,
-                              state_->log.positive_counts()))
-        << "striped positive-vote fingerprint diverged from the tallies";
-  }
+  crowd::ResponseLog::IngestPause pause = log_->PauseAndReconcile();
+  DQM_DCHECK(!log_->concurrent_ingest() ||
+             MatchesRebuild(log_->positive_fingerprint(),
+                            log_->positive_counts()))
+      << "striped positive-vote fingerprint diverged from the tallies";
   return pause;
 }
 
@@ -132,21 +125,7 @@ void DataQualityMetric::AddVote(uint32_t task, uint32_t worker, uint32_t item,
                                 bool is_dirty) {
   crowd::VoteEvent event{task, worker, item,
                          is_dirty ? crowd::Vote::kDirty : crowd::Vote::kClean};
-  PipelineState& state = *state_;
-  if (is_dirty && state.maintain_positive_f) {
-    // Bounds check before the tally read — everywhere else Append's own
-    // check fires before any indexing.
-    DQM_CHECK_LT(item, state.log.num_items()) << "item id out of range";
-    // The item moves from frequency `count` to `count + 1` (keyed on the
-    // pre-append tally).
-    uint32_t count = state.log.positive_votes(item);
-    if (count == 0) {
-      state.positive_f.AddSingleton();
-    } else {
-      state.positive_f.Promote(count);
-    }
-  }
-  state.log.Append(event);
+  log_->Append(event);
   for (estimators::TotalErrorEstimator* estimator : observing_) {
     estimator->Observe(event);
   }
@@ -158,14 +137,14 @@ double DataQualityMetric::EstimatedTotalErrors() const {
 
 double DataQualityMetric::EstimatedUndetectedErrors() const {
   double undetected =
-      EstimatedTotalErrors() - static_cast<double>(state_->log.MajorityCount());
+      EstimatedTotalErrors() - static_cast<double>(log_->MajorityCount());
   return std::max(undetected, 0.0);
 }
 
 double DataQualityMetric::QualityScore() const {
-  if (state_->log.num_items() == 0) return 1.0;
-  double fraction = EstimatedUndetectedErrors() /
-                    static_cast<double>(state_->log.num_items());
+  if (log_->num_items() == 0) return 1.0;
+  double fraction =
+      EstimatedUndetectedErrors() / static_cast<double>(log_->num_items());
   return std::clamp(1.0 - fraction, 0.0, 1.0);
 }
 
@@ -176,7 +155,7 @@ DataQualityMetric::QualityReport DataQualityMetric::Report() const {
 }
 
 void DataQualityMetric::ReportInto(QualityReport& report) const {
-  const crowd::ResponseLog& log = state_->log;
+  const crowd::ResponseLog& log = *log_;
   report.num_votes = log.num_events();
   report.num_items = log.num_items();
   report.majority_count = log.MajorityCount();

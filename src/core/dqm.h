@@ -31,9 +31,9 @@ namespace dqm::core {
 /// The metric is a single-pass, multi-estimator pipeline: any number of
 /// registered estimators can be attached to the same vote stream and every
 /// AddVote feeds all of them at once, so comparing the paper's estimator
-/// panel costs one log replay instead of one per method. Descriptive
-/// tallies and the positive-vote fingerprint are maintained once and shared
-/// with every estimator that can use them:
+/// panel costs one log replay instead of one per method. The vote
+/// statistics — tallies, n^+ and the positive-vote fingerprint — are kept
+/// once, by the pipeline's log, and read by every estimator:
 ///
 ///     auto metric = dqm::core::DataQualityMetric::Create(
 ///         num_records, {"switch", "chao92", "vchao92?shift=2", "voting"});
@@ -43,28 +43,30 @@ namespace dqm::core {
 ///
 /// The single-method accessors (EstimatedTotalErrors etc.) always answer for
 /// the *primary* estimator — the first spec.
+///
+/// The log retains what the panel reads and nothing more: the pair matrix
+/// (crowd::RetentionPolicy::kCounts) when some estimator's registry entry
+/// sets wants_pair_counts (EM-VOTING), only the tallies (kTallies)
+/// otherwise. Arrival history is never kept; replay consumers keep their
+/// own event vectors.
 class DataQualityMetric {
  public:
   /// `num_items` — size of the record (or candidate-pair) universe N. The
-  /// quickstart form: the paper's SWITCH estimator (the "switch" spec) over
-  /// a log that keeps full arrival history (kFullEvents).
+  /// quickstart form: the paper's SWITCH estimator (the "switch" spec).
   explicit DataQualityMetric(size_t num_items);
 
   /// Builds a multi-estimator pipeline from registry spec strings. The
   /// first spec is the primary estimator (the one the single-method
   /// accessors answer for). InvalidArgument when `specs` is empty or a
   /// param is malformed; NotFound for unregistered estimator names.
-  static Result<DataQualityMetric> Create(
-      size_t num_items, std::span<const std::string> specs,
-      crowd::RetentionPolicy retention = crowd::RetentionPolicy::kFullEvents);
+  static Result<DataQualityMetric> Create(size_t num_items,
+                                          std::span<const std::string> specs);
   /// Braced-list convenience: Create(n, {"switch", "chao92"}).
   static Result<DataQualityMetric> Create(
-      size_t num_items, std::initializer_list<std::string> specs,
-      crowd::RetentionPolicy retention = crowd::RetentionPolicy::kFullEvents);
+      size_t num_items, std::initializer_list<std::string> specs);
   /// As above from a comma-separated list ("switch,chao92,voting").
-  static Result<DataQualityMetric> Create(
-      size_t num_items, const std::string& spec_list,
-      crowd::RetentionPolicy retention = crowd::RetentionPolicy::kFullEvents);
+  static Result<DataQualityMetric> Create(size_t num_items,
+                                          const std::string& spec_list);
 
   DataQualityMetric(DataQualityMetric&&) noexcept = default;
   DataQualityMetric& operator=(DataQualityMetric&&) noexcept = default;
@@ -78,34 +80,33 @@ class DataQualityMetric {
 
   /// True when this pipeline can ingest from many producer threads at once:
   /// no attached estimator needs the per-event Observe fan-out
-  /// (order-sensitive estimators like SWITCH do) and
-  /// the log runs kCounts retention. Such panels are producer-order
-  /// independent: their state is a function of the per-(worker, item) vote
-  /// multiset, so tallies and tally-derived estimates from any commit
-  /// interleaving are bit-identical to a serialized feed.
+  /// (order-sensitive estimators like SWITCH do). Such panels are
+  /// producer-order independent: their state is a function of the
+  /// per-(worker, item) vote multiset, so tallies and tally-derived
+  /// estimates from any commit interleaving are bit-identical to a
+  /// serialized feed.
   bool SupportsConcurrentIngest() const;
 
   /// Switches the internal log to striped concurrent ingest (requires
   /// SupportsConcurrentIngest() and no votes yet; aborts otherwise). The
-  /// per-(worker, item) matrix shards are maintained only when some
-  /// attached estimator declared wants_pair_counts. After this, votes
-  /// arrive through CommitVotesConcurrent — AddVote aborts.
+  /// stripes keep per-(worker, item) matrix shards iff the log is kCounts.
+  /// After this, votes arrive through CommitVotesConcurrent — AddVote
+  /// aborts.
   void EnableConcurrentIngest(size_t num_stripes);
 
   /// Thread-safe striped tally commit (enabled pipelines only). Item ids
   /// must be < num_items(); the caller validates (the engine session does).
   void CommitVotesConcurrent(std::span<const crowd::VoteEvent> votes);
 
-  /// Pauses committers, reconciles the striped log, and loads the shared
-  /// positive-vote fingerprint from the sum of the histograms the stripes
-  /// keep at commit (O(stripes x deepest pile), bit-identical to incremental
-  /// maintenance; Debug builds also compare it bucket by bucket with a
-  /// rebuild from the tallies). Estimates / Report calls are valid while —
-  /// and only while — the returned guard lives.
+  /// Pauses committers and reconciles the striped log, which sums the
+  /// positive-vote fingerprints its stripes keep at commit (Debug builds
+  /// also compare the sum bucket by bucket with a rebuild from the
+  /// tallies). Estimates / Report calls are valid while — and only while —
+  /// the returned guard lives.
   /// No-op guard when concurrent ingest is not enabled.
   [[nodiscard]] crowd::ResponseLog::IngestPause ReconcileForEstimates();
 
-  bool concurrent_ingest() const { return state_->log.concurrent_ingest(); }
+  bool concurrent_ingest() const { return log_->concurrent_ingest(); }
 
   /// Estimated total number of dirty items |R_dirty| under the primary
   /// estimator.
@@ -162,13 +163,13 @@ class DataQualityMetric {
   std::vector<std::string> specs() const;
 
   /// Descriptive counts from the underlying log.
-  size_t MajorityCount() const { return state_->log.MajorityCount(); }
-  size_t NominalCount() const { return state_->log.NominalCount(); }
-  size_t num_votes() const { return state_->log.num_events(); }
-  size_t num_items() const { return state_->log.num_items(); }
+  size_t MajorityCount() const { return log_->MajorityCount(); }
+  size_t NominalCount() const { return log_->NominalCount(); }
+  size_t num_votes() const { return log_->num_events(); }
+  size_t num_items() const { return log_->num_items(); }
 
-  /// The underlying log (e.g., for re-analysis with other estimators).
-  const crowd::ResponseLog& log() const { return state_->log; }
+  /// The underlying log: the vote statistics every estimator reads.
+  const crowd::ResponseLog& log() const { return *log_; }
 
   /// Name of the primary estimator.
   std::string_view method_name() const {
@@ -176,35 +177,20 @@ class DataQualityMetric {
   }
 
  private:
-  struct PrivateTag {};
-  /// Heap-pinned pipeline state: estimators hold pointers into it, so the
-  /// metric object itself stays cheaply movable.
-  struct PipelineState {
-    PipelineState(size_t num_items, crowd::RetentionPolicy retention)
-        : log(num_items, retention) {}
-    crowd::ResponseLog log;
-    /// Fingerprint of dirty votes per item, maintained iff some attached
-    /// estimator wants it (see EstimatorRegistry::Entry).
-    estimators::FStatistics positive_f;
-    bool maintain_positive_f = false;
-    /// Some attached estimator reads the response matrix (EM-VOTING); the
-    /// striped ingest path maintains the matrix shards iff set.
-    bool need_pair_counts = false;
-    /// What every estimator reads: &log, plus &positive_f when maintained.
-    estimators::VoteStatsView view;
-  };
   struct Row {
     std::string spec;
     std::unique_ptr<estimators::TotalErrorEstimator> estimator;
   };
 
-  DataQualityMetric(size_t num_items, crowd::RetentionPolicy retention,
-                    PrivateTag);
+  DataQualityMetric() = default;
 
-  /// Shared by Create and the quickstart constructor.
-  Status AttachSpecs(std::span<const std::string> specs);
+  /// Builds the log and the panel; shared by Create and the quickstart
+  /// constructor.
+  Status AttachSpecs(size_t num_items, std::span<const std::string> specs);
 
-  std::unique_ptr<PipelineState> state_;
+  /// Heap-pinned: estimators hold pointers to it, so the metric object
+  /// itself stays cheaply movable.
+  std::unique_ptr<crowd::ResponseLog> log_;
   std::vector<Row> rows_;
   /// Estimators whose needs_observe() is true, in row order — the per-event
   /// fan-out list (estimators that only read the view are skipped).

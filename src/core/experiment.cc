@@ -66,8 +66,7 @@ Result<std::vector<std::vector<double>>> PanelSeriesByTask(
     const crowd::ResponseLog& log, std::span<const std::string> specs) {
   DQM_ASSIGN_OR_RETURN(
       DataQualityMetric metric,
-      DataQualityMetric::Create(log.num_items(), specs,
-                                crowd::RetentionPolicy::kCounts));
+      DataQualityMetric::Create(log.num_items(), specs));
   std::vector<std::vector<double>> series(specs.size());
   DataQualityMetric::QualityReport report;
   auto sample = [&] {
@@ -135,13 +134,12 @@ Result<ExperimentRunner::WorkloadReport> ExperimentRunner::RunWorkload(
       workload::WorkloadRegistry::Global().Create(workload_spec));
   workload::GeneratedWorkload run = generator->Generate(config_.seed);
 
-  // The scoring pipeline only consumes tallies and the shared fingerprint,
-  // never arrival history (the generated run keeps that) — compacted counts
-  // keep big workload sweeps at O(#pairs) memory per scored panel.
+  // The scoring pipeline keeps no arrival history (the generated run keeps
+  // that), so big workload sweeps stay at O(#items) memory per scored panel
+  // (O(#pairs) when it reads the pair matrix).
   DQM_ASSIGN_OR_RETURN(
       DataQualityMetric metric,
-      DataQualityMetric::Create(generator->num_items(), estimator_specs,
-                                crowd::RetentionPolicy::kCounts));
+      DataQualityMetric::Create(generator->num_items(), estimator_specs));
   for (const crowd::VoteEvent& event : run.log.events()) {
     metric.AddVote(event.task, event.worker, event.item,
                    event.vote == crowd::Vote::kDirty);

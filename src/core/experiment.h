@@ -29,7 +29,7 @@ crowd::ResponseLog PermuteTasks(const crowd::ResponseLog& log, uint64_t seed);
 uint64_t PermutationSeed(uint64_t base, size_t index);
 
 /// Replays `log` once through one multi-estimator panel built from `specs`
-/// (kCounts retention) and returns series[s][t] = spec s's estimate after
+/// and returns series[s][t] = spec s's estimate after
 /// tasks 0..t inclusive, sampled at every task boundary. Empty series for
 /// an empty log. Fails on unknown names or bad params.
 Result<std::vector<std::vector<double>>> PanelSeriesByTask(
@@ -68,7 +68,7 @@ class ExperimentRunner {
   explicit ExperimentRunner(const Config& config) : config_(config) {}
 
   /// Replays `permutations` shuffles of `log`, each through one
-  /// multi-estimator panel built from `specs` (kCounts retention), and
+  /// multi-estimator panel built from `specs`, and
   /// aggregates each spec's per-task estimate series into mean/std: one
   /// series per spec, named after the spec, on the x grid 1..num_tasks
   /// (index t = estimate after tasks 0..t inclusive). Fails up front on

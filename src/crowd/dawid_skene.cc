@@ -81,21 +81,14 @@ size_t DawidSkene::RunSweeps(const ResponseLog& log, Result& result,
     return 0;
   }
 
-  // The count matrix: maintained by the log under kCounts retention (one
-  // block serialized, one block per stripe on concurrently ingested logs),
-  // rebuilt once per fit from events under kFullEvents. Serialized and
-  // replay paths insert pairs in first-arrival order, so the sweeps visit
-  // identical slot sequences either way; striped blocks reorder slots
-  // across blocks, which only perturbs float summation order (the declared
-  // EM tolerance).
+  // The count matrix the log maintains under kCounts retention: one block
+  // serialized, one block per stripe on concurrently ingested logs.
+  // Serialized and replay paths insert pairs in first-arrival order, so the
+  // sweeps visit identical slot sequences either way; striped blocks
+  // reorder slots across blocks, which only perturbs float summation order
+  // (the declared EM tolerance).
   workspace.blocks.clear();
-  if (!log.AppendCountMatrixBlocks(workspace.blocks)) {
-    workspace.scratch_counts.Clear();
-    for (const VoteEvent& event : log.events()) {
-      workspace.scratch_counts.Add(event.worker, event.item, event.vote);
-    }
-    workspace.blocks.push_back(&workspace.scratch_counts);
-  }
+  log.AppendCountMatrixBlocks(workspace.blocks);
 
   // ---- E step (shared): per-item posteriors from worker rates (log
   // domain). Returns the largest posterior move.

@@ -20,9 +20,10 @@ namespace dqm::crowd {
 /// EM consumes the *response matrix* (per-(worker, item) vote counts), not
 /// the arrival history: every sweep touches each distinct pair exactly once,
 /// so a fit over a log with a million votes piled onto a few thousand pairs
-/// costs a few thousand pair visits per sweep. Under
-/// RetentionPolicy::kCounts the log already maintains that matrix; under
-/// kFullEvents it is rebuilt once per fit into reusable Workspace scratch.
+/// costs a few thousand pair visits per sweep. It reads the matrix the log
+/// maintains, so the log must retain RetentionPolicy::kCounts (any other
+/// log aborts); to fit a kFullEvents log, copy its events into a kCounts
+/// log first.
 ///
 /// It addresses a *different* problem than the DQM estimators: EM recovers
 /// the best labels for items that have votes, while DQM predicts how many
@@ -59,10 +60,9 @@ class DawidSkene {
     bool converged = false;
   };
 
-  /// Reusable per-fit scratch: per-worker accumulators, per-item log-odds,
-  /// and the count matrix rebuilt from events under kFullEvents retention.
-  /// Keeping one Workspace alive across fits makes the steady-state fit
-  /// loop allocation-free.
+  /// Reusable per-fit scratch: per-worker accumulators, per-item log-odds
+  /// and per-pair terms. Keeping one Workspace alive across fits makes the
+  /// steady-state fit loop allocation-free.
   struct Workspace {
     std::vector<double> dirty_agree;
     std::vector<double> dirty_total;
@@ -78,8 +78,7 @@ class DawidSkene {
     std::vector<double> log_spec;
     std::vector<double> log_one_minus_spec;
     // The count-matrix blocks the sweeps iterate: the log's own store (one
-    // block; one per stripe on concurrently ingested logs), or
-    // scratch_counts rebuilt from events under kFullEvents.
+    // block; one per stripe on concurrently ingested logs).
     std::vector<const CompactedVoteStore*> blocks;
     // Per-pair contribution columns: each sweep is split into a gather +
     // multiply-add pass writing these flat SoA columns (a loop shape the
@@ -88,7 +87,6 @@ class DawidSkene {
     std::vector<double> pair_dirty_term;
     std::vector<double> pair_clean_term;
     std::vector<double> pair_posterior;
-    CompactedVoteStore scratch_counts;
   };
 
   explicit DawidSkene(const Options& options);

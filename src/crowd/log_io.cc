@@ -23,9 +23,9 @@ Result<uint32_t> ParseU32(const std::string& text, const char* field,
   return value;
 }
 
-}  // namespace
-
-std::string ResponseLogIo::ToCsv(const ResponseLog& log) {
+/// The CSV rows of `log`: the header, then one row per vote in arrival
+/// order.
+std::vector<CsvRow> LogRows(const ResponseLog& log) {
   std::vector<CsvRow> rows;
   rows.reserve(log.num_events() + 1);
   rows.push_back({"task", "worker", "item", "vote"});
@@ -34,12 +34,12 @@ std::string ResponseLogIo::ToCsv(const ResponseLog& log) {
                     StrFormat("%u", event.item),
                     event.vote == Vote::kDirty ? "dirty" : "clean"});
   }
-  return Csv::Format(rows);
+  return rows;
 }
 
-Result<ResponseLog> ResponseLogIo::FromCsv(std::string_view text,
-                                           size_t num_items) {
-  DQM_ASSIGN_OR_RETURN(std::vector<CsvRow> rows, Csv::Parse(text));
+/// Rebuilds a log from parsed CSV rows; errors carry `row N:` context.
+Result<ResponseLog> LogFromRows(const std::vector<CsvRow>& rows,
+                                size_t num_items) {
   if (rows.empty()) {
     return Status::InvalidArgument("vote log csv is empty");
   }
@@ -83,30 +83,30 @@ Result<ResponseLog> ResponseLogIo::FromCsv(std::string_view text,
   return log;
 }
 
+}  // namespace
+
+std::string ResponseLogIo::ToCsv(const ResponseLog& log) {
+  return Csv::Format(LogRows(log));
+}
+
+Result<ResponseLog> ResponseLogIo::FromCsv(std::string_view text,
+                                           size_t num_items) {
+  DQM_ASSIGN_OR_RETURN(std::vector<CsvRow> rows, Csv::Parse(text));
+  return LogFromRows(rows, num_items);
+}
+
 Status ResponseLogIo::WriteFile(const ResponseLog& log,
                                 const std::string& path) {
-  std::vector<CsvRow> rows;
-  rows.reserve(log.num_events() + 1);
-  rows.push_back({"task", "worker", "item", "vote"});
-  for (const VoteEvent& event : log.events()) {
-    rows.push_back({StrFormat("%u", event.task), StrFormat("%u", event.worker),
-                    StrFormat("%u", event.item),
-                    event.vote == Vote::kDirty ? "dirty" : "clean"});
-  }
-  return Csv::WriteFile(path, rows);
+  return Csv::WriteFile(path, LogRows(log));
 }
 
 Result<ResponseLog> ResponseLogIo::ReadFile(const std::string& path,
                                             size_t num_items) {
-  auto rows = Csv::ReadFile(path);
-  if (!rows.ok()) {
-    return Status(rows.status().code(),
-                  StrFormat("%s: %s", path.c_str(),
-                            rows.status().message().c_str()));
-  }
-  Result<ResponseLog> log = FromCsv(Csv::Format(*rows), num_items);
+  Result<std::vector<CsvRow>> rows = Csv::ReadFile(path);
+  Result<ResponseLog> log =
+      rows.ok() ? LogFromRows(*rows, num_items) : rows.status();
   if (!log.ok()) {
-    // FromCsv errors carry `row N:` context; prefix the file so callers see
+    // Row errors carry `row N:` context; prefix the file so callers see
     // file:line-style provenance.
     return Status(log.status().code(),
                   StrFormat("%s: %s", path.c_str(),

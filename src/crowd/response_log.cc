@@ -46,14 +46,6 @@ void CompactedVoteStore::Add(uint32_t worker, uint32_t item, Vote vote) {
   }
 }
 
-void CompactedVoteStore::Clear() {
-  workers_.clear();
-  items_.clear();
-  dirty_.clear();
-  clean_.clear();
-  std::fill(index_.begin(), index_.end(), kEmptySlot);
-}
-
 size_t CompactedVoteStore::MemoryBytes() const {
   return (workers_.capacity() + items_.capacity() + dirty_.capacity() +
           clean_.capacity() + index_.capacity()) *
@@ -128,32 +120,32 @@ const std::vector<VoteEvent>& ResponseLog::events() const {
   // log for its event history is a caller programming error.
   DQM_CHECK(retention_ == RetentionPolicy::kFullEvents)
       << "events() requires RetentionPolicy::kFullEvents; this log retains "
-         "only compacted counts";
+         "only counts";
   return events_;
 }
 
-bool ResponseLog::AppendCountMatrixBlocks(
+void ResponseLog::AppendCountMatrixBlocks(
     std::vector<const CompactedVoteStore*>& out) const {
-  if (retention_ != RetentionPolicy::kCounts) return false;
+  // invariant: the consumer set was declared at pipeline construction.
+  DQM_CHECK(retention_ == RetentionPolicy::kCounts)
+      << "this log keeps no pair-count matrix; no response-matrix consumer "
+         "was declared at pipeline construction";
   if (concurrent_ == nullptr) {
     out.push_back(&compacted_);
-    return true;
+    return;
   }
-  // invariant: the consumer set was declared at pipeline construction.
-  DQM_CHECK(concurrent_->maintain_pair_counts)
-      << "this log was striped without pair-count maintenance; no "
-         "response-matrix consumer was declared at pipeline construction";
   for (size_t s = 0; s < concurrent_->num_stripes; ++s) {
     out.push_back(&concurrent_->stripes[s].counts);
   }
-  return true;
 }
 
 size_t ResponseLog::RetainedBytes() const {
   size_t bytes = events_.capacity() * sizeof(VoteEvent) +
                  compacted_.MemoryBytes() +
                  (positive_.capacity() + total_.capacity()) * sizeof(uint32_t);
-  if (concurrent_ != nullptr) {
+  if (concurrent_ == nullptr) {
+    bytes += positive_fingerprint_.capacity() * sizeof(uint64_t);
+  } else {
     // The striped-mode fixed overhead was previously dropped from this sum,
     // under-reporting every striped kCounts session: the control block, the
     // per-stripe metric-pointer table, and the stripe array itself all count.
@@ -193,7 +185,7 @@ void ResponseLog::Append(const VoteEvent& event) {
 
   ++total_[item];
   if (event.vote == Vote::kDirty) {
-    ++positive_[item];
+    PromoteInFingerprint(positive_fingerprint_, positive_[item]++);
     ++total_positive_;
   }
 
@@ -210,17 +202,28 @@ void ResponseLog::Append(const VoteEvent& event) {
   ++num_events_;
   if (retention_ == RetentionPolicy::kFullEvents) {
     events_.push_back(event);
-  } else {
+  } else if (retention_ == RetentionPolicy::kCounts) {
     compacted_.Add(event.worker, event.item, event.vote);
   }
 }
 
-void ResponseLog::EnableConcurrentIngest(size_t num_stripes,
-                                         bool maintain_pair_counts) {
+void ResponseLog::PromoteInFingerprint(Fingerprint& f, uint32_t from) {
+  const size_t depth = static_cast<size_t>(from) + 2;
+  if (depth > f.size()) f.resize(depth, 0);
+  if (from != 0) {
+    // invariant: the fingerprint moves mirror the tally increments; an
+    // empty source class means one of them lost a vote.
+    DQM_CHECK_GT(f[from], 0u) << "no item at frequency " << from;
+    --f[from];
+  }
+  ++f[from + 1];
+}
+
+void ResponseLog::EnableConcurrentIngest(size_t num_stripes) {
   // invariant: striping is a construction-time wiring decision.
-  DQM_CHECK(retention_ == RetentionPolicy::kCounts)
-      << "concurrent ingest requires kCounts retention (there is no ordered "
-         "event history to keep)";
+  DQM_CHECK(retention_ != RetentionPolicy::kFullEvents)
+      << "concurrent ingest requires kCounts or kTallies retention (there "
+         "is no ordered event history to keep)";
   // invariant: striping cannot be retrofitted onto a live log.
   DQM_CHECK_EQ(num_events_, 0u)
       << "concurrent ingest must be enabled before any vote arrives";
@@ -240,7 +243,6 @@ void ResponseLog::EnableConcurrentIngest(size_t num_stripes,
   }
   state->stripe_shift = static_cast<uint32_t>(std::countr_zero(chunk));
   state->num_stripes = std::max<size_t>((items + chunk - 1) / chunk, 1);
-  state->maintain_pair_counts = maintain_pair_counts;
   state->stripes = std::make_unique<Stripe[]>(state->num_stripes);
   for (size_t s = 0; s < state->num_stripes; ++s) {
     Stripe& stripe = state->stripes[s];
@@ -357,7 +359,7 @@ void ResponseLog::CommitToStripeLocked(Stripe& stripe,
                                        std::span<const VoteEvent> events,
                                        std::span<const uint32_t> indices,
                                        bool timed) {
-  const bool pair_counts = concurrent_->maintain_pair_counts;
+  const bool pair_counts = retention_ == RetentionPolicy::kCounts;
   ++stripe.lock_acquisitions;
   // Hold-time sampling: 1 in 64 acquisitions, so the steady-state commit
   // pays no clock reads for it.
@@ -371,12 +373,7 @@ void ResponseLog::CommitToStripeLocked(Stripe& stripe,
     // ReconcileLocked's vectorized scan.
     ++total_[event.item];
     if (event.vote == Vote::kDirty) {
-      const uint32_t from = positive_[event.item]++;
-      auto& f = stripe.positive_f;
-      const size_t depth = static_cast<size_t>(from) + 2;
-      if (depth > f.size()) f.resize(depth, 0);
-      if (from != 0) --f[from];
-      ++f[from + 1];
+      PromoteInFingerprint(stripe.positive_f, positive_[event.item]++);
       ++stripe.total_positive;
     }
     ++stripe.num_events;

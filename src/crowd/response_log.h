@@ -35,10 +35,6 @@ class CompactedVoteStore {
   /// contact.
   void Add(uint32_t worker, uint32_t item, Vote vote);
 
-  /// Forgets all pairs but keeps the allocated capacity — for reuse as fit
-  /// scratch without reallocating.
-  void Clear();
-
   /// Number of distinct (worker, item) pairs seen.
   size_t num_pairs() const { return workers_.size(); }
 
@@ -69,16 +65,20 @@ class CompactedVoteStore {
   std::vector<uint32_t> index_;
 };
 
-/// What a ResponseLog retains beyond the per-item tallies.
+/// What a ResponseLog retains beyond the per-item tallies and the
+/// positive-vote fingerprint, which every log keeps.
 enum class RetentionPolicy {
   /// Every raw VoteEvent is kept in arrival order. Required by the replay
   /// consumers — PermuteTasks, log serialization, SWITCH diagnostics replays
-  /// — and the historical default.
+  /// — and the default of a bare log.
   kFullEvents,
-  /// Only the compacted per-(worker, item) counts are kept: steady-state
-  /// memory is O(#distinct pairs), not O(#votes). The serving default
-  /// (engine sessions). events() is unavailable under this policy.
+  /// The compacted per-(worker, item) count matrix is kept: steady-state
+  /// memory is O(#distinct pairs), not O(#votes). What a pipeline whose
+  /// panel reads the matrix (EM-VOTING) runs on. events() is unavailable.
   kCounts,
+  /// Nothing beyond the tallies: memory O(#items), independent of history.
+  /// What every other pipeline runs on. events() is unavailable.
+  kTallies,
 };
 
 /// Aggregates derivable from the per-item tally columns in one pass — the
@@ -99,21 +99,22 @@ TallyScanResult ScanTallies(std::span<const uint32_t> positive,
 /// The ordered collection of worker votes: the concrete realization of the
 /// paper's response matrix `I` (plus arrival history under kFullEvents).
 ///
-/// Maintains per-item tallies and the NOMINAL / VOTING counts incrementally,
-/// so appending an event is O(1) and estimators can be evaluated after every
-/// task without rescanning.
+/// The one owner of the vote statistics every estimator reads (Section 3):
+/// per-item tallies, the NOMINAL / VOTING counts, n^+ and the positive-vote
+/// fingerprint f_j are maintained incrementally, so appending an event is
+/// O(1) and estimators can be evaluated after every task without rescanning.
 ///
 /// ## Concurrent ingest (the striped commit path)
 ///
-/// A kCounts log can additionally be switched into *concurrent ingest* mode
-/// (EnableConcurrentIngest): the item universe is partitioned into
-/// cache-line-aligned stripes, each with its own lock, per-stripe event /
-/// positive counters, and (when a consumer needs the response matrix) its
-/// own CompactedVoteStore shard. `AppendConcurrent` then commits batches
-/// from any number of producer threads at once — a commit touches only the
-/// stripes its items map to, and does nothing but bump flat tally counters
-/// and the stripe's positive-vote fingerprint (one dirty vote moves its item
-/// from f_j to f_{j+1}), so N producers scale until the stripes saturate.
+/// A kCounts or kTallies log can additionally be switched into *concurrent
+/// ingest* mode (EnableConcurrentIngest): the item universe is partitioned
+/// into cache-line-aligned stripes, each with its own lock, per-stripe event
+/// / positive counters, and (under kCounts) its own CompactedVoteStore
+/// shard. `AppendConcurrent` then commits batches from any number of
+/// producer threads at once — a commit touches only the stripes its items
+/// map to, and does nothing but bump flat tally counters and the stripe's
+/// positive-vote fingerprint (one dirty vote moves its item from f_j to
+/// f_{j+1}), so N producers scale until the stripes saturate.
 /// The other derived aggregates (NOMINAL/VOTING counts, vote totals,
 /// task/worker bounds) are *not* maintained per vote in this mode;
 /// `PauseAndReconcile` blocks committers, folds the stripe counters, sums
@@ -146,39 +147,28 @@ class ResponseLog {
   void Append(const VoteEvent& event);
 
   /// All events in arrival order. Only available under kFullEvents — a
-  /// kCounts log has, by design, forgotten arrival history (aborts via
-  /// DQM_CHECK).
+  /// kCounts or kTallies log has, by design, forgotten arrival history
+  /// (aborts via DQM_CHECK).
   const std::vector<VoteEvent>& events() const;
 
   /// The compacted per-(worker, item) count matrix, maintained incrementally
-  /// under kCounts; null under kFullEvents (matrix consumers rebuild it once
-  /// per fit from events() — see DawidSkene::Workspace) and in concurrent
-  /// ingest mode, where the matrix is sharded across stripes (consume it
-  /// through AppendCountMatrixBlocks instead).
+  /// under kCounts; null under every other policy and in concurrent ingest
+  /// mode, where the matrix is sharded across stripes (consume it through
+  /// AppendCountMatrixBlocks instead).
   const CompactedVoteStore* compacted() const {
     return retention_ == RetentionPolicy::kCounts && concurrent_ == nullptr
                ? &compacted_
                : nullptr;
   }
 
-  /// True when this log maintains a per-(worker, item) count matrix a
-  /// checkpoint can serialize: kCounts retention, minus striped logs that
-  /// opted out of pair counts (tally-only panels). Selects the snapshot
-  /// variant in crowd/wal.h's CheckpointFromLog.
-  bool maintains_pair_counts() const {
-    return retention_ == RetentionPolicy::kCounts &&
-           (concurrent_ == nullptr || concurrent_->maintain_pair_counts);
-  }
-
   /// Appends every live count-matrix block to `out`: the single compacted
-  /// store under kCounts, one shard per stripe in concurrent ingest mode.
-  /// Returns false under kFullEvents (no matrix is maintained; rebuild from
-  /// events()). Aborts if concurrent ingest was enabled without pair-count
-  /// maintenance — there is no matrix to consume then, by construction.
+  /// store serialized, one shard per stripe in concurrent ingest mode.
+  /// kCounts only — any other log keeps no matrix, by construction, and
+  /// aborts.
   // Reads every stripe's count shard without naming its lock: callers hold
   // the PauseAndReconcile guard (all stripe locks) or run quiescent — a
   // dynamic contract the analysis cannot express.
-  bool AppendCountMatrixBlocks(std::vector<const CompactedVoteStore*>& out)
+  void AppendCountMatrixBlocks(std::vector<const CompactedVoteStore*>& out)
       const DQM_NO_THREAD_SAFETY_ANALYSIS;
 
   /// n_i^+ — votes marking `item` dirty.
@@ -194,12 +184,11 @@ class ResponseLog {
   /// Total votes across items.
   uint64_t total_votes_all() const { return num_events_; }
 
-  /// The positive-vote fingerprint as of the most recent reconcile: entry j
-  /// is f_j, the number of items with exactly j dirty votes (entry 0 is
-  /// always 0). The sum of the histograms the stripes keep at commit, so
-  /// reading it costs nothing per item. Concurrent ingest mode only — empty
-  /// otherwise (the serialized path's consumers keep their own FStatistics
-  /// per vote).
+  /// The positive-vote fingerprint: entry j is f_j, the number of items with
+  /// exactly j dirty votes (entry 0 is always 0; empty before the first
+  /// dirty vote). Kept at commit on both paths — by Append serialized, and
+  /// in concurrent ingest mode as the sum of the per-stripe histograms as of
+  /// the most recent reconcile — so reading it costs nothing per item.
   std::span<const uint64_t> positive_fingerprint() const {
     return positive_fingerprint_;
   }
@@ -214,13 +203,13 @@ class ResponseLog {
   /// Approximate heap bytes retained for vote storage — the raw event
   /// vector under kFullEvents, the compacted matrix (including every
   /// concurrent-ingest stripe shard) under kCounts — plus the per-item
-  /// tallies and, in concurrent ingest mode, the stripe fingerprints and
-  /// their sum. The number the retention-policy memory comparison
-  /// (bench_engine_throughput's long-session sweep) reports. In concurrent
-  /// ingest mode each stripe's lock is taken (one at a time) while its
-  /// shard is measured, so the read is safe against live committers; do NOT
-  /// call it while holding the PauseAndReconcile guard (the stripe locks
-  /// are not recursive).
+  /// tallies, the positive-vote fingerprint and, in concurrent ingest mode,
+  /// the stripe fingerprints. The number the retention-policy memory
+  /// comparison (bench_engine_throughput's long-session sweep) reports. In
+  /// concurrent ingest mode each stripe's lock is taken (one at a time)
+  /// while its shard is measured, so the read is safe against live
+  /// committers; do NOT call it while holding the PauseAndReconcile guard
+  /// (the stripe locks are not recursive).
   size_t RetainedBytes() const;
 
   /// NOMINAL(I): items with at least one dirty vote (Section 2.2.1).
@@ -232,14 +221,12 @@ class ResponseLog {
 
   // --- Concurrent ingest -------------------------------------------------
 
-  /// Switches an empty kCounts log into concurrent ingest mode with at most
-  /// `num_stripes` item-range stripes (clamped so every stripe spans at
-  /// least one cache line of tally counters; at least one stripe always
-  /// exists). `maintain_pair_counts` selects whether each stripe keeps its
-  /// CompactedVoteStore shard — pipelines whose estimators never read the
-  /// response matrix (tally-only panels) skip it, making a commit nothing
-  /// but flat counter increments.
-  void EnableConcurrentIngest(size_t num_stripes, bool maintain_pair_counts);
+  /// Switches an empty kCounts or kTallies log into concurrent ingest mode
+  /// with at most `num_stripes` item-range stripes (clamped so every stripe
+  /// spans at least one cache line of tally counters; at least one stripe
+  /// always exists). Under kCounts each stripe keeps a CompactedVoteStore
+  /// shard; under kTallies a commit is nothing but flat counter increments.
+  void EnableConcurrentIngest(size_t num_stripes);
 
   bool concurrent_ingest() const { return concurrent_ != nullptr; }
 
@@ -291,6 +278,15 @@ class ResponseLog {
   [[nodiscard]] IngestPause PauseAndReconcile();
 
  private:
+  /// A positive-vote fingerprint (entry j = #items with exactly j dirty
+  /// votes), cache-line allocated so a stripe's copy never false-shares.
+  using Fingerprint = std::vector<uint64_t, CacheAlignedAllocator<uint64_t>>;
+
+  /// Moves an item with `from` dirty votes to `from + 1` in `f`: f_from to
+  /// f_{from+1}. The one fingerprint update of both commit paths; requires
+  /// f_from > 0 for from >= 1 (checked in every build).
+  static void PromoteInFingerprint(Fingerprint& f, uint32_t from);
+
   /// Per-stripe mutable ingest state, aligned so two producers committing
   /// into neighboring stripes never bounce a cache line between cores (the
   /// "small fix" half of this: the stripe lock and its counters share the
@@ -300,12 +296,11 @@ class ResponseLog {
     /// under each other only in ascending address order (LockAllStripes).
     Mutex mutex{LockRank::kStripe, "response-log-stripe"};
     CompactedVoteStore counts
-        DQM_GUARDED_BY(mutex);  // shard; empty when pair counts are off
+        DQM_GUARDED_BY(mutex);  // shard; empty unless kCounts
     /// Positive-vote fingerprint of this stripe's items (entry j = #items
     /// with exactly j dirty votes), kept at commit. Cache-line allocated in
     /// whole lines, so neighboring committers never false-share it.
-    std::vector<uint64_t, CacheAlignedAllocator<uint64_t>> positive_f
-        DQM_GUARDED_BY(mutex);
+    Fingerprint positive_f DQM_GUARDED_BY(mutex);
     uint64_t num_events DQM_GUARDED_BY(mutex) = 0;
     uint64_t total_positive DQM_GUARDED_BY(mutex) = 0;
     /// max task id + 1 committed to this stripe
@@ -336,7 +331,6 @@ class ResponseLog {
   struct ConcurrentState {
     size_t num_stripes = 0;
     uint32_t stripe_shift = 0;  // stripe(item) = item >> stripe_shift
-    bool maintain_pair_counts = true;
     std::atomic<uint64_t> rotation{0};
     std::unique_ptr<Stripe[]> stripes;
     std::vector<StripeMetrics> stripe_metrics;
@@ -371,8 +365,9 @@ class ResponseLog {
   TallyColumn total_;
   uint64_t num_events_ = 0;
   uint64_t total_positive_ = 0;
-  /// Summed stripe fingerprints; written only by ReconcileLocked.
-  std::vector<uint64_t> positive_fingerprint_;
+  /// Kept by Append serialized; in concurrent ingest mode the summed stripe
+  /// fingerprints, written only by ReconcileLocked.
+  Fingerprint positive_fingerprint_;
   size_t nominal_count_ = 0;
   size_t majority_count_ = 0;
   size_t num_tasks_ = 0;

@@ -466,10 +466,9 @@ Result<WalSegment> DecodeWalSegment(std::span<const uint8_t> bytes,
 
 Result<CheckpointData> CheckpointFromLog(const ResponseLog& log,
                                          uint64_t wal_generation) {
-  if (log.retention() != RetentionPolicy::kCounts) {
+  if (log.retention() == RetentionPolicy::kFullEvents) {
     return Status::FailedPrecondition(
-        "checkpoints serialize kCounts compacted state; this log retains "
-        "full events");
+        "checkpoints serialize counts; this log retains full events");
   }
   CheckpointData data;
   data.wal_generation = wal_generation;
@@ -477,7 +476,7 @@ Result<CheckpointData> CheckpointFromLog(const ResponseLog& log,
   data.num_events = log.num_events();
   data.num_tasks = log.num_tasks();
   data.num_workers = log.num_workers();
-  if (log.maintains_pair_counts()) {
+  if (log.retention() == RetentionPolicy::kCounts) {
     data.variant = CheckpointData::Variant::kPairs;
     std::vector<const CompactedVoteStore*> blocks;
     log.AppendCountMatrixBlocks(blocks);

@@ -248,17 +248,18 @@ Result<WalSegment> DecodeWalSegment(std::span<const uint8_t> bytes,
                                     const std::string& context);
 
 // ---------------------------------------------------------------------------
-// Checkpoints — the kCounts CompactedVoteStore state as a snapshot format.
+// Checkpoints — the counts a kCounts or kTallies log keeps, as a snapshot
+// format.
 //
-// A checkpoint serializes exactly the state a kCounts retention log keeps:
-// either the compacted per-(worker, item) count matrix in its reproducible
-// first-arrival slot order (kPairs — serialized kCounts logs and striped
-// logs that maintain pair counts, shards concatenated in stripe order), or
-// the per-item tally columns (kTallies — striped tally-only panels, which
-// by construction have no matrix consumer). Restoring is a synthetic
-// replay: EmitCheckpointVotes re-emits the counts as a vote stream in slot
-// order, which rebuilds a bit-identical store through the ordinary ingest
-// path — no deserialization backdoor into the log's internals.
+// A checkpoint serializes exactly the state the log retains: either the
+// compacted per-(worker, item) count matrix in its reproducible
+// first-arrival slot order (kPairs — kCounts logs, striped shards
+// concatenated in stripe order), or the per-item tally columns (kTallies —
+// kTallies logs, whose panels by construction have no matrix consumer).
+// Restoring is a synthetic replay: EmitCheckpointVotes re-emits the counts
+// as a vote stream in slot order, which rebuilds a bit-identical store
+// through the ordinary ingest path — no deserialization backdoor into the
+// log's internals.
 // ---------------------------------------------------------------------------
 struct CheckpointData {
   enum class Variant : uint8_t {
@@ -290,10 +291,10 @@ struct CheckpointData {
   }
 };
 
-/// Snapshots a quiescent kCounts log (no committer may be running — the
-/// caller holds the WAL quiesce + reconcile pause). Picks kPairs when the
-/// log maintains pair counts, kTallies otherwise. FailedPrecondition for a
-/// kFullEvents log (checkpoints are a kCounts format by design).
+/// Snapshots a quiescent log (no committer may be running — the caller
+/// holds the WAL quiesce + reconcile pause): kPairs for a kCounts log,
+/// kTallies for a kTallies log. FailedPrecondition for a kFullEvents log
+/// (checkpoints are a counts format by design).
 Result<CheckpointData> CheckpointFromLog(const ResponseLog& log,
                                          uint64_t wal_generation);
 

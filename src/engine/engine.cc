@@ -112,12 +112,8 @@ Result<std::shared_ptr<EstimationSession>> DqmEngine::OpenSession(
   // the pipeline construction, and a typo'd spec never half-opens a
   // session.
   DQM_RETURN_NOT_OK(PrecheckName(name));
-  // Serving retention default: sessions hold the compacted count matrix,
-  // not the raw vote history (memory O(#pairs), not O(#votes)).
-  DQM_ASSIGN_OR_RETURN(
-      core::DataQualityMetric metric,
-      core::DataQualityMetric::Create(num_items, specs,
-                                      crowd::RetentionPolicy::kCounts));
+  DQM_ASSIGN_OR_RETURN(core::DataQualityMetric metric,
+                       core::DataQualityMetric::Create(num_items, specs));
   std::unique_ptr<SessionDurability> durability;
   if (!session_options.durability_dir.empty()) {
     // Directory + manifest + empty WAL exist before the session does, so
@@ -174,8 +170,7 @@ Result<DqmEngine::RecoveredSession> DqmEngine::RecoverSessionDir(
   DQM_RETURN_NOT_OK(PrecheckName(manifest.name));
   DQM_ASSIGN_OR_RETURN(
       core::DataQualityMetric metric,
-      core::DataQualityMetric::Create(manifest.num_items, manifest.specs,
-                                      crowd::RetentionPolicy::kCounts));
+      core::DataQualityMetric::Create(manifest.num_items, manifest.specs));
   DurabilityOptions durability_options =
       MakeDurabilityOptions(manifest.name, options);
   // Trust the directory actually scanned over the re-derived encoding, in

@@ -59,10 +59,11 @@ class DqmEngine {
   /// are reported as InvalidArgument / NotFound before the session is
   /// created.
   ///
-  /// Sessions use the serving retention, crowd::RetentionPolicy::kCounts:
-  /// the session's log keeps the compacted per-(worker, item) count matrix
-  /// rather than every raw vote, so steady-state memory is O(#distinct
-  /// pairs) regardless of how many votes stream through.
+  /// A session's log never keeps the raw votes: it keeps the compacted
+  /// per-(worker, item) count matrix when the panel reads it (EM-VOTING;
+  /// crowd::RetentionPolicy::kCounts, memory O(#distinct pairs)) and only
+  /// the per-item tallies otherwise (kTallies, memory O(#items)), regardless
+  /// of how many votes stream through.
   ///
   /// `session_options` are the serving knobs: publish cadence and ingest
   /// striping (see SessionOptions). Producer-order-independent panels (no
@@ -192,9 +193,9 @@ class DqmEngine {
   /// and closes the source registration. The caller must stop routing
   /// traffic to the source before migrating — votes ingested after the
   /// export cut would stay behind. FailedPrecondition for panels whose
-  /// state cannot be rebuilt from compacted counts (SWITCH / full-event
-  /// retention); on any failure the source stays registered and serving,
-  /// and a half-built target session is closed.
+  /// state cannot be rebuilt from compacted counts (SWITCH); on any
+  /// failure the source stays registered and serving, and a half-built
+  /// target session is closed.
   Status MigrateSession(const std::string& name, DqmEngine& target,
                         const std::string& target_durability_root = "");
 

@@ -290,9 +290,9 @@ EstimationSession::EstimationSession(
       metric_(std::move(metric)),
       estimator_names_(InitialNames(metric_)),
       snapshot_(estimator_names_.size()) {
-  // Checkpoints serialize the restorable kCounts compacted state; panels
-  // outside it (order-sensitive SWITCH, kFullEvents retention) keep the
-  // full-order WAL instead — decided before striping flips the log's mode.
+  // Checkpoints serialize the counts the log keeps; order-sensitive panels
+  // (SWITCH), which those counts cannot restore, keep the full-order WAL
+  // instead — decided before striping flips the log's mode.
   checkpointable_ = durability_ != nullptr &&
                     durability_->checkpoints_enabled() &&
                     metric_.SupportsConcurrentIngest();
@@ -608,11 +608,11 @@ Status EstimationSession::FlushDurability() {
 
 Result<crowd::CheckpointData> EstimationSession::ExportState() {
   // An order-sensitive estimator (SWITCH) keeps state the compacted counts
-  // do not carry, even under kCounts retention.
+  // do not carry.
   if (!metric_.SupportsConcurrentIngest()) {
     return Status::FailedPrecondition(StrFormat(
-        "session '%s': the panel has an order-sensitive estimator or retains "
-        "full events; its state cannot be rebuilt from compacted counts",
+        "session '%s': the panel has an order-sensitive estimator; its state "
+        "cannot be rebuilt from compacted counts",
         name_.c_str()));
   }
   // Same quiescing discipline as a checkpoint cut, minus the WAL protocol:

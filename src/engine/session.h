@@ -161,8 +161,8 @@ struct SessionOptions {
   uint64_t wal_group_commit_ms = 0;
   /// Checkpoint the compacted log state whenever the committed-vote total
   /// crosses a multiple of this, truncating the WAL (0 = never checkpoint;
-  /// recovery replays the whole WAL). Only takes effect for panels on the
-  /// concurrent-capable kCounts path; order-sensitive panels (SWITCH) get
+  /// recovery replays the whole WAL). Only takes effect for
+  /// concurrent-capable panels; order-sensitive panels (SWITCH) get
   /// WAL-only durability — a checkpoint's synthetic replay cannot
   /// reproduce arrival order, which those estimators consume.
   uint64_t checkpoint_every_votes = 0;
@@ -206,9 +206,8 @@ class SessionDurability;
 /// ## Commit paths
 ///
 /// *Striped* (producer-order-independent panels — every estimator reads
-/// only the pipeline's VoteStatsView: CHAO92 family, VOTING, NOMINAL,
-/// EM-VOTING — under
-/// the serving kCounts retention): `AddVotes` commits tallies into
+/// only the vote statistics of the pipeline's log: CHAO92 family, VOTING,
+/// NOMINAL, EM-VOTING): `AddVotes` commits tallies into
 /// per-item-range stripes of the shared log, each with its own lock, so N
 /// producers ingest into ONE session concurrently; the publish path pauses
 /// committers, reconciles, runs the estimator pipeline, and stores the
@@ -314,8 +313,8 @@ class EstimationSession {
   /// (generation 1), quiescing ingest for the duration — the source half of
   /// a migration: EmitCheckpointVotes over the result rebuilds tallies and
   /// pair counts bit-identically through a fresh session's ingest path.
-  /// FailedPrecondition for panels outside the snapshot-restorable kCounts
-  /// state (SWITCH / full-event retention), which cannot move this way.
+  /// FailedPrecondition for order-sensitive panels (SWITCH), whose state
+  /// the compacted counts do not carry and which cannot move this way.
   Result<crowd::CheckpointData> ExportState() DQM_EXCLUDES(mutex_);
 
   /// What RecoverFromDurability rebuilt (surfaced per session by
@@ -369,8 +368,8 @@ class EstimationSession {
   /// own kWal-ranked mutex (see engine/durability.h for the commit
   /// protocol); declared before metric_ so appends outlive nothing.
   std::unique_ptr<SessionDurability> durability_;
-  /// Checkpoints need the snapshot-restorable kCounts state; panels outside
-  /// it (SWITCH / kFullEvents) get WAL-only durability.
+  /// Checkpoints need a panel restorable from counts; order-sensitive
+  /// panels (SWITCH) get WAL-only durability.
   bool checkpointable_ = false;
   bool striped_ = false;
   /// Total votes committed; drives the kEveryNVotes trigger on the striped

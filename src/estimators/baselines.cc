@@ -7,12 +7,12 @@ namespace dqm::estimators {
 
 // The ResponseLog already maintains exactly these counts, so the rows are
 // free: no per-event work, no duplicated tallies.
-double NominalScore(const VoteStatsView& view) {
-  return static_cast<double>(view.log->NominalCount());
+double NominalScore(const crowd::ResponseLog& log) {
+  return static_cast<double>(log.NominalCount());
 }
 
-double VotingScore(const VoteStatsView& view) {
-  return static_cast<double>(view.log->MajorityCount());
+double VotingScore(const crowd::ResponseLog& log) {
+  return static_cast<double>(log.MajorityCount());
 }
 
 void internal::RegisterBuiltinBaselines(EstimatorRegistry& registry) {

@@ -8,12 +8,12 @@ namespace dqm::estimators {
 /// NOMINAL (Section 2.2.1): counts the records marked dirty by at least one
 /// worker. Descriptive — neither forward-looking nor robust to false
 /// positives.
-double NominalScore(const VoteStatsView& view);
+double NominalScore(const crowd::ResponseLog& log);
 
 /// VOTING (Section 2.2.2): the current majority consensus — records where
 /// strictly more workers said dirty than clean. The paper's strongest
 /// descriptive baseline and the quantity the SWITCH estimator corrects.
-double VotingScore(const VoteStatsView& view);
+double VotingScore(const crowd::ResponseLog& log);
 
 }  // namespace dqm::estimators
 

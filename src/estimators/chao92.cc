@@ -1,42 +1,46 @@
 #include "estimators/chao92.h"
 
 #include <memory>
+#include <span>
 
 #include "common/logging.h"
 #include "estimators/registry.h"
 
 namespace dqm::estimators {
 
-double Chao92Score(const VoteStatsView& view, bool skew_correction) {
-  const FStatistics& f = *view.positive_f;
-  return Chao92Point(f.NumSpecies(), f.singletons(), f.TotalObservations(),
-                     f.SumIiMinus1(), skew_correction);
+// c = NOMINAL (the items with a dirty vote), n = n^+ and f_j are read off
+// the log; c and n are the same integers sum_j f_j and sum_j j * f_j.
+double Chao92Score(const crowd::ResponseLog& log, bool skew_correction) {
+  std::span<const uint64_t> f = log.positive_fingerprint();
+  return Chao92Point(log.NominalCount(), FingerprintAt(f, 1),
+                     log.total_positive_votes(), SumIiMinus1(f),
+                     skew_correction);
 }
 
-double Chao1Score(const VoteStatsView& view) {
-  const FStatistics& f = *view.positive_f;
-  double c = static_cast<double>(f.NumSpecies());
-  double f1 = static_cast<double>(f.singletons());
-  double f2 = static_cast<double>(f.f(2));
+double Chao1Score(const crowd::ResponseLog& log) {
+  std::span<const uint64_t> f = log.positive_fingerprint();
+  double c = static_cast<double>(log.NominalCount());
+  double f1 = static_cast<double>(FingerprintAt(f, 1));
+  double f2 = static_cast<double>(FingerprintAt(f, 2));
   return c + f1 * (f1 - 1.0) / (2.0 * (f2 + 1.0));
 }
 
-double Jackknife1Score(const VoteStatsView& view) {
-  const FStatistics& f = *view.positive_f;
-  uint64_t n = f.TotalObservations();
+double Jackknife1Score(const crowd::ResponseLog& log) {
+  uint64_t n = log.total_positive_votes();
   if (n == 0) return 0.0;
   double nd = static_cast<double>(n);
-  return static_cast<double>(f.NumSpecies()) +
-         static_cast<double>(f.singletons()) * (nd - 1.0) / nd;
+  return static_cast<double>(log.NominalCount()) +
+         static_cast<double>(FingerprintAt(log.positive_fingerprint(), 1)) *
+             (nd - 1.0) / nd;
 }
 
-double VChao92Score(const VoteStatsView& view, uint32_t shift,
+double VChao92Score(const crowd::ResponseLog& log, uint32_t shift,
                     bool skew_correction) {
-  FStatistics::ShiftedView shifted =
-      view.positive_f->Shifted(shift, view.log->total_positive_votes());
+  ShiftedView shifted = Shifted(log.positive_fingerprint(), shift,
+                                log.total_positive_votes());
   // c_majority replaces c_nominal (Eq. 6); the f-statistics and the skew
   // term come from the shifted fingerprint.
-  uint64_t c = view.log->MajorityCount();
+  uint64_t c = log.MajorityCount();
   if (c == 0) {
     // No majority-dirty records yet; fall back to the shifted species count
     // so the estimate is still defined in the earliest tasks.
@@ -61,20 +65,19 @@ void internal::RegisterBuiltinChaoFamily(EstimatorRegistry& registry) {
       .name = "chao92",
       .display_name = "CHAO92",
       .help = "Chao92 species estimate with skew correction; no params",
-      .wants_positive_fingerprint = true,
       .traits = kFingerprintTraits,
-      .factory = ParameterlessScorer("CHAO92", [](const VoteStatsView& view) {
-        return Chao92Score(view, /*skew_correction=*/true);
-      })}));
+      .factory =
+          ParameterlessScorer("CHAO92", [](const crowd::ResponseLog& log) {
+            return Chao92Score(log, /*skew_correction=*/true);
+          })}));
   check(registry.Register(EstimatorRegistry::Entry{
       .name = "good-turing",
       .display_name = "GOOD-TURING",
       .help = "Chao92 without the skew correction (Eq. 3); no params",
-      .wants_positive_fingerprint = true,
       .traits = kFingerprintTraits,
       .factory =
-          ParameterlessScorer("GOOD-TURING", [](const VoteStatsView& view) {
-            return Chao92Score(view, /*skew_correction=*/false);
+          ParameterlessScorer("GOOD-TURING", [](const crowd::ResponseLog& log) {
+            return Chao92Score(log, /*skew_correction=*/false);
           })}));
   check(registry.RegisterAlias("goodturing", "good-turing"));
   check(registry.Register(EstimatorRegistry::Entry{
@@ -82,9 +85,8 @@ void internal::RegisterBuiltinChaoFamily(EstimatorRegistry& registry) {
       .display_name = "V-CHAO",
       .help = "voting-based shifted Chao92; params: shift=<uint> (default 1), "
               "skew=<bool> (default 1)",
-      .wants_positive_fingerprint = true,
       .traits = kFingerprintTraits,
-      .factory = [](const VoteStatsView& view, const EstimatorSpec& spec)
+      .factory = [](const crowd::ResponseLog& log, const EstimatorSpec& spec)
           -> Result<std::unique_ptr<TotalErrorEstimator>> {
         SpecParamReader params(spec);
         DQM_ASSIGN_OR_RETURN(uint32_t shift, params.GetUint32("shift", 1));
@@ -92,8 +94,8 @@ void internal::RegisterBuiltinChaoFamily(EstimatorRegistry& registry) {
         DQM_RETURN_NOT_OK(params.VerifyAllConsumed());
         return std::unique_ptr<TotalErrorEstimator>(
             std::make_unique<VoteStatsScorer>(
-                "V-CHAO", view, [shift, skew](const VoteStatsView& v) {
-                  return VChao92Score(v, shift, skew);
+                "V-CHAO", log, [shift, skew](const crowd::ResponseLog& l) {
+                  return VChao92Score(l, shift, skew);
                 }));
       }}));
   check(registry.RegisterAlias("v-chao", "vchao92"));
@@ -101,14 +103,12 @@ void internal::RegisterBuiltinChaoFamily(EstimatorRegistry& registry) {
       .name = "chao1",
       .display_name = "CHAO1",
       .help = "Chao1 abundance lower bound; no params",
-      .wants_positive_fingerprint = true,
       .traits = kFingerprintTraits,
       .factory = ParameterlessScorer("CHAO1", Chao1Score)}));
   check(registry.Register(EstimatorRegistry::Entry{
       .name = "jackknife1",
       .display_name = "JACKKNIFE1",
       .help = "first-order jackknife species estimate; no params",
-      .wants_positive_fingerprint = true,
       .traits = kFingerprintTraits,
       .factory = ParameterlessScorer("JACKKNIFE1", Jackknife1Score)}));
   check(registry.RegisterAlias("jackknife", "jackknife1"));

@@ -41,7 +41,7 @@ void internal::RegisterBuiltinEmVoting(EstimatorRegistry& registry) {
       // estimation paths re-fit at different cadences.
       .traits = ConformanceTraits{.estimate_tolerance_abs = 2.0,
                                   .estimate_tolerance_rel = 0.02},
-      .factory = [](const VoteStatsView& view, const EstimatorSpec& spec)
+      .factory = [](const crowd::ResponseLog& log, const EstimatorSpec& spec)
           -> Result<std::unique_ptr<TotalErrorEstimator>> {
         crowd::DawidSkene::Options options;
         SpecParamReader params(spec);
@@ -72,7 +72,7 @@ void internal::RegisterBuiltinEmVoting(EstimatorRegistry& registry) {
               "em-voting: smoothing must be positive");
         }
         return std::unique_ptr<TotalErrorEstimator>(
-            std::make_unique<EmVotingEstimator>(*view.log, options, warm));
+            std::make_unique<EmVotingEstimator>(log, options, warm));
       }});
   DQM_CHECK(status.ok()) << status.ToString();
 }

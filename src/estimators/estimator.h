@@ -8,14 +8,14 @@
 
 #include "crowd/response_log.h"
 #include "crowd/vote.h"
-#include "estimators/f_statistics.h"
 
 namespace dqm::estimators {
 
 /// Interface of every total-error estimator: answer "how many dirty items
 /// does the dataset contain" at any moment (the paper's Problem 1).
-/// Estimators are built by the registry against a pipeline's
-/// VoteStatsView (see core::DataQualityMetric), which owns the vote stream.
+/// Estimators are built by the registry against a pipeline's response log
+/// (see core::DataQualityMetric), which owns the vote stream and the vote
+/// statistics.
 class TotalErrorEstimator {
  public:
   virtual ~TotalErrorEstimator() = default;
@@ -30,47 +30,36 @@ class TotalErrorEstimator {
   /// Short display name used in reports ("CHAO92", "SWITCH", ...).
   virtual std::string_view name() const = 0;
 
-  /// False for estimators whose whole state lives in the pipeline's
-  /// VoteStatsView (every built-in but SWITCH): the pipeline skips the
-  /// per-event Observe() fan-out for them, and only panels without an
-  /// observing estimator can ingest concurrently.
+  /// False for estimators whose whole state lives in the pipeline's log
+  /// (every built-in but SWITCH): the pipeline skips the per-event Observe()
+  /// fan-out for them, and only panels without an observing estimator can
+  /// ingest concurrently.
   virtual bool needs_observe() const { return true; }
 };
 
-/// The vote statistics a pipeline maintains once and every estimator reads:
-/// the paper's counts c and n (per-item tallies on the log) and the
-/// frequency-of-frequencies fingerprint f_j of dirty votes per item.
-/// Pointees outlive every estimator built against the view.
-struct VoteStatsView {
-  /// The pipeline's response log: per-item tallies, NOMINAL / VOTING
-  /// counts, n^+ and (for EM-VOTING) the response matrix. Always set.
-  const crowd::ResponseLog* log = nullptr;
-  /// Fingerprint of dirty votes per item. Maintained iff some attached
-  /// estimator's registry entry sets wants_positive_fingerprint; null
-  /// otherwise.
-  const FStatistics* positive_f = nullptr;
-};
-
 /// A stateless estimator: a display name plus a pure function of the
-/// pipeline's vote statistics. Every tally and fingerprint estimator of the
-/// paper (Chao92, Good-Turing, vChao92, VOTING, NOMINAL, ...) is one of
-/// these; only estimators that need the vote *sequence* (SWITCH) or carry
-/// fit state across estimates (EM-VOTING) are classes of their own.
+/// pipeline's vote statistics — the paper's counts c and n and the
+/// positive-vote fingerprint f_j, all kept by the log (which must outlive
+/// the scorer). Every tally and fingerprint estimator of the paper (Chao92,
+/// Good-Turing, vChao92, VOTING, NOMINAL, ...) is one of these; only
+/// estimators that need the vote *sequence* (SWITCH) or carry fit state
+/// across estimates (EM-VOTING) are classes of their own.
 class VoteStatsScorer final : public TotalErrorEstimator {
  public:
-  using ScoreFn = std::function<double(const VoteStatsView&)>;
+  using ScoreFn = std::function<double(const crowd::ResponseLog&)>;
 
-  VoteStatsScorer(std::string name, const VoteStatsView& view, ScoreFn score)
-      : name_(std::move(name)), view_(view), score_(std::move(score)) {}
+  VoteStatsScorer(std::string name, const crowd::ResponseLog& log,
+                  ScoreFn score)
+      : name_(std::move(name)), log_(&log), score_(std::move(score)) {}
 
   void Observe(const crowd::VoteEvent&) override {}
   bool needs_observe() const override { return false; }
-  double Estimate() const override { return score_(view_); }
+  double Estimate() const override { return score_(*log_); }
   std::string_view name() const override { return name_; }
 
  private:
   std::string name_;
-  VoteStatsView view_;
+  const crowd::ResponseLog* log_;
   ScoreFn score_;
 };
 

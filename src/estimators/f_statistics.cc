@@ -17,31 +17,19 @@ void FStatistics::RebuildFromCounts(std::span<const uint32_t> species_counts) {
   }
 }
 
-void FStatistics::AssignFingerprint(std::span<const uint64_t> fingerprint) {
-  DQM_CHECK(fingerprint.empty() || fingerprint[0] == 0)
-      << "fingerprint entry 0 must be empty";
-  f_.assign(fingerprint.begin(), fingerprint.end());
-  num_species_ = 0;
-  total_observations_ = 0;
-  for (uint32_t freq = 1; freq < f_.size(); ++freq) {
-    num_species_ += f_[freq];
-    total_observations_ += freq * f_[freq];
-  }
-}
-
-uint64_t FStatistics::SumIiMinus1() const {
+uint64_t SumIiMinus1(std::span<const uint64_t> f) {
   uint64_t sum = 0;
-  for (uint32_t freq = 2; freq < f_.size(); ++freq) {
-    sum += static_cast<uint64_t>(freq) * (freq - 1) * f_[freq];
+  for (uint32_t freq = 2; freq < f.size(); ++freq) {
+    sum += static_cast<uint64_t>(freq) * (freq - 1) * f[freq];
   }
   return sum;
 }
 
-FStatistics::ShiftedView FStatistics::Shifted(uint32_t s, uint64_t n) const {
+ShiftedView Shifted(std::span<const uint64_t> f, uint32_t s, uint64_t n) {
   ShiftedView view;
   uint64_t dropped = 0;
-  for (uint32_t freq = 1; freq < f_.size(); ++freq) {
-    uint64_t count = f_[freq];
+  for (uint32_t freq = 1; freq < f.size(); ++freq) {
+    uint64_t count = f[freq];
     if (count == 0) continue;
     if (freq <= s) {
       dropped += count;

@@ -10,6 +10,27 @@
 
 namespace dqm::estimators {
 
+/// f_j of a fingerprint indexed by frequency (entry j = f_j); 0 past its
+/// end.
+inline uint64_t FingerprintAt(std::span<const uint64_t> f, size_t j) {
+  return j < f.size() ? f[j] : 0;
+}
+
+/// sum_j j*(j-1) * f_j — the raw moment in the Chao92 skew term (Eq. 5).
+uint64_t SumIiMinus1(std::span<const uint64_t> f);
+
+/// Shifted view of Section 3.3 (vChao92): treats f_{j+s} as f_j.
+struct ShiftedView {
+  uint64_t f1 = 0;        // f_{1+s}
+  uint64_t n = 0;         // n^{+,s} = n - sum_{i=1..s} f_i  (paper Eq. 6)
+  uint64_t c = 0;         // species remaining after the shift
+  uint64_t sum_ii1 = 0;   // sum_j j*(j-1) * f_{j+s}
+};
+/// Computes the shifted statistics of fingerprint `f` for shift `s` given
+/// the unshifted observation total `n` (the caller chooses n = n^+ for
+/// vChao92).
+ShiftedView Shifted(std::span<const uint64_t> f, uint32_t s, uint64_t n);
+
 /// The frequency-of-frequencies statistic ("data fingerprint") at the heart
 /// of every species estimator in this library: `f(j)` is the number of
 /// species observed exactly `j` times. For the error estimators a species is
@@ -60,20 +81,12 @@ class FStatistics {
   /// column: f_j = #entries equal to j (entries of 0 are unobserved species
   /// and contribute nothing). Bit-identical to feeding the counts in one
   /// vote at a time through AddSingleton/Promote, but O(column length) per
-  /// call — the debug reference the striped ingest path's per-stripe
-  /// fingerprint is checked against; AssignFingerprint is the serving form.
+  /// call — the debug reference the response log's commit-time fingerprint
+  /// is checked against.
   void RebuildFromCounts(std::span<const uint32_t> species_counts);
 
-  /// Replaces the fingerprint with `fingerprint`, indexed by frequency
-  /// (entry j = f_j; entry 0 must be 0), and re-derives c and n from it in
-  /// O(fingerprint.size()). The striped ingest path loads the histogram it
-  /// keeps per stripe at commit this way. Retains the vector's capacity, so
-  /// a fingerprint assigned every publish allocates only while the deepest
-  /// pile is still growing.
-  void AssignFingerprint(std::span<const uint64_t> fingerprint);
-
   /// f_j — number of species with exactly `j` observations (j >= 1).
-  uint64_t f(uint32_t j) const { return j < f_.size() ? f_[j] : 0; }
+  uint64_t f(uint32_t j) const { return FingerprintAt(f_, j); }
 
   /// f_1, the singletons: the paper's key quantity.
   uint64_t singletons() const { return f(1); }
@@ -84,19 +97,9 @@ class FStatistics {
   /// sum_j j * f_j — total observations attached to species.
   uint64_t TotalObservations() const { return total_observations_; }
 
-  /// sum_j j*(j-1) * f_j — the raw moment in the Chao92 skew term (Eq. 5).
-  uint64_t SumIiMinus1() const;
-
-  /// Shifted view of Section 3.3 (vChao92): treats f_{j+s} as f_j.
-  struct ShiftedView {
-    uint64_t f1 = 0;        // f_{1+s}
-    uint64_t n = 0;         // n^{+,s} = n - sum_{i=1..s} f_i  (paper Eq. 6)
-    uint64_t c = 0;         // species remaining after the shift
-    uint64_t sum_ii1 = 0;   // sum_j j*(j-1) * f_{j+s}
-  };
-  /// Computes the shifted statistics for shift `s` given the unshifted
-  /// observation total `n` (the caller chooses n = n^+ for vChao92).
-  ShiftedView Shifted(uint32_t s, uint64_t n) const;
+  /// The fingerprint indexed by frequency (entry j = f_j, entry 0 unused) —
+  /// the input of SumIiMinus1 / Shifted.
+  std::span<const uint64_t> fingerprint() const { return f_; }
 
   /// The non-empty (frequency, count) classes in increasing frequency order.
   /// Built on demand — a debug/test accessor, not a hot-path one.

@@ -215,20 +215,20 @@ EstimatorRegistry::Find(std::string_view name) const {
 }
 
 Result<std::unique_ptr<TotalErrorEstimator>> EstimatorRegistry::Create(
-    const EstimatorSpec& spec, const VoteStatsView& view) const {
+    const EstimatorSpec& spec, const crowd::ResponseLog& log) const {
   DQM_ASSIGN_OR_RETURN(std::shared_ptr<const Entry> entry, Find(spec.name));
-  return entry->factory(view, spec);
+  return entry->factory(log, spec);
 }
 
 SpecFactory internal::ParameterlessScorer(
     const char* display_name, VoteStatsScorer::ScoreFn score) {
-  return [display_name, score = std::move(score)](const VoteStatsView& view,
-                                                 const EstimatorSpec& spec)
+  return [display_name, score = std::move(score)](
+             const crowd::ResponseLog& log, const EstimatorSpec& spec)
              -> Result<std::unique_ptr<TotalErrorEstimator>> {
     SpecParamReader params(spec);
     DQM_RETURN_NOT_OK(params.VerifyAllConsumed());
     return std::unique_ptr<TotalErrorEstimator>(
-        std::make_unique<VoteStatsScorer>(display_name, view, score));
+        std::make_unique<VoteStatsScorer>(display_name, log, score));
   };
 }
 

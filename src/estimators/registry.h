@@ -80,11 +80,11 @@ class SpecParamReader {
 };
 
 /// Builds one estimator from a parsed spec, reading the pipeline's vote
-/// statistics through `view`. Factories must reject unknown or out-of-range
-/// params with InvalidArgument (use SpecParamReader) and never abort on bad
-/// input.
+/// statistics off `log` (which outlives the estimator). Factories must
+/// reject unknown or out-of-range params with InvalidArgument (use
+/// SpecParamReader) and never abort on bad input.
 using SpecFactory = std::function<Result<std::unique_ptr<TotalErrorEstimator>>(
-    const VoteStatsView& view, const EstimatorSpec& spec)>;
+    const crowd::ResponseLog& log, const EstimatorSpec& spec)>;
 
 /// Metamorphic guarantees an estimator declares about itself. The
 /// conformance harness (tests/conformance/) runs every registered estimator
@@ -136,15 +136,13 @@ class EstimatorRegistry {
     std::string display_name;
     /// One-line param documentation for --help style listings.
     std::string help;
-    /// True when the estimator reads the positive-vote fingerprint: the
-    /// pipeline maintains VoteStatsView::positive_f iff at least one
-    /// selected estimator wants it.
-    bool wants_positive_fingerprint = false;
-    /// True when the estimator reads the per-(worker, item)
-    /// response matrix off the shared log (EM-VOTING). Pipelines whose
-    /// panel contains no such estimator may skip maintaining the matrix on
-    /// the striped ingest commit path entirely — a commit is then nothing
-    /// but flat tally increments.
+    /// True when the estimator reads the per-(worker, item) response matrix
+    /// off the shared log (EM-VOTING). The pipeline's log retains the matrix
+    /// (RetentionPolicy::kCounts) iff some estimator of its panel sets this;
+    /// every other panel runs on a kTallies log, whose commit is nothing but
+    /// flat tally and fingerprint increments. The tallies, n^+ and the
+    /// positive-vote fingerprint are kept by every log, so no flag selects
+    /// them.
     bool wants_pair_counts = false;
     /// Declared metamorphic properties, checked by tests/conformance/.
     ConformanceTraits traits;
@@ -171,11 +169,11 @@ class EstimatorRegistry {
   /// The entry for `name` (alias-resolved); NotFound otherwise.
   Result<std::shared_ptr<const Entry>> Find(std::string_view name) const;
 
-  /// Creates an estimator from a parsed spec against a pipeline's vote
-  /// statistics. NotFound for unknown names, InvalidArgument for bad params.
+  /// Creates an estimator from a parsed spec against a pipeline's log.
+  /// NotFound for unknown names, InvalidArgument for bad params.
   /// core::DataQualityMetric::Create is the way to build a whole panel.
   Result<std::unique_ptr<TotalErrorEstimator>> Create(
-      const EstimatorSpec& spec, const VoteStatsView& view) const;
+      const EstimatorSpec& spec, const crowd::ResponseLog& log) const;
 
   /// The process-wide registry with all built-in estimators registered.
   static EstimatorRegistry& Global();
@@ -195,7 +193,7 @@ class EstimatorRegistry {
 
 namespace internal {
 /// Factory for a built-in scorer that takes no params: the estimator is
-/// `score` over the pipeline's view, shown as `display_name`.
+/// `score` over the pipeline's log, shown as `display_name`.
 SpecFactory ParameterlessScorer(const char* display_name,
                                 VoteStatsScorer::ScoreFn score);
 

@@ -199,13 +199,13 @@ void internal::RegisterBuiltinSwitch(EstimatorRegistry& registry) {
       // a task preserves every per-item vote stream and the task-boundary
       // VOTING samples.
       .traits = ConformanceTraits{.within_task_invariant = true},
-      .factory = [](const VoteStatsView& view, const EstimatorSpec& spec)
+      .factory = [](const crowd::ResponseLog& log, const EstimatorSpec& spec)
           -> Result<std::unique_ptr<TotalErrorEstimator>> {
         DQM_ASSIGN_OR_RETURN(SwitchTotalErrorEstimator::Config config,
                              SwitchConfigFromSpec(spec));
         return std::unique_ptr<TotalErrorEstimator>(
             std::make_unique<SwitchTotalErrorEstimator>(
-                view.log->num_items(), config));
+                log.num_items(), config));
       }});
   DQM_CHECK(status.ok()) << status.ToString();
 }

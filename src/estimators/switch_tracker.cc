@@ -115,7 +115,7 @@ SwitchStatistics SwitchTracker::BuildStats(const FStatistics& f,
   SwitchStatistics stats;
   stats.observed_switches = observed_switches;
   stats.f1 = f.singletons();
-  stats.sum_ii1 = f.SumIiMinus1();
+  stats.sum_ii1 = SumIiMinus1(f.fingerprint());
   switch (config_.counting) {
     case SwitchCountingMode::kPerSwitch:
       stats.c = f.NumSpecies();

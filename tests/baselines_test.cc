@@ -59,14 +59,13 @@ TEST(VotingScoreTest, ScoresAreTheLogCounts) {
   Rng rng(42);
   const size_t num_items = 15;
   crowd::ResponseLog log(num_items);
-  VoteStatsView view{&log, nullptr};
   for (uint32_t i = 0; i < 600; ++i) {
     log.Append(VoteEvent{i / 10, i / 10,
                          static_cast<uint32_t>(rng.UniformIndex(num_items)),
                          rng.Bernoulli(0.4) ? Vote::kDirty : Vote::kClean});
-    ASSERT_DOUBLE_EQ(VotingScore(view),
+    ASSERT_DOUBLE_EQ(VotingScore(log),
                      static_cast<double>(log.MajorityCount()));
-    ASSERT_DOUBLE_EQ(NominalScore(view),
+    ASSERT_DOUBLE_EQ(NominalScore(log),
                      static_cast<double>(log.NominalCount()));
   }
 }

@@ -1,5 +1,7 @@
 #include "estimators/chao92.h"
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,16 +63,17 @@ TEST(Chao92ScoreTest, SingletonsInflateEstimate) {
   EXPECT_GT(chao.EstimatedTotalErrors(), 6.0);
 }
 
-TEST(Chao92ScoreTest, ScoresTheViewItIsGiven) {
-  // The free function over a hand-built view: 3 species, f1 = 1, n = 5,
-  // sum_ii1 = 2 + 2 = 4. Good-Turing: C = 1 - 1/5, D = 3 / 0.8.
-  crowd::ResponseLog log(10);
-  FStatistics f;
-  f.RebuildFromCounts(std::vector<uint32_t>{2, 2, 1});
-  VoteStatsView view{&log, &f};
-  EXPECT_DOUBLE_EQ(Chao92Score(view, /*skew_correction=*/false), 3.0 / 0.8);
-  EXPECT_GE(Chao92Score(view, /*skew_correction=*/true),
-            Chao92Score(view, /*skew_correction=*/false));
+TEST(Chao92ScoreTest, ScoresTheLogItIsGiven) {
+  // The free function over a hand-built log: dirty-vote piles {2, 2, 1}
+  // give 3 species, f1 = 1, n = 5, sum_ii1 = 2 + 2 = 4. Good-Turing:
+  // C = 1 - 1/5, D = 3 / 0.8.
+  crowd::ResponseLog log(10, crowd::RetentionPolicy::kTallies);
+  for (uint32_t item : {0u, 0u, 1u, 1u, 2u}) {
+    log.Append({0, 0, item, Vote::kDirty});
+  }
+  EXPECT_DOUBLE_EQ(Chao92Score(log, /*skew_correction=*/false), 3.0 / 0.8);
+  EXPECT_GE(Chao92Score(log, /*skew_correction=*/true),
+            Chao92Score(log, /*skew_correction=*/false));
 }
 
 TEST(Chao92ScoreTest, PaperExampleOneRegression) {
@@ -176,8 +179,9 @@ TEST(VChao92ScoreTest, LargerShiftIsMoreConservative) {
 }
 
 TEST(VChao92ScoreTest, ShiftSpecScoresTheShiftedFormula) {
-  // "vchao92?shift=s" must be exactly VChao92Score(view, s, skew) over the
-  // pipeline's statistics, after every vote.
+  // "vchao92?shift=s" must be exactly VChao92Score(log, s, skew) over the
+  // pipeline's log, after every vote — and the fingerprint the score reads
+  // must be the rebuild from the per-item dirty-vote counts.
   core::Scenario scenario = core::SimulationScenario(0.02, 0.12, 10);
   core::SimulatedRun run = core::SimulateScenario(scenario, 120, 11);
   for (uint32_t shift : {0u, 1u, 3u}) {
@@ -188,9 +192,13 @@ TEST(VChao92ScoreTest, ShiftSpecScoresTheShiftedFormula) {
     for (const VoteEvent& e : run.log.events()) {
       Add(by_spec, e);
       f.RebuildFromCounts(by_spec.log().positive_counts());
-      VoteStatsView view{&by_spec.log(), &f};
+      std::span<const uint64_t> kept = by_spec.log().positive_fingerprint();
+      for (uint32_t j = 1; j < std::max(kept.size(), f.fingerprint().size());
+           ++j) {
+        ASSERT_EQ(FingerprintAt(kept, j), f.f(j)) << "f_" << j;
+      }
       ASSERT_EQ(by_spec.EstimatedTotalErrors(),
-                VChao92Score(view, shift, /*skew_correction=*/true));
+                VChao92Score(by_spec.log(), shift, /*skew_correction=*/true));
     }
   }
 }

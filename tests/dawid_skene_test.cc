@@ -13,7 +13,7 @@ namespace {
 
 TEST(DawidSkeneTest, EmptyLogGivesPrior) {
   DawidSkene em;
-  ResponseLog log(5);
+  ResponseLog log(5, RetentionPolicy::kCounts);
   DawidSkene::Result result = em.Fit(log);
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.posterior_dirty.size(), 5u);
@@ -23,7 +23,7 @@ TEST(DawidSkeneTest, EmptyLogGivesPrior) {
 }
 
 TEST(DawidSkeneTest, UnanimousVotesGiveConfidentPosteriors) {
-  ResponseLog log(2);
+  ResponseLog log(2, RetentionPolicy::kCounts);
   for (uint32_t w = 0; w < 5; ++w) {
     log.Append({w, w, 0, Vote::kDirty});
     log.Append({w, w, 1, Vote::kClean});
@@ -41,7 +41,7 @@ TEST(DawidSkeneTest, RecoversWorkerQualities) {
   const size_t num_items = 200;
   std::vector<bool> truth(num_items, false);
   for (size_t i = 0; i < 50; ++i) truth[i] = true;
-  ResponseLog log(num_items);
+  ResponseLog log(num_items, RetentionPolicy::kCounts);
   Rng rng(3);
   WorkerProfile good{0.02, 0.05};
   WorkerProfile sloppy{0.30, 0.40};
@@ -76,7 +76,7 @@ TEST(DawidSkeneTest, BeatsMajorityWithSkewedWorkerQuality) {
   const size_t num_items = 300;
   std::vector<bool> truth(num_items, false);
   for (size_t i = 0; i < 60; ++i) truth[i * 5] = true;
-  ResponseLog log(num_items);
+  ResponseLog log(num_items, RetentionPolicy::kCounts);
   Rng rng(17);
   uint32_t task = 0;
   for (uint32_t worker = 0; worker < 7; ++worker) {
@@ -98,7 +98,7 @@ TEST(DawidSkeneTest, BeatsMajorityWithSkewedWorkerQuality) {
 }
 
 TEST(DawidSkeneTest, ConvergesWithinIterationBudget) {
-  ResponseLog log(10);
+  ResponseLog log(10, RetentionPolicy::kCounts);
   Rng rng(5);
   for (uint32_t e = 0; e < 200; ++e) {
     log.Append({e / 10, e / 10, static_cast<uint32_t>(rng.UniformIndex(10)),
@@ -120,7 +120,7 @@ TEST(DawidSkeneTest, StripedLogFitTracksSerialFit) {
   constexpr size_t kItems = 60;
   ResponseLog serial(kItems, RetentionPolicy::kCounts);
   ResponseLog striped(kItems, RetentionPolicy::kCounts);
-  striped.EnableConcurrentIngest(4, /*maintain_pair_counts=*/true);
+  striped.EnableConcurrentIngest(4);
   Rng rng(23);
   std::vector<VoteEvent> events;
   for (uint32_t e = 0; e < 1500; ++e) {
@@ -144,6 +144,18 @@ TEST(DawidSkeneTest, StripedLogFitTracksSerialFit) {
   }
   EXPECT_EQ(DawidSkene::DirtyCount(striped_fit),
             DawidSkene::DirtyCount(serial_fit));
+}
+
+TEST(DawidSkeneDeathTest, FitRequiresThePairCountMatrix) {
+  // EM reads the matrix the log keeps; a log without one is a wiring error,
+  // not a reason to rebuild the matrix from events.
+  DawidSkene em;
+  for (RetentionPolicy retention :
+       {RetentionPolicy::kFullEvents, RetentionPolicy::kTallies}) {
+    ResponseLog log(2, retention);
+    log.Append({0, 0, 0, Vote::kDirty});
+    EXPECT_DEATH(em.Fit(log), "pair-count");
+  }
 }
 
 TEST(EmVotingEstimatorTest, MatchesDirectFit) {

@@ -51,7 +51,23 @@ TEST(DataQualityMetricTest, MethodSelection) {
 TEST(DataQualityMetricTest, QuickstartConstructorIsTheSwitchSpec) {
   DataQualityMetric metric(10);
   EXPECT_EQ(metric.specs(), std::vector<std::string>{"switch"});
-  EXPECT_EQ(metric.log().retention(), crowd::RetentionPolicy::kFullEvents);
+  EXPECT_EQ(metric.log().retention(), crowd::RetentionPolicy::kTallies);
+}
+
+TEST(DataQualityMetricTest, LogRetainsPairCountsOnlyForPanelsThatReadThem) {
+  const estimators::EstimatorRegistry& registry =
+      estimators::EstimatorRegistry::Global();
+  for (const std::string& name : registry.Names()) {
+    DataQualityMetric metric = DataQualityMetric::Create(10, {name}).value();
+    EXPECT_EQ(metric.log().retention(),
+              registry.Find(name).value()->wants_pair_counts
+                  ? crowd::RetentionPolicy::kCounts
+                  : crowd::RetentionPolicy::kTallies)
+        << name;
+  }
+  DataQualityMetric mixed =
+      DataQualityMetric::Create(10, "switch,em-voting").value();
+  EXPECT_EQ(mixed.log().retention(), crowd::RetentionPolicy::kCounts);
 }
 
 TEST(DataQualityMetricTest, UndetectedIsTotalMinusMajority) {

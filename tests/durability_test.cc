@@ -343,6 +343,24 @@ TEST(CheckpointTest, PairsVariantRoundTripsThroughDiskAndSyntheticReplay) {
   EXPECT_EQ(restored.MajorityCount(), log.MajorityCount());
 }
 
+TEST(CheckpointTest, VariantFollowsRetentionAndFullEventsIsRefused) {
+  std::vector<VoteEvent> votes = MakeVotes(200, 16);
+  crowd::ResponseLog tallies(16, crowd::RetentionPolicy::kTallies);
+  crowd::ResponseLog full(16, crowd::RetentionPolicy::kFullEvents);
+  for (const VoteEvent& event : votes) {
+    tallies.Append(event);
+    full.Append(event);
+  }
+  auto data = crowd::CheckpointFromLog(tallies, 1);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_EQ(data->variant, CheckpointData::Variant::kTallies);
+  EXPECT_EQ(data->num_events, 200u);
+  EXPECT_TRUE(std::ranges::equal(data->positive, tallies.positive_counts()));
+  EXPECT_TRUE(std::ranges::equal(data->total, tallies.total_counts()));
+  EXPECT_EQ(crowd::CheckpointFromLog(full, 1).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
 TEST(CheckpointTest, CorruptionFailsLoudly) {
   std::string dir = ScratchDir("ckpt_corrupt");
   std::vector<VoteEvent> votes = MakeVotes(200, 16);
@@ -865,6 +883,92 @@ TEST(EngineDurabilityTest, StripedTallyOnlyPanelRecoversLiveRows) {
   auto snapshot = recovered.Query("s");
   ASSERT_TRUE(snapshot.ok());
   ExpectSnapshotParity(*snapshot, live, "striped kTallies recovery");
+}
+
+TEST(EngineDurabilityTest, SerializedTallyOnlyPanelRecoversAndMigrates) {
+  // A serialized (every_batch) tally-only session keeps a kTallies log, so
+  // it checkpoints the kTallies variant. Recovery from that checkpoint plus
+  // the WAL tail, and a migration of the recovered session, must serve the
+  // live rows exactly. A kPairs checkpoint of the same prefix — what a
+  // serialized session of this panel wrote when its log kept pair counts —
+  // must recover into it with identical tallies and rows.
+  size_t num_items = 0;
+  std::vector<VoteEvent> votes =
+      GenerateVotes(FamilySpecs().front(), 17, &num_items);
+  const std::vector<std::string> panel = {"chao92", "voting"};
+  std::string root = ScratchDir("serialized_tallies");
+  std::string pairs_root = ScratchDir("serialized_tallies_pairs");
+  SessionOptions options;
+  options.durability_dir = root;
+  options.wal_group_commit_votes = 64;
+  options.checkpoint_every_votes = 150;
+  Snapshot live;
+  Result<CheckpointData> live_state = Status::Internal("unset");
+  {
+    DqmEngine engine;
+    auto session = engine.OpenSession(
+        "s", num_items, std::span<const std::string>(panel), options);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    ASSERT_FALSE((*session)->concurrent_ingest());
+    IngestBatches(engine, "s", votes, 37);
+    ASSERT_TRUE((*session)->FlushDurability().ok());
+    live = (*session)->snapshot();
+    live_state = (*session)->ExportState();
+    ASSERT_TRUE(live_state.ok()) << live_state.status().ToString();
+  }
+  EXPECT_EQ(live_state->variant, CheckpointData::Variant::kTallies);
+  auto checkpoint = crowd::ReadCheckpointFile(root + "/s/checkpoint.bin");
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  EXPECT_EQ(checkpoint->variant, CheckpointData::Variant::kTallies);
+  EXPECT_LT(checkpoint->num_events, votes.size());  // a WAL tail remains
+  fs::copy(root, pairs_root, fs::copy_options::recursive |
+                                 fs::copy_options::overwrite_existing);
+
+  auto expect_same_state = [&](DqmEngine& engine, const std::string& context) {
+    SCOPED_TRACE(context);
+    auto snapshot = engine.Query("s");
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    ExpectSnapshotParity(*snapshot, live, context);
+    auto session = engine.GetSession("s");
+    ASSERT_TRUE(session.ok());
+    auto state = (*session)->ExportState();
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    EXPECT_EQ(state->num_events, live_state->num_events);
+    EXPECT_EQ(state->num_tasks, live_state->num_tasks);
+    EXPECT_EQ(state->num_workers, live_state->num_workers);
+    EXPECT_EQ(state->positive, live_state->positive);
+    EXPECT_EQ(state->total, live_state->total);
+  };
+
+  DqmEngine recovered;
+  auto reports = recovered.RecoverSessions(root);
+  ASSERT_TRUE(reports.ok()) << reports.status().ToString();
+  ASSERT_EQ(reports->size(), 1u);
+  EXPECT_TRUE((*reports)[0].had_checkpoint);
+  EXPECT_EQ((*reports)[0].votes_restored, votes.size());
+  expect_same_state(recovered, "kTallies recovery");
+
+  DqmEngine target;
+  ASSERT_TRUE(recovered.MigrateSession("s", target).ok());
+  EXPECT_EQ(recovered.num_sessions(), 0u);
+  expect_same_state(target, "migration");
+
+  // The same checkpointed prefix as the kPairs variant.
+  crowd::ResponseLog counts(num_items, crowd::RetentionPolicy::kCounts);
+  for (size_t i = 0; i < checkpoint->num_events; ++i) counts.Append(votes[i]);
+  auto pairs = crowd::CheckpointFromLog(counts, checkpoint->wal_generation);
+  ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
+  ASSERT_EQ(pairs->variant, CheckpointData::Variant::kPairs);
+  ASSERT_TRUE(
+      crowd::WriteCheckpointFile(pairs_root + "/s/checkpoint.bin", *pairs)
+          .ok());
+  DqmEngine from_pairs;
+  reports = from_pairs.RecoverSessions(pairs_root);
+  ASSERT_TRUE(reports.ok()) << reports.status().ToString();
+  ASSERT_EQ(reports->size(), 1u);
+  EXPECT_TRUE((*reports)[0].had_checkpoint);
+  EXPECT_EQ((*reports)[0].votes_restored, votes.size());
+  expect_same_state(from_pairs, "kPairs recovery");
 }
 
 TEST(EngineDurabilityTest, RecoverSessionsRebuildsManyAndSkipsStrayDirs) {

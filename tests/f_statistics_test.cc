@@ -15,7 +15,7 @@ TEST(FStatisticsTest, StartsEmpty) {
   EXPECT_EQ(f.NumSpecies(), 0u);
   EXPECT_EQ(f.TotalObservations(), 0u);
   EXPECT_EQ(f.singletons(), 0u);
-  EXPECT_EQ(f.SumIiMinus1(), 0u);
+  EXPECT_EQ(SumIiMinus1(f.fingerprint()), 0u);
 }
 
 TEST(FStatisticsTest, AddSingleton) {
@@ -58,7 +58,7 @@ TEST(FStatisticsTest, SumIiMinus1) {
     f.Promote(2);
   }
   f.AddSingleton();
-  EXPECT_EQ(f.SumIiMinus1(), 12u);
+  EXPECT_EQ(SumIiMinus1(f.fingerprint()), 12u);
 }
 
 // Invariant check against brute-force bookkeeping over random operations.
@@ -108,7 +108,7 @@ TEST(FStatisticsTest, ShiftedViewDropsLowClasses) {
   f.Promote(1);
   f.Promote(2);
 
-  FStatistics::ShiftedView view = f.Shifted(1, f.TotalObservations());
+  ShiftedView view = Shifted(f.fingerprint(), 1, f.TotalObservations());
   // Shift 1: doubletons become singletons, tripletons become doubletons.
   EXPECT_EQ(view.f1, 2u);
   EXPECT_EQ(view.c, 3u);           // 2 + 1 species remain
@@ -122,11 +122,11 @@ TEST(FStatisticsTest, ShiftZeroIsIdentity) {
   f.AddSingleton();
   f.AddSingleton();
   f.Promote(1);
-  FStatistics::ShiftedView view = f.Shifted(0, f.TotalObservations());
+  ShiftedView view = Shifted(f.fingerprint(), 0, f.TotalObservations());
   EXPECT_EQ(view.f1, f.singletons());
   EXPECT_EQ(view.c, f.NumSpecies());
   EXPECT_EQ(view.n, f.TotalObservations());
-  EXPECT_EQ(view.sum_ii1, f.SumIiMinus1());
+  EXPECT_EQ(view.sum_ii1, SumIiMinus1(f.fingerprint()));
 }
 
 TEST(FStatisticsTest, RebuildFromCountsMatchesIncrementalStream) {
@@ -149,7 +149,8 @@ TEST(FStatisticsTest, RebuildFromCountsMatchesIncrementalStream) {
   rebuilt.RebuildFromCounts(counts);
   EXPECT_EQ(rebuilt.NumSpecies(), incremental.NumSpecies());
   EXPECT_EQ(rebuilt.TotalObservations(), incremental.TotalObservations());
-  EXPECT_EQ(rebuilt.SumIiMinus1(), incremental.SumIiMinus1());
+  EXPECT_EQ(SumIiMinus1(rebuilt.fingerprint()),
+            SumIiMinus1(incremental.fingerprint()));
   EXPECT_EQ(rebuilt.histogram(), incremental.histogram());
 }
 
@@ -182,20 +183,10 @@ std::vector<uint64_t> DenseFingerprint(const std::vector<uint32_t>& counts) {
   return dense;
 }
 
-void ExpectSameFingerprint(const FStatistics& a, const FStatistics& b) {
-  EXPECT_EQ(a.histogram(), b.histogram());
-  EXPECT_EQ(a.NumSpecies(), b.NumSpecies());
-  EXPECT_EQ(a.TotalObservations(), b.TotalObservations());
-  EXPECT_EQ(a.SumIiMinus1(), b.SumIiMinus1());
-  FStatistics::ShiftedView sa = a.Shifted(2, a.TotalObservations());
-  FStatistics::ShiftedView sb = b.Shifted(2, b.TotalObservations());
-  EXPECT_EQ(sa.f1, sb.f1);
-  EXPECT_EQ(sa.n, sb.n);
-  EXPECT_EQ(sa.c, sb.c);
-  EXPECT_EQ(sa.sum_ii1, sb.sum_ii1);
-}
-
-TEST(FStatisticsTest, AssignFingerprintMatchesRebuildFromCounts) {
+TEST(FingerprintFunctionsTest, TrailingZeroBucketsDoNotMatter) {
+  // The free functions read any fingerprint span: a dense one (as a
+  // response log keeps it) scores exactly like an FStatistics rebuild of
+  // the same counts, whose vector carries an extra empty bucket.
   Rng rng(43);
   std::vector<uint32_t> counts(400, 0);
   for (size_t step = 0; step < 3000; ++step) {
@@ -203,20 +194,22 @@ TEST(FStatisticsTest, AssignFingerprintMatchesRebuildFromCounts) {
   }
   FStatistics rebuilt;
   rebuilt.RebuildFromCounts(counts);
-  FStatistics assigned;
-  assigned.AssignFingerprint(DenseFingerprint(counts));
-  ExpectSameFingerprint(assigned, rebuilt);
-
-  // A shallower fingerprint assigned over a deeper one leaves no stale
-  // buckets behind.
-  std::vector<uint32_t> shallow = {0, 1, 2, 1, 0, 3};
-  rebuilt.RebuildFromCounts(shallow);
-  assigned.AssignFingerprint(DenseFingerprint(shallow));
-  ExpectSameFingerprint(assigned, rebuilt);
-  EXPECT_EQ(assigned.f(4), 0u);
-  assigned.AssignFingerprint(std::vector<uint64_t>{});
-  EXPECT_EQ(assigned.NumSpecies(), 0u);
-  EXPECT_EQ(assigned.TotalObservations(), 0u);
+  const std::vector<uint64_t> dense = DenseFingerprint(counts);
+  ASSERT_LT(dense.size(), rebuilt.fingerprint().size());
+  EXPECT_EQ(SumIiMinus1(dense), SumIiMinus1(rebuilt.fingerprint()));
+  for (uint32_t shift : {0u, 1u, 2u}) {
+    ShiftedView sa = Shifted(dense, shift, rebuilt.TotalObservations());
+    ShiftedView sb =
+        Shifted(rebuilt.fingerprint(), shift, rebuilt.TotalObservations());
+    EXPECT_EQ(sa.f1, sb.f1) << shift;
+    EXPECT_EQ(sa.n, sb.n) << shift;
+    EXPECT_EQ(sa.c, sb.c) << shift;
+    EXPECT_EQ(sa.sum_ii1, sb.sum_ii1) << shift;
+  }
+  for (uint32_t j = 0; j < rebuilt.fingerprint().size() + 2; ++j) {
+    EXPECT_EQ(FingerprintAt(dense, j), rebuilt.f(j)) << j;
+  }
+  EXPECT_EQ(SumIiMinus1(std::vector<uint64_t>{}), 0u);
 }
 
 TEST(FStatisticsDeathTest, PromoteMissingClassAborts) {

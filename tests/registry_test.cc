@@ -90,9 +90,7 @@ TEST(EstimatorRegistryTest, OnlySwitchObservesTheStream) {
   // which is what lets their panels ingest concurrently.
   for (const std::string& name : EstimatorRegistry::Global().Names()) {
     core::DataQualityMetric metric =
-        core::DataQualityMetric::Create(20, {name},
-                                        crowd::RetentionPolicy::kCounts)
-            .value();
+        core::DataQualityMetric::Create(20, {name}).value();
     EXPECT_EQ(metric.SupportsConcurrentIngest(), name != "switch") << name;
   }
 }
@@ -146,8 +144,8 @@ TEST(EstimatorRegistryTest, UnknownAndMalformedParamsAreInvalidArgument) {
 }
 
 TEST(EstimatorRegistryTest, SpecParamsConfigureTheEstimator) {
-  // vchao92?shift=2 must score VChao92Score(view, 2, skew=true) over the
-  // pipeline's statistics.
+  // vchao92?shift=2 must score VChao92Score(log, 2, skew=true) over the
+  // pipeline's log.
   core::DataQualityMetric by_spec =
       core::DataQualityMetric::Create(50, {"vchao92?shift=2"}).value();
   for (uint32_t task = 0; task < 30; ++task) {
@@ -155,10 +153,8 @@ TEST(EstimatorRegistryTest, SpecParamsConfigureTheEstimator) {
       by_spec.AddVote(task, task, (task * 3 + i) % 50, i % 3 == 0);
     }
   }
-  FStatistics f;
-  f.RebuildFromCounts(by_spec.log().positive_counts());
-  VoteStatsView view{&by_spec.log(), &f};
-  EXPECT_EQ(by_spec.EstimatedTotalErrors(), VChao92Score(view, 2, true));
+  EXPECT_EQ(by_spec.EstimatedTotalErrors(),
+            VChao92Score(by_spec.log(), 2, true));
 }
 
 /// A user-provided estimator: the registry is open, not a baked-in list.
@@ -179,7 +175,7 @@ TEST(EstimatorRegistryTest, OpenForUserEstimators) {
       .name = "constant",
       .display_name = "CONSTANT",
       .help = "fixed answer; params: value=<float>",
-      .factory = [](const VoteStatsView&, const EstimatorSpec& spec)
+      .factory = [](const crowd::ResponseLog&, const EstimatorSpec& spec)
           -> Result<std::unique_ptr<TotalErrorEstimator>> {
         SpecParamReader params(spec);
         DQM_ASSIGN_OR_RETURN(double value, params.GetDouble("value", 0.0));
@@ -190,16 +186,16 @@ TEST(EstimatorRegistryTest, OpenForUserEstimators) {
   ASSERT_TRUE(status.ok()) << status.ToString();
 
   crowd::ResponseLog log(10);
-  VoteStatsView view{&log, nullptr};
   EXPECT_EQ(
-      (*registry.Create(ParseEstimatorSpec("constant?value=42").value(), view))
+      (*registry.Create(ParseEstimatorSpec("constant?value=42").value(), log))
           ->Estimate(),
       42.0);
   // Duplicate registrations and aliases to nowhere are rejected.
   EXPECT_EQ(registry
                 .Register(EstimatorRegistry::Entry{
                     .name = "constant",
-                    .factory = [](const VoteStatsView&, const EstimatorSpec&)
+                    .factory = [](const crowd::ResponseLog&,
+                                  const EstimatorSpec&)
                         -> Result<std::unique_ptr<TotalErrorEstimator>> {
                       return Status::Internal("unreachable");
                     }})

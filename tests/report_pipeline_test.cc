@@ -70,9 +70,10 @@ TEST(ReportPipelineTest, OnePassMatchesSixSingleMethodReplaysBitForBit) {
 }
 
 TEST(ReportPipelineTest, RowsAreTheirFormulaOverRebuiltStatistics) {
-  // Each row must be its estimator's formula over statistics rebuilt from
-  // scratch (not the pipeline's incrementally maintained fingerprint), and
-  // SWITCH must be a directly constructed estimator observing every vote.
+  // Each row must be its estimator's formula over the statistics of a log
+  // the pipeline never saw (the simulator's, whose fingerprint is checked
+  // against a rebuild from scratch), and SWITCH must be a directly
+  // constructed estimator observing every vote.
   SimulatedRun run = PanelRun();
   size_t num_items = run.truth.size();
   Result<DataQualityMetric> pipeline =
@@ -83,18 +84,23 @@ TEST(ReportPipelineTest, RowsAreTheirFormulaOverRebuiltStatistics) {
 
   estimators::FStatistics f;
   f.RebuildFromCounts(run.log.positive_counts());
-  estimators::VoteStatsView view{&run.log, &f};
+  std::span<const uint64_t> kept = run.log.positive_fingerprint();
+  ASSERT_GT(kept.size(), 2u);
+  for (uint32_t j = 1; j < std::max(kept.size(), f.fingerprint().size());
+       ++j) {
+    ASSERT_EQ(estimators::FingerprintAt(kept, j), f.f(j)) << "f_" << j;
+  }
   estimators::SwitchTotalErrorEstimator switch_estimator(num_items);
   for (const crowd::VoteEvent& event : run.log.events()) {
     switch_estimator.Observe(event);
   }
   const std::vector<double> expected = {
       switch_estimator.Estimate(),
-      estimators::Chao92Score(view, /*skew_correction=*/true),
-      estimators::Chao92Score(view, /*skew_correction=*/false),
-      estimators::VChao92Score(view, /*shift=*/1, /*skew_correction=*/true),
-      estimators::VotingScore(view),
-      estimators::NominalScore(view),
+      estimators::Chao92Score(run.log, /*skew_correction=*/true),
+      estimators::Chao92Score(run.log, /*skew_correction=*/false),
+      estimators::VChao92Score(run.log, /*shift=*/1, /*skew_correction=*/true),
+      estimators::VotingScore(run.log),
+      estimators::NominalScore(run.log),
   };
   ASSERT_EQ(expected.size(), kPanel.size());
   for (size_t i = 0; i < kPanel.size(); ++i) {

@@ -159,7 +159,7 @@ TEST(ResponseLogConcurrentTest, SingleThreadStripedMatchesSerialAppend) {
   for (const VoteEvent& event : events) serial.Append(event);
 
   ResponseLog striped(kItems, RetentionPolicy::kCounts);
-  striped.EnableConcurrentIngest(4, /*maintain_pair_counts=*/true);
+  striped.EnableConcurrentIngest(4);
   EXPECT_TRUE(striped.concurrent_ingest());
   EXPECT_GE(striped.num_stripes(), 1u);
   striped.AppendConcurrent(events);
@@ -186,14 +186,14 @@ TEST(ResponseLogConcurrentTest, StripeShardsUnionEqualsSerialMatrix) {
   ASSERT_NE(serial.compacted(), nullptr);
 
   ResponseLog striped(kItems, RetentionPolicy::kCounts);
-  striped.EnableConcurrentIngest(4, /*maintain_pair_counts=*/true);
+  striped.EnableConcurrentIngest(4);
   striped.AppendConcurrent(events);
   { auto pause = striped.PauseAndReconcile(); }
   // The striped matrix is consumed block-wise; compacted() deliberately
   // reports "no single store" in this mode.
   EXPECT_EQ(striped.compacted(), nullptr);
   std::vector<const CompactedVoteStore*> blocks;
-  ASSERT_TRUE(striped.AppendCountMatrixBlocks(blocks));
+  striped.AppendCountMatrixBlocks(blocks);
   EXPECT_EQ(blocks.size(), striped.num_stripes());
 
   // Same pair multiset with the same per-pair counts, independent of slot
@@ -222,8 +222,8 @@ TEST(ResponseLogConcurrentTest, ManyProducersReconcileToSerialTallies) {
   ResponseLog serial(kItems, RetentionPolicy::kCounts);
   for (const VoteEvent& event : events) serial.Append(event);
 
-  ResponseLog striped(kItems, RetentionPolicy::kCounts);
-  striped.EnableConcurrentIngest(4, /*maintain_pair_counts=*/false);
+  ResponseLog striped(kItems, RetentionPolicy::kTallies);
+  striped.EnableConcurrentIngest(4);
   std::vector<std::thread> producers;
   size_t chunk = events.size() / kProducers;
   for (size_t t = 0; t < kProducers; ++t) {
@@ -251,8 +251,8 @@ TEST(ResponseLogConcurrentTest, ManyProducersReconcileToSerialTallies) {
   }
 }
 
-/// The positive-vote fingerprint a serialized consumer keeps per vote
-/// (AddSingleton on an item's first dirty vote, Promote after), from a
+/// The reference positive-vote fingerprint: an FStatistics fed per vote
+/// (AddSingleton on an item's first dirty vote, Promote after) alongside a
 /// serialized Append feed of `events`.
 estimators::FStatistics SerialFingerprint(std::span<const VoteEvent> events,
                                           size_t num_items) {
@@ -292,9 +292,12 @@ TEST(ResponseLogConcurrentTest, StripeFingerprintsSumToSerialFingerprint) {
                       dirty ? Vote::kDirty : Vote::kClean});
   }
 
-  ResponseLog striped(kItems, RetentionPolicy::kCounts);
-  striped.EnableConcurrentIngest(4, /*maintain_pair_counts=*/false);
+  ResponseLog striped(kItems, RetentionPolicy::kTallies);
+  striped.EnableConcurrentIngest(4);
   ASSERT_EQ(striped.num_stripes(), 4u);
+  // The serialized path keeps the same fingerprint at Append.
+  ResponseLog serial(kItems, RetentionPolicy::kTallies);
+  size_t serial_fed = 0;
   const size_t per_round = events.size() / kRounds;
   for (size_t round = 0; round < kRounds; ++round) {
     // Each producer commits its share of this round in random batch splits.
@@ -318,43 +321,56 @@ TEST(ResponseLogConcurrentTest, StripeFingerprintsSumToSerialFingerprint) {
     for (std::thread& producer : producers) producer.join();
     const size_t committed = round_begin + kProducers * chunk;
 
+    for (; serial_fed < committed; ++serial_fed) {
+      serial.Append(events[serial_fed]);
+    }
+
     auto pause = striped.PauseAndReconcile();
     estimators::FStatistics expected = SerialFingerprint(
         std::span<const VoteEvent>(events.data(), committed), kItems);
-    std::span<const uint64_t> got = striped.positive_fingerprint();
-    ASSERT_FALSE(got.empty());
-    EXPECT_EQ(got[0], 0u);
     const uint32_t deepest = expected.histogram().back().first;
     ASSERT_GT(deepest, 20u) << "item 5 must pile deeper than the rest";
-    EXPECT_EQ(got.size(), deepest + 1u) << "round " << round;
-    for (uint32_t j = 1; j < got.size(); ++j) {
-      EXPECT_EQ(got[j], expected.f(j)) << "round " << round << ", f_" << j;
+    for (const ResponseLog* log : {&striped, &serial}) {
+      SCOPED_TRACE(log == &striped ? "striped" : "serialized");
+      std::span<const uint64_t> got = log->positive_fingerprint();
+      ASSERT_FALSE(got.empty());
+      EXPECT_EQ(got[0], 0u);
+      EXPECT_EQ(got.size(), deepest + 1u) << "round " << round;
+      for (uint32_t j = 1; j < got.size(); ++j) {
+        EXPECT_EQ(got[j], expected.f(j)) << "round " << round << ", f_" << j;
+      }
     }
   }
 }
 
 TEST(ResponseLogConcurrentTest, RetainedBytesGrowWithFingerprintDepth) {
-  // Pair counts off: the only storage a dirty vote can grow is the stripe
-  // fingerprint and its reconciled sum.
-  ResponseLog striped(256, RetentionPolicy::kCounts);
-  striped.EnableConcurrentIngest(4, /*maintain_pair_counts=*/false);
+  // Tallies only: the only storage a dirty vote can grow is the fingerprint
+  // (striped: the stripe fingerprint and its reconciled sum).
   std::vector<VoteEvent> spread;
   for (uint32_t item = 0; item < 256; ++item) {
     spread.push_back({0, 0, item, Vote::kDirty});
   }
+  std::vector<VoteEvent> pile(40, VoteEvent{1, 1, 7, Vote::kDirty});
+
+  ResponseLog striped(256, RetentionPolicy::kTallies);
+  striped.EnableConcurrentIngest(4);
   striped.AppendConcurrent(spread);
   { auto pause = striped.PauseAndReconcile(); }
   const size_t shallow_bytes = striped.RetainedBytes();
-
-  std::vector<VoteEvent> pile(40, VoteEvent{1, 1, 7, Vote::kDirty});
   striped.AppendConcurrent(pile);
   { auto pause = striped.PauseAndReconcile(); }
   EXPECT_GT(striped.RetainedBytes(), shallow_bytes);
+
+  ResponseLog serial(256, RetentionPolicy::kTallies);
+  for (const VoteEvent& event : spread) serial.Append(event);
+  const size_t serial_shallow_bytes = serial.RetainedBytes();
+  for (const VoteEvent& event : pile) serial.Append(event);
+  EXPECT_GT(serial.RetainedBytes(), serial_shallow_bytes);
 }
 
 TEST(ResponseLogConcurrentTest, RetainedBytesCoversStripeShards) {
   ResponseLog striped(256, RetentionPolicy::kCounts);
-  striped.EnableConcurrentIngest(4, /*maintain_pair_counts=*/true);
+  striped.EnableConcurrentIngest(4);
   size_t empty_bytes = striped.RetainedBytes();
   std::vector<VoteEvent> events = StripedTestEvents(256, 3000, 8);
   striped.AppendConcurrent(events);
@@ -368,25 +384,25 @@ TEST(ResponseLogConcurrentDeathTest, OutOfRangeItemAbortsNotDropped) {
   // batch validation they would vanish silently instead of aborting like
   // the serialized Append.
   ResponseLog striped(1000, RetentionPolicy::kCounts);
-  striped.EnableConcurrentIngest(1, /*maintain_pair_counts=*/true);
+  striped.EnableConcurrentIngest(1);
   std::vector<VoteEvent> batch = {{0, 0, 5000, Vote::kDirty}};
   EXPECT_DEATH(striped.AppendConcurrent(batch), "out of range");
 }
 
 TEST(ResponseLogConcurrentDeathTest, SerialAppendAbortsOnceStriped) {
   ResponseLog striped(16, RetentionPolicy::kCounts);
-  striped.EnableConcurrentIngest(2, /*maintain_pair_counts=*/true);
+  striped.EnableConcurrentIngest(2);
   EXPECT_DEATH(striped.Append({0, 0, 0, Vote::kDirty}), "serialized path");
 }
 
 TEST(ResponseLogConcurrentDeathTest, RequiresCountsRetention) {
   ResponseLog full(16, RetentionPolicy::kFullEvents);
-  EXPECT_DEATH(full.EnableConcurrentIngest(2, true), "kCounts");
+  EXPECT_DEATH(full.EnableConcurrentIngest(2), "kCounts");
 }
 
 TEST(ResponseLogConcurrentDeathTest, MatrixBlocksAbortWithoutPairCounts) {
-  ResponseLog striped(16, RetentionPolicy::kCounts);
-  striped.EnableConcurrentIngest(2, /*maintain_pair_counts=*/false);
+  ResponseLog striped(16, RetentionPolicy::kTallies);
+  striped.EnableConcurrentIngest(2);
   std::vector<const CompactedVoteStore*> blocks;
   EXPECT_DEATH(striped.AppendCountMatrixBlocks(blocks), "pair-count");
 }

@@ -1,13 +1,16 @@
-// Retention-policy parity: a kCounts log must be observationally identical
-// to a kFullEvents log fed the same vote stream everywhere except arrival
-// history — same tallies, same NOMINAL / VOTING counts, and the same
-// estimates for every estimator the serving pipeline can attach — across
-// every registered workload family and randomized seeds. This is the
-// contract that lets the engine drop O(#votes) event storage without
-// changing a single served number.
+// Retention-policy parity: kCounts and kTallies logs must be
+// observationally identical to a kFullEvents log fed the same vote stream
+// everywhere except what they deliberately drop — same tallies, same
+// NOMINAL / VOTING counts and the same positive-vote fingerprint — and a
+// pipeline's rows must not depend on which of them its panel selects,
+// across every registered workload family and randomized seeds. This is the
+// contract that lets a pipeline drop O(#votes) event storage, and the pair
+// matrix when no estimator reads it, without changing a single served
+// number.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <string>
 #include <vector>
@@ -46,26 +49,36 @@ TEST_P(RetentionParityTest, TalliesAndCountsMatchOnEveryFamily) {
 
     ResponseLog full(num_items, RetentionPolicy::kFullEvents);
     ResponseLog counts(num_items, RetentionPolicy::kCounts);
+    ResponseLog tallies(num_items, RetentionPolicy::kTallies);
     for (const VoteEvent& event : run.log.events()) {
       full.Append(event);
       counts.Append(event);
+      tallies.Append(event);
     }
 
-    EXPECT_EQ(full.num_events(), counts.num_events()) << spec;
-    EXPECT_EQ(full.num_tasks(), counts.num_tasks()) << spec;
-    EXPECT_EQ(full.num_workers(), counts.num_workers()) << spec;
-    EXPECT_EQ(full.total_positive_votes(), counts.total_positive_votes())
-        << spec;
-    EXPECT_EQ(full.MajorityCount(), counts.MajorityCount()) << spec;
-    EXPECT_EQ(full.NominalCount(), counts.NominalCount()) << spec;
-    for (size_t i = 0; i < num_items; ++i) {
-      ASSERT_EQ(full.positive_votes(i), counts.positive_votes(i))
-          << spec << ", item " << i;
-      ASSERT_EQ(full.total_votes(i), counts.total_votes(i))
-          << spec << ", item " << i;
-      ASSERT_EQ(full.MajorityDirty(i), counts.MajorityDirty(i))
-          << spec << ", item " << i;
+    for (const ResponseLog* log : {&counts, &tallies}) {
+      SCOPED_TRACE(log == &counts ? "kCounts" : "kTallies");
+      EXPECT_EQ(full.num_events(), log->num_events()) << spec;
+      EXPECT_EQ(full.num_tasks(), log->num_tasks()) << spec;
+      EXPECT_EQ(full.num_workers(), log->num_workers()) << spec;
+      EXPECT_EQ(full.total_positive_votes(), log->total_positive_votes())
+          << spec;
+      EXPECT_EQ(full.MajorityCount(), log->MajorityCount()) << spec;
+      EXPECT_EQ(full.NominalCount(), log->NominalCount()) << spec;
+      EXPECT_TRUE(std::ranges::equal(full.positive_fingerprint(),
+                                     log->positive_fingerprint()))
+          << spec;
+      for (size_t i = 0; i < num_items; ++i) {
+        ASSERT_EQ(full.positive_votes(i), log->positive_votes(i))
+            << spec << ", item " << i;
+        ASSERT_EQ(full.total_votes(i), log->total_votes(i))
+            << spec << ", item " << i;
+        ASSERT_EQ(full.MajorityDirty(i), log->MajorityDirty(i))
+            << spec << ", item " << i;
+      }
     }
+    EXPECT_EQ(tallies.compacted(), nullptr);
+    EXPECT_LT(tallies.RetainedBytes(), counts.RetainedBytes()) << spec;
 
     // The compacted matrix the kCounts log maintained incrementally must
     // be slot-for-slot what a one-shot replay of the events builds — the
@@ -85,48 +98,48 @@ TEST_P(RetentionParityTest, TalliesAndCountsMatchOnEveryFamily) {
   }
 }
 
-TEST_P(RetentionParityTest, PipelineEstimatesMatchAcrossPoliciesOnEveryFamily) {
-  // Every estimator the serving path can attach — the descriptive counts,
-  // the whole fingerprint family, SWITCH, and (count-matrix-fed) EM — must
-  // produce the same report rows whether the pipeline log retains events or
-  // only compacted counts.
-  const std::vector<std::string> panel = {
-      "switch", "chao92",  "good-turing", "vchao92?shift=2",
-      "chao1",  "jackknife1", "voting",   "nominal",
-      "em-voting"};
+TEST_P(RetentionParityTest, PipelineRowsMatchAcrossRetainedStateOnEveryFamily) {
+  // The pipeline picks its log's retention from the panel: with EM-VOTING
+  // in it the log keeps the pair matrix (kCounts), without it only the
+  // tallies (kTallies). Every other row — the descriptive counts, the whole
+  // fingerprint family and SWITCH — must not notice the difference.
+  const std::vector<std::string> tally_panel = {
+      "switch", "chao92",     "good-turing", "vchao92?shift=2",
+      "chao1",  "jackknife1", "voting",      "nominal"};
+  std::vector<std::string> matrix_panel = tally_panel;
+  matrix_panel.push_back("em-voting");
   for (const std::string& spec : FamilySpecs()) {
     workload::GeneratedWorkload run = Generate(spec, GetParam() ^ 0x9e3779b9);
     size_t num_items = run.log.num_items();
 
-    auto full = core::DataQualityMetric::Create(
-        num_items, std::span<const std::string>(panel),
-        RetentionPolicy::kFullEvents);
+    auto tallies = core::DataQualityMetric::Create(
+        num_items, std::span<const std::string>(tally_panel));
     auto counts = core::DataQualityMetric::Create(
-        num_items, std::span<const std::string>(panel),
-        RetentionPolicy::kCounts);
-    ASSERT_TRUE(full.ok()) << full.status().ToString();
+        num_items, std::span<const std::string>(matrix_panel));
+    ASSERT_TRUE(tallies.ok()) << tallies.status().ToString();
     ASSERT_TRUE(counts.ok()) << counts.status().ToString();
+    ASSERT_EQ(tallies->log().retention(), RetentionPolicy::kTallies);
+    ASSERT_EQ(counts->log().retention(), RetentionPolicy::kCounts);
     for (const VoteEvent& event : run.log.events()) {
-      full->AddVote(event.task, event.worker, event.item,
-                    event.vote == Vote::kDirty);
+      tallies->AddVote(event.task, event.worker, event.item,
+                       event.vote == Vote::kDirty);
       counts->AddVote(event.task, event.worker, event.item,
                       event.vote == Vote::kDirty);
     }
 
-    core::DataQualityMetric::QualityReport full_report = full->Report();
+    core::DataQualityMetric::QualityReport tally_report = tallies->Report();
     core::DataQualityMetric::QualityReport counts_report = counts->Report();
-    EXPECT_EQ(full_report.majority_count, counts_report.majority_count);
-    EXPECT_EQ(full_report.nominal_count, counts_report.nominal_count);
-    ASSERT_EQ(full_report.estimators.size(), counts_report.estimators.size());
-    for (size_t i = 0; i < full_report.estimators.size(); ++i) {
-      // Bit-identical, including EM: both policies feed the fit the same
-      // slot-ordered count matrix (incremental vs one-shot replay).
-      EXPECT_EQ(full_report.estimators[i].total_errors,
+    EXPECT_EQ(tally_report.majority_count, counts_report.majority_count);
+    EXPECT_EQ(tally_report.nominal_count, counts_report.nominal_count);
+    ASSERT_EQ(tally_report.estimators.size() + 1,
+              counts_report.estimators.size());
+    for (size_t i = 0; i < tally_report.estimators.size(); ++i) {
+      EXPECT_EQ(tally_report.estimators[i].total_errors,
                 counts_report.estimators[i].total_errors)
-          << spec << ", " << panel[i];
-      EXPECT_EQ(full_report.estimators[i].quality_score,
+          << spec << ", " << tally_panel[i];
+      EXPECT_EQ(tally_report.estimators[i].quality_score,
                 counts_report.estimators[i].quality_score)
-          << spec << ", " << panel[i];
+          << spec << ", " << tally_panel[i];
     }
   }
 }
@@ -190,7 +203,7 @@ TEST(RetentionParityTest, StripedRetainedBytesCountsFixedOverhead) {
   // gauge the engine exports was under-reporting every striped session.
   ResponseLog serial(256, RetentionPolicy::kCounts);
   ResponseLog striped(256, RetentionPolicy::kCounts);
-  striped.EnableConcurrentIngest(4, /*maintain_pair_counts=*/true);
+  striped.EnableConcurrentIngest(4);
   EXPECT_GT(striped.RetainedBytes(), serial.RetainedBytes());
 
   // And the gap persists (shards counted too) once votes flow.
@@ -204,9 +217,12 @@ TEST(RetentionParityTest, StripedRetainedBytesCountsFixedOverhead) {
 }
 
 TEST(RetentionParityDeathTest, EventsUnavailableUnderCounts) {
-  ResponseLog log(4, RetentionPolicy::kCounts);
-  log.Append({0, 0, 1, Vote::kDirty});
-  EXPECT_DEATH(log.events(), "kFullEvents");
+  for (RetentionPolicy retention :
+       {RetentionPolicy::kCounts, RetentionPolicy::kTallies}) {
+    ResponseLog log(4, retention);
+    log.Append({0, 0, 1, Vote::kDirty});
+    EXPECT_DEATH(log.events(), "kFullEvents");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RetentionParityTest,

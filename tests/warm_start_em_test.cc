@@ -41,11 +41,15 @@ double DeclaredBound(double a, double b) {
 TEST(WarmStartEmTest, IncrementalFromEmptyStateIsExactlyTheColdFit) {
   core::SimulatedRun run =
       core::SimulateScenario(core::SimulationScenario(0.02, 0.1, 10), 120, 5);
+  // EM reads the pair matrix a kCounts log keeps; the simulator's log keeps
+  // the events, so copy them over.
+  ResponseLog log(run.log.num_items(), RetentionPolicy::kCounts);
+  for (const VoteEvent& event : run.log.events()) log.Append(event);
   DawidSkene em;
-  DawidSkene::Result cold = em.Fit(run.log);
+  DawidSkene::Result cold = em.Fit(log);
   DawidSkene::Result incremental;
   DawidSkene::Workspace workspace;
-  em.FitIncremental(run.log, incremental, workspace);
+  em.FitIncremental(log, incremental, workspace);
   ASSERT_EQ(incremental.posterior_dirty.size(), cold.posterior_dirty.size());
   for (size_t i = 0; i < cold.posterior_dirty.size(); ++i) {
     ASSERT_EQ(incremental.posterior_dirty[i], cold.posterior_dirty[i]) << i;
@@ -122,9 +126,7 @@ TEST(WarmStartEmTest, ColdRefitSpecDisablesWarmState) {
   size_t num_items = run.log.num_items();
 
   core::DataQualityMetric cold =
-      core::DataQualityMetric::Create(num_items, {"em-voting?warm=0"},
-                                      RetentionPolicy::kCounts)
-          .value();
+      core::DataQualityMetric::Create(num_items, {"em-voting?warm=0"}).value();
   DawidSkene em;
   for (size_t begin = 0; begin < events.size(); begin += 40) {
     size_t end = std::min(begin + 40, events.size());
