@@ -90,6 +90,147 @@ TEST(Crc32Test, MatchesIeeeKnownAnswer) {
   EXPECT_EQ(split, 0xCBF43926u);
 }
 
+// --- On-disk format goldens ------------------------------------------------
+//
+// Hex images of one WAL file, one shipped segment and one kTallies
+// checkpoint, recorded from the byte-at-a-time CRC-32 build. Any change to
+// the CRC kernel or the encoders must reproduce them byte for byte: files
+// written by an older binary have to recover under a newer one, and a
+// standby must accept segments from a primary of either build.
+
+std::string Hex(std::span<const uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(2 * bytes.size());
+  for (uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
+std::vector<uint8_t> FileBytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(f), {});
+}
+
+// Three votes exercising every field width: small ids, ids with all four
+// bytes distinct, and the task/worker caps.
+std::vector<VoteEvent> GoldenVotes() {
+  return {VoteEvent{1, 2, 3, Vote::kDirty},
+          VoteEvent{0x01020304u, 0x00ABCDEFu, 7, Vote::kClean},
+          VoteEvent{crowd::kMaxTaskId, crowd::kMaxWorkerId, 0, Vote::kDirty}};
+}
+
+// wal.log after Open + Append(GoldenVotes()) + Sync: the 16-byte
+// generation-1 header, then one 51-byte record.
+constexpr char kGoldenWal[] =
+    "4457414c0100000001000000000000002b0000007ec46a6c0300000001000000"
+    "02000000030000000104030201efcdab000700000000ffffff0fffffff000000"
+    "000001";
+
+// EncodeWalSegment of the WAL body above as segment 2 of generation 3.
+constexpr char kGoldenSegment[] =
+    "4453454701000000030000000000000002000000000000001000000000000000"
+    "03000000000000000500000000000000330000002b0000007ec46a6c03000000"
+    "0100000002000000030000000104030201efcdab000700000000ffffff0fffff"
+    "ff0000000000013fa70b20";
+
+// A kTallies checkpoint (generation 2) of a 4-item log fed GoldenVotes()
+// plus {task 5, worker 1, item 3, clean}.
+constexpr char kGoldenCheckpoint[] =
+    "4451435001000000020000000000000004000000000000000400000000000000"
+    "0000001000000000000000010000000001040000000000000001000000000000"
+    "00000000000100000001000000000000000000000003000000bfe45edf";
+
+TEST(WalFormatGoldenTest, RecordBytesAreUnchangedAndReplayClean) {
+  std::string path = ScratchDir("golden_wal") + "/wal.log";
+  const std::vector<VoteEvent> votes = GoldenVotes();
+  {
+    auto wal = VoteWal::Open(path);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    wal->Append(votes);
+    ASSERT_TRUE(wal->Sync().ok());
+  }
+  EXPECT_EQ(Hex(FileBytes(path)), kGoldenWal);
+
+  auto reopened = VoteWal::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  VoteWal::ReplayStats stats;
+  auto replayed = CollectReplay(*reopened, 8, &stats);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(stats.records, 1u);
+  EXPECT_EQ(stats.torn_records, 0u);
+  EXPECT_TRUE(SameEvents(*replayed, votes));
+}
+
+TEST(WalFormatGoldenTest, SegmentBytesAreUnchangedAndDecodeClean) {
+  std::string path = ScratchDir("golden_segment") + "/wal.log";
+  {
+    auto wal = VoteWal::Open(path);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    wal->Append(GoldenVotes());
+    ASSERT_TRUE(wal->Sync().ok());
+  }
+  const std::vector<uint8_t> file = FileBytes(path);
+  crowd::WalSegment segment;
+  segment.generation = 3;
+  segment.seq = 2;
+  segment.start_offset = crowd::kWalHeaderBytes;
+  segment.cum_votes = 3;
+  segment.fencing_token = 5;
+  segment.payload.assign(file.begin() + crowd::kWalHeaderBytes, file.end());
+  std::vector<uint8_t> encoded;
+  crowd::EncodeWalSegment(segment, encoded);
+  EXPECT_EQ(Hex(encoded), kGoldenSegment);
+
+  auto decoded = crowd::DecodeWalSegment(encoded, "golden");
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->generation, 3u);
+  EXPECT_EQ(decoded->seq, 2u);
+  EXPECT_EQ(decoded->start_offset, crowd::kWalHeaderBytes);
+  EXPECT_EQ(decoded->cum_votes, 3u);
+  EXPECT_EQ(decoded->fencing_token, 5u);
+  EXPECT_EQ(decoded->payload, segment.payload);
+  std::vector<VoteEvent> scanned;
+  std::vector<VoteEvent> scratch;
+  auto scan = crowd::ScanWalRecords(
+      decoded->payload, 8,
+      [&](std::span<const VoteEvent> events) -> Status {
+        scanned.insert(scanned.end(), events.begin(), events.end());
+        return Status::OK();
+      },
+      scratch);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_FALSE(scan->torn);
+  EXPECT_EQ(scan->clean_end, decoded->payload.size());
+  EXPECT_TRUE(SameEvents(scanned, GoldenVotes()));
+}
+
+TEST(WalFormatGoldenTest, TalliesCheckpointBytesAreUnchangedAndReadClean) {
+  std::string path = ScratchDir("golden_ckpt") + "/checkpoint.bin";
+  crowd::ResponseLog log(4, crowd::RetentionPolicy::kTallies);
+  for (const VoteEvent& event : GoldenVotes()) {
+    // Item ids fold into the 4-item universe; the golden votes' item 7
+    // lands on item 3.
+    log.Append(VoteEvent{event.task, event.worker, event.item % 4,
+                         event.vote});
+  }
+  log.Append(VoteEvent{5, 1, 3, Vote::kClean});
+  auto data = crowd::CheckpointFromLog(log, /*wal_generation=*/2);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  ASSERT_TRUE(crowd::WriteCheckpointFile(path, *data).ok());
+  EXPECT_EQ(Hex(FileBytes(path)), kGoldenCheckpoint);
+
+  auto loaded = crowd::ReadCheckpointFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->variant, CheckpointData::Variant::kTallies);
+  EXPECT_EQ(loaded->wal_generation, 2u);
+  EXPECT_EQ(loaded->num_events, 4u);
+  EXPECT_EQ(loaded->positive, data->positive);
+  EXPECT_EQ(loaded->total, data->total);
+}
+
 TEST(ValidateVoteBoundsTest, CapsAndUniverse) {
   EXPECT_TRUE(crowd::ValidateVoteBounds(0, 0, 0, 1).ok());
   EXPECT_TRUE(crowd::ValidateVoteBounds(crowd::kMaxTaskId,
