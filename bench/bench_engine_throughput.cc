@@ -15,7 +15,10 @@
 // overhead rows: the same single-producer striped workload with the
 // write-ahead log off vs on across group-commit cadences, reporting
 // absolute durable throughput (the gated number), the on/off ratio, WAL
-// bytes written, and fsync count.
+// bytes written, and fsync count; (h) the WAL codec floor: crowd::Crc32's
+// bytes/ns against a bytewise table-driven CRC-32 timed in the same
+// process (their ratio is the gated, machine-independent number), plus
+// VoteWal::Append's encode+CRC ns/vote.
 //
 //   $ ./bench_engine_throughput [--tasks=500] [--batch=512]
 //       [--methods=chao92,em-voting] [--writer_threads=1,2,4,8]
@@ -27,6 +30,7 @@
 // WriteBenchArtifact) for the CI perf-smoke gate.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -47,6 +51,7 @@
 #include "core/dqm.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
+#include "crowd/wal.h"
 #include "engine/engine.h"
 #include "engine/replication.h"
 #include "estimators/registry.h"
@@ -57,6 +62,46 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// One-byte-at-a-time table-driven CRC-32 (reflected 0xEDB88320) — the
+/// classic kernel crowd::Crc32's slicing-by-8 loop is measured against.
+uint32_t BytewiseCrc32(const uint8_t* data, size_t size) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t crc = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
+      }
+      t[i] = crc;
+    }
+    return t;
+  }();
+  uint32_t crc = ~0u;
+  for (size_t i = 0; i < size; ++i) {
+    crc = (crc >> 8) ^ table[(crc ^ data[i]) & 0xFF];
+  }
+  return ~crc;
+}
+
+/// Best-of-`trials` bytes/ns of `kernel` over `passes` back-to-back digests
+/// of `buffer` (the minimum trial time discounts preemption). Every digest
+/// must equal `expected`, which also keeps the calls from being elided.
+template <typename Kernel>
+double CrcBytesPerNs(const std::vector<uint8_t>& buffer, size_t passes,
+                     size_t trials, uint32_t expected, Kernel kernel) {
+  double best_ns = 0;
+  for (size_t trial = 0; trial < trials; ++trial) {
+    auto start = Clock::now();
+    for (size_t pass = 0; pass < passes; ++pass) {
+      DQM_CHECK_EQ(kernel(buffer.data(), buffer.size()), expected);
+    }
+    double ns = std::chrono::duration<double, std::nano>(Clock::now() - start)
+                    .count();
+    if (trial == 0 || ns < best_ns) best_ns = ns;
+  }
+  return static_cast<double>(buffer.size() * passes) / best_ns;
+}
 
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -887,6 +932,82 @@ int main(int argc, char** argv) {
       fs::remove_all(ship_scratch, ec);
     }
     std::fputs(replication_table.Render().c_str(), stdout);
+  }
+
+  // --- (h) WAL codec: the per-vote checksum and encode cost every durable
+  // vote pays three times on its way to an acknowledgement (WAL record,
+  // ship scan, segment frame). The gated number is crowd::Crc32's speedup
+  // over a bytewise table-driven CRC timed in this same process
+  // (bench/floors.json, "wal_codec.crc_speedup_vs_bytewise"): both run on
+  // the same core and cache, so the ratio does not depend on the machine.
+  // Append is timed over the workload's own votes in batches of --batch,
+  // with the buffer drained outside the timed window as a group commit
+  // would. ---
+  std::printf("\n== wal codec: CRC-32 kernel and record encode ==\n");
+  {
+    namespace fs = std::filesystem;
+    std::vector<uint8_t> buffer(64 * 1024);
+    uint64_t state = 0x9E3779B97F4A7C15ull;
+    for (uint8_t& byte : buffer) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      byte = static_cast<uint8_t>(state >> 56);
+    }
+    const uint32_t digest = BytewiseCrc32(buffer.data(), buffer.size());
+    const size_t passes = *smoke ? 16 : 64;
+    const size_t trials = 5;
+    const double crc_bytes_per_ns = CrcBytesPerNs(
+        buffer, passes, trials, digest,
+        [](const uint8_t* data, size_t size) {
+          return dqm::crowd::Crc32(data, size);
+        });
+    const double bytewise_bytes_per_ns =
+        CrcBytesPerNs(buffer, passes, trials, digest, BytewiseCrc32);
+    const double speedup = crc_bytes_per_ns / bytewise_bytes_per_ns;
+
+    const fs::path wal_path =
+        fs::temp_directory_path() / "dqm_bench_wal_codec.log";
+    std::error_code ec;
+    fs::remove(wal_path, ec);
+    dqm::crowd::VoteWal wal =
+        dqm::crowd::VoteWal::Open(wal_path.string()).value();
+    const size_t records_per_drain = 64;
+    const size_t drains = *smoke ? 8 : 32;
+    double append_ns = 0;
+    uint64_t appended_votes = 0;
+    size_t cursor = 0;
+    for (size_t drain = 0; drain < drains; ++drain) {
+      auto start = Clock::now();
+      for (size_t record = 0; record < records_per_drain; ++record) {
+        if (cursor + batch_size > events.size()) cursor = 0;
+        wal.Append(std::span<const dqm::crowd::VoteEvent>(
+            events.data() + cursor, batch_size));
+        cursor += batch_size;
+        appended_votes += batch_size;
+      }
+      append_ns += std::chrono::duration<double, std::nano>(Clock::now() -
+                                                            start)
+                       .count();
+      DQM_CHECK(wal.WriteBuffered().ok());
+    }
+    fs::remove(wal_path, ec);
+    const double append_ns_per_vote =
+        append_ns / static_cast<double>(appended_votes);
+
+    dqm::AsciiTable codec_table({"kernel", "value"});
+    codec_table.AddRow({"Crc32 bytes/ns",
+                        dqm::StrFormat("%.3f", crc_bytes_per_ns)});
+    codec_table.AddRow({"bytewise CRC-32 bytes/ns",
+                        dqm::StrFormat("%.3f", bytewise_bytes_per_ns)});
+    codec_table.AddRow({"Crc32 speedup vs bytewise",
+                        dqm::StrFormat("%.2fx", speedup)});
+    codec_table.AddRow({"VoteWal::Append ns/vote",
+                        dqm::StrFormat("%.2f", append_ns_per_vote)});
+    std::fputs(codec_table.Render().c_str(), stdout);
+    json.AddResult("wal_codec",
+                   {{"crc_bytes_per_ns", crc_bytes_per_ns},
+                    {"bytewise_bytes_per_ns", bytewise_bytes_per_ns},
+                    {"crc_speedup_vs_bytewise", speedup},
+                    {"append_ns_per_vote", append_ns_per_vote}});
   }
 
   std::printf("\n");

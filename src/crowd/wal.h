@@ -19,13 +19,13 @@ namespace dqm::crowd {
 // Shared vote validation.
 //
 // Every byte stream that turns into VoteEvents — the CSV reader
-// (ResponseLogIo::FromCsv) and the WAL tail replay — funnels through the
-// same bounds check, so a corrupt or adversarial input is rejected as a
-// Status before it can reach the serving pipeline. The id caps exist
-// because several consumers allocate O(max id) state (Dawid-Skene sizes
-// per-worker confusion vectors, SWITCH segments per task): without them a
-// single row claiming worker 4294967295 drives a multi-gigabyte allocation
-// on the serving path.
+// (ResponseLogIo::FromCsv), the WAL tail replay, and a session's AddVotes —
+// funnels through the same bounds check, so a corrupt or adversarial input
+// is rejected as a Status before it can reach the serving pipeline. The id
+// caps exist because several consumers allocate O(max id) state
+// (Dawid-Skene sizes per-worker confusion vectors, SWITCH segments per
+// task): without them a single row claiming worker 4294967295 drives a
+// multi-gigabyte allocation on the serving path.
 // ---------------------------------------------------------------------------
 
 /// Largest worker id accepted from persisted/external vote streams
@@ -40,10 +40,19 @@ inline constexpr uint32_t kMaxTaskId = (1u << 28) - 1;
 Status ValidateVoteBounds(uint32_t task, uint32_t worker, uint32_t item,
                           size_t num_items);
 
+/// True iff every vote passes ValidateVoteBounds and has vote byte 0 or 1:
+/// the one rule for what a WAL record may hold. A session acknowledges only
+/// batches that pass it, and ScanWalRecords treats a record that fails it
+/// as damage, so every acknowledged vote survives recovery and shipping.
+/// One branch-free pass, no Status built.
+bool VotesInBounds(std::span<const VoteEvent> events, size_t num_items);
+
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `size` bytes, chainable
 /// through `seed` (pass a previous return value to continue a running
-/// checksum). Guards WAL records and checkpoint files against torn writes
-/// and bit rot.
+/// checksum). Computed slicing-by-8 (Kounavis & Berry, ISCC 2005): eight
+/// table lookups fold eight input bytes, with a bytewise tail; the digest is
+/// the classic bytewise one bit for bit. Guards WAL records, shipped
+/// segments and checkpoint files against torn writes and bit rot.
 uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
 
 /// Size of the WAL file header (magic + version + generation). Record bytes
@@ -148,7 +157,7 @@ class VoteWal {
   };
 
   /// Scans every record after the header, verifying framing, CRC, and vote
-  /// bounds (ValidateVoteBounds), handing each intact batch to `apply` in
+  /// bounds (VotesInBounds), handing each intact batch to `apply` in
   /// file order. The first bad record truncates the file at the end of the
   /// preceding record — a torn group commit cleanly disappears instead of
   /// poisoning recovery — and stops the scan. Call before the first Append;

@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "crowd/wal.h"
 #include "engine/durability.h"
 #include "telemetry/metric_names.h"
 
@@ -262,6 +263,29 @@ size_t DefaultStripeCount() {
   return std::clamp<size_t>(ThreadPool::DefaultThreadCount(), 2, 8);
 }
 
+/// The InvalidArgument for a batch that fails crowd::VotesInBounds, naming
+/// its first offending vote — built only once the batch is being rejected,
+/// so the commit path pays one branch-free pass.
+Status RejectedBatch(const std::string& session,
+                     std::span<const crowd::VoteEvent> votes,
+                     size_t num_items) {
+  for (const crowd::VoteEvent& event : votes) {
+    Status bounds = crowd::ValidateVoteBounds(event.task, event.worker,
+                                              event.item, num_items);
+    if (bounds.ok() && static_cast<uint8_t>(event.vote) > 1) {
+      bounds = Status::OutOfRange(
+          StrFormat("vote byte %u is neither 0 (clean) nor 1 (dirty)",
+                    static_cast<unsigned>(event.vote)));
+    }
+    if (!bounds.ok()) {
+      return Status::InvalidArgument(StrFormat(
+          "session '%s': %s", session.c_str(), bounds.message().c_str()));
+    }
+  }
+  return Status::InvalidArgument(StrFormat(
+      "session '%s': batch fails the WAL's vote bounds", session.c_str()));
+}
+
 }  // namespace
 
 size_t ResolveIngestStripes(const SessionOptions& options,
@@ -334,13 +358,11 @@ EstimationSession::~EstimationSession() {
 Status EstimationSession::AddVotes(std::span<const crowd::VoteEvent> votes) {
   // Validate up front so a bad batch is rejected atomically: the metric's own
   // range check aborts the process (DQM_CHECK), which a serving layer must
-  // turn into a recoverable error instead.
-  for (const crowd::VoteEvent& event : votes) {
-    if (event.item >= num_items_) {
-      return Status::InvalidArgument(
-          StrFormat("session '%s': item id %u out of range (num_items=%zu)",
-                    name_.c_str(), event.item, num_items_));
-    }
+  // turn into a recoverable error instead. The rule is the WAL's own
+  // (crowd::VotesInBounds), so no acknowledged vote is one that recovery or
+  // the replication scan would later cut off as a torn record.
+  if (!crowd::VotesInBounds(votes, num_items_)) [[unlikely]] {
+    return RejectedBatch(name_, votes, num_items_);
   }
   if (votes.empty()) return Status::OK();
 

@@ -241,9 +241,12 @@ class EstimationSession {
   size_t num_items() const { return num_items_; }
 
   /// Commits a batch of votes (and publishes a fresh snapshot when the
-  /// cadence says so). The batch is all-or-nothing: any out-of-range item
-  /// id rejects the whole batch with InvalidArgument before a single vote
-  /// is applied.
+  /// cadence says so). The batch is all-or-nothing: a vote with an item id
+  /// >= num_items(), a worker id above crowd::kMaxWorkerId, a task id above
+  /// crowd::kMaxTaskId, or a vote byte other than 0/1 rejects the whole
+  /// batch with InvalidArgument before it reaches the WAL or a single vote
+  /// is applied (crowd::VotesInBounds — the same rule recovery and the
+  /// replication scan hold every WAL record to).
   Status AddVotes(std::span<const crowd::VoteEvent> votes)
       DQM_EXCLUDES(mutex_);
 

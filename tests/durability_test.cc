@@ -90,6 +90,59 @@ TEST(Crc32Test, MatchesIeeeKnownAnswer) {
   EXPECT_EQ(split, 0xCBF43926u);
 }
 
+/// The textbook one-byte-at-a-time CRC-32 (reflected 0xEDB88320, bit loop,
+/// no table) that crowd::Crc32 must match bit for bit.
+uint32_t BytewiseCrc32(const uint8_t* data, size_t size, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+std::vector<uint8_t> RandomBytes(size_t size, uint64_t seed) {
+  std::vector<uint8_t> bytes(size);
+  uint64_t state = seed;
+  for (uint8_t& b : bytes) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<uint8_t>(state >> 56);
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..1100 cover an empty input, every tail length of the 8-byte
+  // block loop, and multi-kilobyte records; offsets 0..7 cover every
+  // alignment of the block loads.
+  const std::vector<uint8_t> buffer = RandomBytes(1100 + 8, 42);
+  for (uint32_t seed : {0u, 0x9E3779B9u}) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (size_t length = 0; length <= 1100; ++length) {
+        const uint8_t* data = buffer.data() + offset;
+        ASSERT_EQ(crowd::Crc32(data, length, seed),
+                  BytewiseCrc32(data, length, seed))
+            << "seed " << seed << " offset " << offset << " length "
+            << length;
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, ChainingAtEverySplitEqualsOneShot) {
+  const std::vector<uint8_t> buffer = RandomBytes(256, 7);
+  const uint32_t one_shot = crowd::Crc32(buffer.data(), buffer.size());
+  ASSERT_EQ(one_shot, BytewiseCrc32(buffer.data(), buffer.size(), 0));
+  for (size_t split = 0; split <= buffer.size(); ++split) {
+    const uint32_t head = crowd::Crc32(buffer.data(), split);
+    ASSERT_EQ(crowd::Crc32(buffer.data() + split, buffer.size() - split, head),
+              one_shot)
+        << "split " << split;
+  }
+}
+
 // --- On-disk format goldens ------------------------------------------------
 //
 // Hex images of one WAL file, one shipped segment and one kTallies
@@ -246,6 +299,31 @@ TEST(ValidateVoteBoundsTest, CapsAndUniverse) {
       StatusCode::kOutOfRange);
 }
 
+TEST(ValidateVoteBoundsTest, VotesInBoundsMatchesThePerVoteRule) {
+  using crowd::kMaxTaskId;
+  using crowd::kMaxWorkerId;
+  auto in_bounds = [](std::vector<VoteEvent> votes, size_t num_items) {
+    return crowd::VotesInBounds(votes, num_items);
+  };
+  EXPECT_TRUE(in_bounds({}, 0));
+  EXPECT_TRUE(in_bounds({{kMaxTaskId, kMaxWorkerId, 9, Vote::kDirty},
+                         {1u << 27, 1u << 23, 0, Vote::kClean}},
+                        10));
+  // One offender anywhere in the batch fails it, whatever its neighbours.
+  const VoteEvent good{3, 4, 5, Vote::kDirty};
+  const VoteEvent offenders[] = {
+      {kMaxTaskId + 1, 0, 0, Vote::kClean},
+      {0, kMaxWorkerId + 1, 0, Vote::kClean},
+      {0, 0, 10, Vote::kClean},
+      {0, 0, 0, static_cast<Vote>(2)},
+      {0, 0, 0, static_cast<Vote>(255)},
+  };
+  for (const VoteEvent& bad : offenders) {
+    EXPECT_FALSE(in_bounds({bad}, 10));
+    EXPECT_FALSE(in_bounds({good, bad, good}, 10));
+  }
+}
+
 TEST(VoteWalTest, AppendSyncReplayRoundTrip) {
   std::string dir = ScratchDir("wal_roundtrip");
   std::string path = dir + "/wal.log";
@@ -268,6 +346,38 @@ TEST(VoteWalTest, AppendSyncReplayRoundTrip) {
   EXPECT_EQ(stats.records, 2u);
   EXPECT_EQ(stats.torn_records, 0u);
   EXPECT_TRUE(SameEvents(*replayed, votes));
+}
+
+TEST(VoteWalTest, UndrainedBufferOfManyAppendsReplaysInOrder) {
+  // 10,000 records accumulate in the user-space buffer with no
+  // WriteBuffered in between; one Sync writes them all and replay returns
+  // every vote in append order.
+  std::string path = ScratchDir("wal_undrained") + "/wal.log";
+  constexpr size_t kAppends = 10000;
+  const std::vector<VoteEvent> votes = MakeVotes(3 * kAppends, 64);
+  size_t appended = 0;
+  {
+    auto wal = VoteWal::Open(path);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    for (size_t i = 0; i < kAppends; ++i) {
+      const size_t size = i % 3 + 1;  // batches of 1, 2 and 3 in rotation
+      wal->Append(std::span<const VoteEvent>(votes.data() + appended, size));
+      appended += size;
+    }
+    EXPECT_EQ(wal->bytes_written(), crowd::kWalHeaderBytes);
+    ASSERT_TRUE(wal->Sync().ok());
+    EXPECT_EQ(wal->buffered_bytes(), 0u);
+  }
+  auto reopened = VoteWal::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  VoteWal::ReplayStats stats;
+  auto replayed = CollectReplay(*reopened, 64, &stats);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(stats.records, kAppends);
+  EXPECT_EQ(stats.torn_records, 0u);
+  EXPECT_TRUE(SameEvents(*replayed,
+                         std::vector<VoteEvent>(votes.begin(),
+                                                votes.begin() + appended)));
 }
 
 TEST(VoteWalTest, TornFinalRecordIsTruncatedAndLogStaysAppendable) {
@@ -1110,6 +1220,83 @@ TEST(EngineDurabilityTest, SerializedTallyOnlyPanelRecoversAndMigrates) {
   EXPECT_TRUE((*reports)[0].had_checkpoint);
   EXPECT_EQ((*reports)[0].votes_restored, votes.size());
   expect_same_state(from_pairs, "kPairs recovery");
+}
+
+// A vote over the worker cap, over the task cap, or with a vote byte other
+// than 0/1 is one ScanWalRecords treats as a torn record. AddVotes must
+// reject its batch before the WAL append: if it were acknowledged, recovery
+// would cut the log at that record and silently drop it and every later
+// acknowledged vote. Runs the reproducing sequence (acked batch, bad batch,
+// acked batch, one WAL record per batch) on either commit path.
+void ExpectOutOfCapVotesRejectedAndAckedVotesRecover(bool striped) {
+  const std::vector<std::string> panel = {"chao92", "voting"};
+  constexpr size_t kNumItems = 8;
+  const VoteEvent kBadVotes[] = {
+      {0, crowd::kMaxWorkerId + 1, 1, Vote::kDirty},
+      {crowd::kMaxTaskId + 1, 0, 1, Vote::kDirty},
+      {0, 0, 1, static_cast<Vote>(2)},
+  };
+  const std::vector<VoteEvent> first = {{0, 0, 0, Vote::kDirty},
+                                        {0, 1, 1, Vote::kClean}};
+  const std::vector<VoteEvent> last = {{1, 0, 2, Vote::kDirty},
+                                       {1, 2, 3, Vote::kDirty}};
+  for (const VoteEvent& bad : kBadVotes) {
+    SCOPED_TRACE(testing::Message()
+                 << (striped ? "striped" : "serialized") << " task "
+                 << bad.task << " worker " << bad.worker << " vote byte "
+                 << static_cast<unsigned>(bad.vote));
+    std::string root =
+        ScratchDir(std::string("reject_out_of_cap_") +
+                   (striped ? "striped" : "serialized"));
+    SessionOptions options;
+    options.durability_dir = root;
+    options.wal_group_commit_votes = 1;
+    if (striped) {
+      options.cadence = PublishCadence::kEveryNVotes;
+      options.publish_every_votes = 2;
+      options.ingest_stripes = 4;
+    }
+    {
+      DqmEngine engine;
+      auto session = engine.OpenSession(
+          "s", kNumItems, std::span<const std::string>(panel), options);
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      ASSERT_EQ((*session)->concurrent_ingest(), striped);
+      ASSERT_TRUE((*session)->AddVotes(first).ok());
+      const std::vector<VoteEvent> bad_alone = {bad};
+      const std::vector<VoteEvent> bad_after_good = {last[0], bad};
+      EXPECT_EQ((*session)->AddVotes(bad_alone).code(),
+                StatusCode::kInvalidArgument);
+      // All or nothing: the in-bounds vote in front of it is not applied.
+      EXPECT_EQ((*session)->AddVotes(bad_after_good).code(),
+                StatusCode::kInvalidArgument);
+      ASSERT_TRUE((*session)->AddVotes(last).ok());
+      ASSERT_TRUE((*session)->FlushDurability().ok());
+      auto state = (*session)->ExportState();
+      ASSERT_TRUE(state.ok()) << state.status().ToString();
+      EXPECT_EQ(state->num_events, first.size() + last.size());
+    }
+    DqmEngine recovered;
+    auto reports = recovered.RecoverSessions(root);
+    ASSERT_TRUE(reports.ok()) << reports.status().ToString();
+    ASSERT_EQ(reports->size(), 1u);
+    EXPECT_EQ((*reports)[0].votes_restored, first.size() + last.size());
+    auto session = recovered.GetSession("s");
+    ASSERT_TRUE(session.ok());
+    auto state = (*session)->ExportState();
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    EXPECT_EQ(state->num_events, first.size() + last.size());
+    EXPECT_EQ(state->positive, (std::vector<uint32_t>{1, 0, 1, 1, 0, 0, 0, 0}));
+    EXPECT_EQ(state->total, (std::vector<uint32_t>{1, 1, 1, 1, 0, 0, 0, 0}));
+  }
+}
+
+TEST(EngineDurabilityTest, StripedSessionRejectsVotesTheWalCannotHold) {
+  ExpectOutOfCapVotesRejectedAndAckedVotesRecover(/*striped=*/true);
+}
+
+TEST(EngineDurabilityTest, SerializedSessionRejectsVotesTheWalCannotHold) {
+  ExpectOutOfCapVotesRejectedAndAckedVotesRecover(/*striped=*/false);
 }
 
 TEST(EngineDurabilityTest, RecoverSessionsRebuildsManyAndSkipsStrayDirs) {
