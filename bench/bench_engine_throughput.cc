@@ -18,7 +18,10 @@
 // bytes written, and fsync count; (h) the WAL codec floor: crowd::Crc32's
 // bytes/ns against a bytewise table-driven CRC-32 timed in the same
 // process (their ratio is the gated, machine-independent number), plus
-// VoteWal::Append's encode+CRC ns/vote.
+// VoteWal::Append's encode+CRC ns/vote; (i) the publish fold: p50
+// dqm_publish_fold_ns of a striped session at 100k and at 1M items (same
+// stripes, same votes per publish), whose ratio is the gated evidence that
+// a publish costs O(stripes), not O(items).
 //
 //   $ ./bench_engine_throughput [--tasks=500] [--batch=512]
 //       [--methods=chao92,em-voting] [--writer_threads=1,2,4,8]
@@ -173,6 +176,51 @@ IngestResult MeasureIngest(const std::vector<std::string>& specs,
   result.p50_batch_ms = Percentile(all_ms, 0.5);
   result.p99_batch_ms = Percentile(all_ms, 0.99);
   return result;
+}
+
+/// p50 of the dqm_publish_fold_ns samples one striped tally session over
+/// `num_items` items records across `publishes` manual publishes, each
+/// after `votes_per_publish` votes (uniform items, 1 in 8 dirty, drawn from
+/// a fixed-seed LCG so every size sees the same vote stream shape). The
+/// histogram is process-global, so the p50 is taken over the samples this
+/// session added.
+double PublishFoldP50Ns(size_t num_items, size_t stripes,
+                        size_t votes_per_publish, size_t publishes) {
+  dqm::engine::SessionOptions options;
+  options.cadence = dqm::engine::PublishCadence::kManual;
+  options.ingest_stripes = stripes;
+  dqm::engine::DqmEngine engine;
+  const std::vector<std::string> panel = {"vchao92", "voting", "nominal"};
+  std::shared_ptr<dqm::engine::EstimationSession> session =
+      engine
+          .OpenSession("fold", num_items, std::span<const std::string>(panel),
+                       options)
+          .value();
+  DQM_CHECK(session->concurrent_ingest())
+      << "the publish fold is measured on the striped path";
+  dqm::telemetry::Histogram* fold =
+      dqm::telemetry::MetricsRegistry::Global().GetHistogram(
+          dqm::telemetry::metric_names::kPublishFoldNs);
+  const dqm::telemetry::HistogramSnapshot before = fold->Snapshot();
+  std::vector<dqm::crowd::VoteEvent> batch(votes_per_publish);
+  uint64_t state = 0x2545F4914F6CDD1Dull;
+  for (size_t p = 0; p < publishes; ++p) {
+    for (size_t v = 0; v < votes_per_publish; ++v) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      const uint64_t draw = state >> 16;
+      batch[v] = {static_cast<uint32_t>(p), static_cast<uint32_t>(v & 63),
+                  static_cast<uint32_t>((draw >> 3) % num_items),
+                  (draw & 7) == 0 ? dqm::crowd::Vote::kDirty
+                                  : dqm::crowd::Vote::kClean};
+    }
+    DQM_CHECK(session->AddVotes(batch).ok());
+    session->Publish();
+  }
+  dqm::telemetry::HistogramSnapshot delta = fold->Snapshot();
+  delta.count -= before.count;
+  for (size_t b = 0; b < 64; ++b) delta.buckets[b] -= before.buckets[b];
+  DQM_CHECK_EQ(delta.count, publishes);
+  return delta.Quantile(0.5);
 }
 
 /// One multi-producer single-session measurement: `writers` threads each
@@ -1008,6 +1056,44 @@ int main(int argc, char** argv) {
                     {"bytewise_bytes_per_ns", bytewise_bytes_per_ns},
                     {"crc_speedup_vs_bytewise", speedup},
                     {"append_ns_per_vote", append_ns_per_vote}});
+  }
+
+  // --- (i) Publish fold: the reconcile a striped publish runs with every
+  // stripe lock held, timed by the session's own dqm_publish_fold_ns
+  // histogram. Two sessions differ only in the item universe (100k vs 1M);
+  // the gated number is the ratio of their p50 folds
+  // ("publish_fold.items_independence", bench/floors.json), about 1 when a
+  // publish costs O(stripes) and about 0.1 when it scans every item. The
+  // histogram's power-of-two buckets round the ratio to a power of two: a
+  // true ratio above 0.5 reads at least 0.5, a full scan at most 0.25. The
+  // O(items) tally audit runs once per num_items committed votes, so it
+  // stays out of the p50 at both sizes. ---
+  std::printf("\n== publish fold: reconcile cost vs item universe ==\n");
+  {
+    const size_t stripes = 8;
+    const size_t votes_per_publish = 4096;
+    const size_t publishes = *smoke ? 64 : 256;
+    const size_t items[] = {100'000, 1'000'000};
+    double fold_p50[2];
+    dqm::AsciiTable fold_table({"items", "stripes", "votes/publish",
+                                "publishes", "p50 fold ns"});
+    for (size_t i = 0; i < 2; ++i) {
+      fold_p50[i] =
+          PublishFoldP50Ns(items[i], stripes, votes_per_publish, publishes);
+      fold_table.AddRow({dqm::StrFormat("%zu", items[i]),
+                         dqm::StrFormat("%zu", stripes),
+                         dqm::StrFormat("%zu", votes_per_publish),
+                         dqm::StrFormat("%zu", publishes),
+                         dqm::StrFormat("%.0f", fold_p50[i])});
+    }
+    const double independence = fold_p50[0] / fold_p50[1];
+    std::fputs(fold_table.Render().c_str(), stdout);
+    std::printf("items independence (p50 at 100k / p50 at 1M): %.3f\n",
+                independence);
+    json.AddResult("publish_fold",
+                   {{"fold_p50_ns_100k_items", fold_p50[0]},
+                    {"fold_p50_ns_1m_items", fold_p50[1]},
+                    {"items_independence", independence}});
   }
 
   std::printf("\n");

@@ -35,6 +35,18 @@ constexpr size_t kStripeGranuleItems = kCacheLineBytes / sizeof(uint32_t);
 /// spans whole lines of its own.
 constexpr size_t kFingerprintLineEntries = kCacheLineBytes / sizeof(uint64_t);
 
+/// How many votes ahead a stripe commit prefetches its items' tally lines.
+constexpr size_t kPrefetchVotes = 8;
+
+/// Builds with DQM_DCHECK live audit the tallies at every reconcile, not
+/// only when the vote budget is spent, so the sanitizer jobs check every
+/// publish.
+#ifdef NDEBUG
+constexpr bool kAuditEveryReconcile = false;
+#else
+constexpr bool kAuditEveryReconcile = true;
+#endif
+
 }  // namespace
 
 void CompactedVoteStore::Add(uint32_t worker, uint32_t item, Vote vote) {
@@ -365,12 +377,26 @@ void ResponseLog::CommitToStripeLocked(Stripe& stripe,
   // pays no clock reads for it.
   const bool sample_hold = timed && (stripe.lock_acquisitions & 63) == 0;
   const uint64_t hold_start = sample_hold ? telemetry::NowNanos() : 0;
-  for (uint32_t index : indices) {
-    const VoteEvent& event = events[index];
-    // The cheap commit: flat counter increments, plus the fingerprint move
-    // of a dirty vote (its item goes from f_from to f_{from+1}).
-    // NOMINAL/VOTING, totals and bounds are re-derived at publish time by
-    // ReconcileLocked's vectorized scan.
+  for (size_t k = 0; k < indices.size(); ++k) {
+    // Every vote reads both tally lines of its item (the VOTING compare
+    // below), and over a tally table larger than the cache each is a miss:
+    // fetch them kPrefetchVotes votes ahead so the misses overlap.
+    if (k + kPrefetchVotes < indices.size()) {
+      const uint32_t ahead = events[indices[k + kPrefetchVotes]].item;
+      __builtin_prefetch(&positive_[ahead], /*rw=*/1);
+      __builtin_prefetch(&total_[ahead], /*rw=*/1);
+    }
+    const VoteEvent& event = events[indices[k]];
+    // The cheap commit: flat counter increments, the fingerprint move of a
+    // dirty vote (its item goes from f_from to f_{from+1}) and the VOTING
+    // move. With p and t the item's tallies before the vote, a dirty vote
+    // makes the item a majority iff 2p == t (a tie it breaks) and a clean
+    // one unmakes it iff 2p == t + 1 (a one-vote lead it erases), so the
+    // move is one compare for either vote.
+    const uint32_t clean = event.vote != Vote::kDirty;
+    const int64_t flip =
+        2u * positive_[event.item] == total_[event.item] + clean;
+    stripe.majority += clean ? -flip : flip;
     ++total_[event.item];
     if (event.vote == Vote::kDirty) {
       PromoteInFingerprint(stripe.positive_f, positive_[event.item]++);
@@ -383,10 +409,7 @@ void ResponseLog::CommitToStripeLocked(Stripe& stripe,
                                    static_cast<uint64_t>(event.worker) + 1);
     if (pair_counts) stripe.counts.Add(event.worker, event.item, event.vote);
   }
-  if (sample_hold) {
-    stripe.lock_hold_ns += telemetry::NowNanos() - hold_start;
-    ++stripe.lock_hold_samples;
-  }
+  if (sample_hold) stripe.lock_hold_ns += telemetry::NowNanos() - hold_start;
 }
 
 void ResponseLog::LockAllStripes() {
@@ -412,9 +435,9 @@ void ResponseLog::IngestPause::Release() {
 
 ResponseLog::IngestPause ResponseLog::PauseAndReconcile() {
   if (concurrent_ == nullptr) return IngestPause();
-  // The publish-phase split the ISSUE's forensics need: "pause" is how long
-  // acquiring every stripe lock stalled (committers in flight hold them),
-  // "fold" is the reconcile scan itself.
+  // The publish-phase split: "pause" is how long acquiring every stripe
+  // lock stalled (committers in flight hold them), "fold" is the reconcile
+  // itself (the stripe sums, plus the tally audit when one is due).
   const bool timed = telemetry::Enabled();
   const uint64_t pause_start = timed ? telemetry::NowNanos() : 0;
   LockAllStripes();
@@ -444,6 +467,7 @@ ResponseLog::IngestPause ResponseLog::PauseAndReconcile() {
 void ResponseLog::ReconcileLocked() {
   uint64_t events = 0;
   uint64_t positive = 0;
+  int64_t majority = 0;
   uint64_t task_bound = 0;
   uint64_t worker_bound = 0;
   uint64_t max_stripe_events = 0;
@@ -459,6 +483,7 @@ void ResponseLog::ReconcileLocked() {
     for (size_t j = 0; j < f.size(); ++j) positive_fingerprint_[j] += f[j];
     events += stripe.num_events;
     positive += stripe.total_positive;
+    majority += stripe.majority;
     task_bound = std::max(task_bound, stripe.task_bound);
     worker_bound = std::max(worker_bound, stripe.worker_bound);
     max_stripe_events = std::max(max_stripe_events, stripe.num_events);
@@ -473,7 +498,6 @@ void ResponseLog::ReconcileLocked() {
     stripe.lock_contended = 0;
     stripe.lock_wait_ns = 0;
     stripe.lock_hold_ns = 0;
-    stripe.lock_hold_samples = 0;
   }
   // Stripe imbalance: hottest stripe's share of a perfectly even spread
   // (1.0 = balanced, num_stripes = everything on one stripe). Last striped
@@ -487,11 +511,32 @@ void ResponseLog::ReconcileLocked() {
                         static_cast<double>(concurrent_->num_stripes);
     imbalance->Set(static_cast<double>(max_stripe_events) / mean);
   }
+  // NOMINAL = sum_{j>=1} f_j: every item with a dirty vote sits in exactly
+  // one fingerprint class.
+  uint64_t nominal = 0;
+  for (size_t j = 1; j < positive_fingerprint_.size(); ++j) {
+    nominal += positive_fingerprint_[j];
+  }
+  num_events_ = events;
+  total_positive_ = positive;
+  nominal_count_ = static_cast<size_t>(nominal);
+  majority_count_ = static_cast<size_t>(majority);
+  num_tasks_ = task_bound;
+  num_workers_ = worker_bound;
+  if (kAuditEveryReconcile || events >= next_audit_events_) {
+    AuditTallies();
+    next_audit_events_ = events + std::max<size_t>(num_items(), 1);
+  }
+}
+
+void ResponseLog::AuditTallies() const {
   TallyScanResult scan = ScanTallies(positive_, total_);
-  // invariant: the reconciled columns must agree with the stripe sums;
-  // a mismatch means a committer raced the pause guard.
-  DQM_CHECK_EQ(scan.total_votes, events);
-  DQM_CHECK_EQ(scan.positive_votes, positive);
+  // invariant: the tally columns must agree with the kept totals (the
+  // stripe sums on the striped path); a mismatch means a committer raced
+  // the pause guard.
+  DQM_CHECK_EQ(scan.total_votes, num_events_) << "tally audit: vote total";
+  DQM_CHECK_EQ(scan.positive_votes, total_positive_)
+      << "tally audit: dirty-vote total";
   uint64_t species = 0;
   uint64_t observations = 0;
   for (size_t j = 1; j < positive_fingerprint_.size(); ++j) {
@@ -500,15 +545,12 @@ void ResponseLog::ReconcileLocked() {
   }
   // invariant: the commit-time fingerprint moves mirror the tally increments
   // under the same stripe lock; a mismatch means one of them lost a vote.
-  DQM_CHECK_EQ(species, scan.nominal_count);
+  DQM_CHECK_EQ(species, scan.nominal_count) << "tally audit: fingerprint";
   // invariant: as above — sum_j j * f_j counts every dirty vote once.
-  DQM_CHECK_EQ(observations, scan.positive_votes);
-  num_events_ = events;
-  total_positive_ = positive;
-  nominal_count_ = static_cast<size_t>(scan.nominal_count);
-  majority_count_ = static_cast<size_t>(scan.majority_count);
-  num_tasks_ = task_bound;
-  num_workers_ = worker_bound;
+  DQM_CHECK_EQ(observations, scan.positive_votes) << "tally audit: fingerprint";
+  // invariant: NOMINAL and VOTING are kept at commit from the same tallies.
+  DQM_CHECK_EQ(nominal_count_, scan.nominal_count) << "tally audit: NOMINAL";
+  DQM_CHECK_EQ(majority_count_, scan.majority_count) << "tally audit: VOTING";
 }
 
 }  // namespace dqm::crowd

@@ -81,12 +81,10 @@ enum class RetentionPolicy {
   kTallies,
 };
 
-/// Aggregates derivable from the per-item tally columns in one pass — the
-/// publish-side scan the striped ingest path uses instead of maintaining
-/// NOMINAL/VOTING transitions on every commit, and the reference its
-/// per-stripe fingerprints are cross-checked against. The loop is
-/// branch-free over two flat SoA columns, so the autovectorizer can chew
-/// through it.
+/// Aggregates derivable from the per-item tally columns in one pass: the
+/// reference every incrementally kept count of a ResponseLog is audited
+/// against (ResponseLog::AuditTallies). The loop is branch-free over two flat
+/// SoA columns, so the autovectorizer can chew through it.
 struct TallyScanResult {
   uint64_t nominal_count = 0;    // #items with at least one dirty vote
   uint64_t majority_count = 0;   // #items with 2 * positive > total
@@ -112,18 +110,28 @@ TallyScanResult ScanTallies(std::span<const uint32_t> positive,
 /// / positive counters, and (under kCounts) its own CompactedVoteStore
 /// shard. `AppendConcurrent` then commits batches from any number of
 /// producer threads at once — a commit touches only the stripes its items
-/// map to, and does nothing but bump flat tally counters and the stripe's
+/// map to, and does nothing but bump flat tally counters, the stripe's
 /// positive-vote fingerprint (one dirty vote moves its item from f_j to
-/// f_{j+1}), so N producers scale until the stripes saturate.
-/// The other derived aggregates (NOMINAL/VOTING counts, vote totals,
-/// task/worker bounds) are *not* maintained per vote in this mode;
-/// `PauseAndReconcile` blocks committers, folds the stripe counters, sums
-/// the stripe fingerprints (stripes partition the items, so the sum is the
-/// exact global fingerprint), re-derives NOMINAL/VOTING with the vectorized
-/// tally scan, and cross-checks the fingerprint against that scan. Read
-/// accessors reflect the most recent reconcile and may only race-free be
-/// called while the returned pause guard is held (or while no committer is
-/// running). Tallies, counts and the fingerprint reconciled this way are
+/// f_{j+1}) and the stripe's VOTING count (a branch-free compare of the
+/// item's tallies before the vote), so N producers scale until the stripes
+/// saturate. Vote totals and task/worker bounds are per stripe too.
+///
+/// `PauseAndReconcile` blocks committers and folds the stripes: it sums the
+/// counters, the VOTING counts and the fingerprints (stripes partition the
+/// items, so each sum is exact), and reads NOMINAL off the fingerprint as
+/// sum_{j>=1} f_j. A publish therefore costs O(stripes x deepest pile),
+/// independent of num_items. The O(num_items) tally scan (ScanTallies)
+/// survives as an audit of every reconciled count (AuditTallies); it runs
+/// at a log's first reconcile, then once at least num_items() votes were
+/// committed since the last audit (at most one item read per committed
+/// vote), on every checkpoint cut (CheckpointFromLog), and at every
+/// reconcile in builds with DQM_DCHECK live. The counts are cumulative, so
+/// a tally and a stripe count that diverge never agree again: a committer
+/// racing the pause guard still aborts, within num_items() committed votes.
+///
+/// Read accessors reflect the most recent reconcile and may only race-free
+/// be called while the returned pause guard is held (or while no committer
+/// is running). Tallies, counts and the fingerprint reconciled this way are
 /// bit-identical to a serialized Append of the same votes in any order;
 /// compacted-matrix *slot order* depends on the commit interleaving, which
 /// float-summing consumers (EM) must tolerate.
@@ -176,7 +184,7 @@ class ResponseLog {
   /// n_i — total votes on `item`.
   uint32_t total_votes(size_t item) const { return total_[item]; }
   /// The full per-item tally columns (length num_items()) — the SoA inputs
-  /// of the vectorized publish-side scan (ScanTallies).
+  /// of the vectorized tally audit (ScanTallies).
   std::span<const uint32_t> positive_counts() const { return positive_; }
   std::span<const uint32_t> total_counts() const { return total_; }
   /// n^+ — total positive votes across items.
@@ -269,13 +277,20 @@ class ResponseLog {
   };
 
   /// Locks every stripe (ascending — committers hold at most one stripe at
-  /// a time, so this cannot deadlock), folds the per-stripe counters and
-  /// fingerprints into the canonical aggregate fields, and re-derives
-  /// NOMINAL/VOTING with the vectorized tally scan. While the returned guard
-  /// is alive committers block and every read accessor is race-free and
+  /// a time, so this cannot deadlock) and folds the per-stripe counters,
+  /// VOTING counts and fingerprints into the canonical aggregate fields in
+  /// O(stripes x deepest pile); audits them with AuditTallies when the vote
+  /// budget is spent (see the class comment). While the returned guard is
+  /// alive committers block and every read accessor is race-free and
   /// current — the publish window in which the estimator pipeline runs.
   /// No-op (empty guard) when concurrent ingest is not enabled.
   [[nodiscard]] IngestPause PauseAndReconcile();
+
+  /// Recomputes NOMINAL, VOTING, the vote totals and the fingerprint's
+  /// sums with one O(num_items) ScanTallies pass and aborts (DQM_CHECK, in
+  /// every build) unless the kept counts equal them. Serialized logs, or a
+  /// striped log under its pause guard.
+  void AuditTallies() const;
 
  private:
   /// A positive-vote fingerprint (entry j = #items with exactly j dirty
@@ -303,6 +318,9 @@ class ResponseLog {
     Fingerprint positive_f DQM_GUARDED_BY(mutex);
     uint64_t num_events DQM_GUARDED_BY(mutex) = 0;
     uint64_t total_positive DQM_GUARDED_BY(mutex) = 0;
+    /// VOTING over this stripe's items (#items with 2 * positive > total),
+    /// kept at commit: a vote adds or subtracts one when it flips its item.
+    int64_t majority DQM_GUARDED_BY(mutex) = 0;
     /// max task id + 1 committed to this stripe
     uint64_t task_bound DQM_GUARDED_BY(mutex) = 0;
     /// max worker id + 1
@@ -318,7 +336,6 @@ class ResponseLog {
     uint64_t lock_wait_ns DQM_GUARDED_BY(mutex) = 0;
     /// held time, sampled 1 in 64
     uint64_t lock_hold_ns DQM_GUARDED_BY(mutex) = 0;
-    uint64_t lock_hold_samples DQM_GUARDED_BY(mutex) = 0;
   };
   /// Per-stripe registry counters (created once at EnableConcurrentIngest,
   /// labeled stripe="<index>") the plain Stripe stats fold into.
@@ -370,6 +387,9 @@ class ResponseLog {
   Fingerprint positive_fingerprint_;
   size_t nominal_count_ = 0;
   size_t majority_count_ = 0;
+  /// Concurrent ingest: the reconcile at or past this many committed votes
+  /// audits the tallies (0, so the first reconcile always does).
+  uint64_t next_audit_events_ = 0;
   size_t num_tasks_ = 0;
   size_t num_workers_ = 0;
   /// Heap-held so the log stays movable (a mutex is not).

@@ -516,6 +516,9 @@ Result<CheckpointData> CheckpointFromLog(const ResponseLog& log,
     return Status::FailedPrecondition(
         "checkpoints serialize counts; this log retains full events");
   }
+  // The cut reads every tally anyway: audit them, so a diverged state is
+  // never persisted.
+  log.AuditTallies();
   CheckpointData data;
   data.wal_generation = wal_generation;
   data.num_items = log.num_items();

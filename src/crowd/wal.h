@@ -303,7 +303,9 @@ struct CheckpointData {
 /// Snapshots a quiescent log (no committer may be running — the caller
 /// holds the WAL quiesce + reconcile pause): kPairs for a kCounts log,
 /// kTallies for a kTallies log. FailedPrecondition for a kFullEvents log
-/// (checkpoints are a counts format by design).
+/// (checkpoints are a counts format by design). Audits the log's tallies
+/// first (ResponseLog::AuditTallies), aborting rather than persisting a
+/// diverged state.
 Result<CheckpointData> CheckpointFromLog(const ResponseLog& log,
                                          uint64_t wal_generation);
 

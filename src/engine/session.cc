@@ -291,9 +291,10 @@ Status RejectedBatch(const std::string& session,
 size_t ResolveIngestStripes(const SessionOptions& options,
                             bool supports_concurrent_ingest) {
   // Stripe on explicit request (>= 2), or automatically when the cadence is
-  // coalesced — never by default under kEveryBatch, where the serialized
-  // O(batch) commit+publish beats a striped O(num_items) reconcile per
-  // batch for a single producer.
+  // coalesced — never by default under kEveryBatch: a single producer gains
+  // nothing from stripes, while a striped publish per batch locks every
+  // stripe and pays the O(num_items) tally audit once per num_items votes
+  // on top of the O(batch) commit the serialized path pays alone.
   const bool want_striping =
       options.ingest_stripes >= 2 ||
       (options.ingest_stripes == 0 &&

@@ -29,7 +29,8 @@ inline constexpr char kStripeLockHoldNsTotal[] =
     "dqm_stripe_lock_hold_ns_total";
 /// Publish-side pause phase: acquiring every stripe lock.
 inline constexpr char kPublishPauseNs[] = "dqm_publish_pause_ns";
-/// Publish-side fold phase: the reconcile scan under the pause.
+/// Publish-side fold phase: the stripe fold (plus the tally audit when one
+/// is due) under the pause.
 inline constexpr char kPublishFoldNs[] = "dqm_publish_fold_ns";
 /// Hottest stripe's share of a perfectly even spread (1.0 = balanced).
 inline constexpr char kStripeImbalanceRatio[] = "dqm_stripe_imbalance_ratio";

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "crowd/wal.h"
 #include "estimators/f_statistics.h"
 
 namespace dqm::crowd {
@@ -251,6 +252,126 @@ TEST(ResponseLogConcurrentTest, ManyProducersReconcileToSerialTallies) {
   }
 }
 
+/// A stream over few items with a dirty rate near one half, so items keep
+/// crossing the majority line both ways: dirty votes that break a tie and
+/// clean votes that erase a one-vote lead (and so flip an item back).
+std::vector<VoteEvent> MajorityFlipEvents(size_t num_items, size_t count,
+                                          uint64_t seed) {
+  Rng rng(seed);
+  std::vector<VoteEvent> events;
+  events.reserve(count);
+  for (size_t e = 0; e < count; ++e) {
+    events.push_back({static_cast<uint32_t>(e / 8),
+                      static_cast<uint32_t>(rng.UniformInt(0, 5)),
+                      static_cast<uint32_t>(
+                          rng.UniformInt(0, static_cast<int>(num_items) - 1)),
+                      rng.Bernoulli(0.5) ? Vote::kDirty : Vote::kClean});
+  }
+  return events;
+}
+
+/// Majority flips a serialized feed of `events` makes, by direction.
+struct FlipCounts {
+  size_t to_dirty = 0;
+  size_t back_to_clean = 0;
+};
+FlipCounts CountMajorityFlips(std::span<const VoteEvent> events,
+                              size_t num_items) {
+  ResponseLog log(num_items, RetentionPolicy::kTallies);
+  FlipCounts flips;
+  for (const VoteEvent& event : events) {
+    const bool before = log.MajorityDirty(event.item);
+    log.Append(event);
+    const bool after = log.MajorityDirty(event.item);
+    flips.to_dirty += !before && after;
+    flips.back_to_clean += before && !after;
+  }
+  return flips;
+}
+
+/// Commits `events` from `producers` threads at once: thread t commits the
+/// t-th of `producers` equal chunks (a remainder is left uncommitted) in
+/// batches of 1 to `max_batch` votes drawn from Rng(seed + t). Returns how
+/// many votes were committed.
+size_t CommitFromProducers(ResponseLog& log, std::span<const VoteEvent> events,
+                           size_t producers, int max_batch, uint64_t seed) {
+  const size_t chunk = events.size() / producers;
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < producers; ++t) {
+    threads.emplace_back([&, t] {
+      Rng splits(seed + t);
+      size_t b = t * chunk;
+      const size_t end = b + chunk;
+      while (b < end) {
+        const size_t size = std::min<size_t>(
+            static_cast<size_t>(splits.UniformInt(1, max_batch)), end - b);
+        log.AppendConcurrent(events.subspan(b, size));
+        b += size;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  return producers * chunk;
+}
+
+TEST(ResponseLogConcurrentTest, StripedCountsMatchSerialAtEveryReconcile) {
+  // 64 items in 4 stripes, committed in batches of 1 to 24 votes with a
+  // reconcile after every batch: VOTING and NOMINAL are the stripe sums
+  // kept at commit, and must equal the serialized log's at every cut.
+  constexpr size_t kItems = 64;
+  std::vector<VoteEvent> events = MajorityFlipEvents(kItems, 3000, 21);
+  const FlipCounts flips = CountMajorityFlips(events, kItems);
+  ASSERT_GT(flips.to_dirty, 100u);
+  ASSERT_GT(flips.back_to_clean, 100u);
+
+  ResponseLog striped(kItems, RetentionPolicy::kTallies);
+  striped.EnableConcurrentIngest(4);
+  ASSERT_EQ(striped.num_stripes(), 4u);
+  ResponseLog serial(kItems, RetentionPolicy::kTallies);
+  Rng splits(22);
+  size_t fed = 0;
+  while (fed < events.size()) {
+    const size_t size = std::min<size_t>(
+        static_cast<size_t>(splits.UniformInt(1, 24)), events.size() - fed);
+    striped.AppendConcurrent(std::span<const VoteEvent>(&events[fed], size));
+    for (size_t e = fed; e < fed + size; ++e) serial.Append(events[e]);
+    fed += size;
+    auto pause = striped.PauseAndReconcile();
+    ASSERT_EQ(striped.MajorityCount(), serial.MajorityCount()) << fed;
+    ASSERT_EQ(striped.NominalCount(), serial.NominalCount()) << fed;
+    ASSERT_EQ(striped.num_events(), serial.num_events()) << fed;
+  }
+}
+
+TEST(ResponseLogConcurrentTest, ManyProducerCountsMatchSerialAtEveryReconcile) {
+  constexpr size_t kItems = 128;
+  constexpr size_t kProducers = 4;
+  constexpr size_t kRounds = 8;
+  std::vector<VoteEvent> events = MajorityFlipEvents(kItems, 8000, 23);
+
+  ResponseLog striped(kItems, RetentionPolicy::kTallies);
+  striped.EnableConcurrentIngest(4);
+  ResponseLog serial(kItems, RetentionPolicy::kTallies);
+  const size_t per_round = events.size() / kRounds;
+  size_t serial_fed = 0;
+  for (size_t round = 0; round < kRounds; ++round) {
+    const size_t round_begin = round * per_round;
+    const size_t committed =
+        round_begin +
+        CommitFromProducers(
+            striped,
+            std::span<const VoteEvent>(events).subspan(round_begin, per_round),
+            kProducers, 32, 300 * round);
+    for (; serial_fed < committed; ++serial_fed) {
+      serial.Append(events[serial_fed]);
+    }
+    auto pause = striped.PauseAndReconcile();
+    ASSERT_EQ(striped.MajorityCount(), serial.MajorityCount()) << round;
+    ASSERT_EQ(striped.NominalCount(), serial.NominalCount()) << round;
+    ASSERT_EQ(striped.num_events(), serial.num_events()) << round;
+  }
+}
+
 /// The reference positive-vote fingerprint: an FStatistics fed per vote
 /// (AddSingleton on an item's first dirty vote, Promote after) alongside a
 /// serialized Append feed of `events`.
@@ -302,24 +423,12 @@ TEST(ResponseLogConcurrentTest, StripeFingerprintsSumToSerialFingerprint) {
   for (size_t round = 0; round < kRounds; ++round) {
     // Each producer commits its share of this round in random batch splits.
     const size_t round_begin = round * per_round;
-    const size_t chunk = per_round / kProducers;
-    std::vector<std::thread> producers;
-    for (size_t t = 0; t < kProducers; ++t) {
-      producers.emplace_back([&, t] {
-        Rng splits(100 * round + t);
-        size_t b = round_begin + t * chunk;
-        const size_t end = b + chunk;
-        while (b < end) {
-          const size_t size = std::min<size_t>(
-              static_cast<size_t>(splits.UniformInt(1, 64)), end - b);
-          striped.AppendConcurrent(
-              std::span<const VoteEvent>(&events[b], size));
-          b += size;
-        }
-      });
-    }
-    for (std::thread& producer : producers) producer.join();
-    const size_t committed = round_begin + kProducers * chunk;
+    const size_t committed =
+        round_begin +
+        CommitFromProducers(
+            striped,
+            std::span<const VoteEvent>(events).subspan(round_begin, per_round),
+            kProducers, 64, 100 * round);
 
     for (; serial_fed < committed; ++serial_fed) {
       serial.Append(events[serial_fed]);
@@ -387,6 +496,50 @@ TEST(ResponseLogConcurrentDeathTest, OutOfRangeItemAbortsNotDropped) {
   striped.EnableConcurrentIngest(1);
   std::vector<VoteEvent> batch = {{0, 0, 5000, Vote::kDirty}};
   EXPECT_DEATH(striped.AppendConcurrent(batch), "out of range");
+}
+
+/// A striped log past its first (audited) reconcile whose item 0 tally
+/// lost the increment of a dirty vote the stripe counters did count, as a
+/// committer racing the pause guard could make it. The column is a
+/// non-const vector, so writing it through const_cast is defined.
+void LoseOneDirtyTally(ResponseLog& striped) {
+  std::vector<VoteEvent> seed = StripedTestEvents(striped.num_items(), 512, 9);
+  seed.push_back({0, 0, 0, Vote::kDirty});
+  striped.AppendConcurrent(seed);
+  { auto pause = striped.PauseAndReconcile(); }
+  ASSERT_GT(striped.positive_votes(0), 0u);
+  --const_cast<uint32_t&>(striped.positive_counts()[0]);
+}
+
+TEST(ResponseLogConcurrentDeathTest, AuditCatchesLostTallyWithinVoteBudget) {
+  // The audit runs at least once per num_items() committed votes; commit
+  // that many more (never to item 0, so only the audit can notice) with a
+  // reconcile after every batch: the process must abort, not serve the
+  // diverged counts.
+  constexpr size_t kItems = 256;
+  ResponseLog striped(kItems, RetentionPolicy::kTallies);
+  striped.EnableConcurrentIngest(4);
+  LoseOneDirtyTally(striped);
+  std::vector<VoteEvent> more = StripedTestEvents(kItems, kItems, 10);
+  for (VoteEvent& event : more) event.item = 1 + event.item % (kItems - 1);
+  EXPECT_DEATH(
+      {
+        for (size_t b = 0; b < more.size(); b += 16) {
+          striped.AppendConcurrent(
+              std::span<const VoteEvent>(&more[b], 16));
+          auto pause = striped.PauseAndReconcile();
+        }
+      },
+      "tally audit");
+}
+
+TEST(ResponseLogConcurrentDeathTest, CheckpointCutAuditsTallies) {
+  ResponseLog striped(256, RetentionPolicy::kTallies);
+  striped.EnableConcurrentIngest(4);
+  LoseOneDirtyTally(striped);
+  // No committer runs, so the cut needs no pause guard (and a reconcile
+  // would itself audit in builds with DQM_DCHECK live).
+  EXPECT_DEATH((void)CheckpointFromLog(striped, 1), "tally audit");
 }
 
 TEST(ResponseLogConcurrentDeathTest, SerialAppendAbortsOnceStriped) {
