@@ -31,10 +31,6 @@ constexpr size_t kVoteBytes = 13;                  // 3 x u32 + vote byte
 constexpr uint32_t kCheckpointMagic = 0x50435144;  // "DQCP" on disk
 constexpr uint32_t kCheckpointVersion = 1;
 
-constexpr uint32_t kSegmentMagic = 0x47455344;     // "DSEG" on disk
-constexpr uint32_t kSegmentVersion = 1;
-constexpr size_t kSegmentHeaderBytes = 52;         // through payload_size
-
 constexpr size_t kEmitBatchVotes = 4096;
 
 // --- Little-endian (de)serialization helpers -------------------------------
@@ -458,54 +454,6 @@ Status VoteWal::Reset(uint64_t new_generation) {
   sealed_ = false;
   seal_reason_.clear();
   return Status::OK();
-}
-
-// --- WAL segments ----------------------------------------------------------
-
-void EncodeWalSegment(const WalSegment& segment, std::vector<uint8_t>& out) {
-  out.clear();
-  out.reserve(kSegmentHeaderBytes + segment.payload.size() + 4);
-  PutU32(out, kSegmentMagic);
-  PutU32(out, kSegmentVersion);
-  PutU64(out, segment.generation);
-  PutU64(out, segment.seq);
-  PutU64(out, segment.start_offset);
-  PutU64(out, segment.cum_votes);
-  PutU64(out, segment.fencing_token);
-  PutU32(out, static_cast<uint32_t>(segment.payload.size()));
-  out.insert(out.end(), segment.payload.begin(), segment.payload.end());
-  PutU32(out, Crc32(out.data(), out.size()));
-}
-
-Result<WalSegment> DecodeWalSegment(std::span<const uint8_t> bytes,
-                                    const std::string& context) {
-  auto corrupt = [&context](const char* why) {
-    return Status::IOError(
-        StrFormat("corrupt WAL segment '%s': %s", context.c_str(), why));
-  };
-  if (bytes.size() < kSegmentHeaderBytes + 4) return corrupt("too short");
-  if (Crc32(bytes.data(), bytes.size() - 4) !=
-      GetU32(bytes.data() + bytes.size() - 4)) {
-    return corrupt("checksum mismatch");
-  }
-  if (GetU32(bytes.data()) != kSegmentMagic) return corrupt("bad magic");
-  if (GetU32(bytes.data() + 4) != kSegmentVersion) {
-    return corrupt("unsupported version");
-  }
-  WalSegment segment;
-  segment.generation = GetU64(bytes.data() + 8);
-  segment.seq = GetU64(bytes.data() + 16);
-  segment.start_offset = GetU64(bytes.data() + 24);
-  segment.cum_votes = GetU64(bytes.data() + 32);
-  segment.fencing_token = GetU64(bytes.data() + 40);
-  const uint32_t payload_size = GetU32(bytes.data() + 48);
-  if (payload_size != bytes.size() - kSegmentHeaderBytes - 4) {
-    return corrupt("payload size mismatch");
-  }
-  if (segment.seq == 0) return corrupt("zero sequence number");
-  segment.payload.assign(bytes.begin() + kSegmentHeaderBytes,
-                         bytes.end() - 4);
-  return segment;
 }
 
 // --- Checkpoints -----------------------------------------------------------

@@ -51,14 +51,15 @@ bool VotesInBounds(std::span<const VoteEvent> events, size_t num_items);
 /// through `seed` (pass a previous return value to continue a running
 /// checksum). Computed slicing-by-8 (Kounavis & Berry, ISCC 2005): eight
 /// table lookups fold eight input bytes, with a bytewise tail; the digest is
-/// the classic bytewise one bit for bit. Guards WAL records, shipped
-/// segments and checkpoint files against torn writes and bit rot.
+/// the classic bytewise one bit for bit. Guards WAL records (shipped to a
+/// standby as they are) and checkpoint files against torn writes and bit
+/// rot.
 uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
 
 /// Size of the WAL file header (magic + version + generation). Record bytes
 /// start at this offset; replication ships the body in [kWalHeaderBytes,
-/// durable_size) slices, so the offset is part of the shipped-segment
-/// contract.
+/// durable_size) slices named by their start offset, so the offset is part
+/// of the shipping contract.
 inline constexpr size_t kWalHeaderBytes = 16;
 
 // ---------------------------------------------------------------------------
@@ -214,47 +215,11 @@ struct WalScanResult {
 /// `apply` in order. Stops at the first damaged or incomplete record and
 /// reports it via `torn`/`clean_end` — the caller decides whether that means
 /// "truncate the tail" (recovery) or "reject the artifact" (a shipped
-/// segment must scan clean end to end). An `apply` error propagates.
+/// range must scan clean end to end). An `apply` error propagates.
 Result<WalScanResult> ScanWalRecords(
     std::span<const uint8_t> body, size_t num_items,
     const std::function<Status(std::span<const VoteEvent>)>& apply,
     std::vector<VoteEvent>& scratch);
-
-// ---------------------------------------------------------------------------
-// WAL segments — the unit of replication shipping.
-//
-// A segment is a self-describing slice of the primary WAL's fsync-
-// acknowledged body: `payload` holds raw record frames copied from
-// [start_offset, start_offset + payload.size()) of wal.log, and the header
-// pins where the slice belongs (generation, 1-based sequence number within
-// the generation, byte offset) plus the primary's cumulative durable vote
-// count after the slice (feeds replica lag) and the fencing token it was
-// shipped under (a promoted standby raises the fence so a zombie primary's
-// stale segments are rejected at the transport). The trailing CRC covers
-// header + payload, so a torn upload is detected before any byte is applied.
-//
-// Wire layout (little-endian):
-//   u32 magic 'DSEG' | u32 version (1) | u64 generation | u64 seq
-//   | u64 start_offset | u64 cum_votes | u64 fencing_token
-//   | u32 payload_size | payload | u32 crc32(all preceding bytes)
-// ---------------------------------------------------------------------------
-struct WalSegment {
-  uint64_t generation = 0;
-  uint64_t seq = 0;           // 1-based within a generation
-  uint64_t start_offset = 0;  // byte offset of payload within wal.log
-  uint64_t cum_votes = 0;     // primary durable votes after this segment
-  uint64_t fencing_token = 0;
-  std::vector<uint8_t> payload;
-};
-
-/// Serializes `segment` (header + payload + CRC) into `out` (cleared first).
-void EncodeWalSegment(const WalSegment& segment, std::vector<uint8_t>& out);
-
-/// Parses + fully validates one encoded segment (magic, version, size
-/// framing, CRC). `context` names the artifact for error messages. Any
-/// damage is a hard error — a segment is applied whole or not at all.
-Result<WalSegment> DecodeWalSegment(std::span<const uint8_t> bytes,
-                                    const std::string& context);
 
 // ---------------------------------------------------------------------------
 // Checkpoints — the counts a kCounts or kTallies log keeps, as a snapshot

@@ -456,7 +456,6 @@ Status SessionDurability::FlushLocked(bool sync) {
       // only lose votes that were never acked — the no-lost-ack guarantee
       // the failover drill asserts.
       ShipEvent event;
-      event.kind = ShipEvent::Kind::kWalDurable;
       event.generation = wal_.generation();
       event.durable_size = wal_.durable_size();
       ship_hook_(event);
@@ -614,10 +613,8 @@ Status SessionDurability::CommitCheckpoint(
   failpoint::Eval(fpn::kAfterWalReset);
   if (ship_hook_) {
     ShipEvent event;
-    event.kind = ShipEvent::Kind::kCheckpoint;
     event.generation = next_generation;
     event.durable_size = wal_.durable_size();
-    event.checkpoint_votes = data->num_events;
     ship_hook_(event);
   }
   if (timed) tm.checkpoint_ns->Record(telemetry::NowNanos() - start);

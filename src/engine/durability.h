@@ -246,19 +246,12 @@ class SessionDurability {
   /// not call back into this SessionDurability and must only take locks
   /// ranked above kWal (the replicator uses LockRank::kReplication).
   struct ShipEvent {
-    enum class Kind : uint8_t {
-      /// A group-commit fsync was acknowledged: WAL bytes up to
-      /// `durable_size` are durable and eligible for shipping.
-      kWalDurable,
-      /// A checkpoint was rename-committed and the WAL reset to
-      /// `generation`; `checkpoint_votes` is the snapshot's num_events.
-      kCheckpoint,
-    };
-    Kind kind = Kind::kWalDurable;
+    /// The WAL generation `durable_size` belongs to: a checkpoint commit
+    /// fires with the new generation, a group-commit fsync with the
+    /// current one.
     uint64_t generation = 0;
     /// WAL file size (including the header) covered by the last fsync.
     uint64_t durable_size = 0;
-    uint64_t checkpoint_votes = 0;
   };
 
   /// Installs (or clears, with nullptr) the replication ship hook. Ship

@@ -368,17 +368,7 @@ Status DqmEngine::MigrateSession(const std::string& name, DqmEngine& target,
   // The synthetic replay rebuilds tallies and pair counts bit-identically
   // through the target's ordinary ingest path (and write-ahead logs them
   // when the target is durable).
-  Status restored = crowd::EmitCheckpointVotes(
-      state, [&moved](std::span<const crowd::VoteEvent> votes) {
-        return moved->AddVotes(votes);
-      });
-  if (restored.ok() && moved->committed_votes() != state.num_events) {
-    restored = Status::Internal(StrFormat(
-        "migration of '%s' restored %llu votes but the source exported %llu",
-        name.c_str(),
-        static_cast<unsigned long long>(moved->committed_votes()),
-        static_cast<unsigned long long>(state.num_events)));
-  }
+  Status restored = moved->ImportState(state);
   if (!restored.ok()) {
     // Roll back the half-built target; the source keeps serving.
     Status closed = target.CloseSession(name);

@@ -36,10 +36,12 @@ std::string CheckpointArtifactName(uint64_t generation) {
                    static_cast<unsigned long long>(generation));
 }
 
-std::string SegmentArtifactName(uint64_t generation, uint64_t seq) {
-  return StrFormat("seg_%020llu_%020llu.bin",
+std::string SegmentArtifactName(uint64_t generation, uint64_t start_offset,
+                                uint64_t cum_votes) {
+  return StrFormat("seg_%020llu_%020llu_%020llu.bin",
                    static_cast<unsigned long long>(generation),
-                   static_cast<unsigned long long>(seq));
+                   static_cast<unsigned long long>(start_offset),
+                   static_cast<unsigned long long>(cum_votes));
 }
 
 ArtifactId ParseArtifactName(std::string_view name) {
@@ -67,10 +69,15 @@ ArtifactId ParseArtifactName(std::string_view name) {
   }
   if (stem.starts_with(kSegPrefix)) {
     std::string_view fields = stem.substr(kSegPrefix.size());
-    size_t sep = fields.find('_');
-    if (sep != std::string_view::npos &&
-        parse_field(fields.substr(0, sep), id.generation) &&
-        parse_field(fields.substr(sep + 1), id.seq)) {
+    const size_t first = fields.find('_');
+    const size_t second = first == std::string_view::npos
+                              ? first
+                              : fields.find('_', first + 1);
+    if (second != std::string_view::npos &&
+        parse_field(fields.substr(0, first), id.generation) &&
+        parse_field(fields.substr(first + 1, second - first - 1),
+                    id.start_offset) &&
+        parse_field(fields.substr(second + 1), id.cum_votes)) {
       id.kind = ArtifactId::Kind::kSegment;
     }
     return id;
@@ -176,7 +183,10 @@ SessionReplicator::SessionReplicator(
     : session_(std::move(session)),
       transport_(std::move(transport)),
       fencing_token_(fencing_token),
-      durability_(session_->durability_engine()) {}
+      durability_(session_->durability_engine()),
+      lag_bytes_(telemetry::MetricsRegistry::Global().AcquireGauge(
+          telemetry::metric_names::kReplicaLagBytes,
+          {{"session", session_->name()}})) {}
 
 Result<std::unique_ptr<SessionReplicator>> SessionReplicator::Start(
     std::shared_ptr<EstimationSession> session,
@@ -224,43 +234,16 @@ Result<std::unique_ptr<SessionReplicator>> SessionReplicator::Start(
   // mutex (kWal), which ranks below kReplication and so must never be
   // taken while mutex_ is held. Anything that becomes durable after these
   // reads is covered by the catch-up event below.
-  const uint64_t wal_generation = durability->WalGeneration();
-  const uint64_t durable_wal_size = durability->DurableWalSize();
+  SessionDurability::ShipEvent initial;
+  initial.generation = durability->WalGeneration();
+  initial.durable_size = durability->DurableWalSize();
   {
     MutexLock lock(replicator->mutex_);
     DQM_ASSIGN_OR_RETURN(
         replicator->wal_fd_,
         io::Open(io::fpn::kRepl.open, durability->wal_path(),
                  O_RDONLY | O_CLOEXEC));
-    replicator->shipped_generation_ = wal_generation;
-    replicator->shipped_offset_ = crowd::kWalHeaderBytes;
-    Result<std::vector<uint8_t>> ckpt_or =
-        io::ReadFile(io::fpn::kRepl, durability->checkpoint_path());
-    if (!ckpt_or.ok() && ckpt_or.status().code() != StatusCode::kNotFound) {
-      return ckpt_or.status();
-    }
-    if (ckpt_or.ok()) {
-      const std::vector<uint8_t>& ckpt = *ckpt_or;
-      DQM_ASSIGN_OR_RETURN(
-          crowd::CheckpointData data,
-          crowd::DecodeCheckpoint(std::span<const uint8_t>(ckpt),
-                                  durability->checkpoint_path()));
-      DQM_RETURN_NOT_OK(replicator->transport_->Put(
-          CheckpointArtifactName(data.wal_generation),
-          std::span<const uint8_t>(ckpt), replicator->fencing_token_));
-      replicator->stats_.checkpoints_shipped++;
-      CounterFor(telemetry::metric_names::kReplicaCheckpointsShippedTotal)
-          .Increment();
-      replicator->shipped_votes_ = data.num_events;
-      replicator->shipped_generation_ =
-          std::max(replicator->shipped_generation_, data.wal_generation);
-    }
-    if (replicator->shipped_generation_ == wal_generation) {
-      DQM_RETURN_NOT_OK(replicator->ShipSegmentLocked(
-          replicator->shipped_generation_, durable_wal_size));
-    }
-    replicator->stats_.shipped_generation = replicator->shipped_generation_;
-    replicator->stats_.shipped_votes = replicator->shipped_votes_;
+    DQM_RETURN_NOT_OK(replicator->ShipLocked(initial));
   }
 
   // From here every acknowledged fsync / checkpoint ships synchronously.
@@ -272,7 +255,6 @@ Result<std::unique_ptr<SessionReplicator>> SessionReplicator::Start(
   // Cover anything that became durable between the initial sync and the
   // hook install (the ship path is offset-based, so replays are no-ops).
   SessionDurability::ShipEvent catch_up;
-  catch_up.kind = SessionDurability::ShipEvent::Kind::kWalDurable;
   catch_up.generation = durability->WalGeneration();
   catch_up.durable_size = durability->DurableWalSize();
   raw->OnShipEvent(catch_up);
@@ -294,6 +276,9 @@ void SessionReplicator::Stop() {
     ::close(wal_fd_);
     wal_fd_ = -1;
   }
+  telemetry::MetricsRegistry::Global().ReleaseGauge(
+      telemetry::metric_names::kReplicaLagBytes,
+      {{"session", session_->name()}});
 }
 
 ReplicationStats SessionReplicator::stats() const {
@@ -304,10 +289,7 @@ ReplicationStats SessionReplicator::stats() const {
 void SessionReplicator::OnShipEvent(const SessionDurability::ShipEvent& event) {
   MutexLock lock(mutex_);
   if (stopped_) return;
-  Status status = ShipCheckpointLocked(event.generation);
-  if (status.ok() && event.generation == shipped_generation_) {
-    status = ShipSegmentLocked(event.generation, event.durable_size);
-  }
+  Status status = ShipLocked(event);
   if (!status.ok()) {
     stats_.ship_errors++;
     CounterFor(telemetry::metric_names::kReplicaShipErrorsTotal).Increment();
@@ -316,72 +298,82 @@ void SessionReplicator::OnShipEvent(const SessionDurability::ShipEvent& event) {
                         "durability event): "
                      << status.message();
   }
+}
+
+Status SessionReplicator::ShipLocked(
+    const SessionDurability::ShipEvent& event) {
+  Status status = ShipCheckpointLocked(event.generation);
+  if (status.ok() && event.generation == shipped_generation_) {
+    status = ShipSegmentLocked(event.generation, event.durable_size);
+  }
   stats_.shipped_generation = shipped_generation_;
   stats_.shipped_votes = shipped_votes_;
   // Unshipped durable bytes — 0 the moment shipping caught up.
-  static telemetry::Gauge* lag_bytes = telemetry::MetricsRegistry::Global()
-      .GetGauge(telemetry::metric_names::kReplicaLagBytes);
-  lag_bytes->Set(event.generation == shipped_generation_ &&
-                         event.durable_size > shipped_offset_
-                     ? static_cast<double>(event.durable_size - shipped_offset_)
-                     : 0.0);
+  lag_bytes_->Set(event.generation == shipped_generation_ &&
+                          event.durable_size > shipped_offset_
+                      ? static_cast<double>(event.durable_size -
+                                            shipped_offset_)
+                      : 0.0);
+  return status;
 }
 
 Status SessionReplicator::ShipCheckpointLocked(uint64_t generation) {
   if (generation == shipped_generation_) return Status::OK();
   // A checkpoint rename-committed before the WAL reset that bumped the
-  // generation, so the file we read is at least `generation`.
-  DQM_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> ckpt,
-      io::ReadFile(io::fpn::kRepl, durability_->checkpoint_path()));
-  DQM_ASSIGN_OR_RETURN(
-      crowd::CheckpointData data,
-      crowd::DecodeCheckpoint(std::span<const uint8_t>(ckpt),
-                              durability_->checkpoint_path()));
-  if (data.wal_generation < generation) {
-    return Status::Internal(StrFormat(
-        "checkpoint file carries generation %llu but the WAL advanced to "
-        "%llu",
-        static_cast<unsigned long long>(data.wal_generation),
-        static_cast<unsigned long long>(generation)));
+  // generation, so the file we read is at least `generation`. Only
+  // generation 1, the WAL before the first checkpoint, has none.
+  Result<std::vector<uint8_t>> ckpt =
+      io::ReadFile(io::fpn::kRepl, durability_->checkpoint_path());
+  uint64_t votes = 0;
+  if (ckpt.ok()) {
+    DQM_ASSIGN_OR_RETURN(
+        crowd::CheckpointData data,
+        crowd::DecodeCheckpoint(std::span<const uint8_t>(*ckpt),
+                                durability_->checkpoint_path()));
+    if (data.wal_generation < generation) {
+      return Status::Internal(StrFormat(
+          "checkpoint file carries generation %llu but the WAL advanced to "
+          "%llu",
+          static_cast<unsigned long long>(data.wal_generation),
+          static_cast<unsigned long long>(generation)));
+    }
+    DQM_RETURN_NOT_OK(
+        transport_->Put(CheckpointArtifactName(data.wal_generation),
+                        std::span<const uint8_t>(*ckpt), fencing_token_));
+    generation = data.wal_generation;
+    votes = data.num_events;
+    stats_.checkpoints_shipped++;
+    CounterFor(telemetry::metric_names::kReplicaCheckpointsShippedTotal)
+        .Increment();
+  } else if (ckpt.status().code() != StatusCode::kNotFound ||
+             generation != 1) {
+    return ckpt.status();
   }
-  DQM_RETURN_NOT_OK(transport_->Put(CheckpointArtifactName(data.wal_generation),
-                                    std::span<const uint8_t>(ckpt),
-                                    fencing_token_));
-  shipped_generation_ = data.wal_generation;
+  shipped_generation_ = generation;
   shipped_offset_ = crowd::kWalHeaderBytes;
-  next_seq_ = 1;
-  shipped_votes_ = data.num_events;
-  stats_.checkpoints_shipped++;
-  CounterFor(telemetry::metric_names::kReplicaCheckpointsShippedTotal)
-      .Increment();
-  GarbageCollectLocked();
+  shipped_votes_ = votes;
+  if (ckpt.ok()) GarbageCollectLocked();
   return Status::OK();
 }
 
 Status SessionReplicator::ShipSegmentLocked(uint64_t generation,
                                             uint64_t durable_size) {
   if (durable_size <= shipped_offset_) return Status::OK();  // nothing new
-  crowd::WalSegment segment;
-  segment.generation = generation;
-  segment.seq = next_seq_;
-  segment.start_offset = shipped_offset_;
-  segment.fencing_token = fencing_token_;
-  segment.payload.resize(durable_size - shipped_offset_);
+  std::vector<uint8_t> bytes(durable_size - shipped_offset_);
   DQM_RETURN_NOT_OK(io::ReadExactAt(io::fpn::kRepl.read, wal_fd_,
-                                    segment.payload.data(),
-                                    segment.payload.size(), shipped_offset_,
-                                    durability_->wal_path()));
-  // A segment must scan clean end to end before it ships: the bytes below
+                                    bytes.data(), bytes.size(),
+                                    shipped_offset_, durability_->wal_path()));
+  // A range must scan clean end to end before it ships: the bytes below
   // durable_size are fsync-acknowledged, so anything else is local
-  // corruption — better caught here than replicated.
+  // corruption — better caught here than replicated. The scan also counts
+  // the votes the artifact name carries.
   DQM_ASSIGN_OR_RETURN(
       crowd::WalScanResult scan,
       crowd::ScanWalRecords(
-          std::span<const uint8_t>(segment.payload), session_->num_items(),
+          std::span<const uint8_t>(bytes), session_->num_items(),
           [](std::span<const crowd::VoteEvent>) { return Status::OK(); },
           scan_scratch_));
-  if (scan.torn || scan.clean_end != segment.payload.size()) {
+  if (scan.torn || scan.clean_end != bytes.size()) {
     return Status::Internal(StrFormat(
         "durable WAL range [%llu, %llu) of '%s' does not scan clean — "
         "refusing to ship it",
@@ -389,15 +381,12 @@ Status SessionReplicator::ShipSegmentLocked(uint64_t generation,
         static_cast<unsigned long long>(durable_size),
         durability_->wal_path().c_str()));
   }
-  segment.cum_votes = shipped_votes_ + scan.votes;
-  std::vector<uint8_t> encoded;
-  crowd::EncodeWalSegment(segment, encoded);
-  DQM_RETURN_NOT_OK(transport_->Put(SegmentArtifactName(generation, next_seq_),
-                                    std::span<const uint8_t>(encoded),
-                                    fencing_token_));
+  const uint64_t cum_votes = shipped_votes_ + scan.votes;
+  DQM_RETURN_NOT_OK(transport_->Put(
+      SegmentArtifactName(generation, shipped_offset_, cum_votes),
+      std::span<const uint8_t>(bytes), fencing_token_));
   shipped_offset_ = durable_size;
-  shipped_votes_ = segment.cum_votes;
-  next_seq_++;
+  shipped_votes_ = cum_votes;
   stats_.segments_shipped++;
   CounterFor(telemetry::metric_names::kReplicaSegmentsShippedTotal)
       .Increment();
@@ -424,11 +413,10 @@ StandbyApplier::StandbyApplier(DqmEngine& engine,
     : engine_(engine),
       transport_(std::move(transport)),
       options_(std::move(options)),
-      manifest_(std::move(manifest)) {
-  telemetry::MetricsRegistry::Global().AcquireGauge(
-      telemetry::metric_names::kReplicaLagVotes,
-      {{"session", manifest_.name}});
-}
+      manifest_(std::move(manifest)),
+      lag_votes_(telemetry::MetricsRegistry::Global().AcquireGauge(
+          telemetry::metric_names::kReplicaLagVotes,
+          {{"session", manifest_.name}})) {}
 
 StandbyApplier::~StandbyApplier() {
   telemetry::MetricsRegistry::Global().ReleaseGauge(
@@ -508,23 +496,11 @@ Status StandbyApplier::ResyncFromCheckpoint(uint64_t generation,
     DQM_ASSIGN_OR_RETURN(
         crowd::CheckpointData data,
         crowd::DecodeCheckpoint(ckpt, CheckpointArtifactName(generation)));
-    DQM_RETURN_NOT_OK(crowd::EmitCheckpointVotes(
-        data, [this](std::span<const crowd::VoteEvent> votes) {
-          return session_->AddVotes(votes);
-        }));
-    if (session_->committed_votes() != data.num_events) {
-      return Status::Internal(StrFormat(
-          "checkpoint restore on standby '%s' committed %llu votes, "
-          "checkpoint says %llu",
-          manifest_.name.c_str(),
-          static_cast<unsigned long long>(session_->committed_votes()),
-          static_cast<unsigned long long>(data.num_events)));
-    }
+    DQM_RETURN_NOT_OK(session_->ImportState(data));
     applied_votes_ = data.num_events;
     generation = data.wal_generation;
   }
   applied_generation_ = generation;
-  next_seq_ = 1;
   expected_offset_ = crowd::kWalHeaderBytes;
   divergent_ = false;
   opened_ = true;
@@ -546,65 +522,56 @@ void StandbyApplier::NoteDivergence(const std::string& why) {
                    << ") — holding applies until a checkpoint resync";
 }
 
-Status StandbyApplier::ApplySegment(const crowd::WalSegment& segment) {
-  if (segment.generation != applied_generation_) {
+Status StandbyApplier::ApplySegment(const ArtifactId& id,
+                                    std::span<const uint8_t> bytes) {
+  // Only the suffix past the applied offset is new: a range re-shipped
+  // wider at the same start (its first Put failed after the rename)
+  // overlaps what an earlier, narrower copy already applied.
+  const uint64_t applied_bytes = expected_offset_ - id.start_offset;
+  if (applied_bytes > bytes.size()) {
     NoteDivergence(StrFormat(
-        "segment content says generation %llu, expected %llu",
-        static_cast<unsigned long long>(segment.generation),
-        static_cast<unsigned long long>(applied_generation_)));
-    return Status::OK();
-  }
-  if (segment.seq != next_seq_) {
-    NoteDivergence(StrFormat("segment seq %llu, expected %llu",
-                             static_cast<unsigned long long>(segment.seq),
-                             static_cast<unsigned long long>(next_seq_)));
-    return Status::OK();
-  }
-  if (segment.start_offset != expected_offset_) {
-    NoteDivergence(StrFormat(
-        "segment starts at WAL offset %llu, expected %llu (overlap or gap)",
-        static_cast<unsigned long long>(segment.start_offset),
+        "segment at WAL offset %llu holds %zu bytes, the applied offset is "
+        "%llu",
+        static_cast<unsigned long long>(id.start_offset), bytes.size(),
         static_cast<unsigned long long>(expected_offset_)));
     return Status::OK();
   }
-  // Validate end to end BEFORE applying a single vote: a shipped segment is
-  // applied whole or not at all — a torn tail means a torn artifact, never
-  // a silently shortened one.
+  const std::span<const uint8_t> suffix = bytes.subspan(applied_bytes);
+  // Validate end to end BEFORE applying a single vote: the suffix is
+  // applied whole or not at all. The vote count catches an artifact cut
+  // short at a record boundary, which scans clean.
   DQM_ASSIGN_OR_RETURN(
       crowd::WalScanResult precheck,
       crowd::ScanWalRecords(
-          std::span<const uint8_t>(segment.payload), manifest_.num_items,
+          suffix, manifest_.num_items,
           [](std::span<const crowd::VoteEvent>) { return Status::OK(); },
           scan_scratch_));
-  if (precheck.torn || precheck.clean_end != segment.payload.size()) {
+  if (precheck.torn || precheck.clean_end != suffix.size()) {
     NoteDivergence(StrFormat(
-        "segment %llu payload is torn after %llu clean bytes of %llu",
-        static_cast<unsigned long long>(segment.seq),
-        static_cast<unsigned long long>(precheck.clean_end),
-        static_cast<unsigned long long>(segment.payload.size())));
+        "segment at WAL offset %llu is torn at offset %llu, before its end "
+        "at %llu",
+        static_cast<unsigned long long>(id.start_offset),
+        static_cast<unsigned long long>(expected_offset_ + precheck.clean_end),
+        static_cast<unsigned long long>(id.start_offset + bytes.size())));
     return Status::OK();
   }
-  if (applied_votes_ + precheck.votes != segment.cum_votes) {
+  if (applied_votes_ + precheck.votes != id.cum_votes) {
     NoteDivergence(StrFormat(
-        "segment %llu claims cumulative %llu votes, replica computes %llu",
-        static_cast<unsigned long long>(segment.seq),
-        static_cast<unsigned long long>(segment.cum_votes),
+        "segment at WAL offset %llu is named for cumulative %llu votes, the "
+        "replica computes %llu",
+        static_cast<unsigned long long>(id.start_offset),
+        static_cast<unsigned long long>(id.cum_votes),
         static_cast<unsigned long long>(applied_votes_ + precheck.votes)));
     return Status::OK();
   }
-  DQM_ASSIGN_OR_RETURN(
-      crowd::WalScanResult applied,
-      crowd::ScanWalRecords(
-          std::span<const uint8_t>(segment.payload), manifest_.num_items,
-          [this](std::span<const crowd::VoteEvent> votes) {
-            return session_->AddVotes(votes);
-          },
-          scan_scratch_));
-  (void)applied;
-  applied_votes_ = segment.cum_votes;
-  expected_offset_ = segment.start_offset + segment.payload.size();
-  next_seq_++;
-  max_token_seen_ = std::max(max_token_seen_, segment.fencing_token);
+  auto apply = [this](std::span<const crowd::VoteEvent> votes) {
+    return session_->AddVotes(votes);
+  };
+  DQM_RETURN_NOT_OK(
+      crowd::ScanWalRecords(suffix, manifest_.num_items, apply, scan_scratch_)
+          .status());
+  applied_votes_ = id.cum_votes;
+  expected_offset_ = id.start_offset + bytes.size();
   CounterFor(telemetry::metric_names::kReplicaSegmentsAppliedTotal)
       .Increment();
   return Status::OK();
@@ -618,18 +585,17 @@ Status StandbyApplier::Poll() {
   }
   DQM_ASSIGN_OR_RETURN(std::vector<std::string> names, transport_->List());
   uint64_t best_ckpt = 0;
-  struct SegmentRef {
-    uint64_t generation;
-    uint64_t seq;
-    const std::string* name;
-  };
-  std::vector<SegmentRef> segments;
+  uint64_t max_cum_votes = 0;
+  // List() is sorted and names sort numerically, so the segments come in
+  // (generation, start offset, cumulative votes) order.
+  std::vector<std::pair<ArtifactId, const std::string*>> segments;
   for (const std::string& name : names) {
     ArtifactId id = ParseArtifactName(name);
     if (id.kind == ArtifactId::Kind::kCheckpoint) {
       best_ckpt = std::max(best_ckpt, id.generation);
     } else if (id.kind == ArtifactId::Kind::kSegment) {
-      segments.push_back({id.generation, id.seq, &name});
+      max_cum_votes = std::max(max_cum_votes, id.cum_votes);
+      segments.emplace_back(id, &name);
     }
   }
   // (Re)build the warm session whenever a newer checkpoint appeared, on
@@ -648,48 +614,30 @@ Status StandbyApplier::Poll() {
       DQM_RETURN_NOT_OK(ResyncFromCheckpoint(1, {}));
     }
   }
-  std::sort(segments.begin(), segments.end(),
-            [](const SegmentRef& a, const SegmentRef& b) {
-              return a.generation != b.generation ? a.generation < b.generation
-                                                  : a.seq < b.seq;
-            });
-  uint64_t votes_before = applied_votes_;
-  for (const SegmentRef& ref : segments) {
+  const uint64_t votes_before = applied_votes_;
+  for (const auto& [id, name] : segments) {
     if (divergent_) break;
-    if (ref.generation < applied_generation_) continue;  // pre-GC leftovers
-    if (ref.generation > applied_generation_) {
+    if (id.generation < applied_generation_) continue;  // pre-GC leftovers
+    if (id.generation > applied_generation_) {
       // Segments from a generation whose checkpoint has not arrived yet —
       // nothing to anchor them to; wait for the checkpoint.
       break;
     }
-    if (ref.seq < next_seq_) continue;  // duplicate delivery — idempotent
-    if (ref.seq > next_seq_) {
-      NoteDivergence(StrFormat("gap: next shipped segment is %llu, expected "
-                               "%llu",
-                               static_cast<unsigned long long>(ref.seq),
-                               static_cast<unsigned long long>(next_seq_)));
+    if (id.cum_votes <= applied_votes_) continue;  // already applied
+    if (id.start_offset > expected_offset_) {
+      NoteDivergence(StrFormat(
+          "gap: next shipped segment starts at WAL offset %llu, applied up "
+          "to %llu",
+          static_cast<unsigned long long>(id.start_offset),
+          static_cast<unsigned long long>(expected_offset_)));
       break;
     }
-    DQM_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, transport_->Get(*ref.name));
-    Result<crowd::WalSegment> segment =
-        crowd::DecodeWalSegment(std::span<const uint8_t>(bytes), *ref.name);
-    if (!segment.ok()) {
-      // Torn or corrupt artifact — divergence, not a hard error: the
-      // primary (or a re-ship) can still heal it.
-      NoteDivergence(segment.status().message());
-      break;
-    }
-    max_cum_votes_seen_ =
-        std::max(max_cum_votes_seen_, segment.value().cum_votes);
-    DQM_RETURN_NOT_OK(ApplySegment(segment.value()));
+    DQM_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, transport_->Get(*name));
+    DQM_RETURN_NOT_OK(ApplySegment(id, std::span<const uint8_t>(bytes)));
   }
-  max_cum_votes_seen_ = std::max(max_cum_votes_seen_, applied_votes_);
-  telemetry::MetricsRegistry::Global()
-      .AcquireGauge(telemetry::metric_names::kReplicaLagVotes,
-                    {{"session", manifest_.name}})
-      ->Set(static_cast<double>(max_cum_votes_seen_ - applied_votes_));
-  telemetry::MetricsRegistry::Global().ReleaseGauge(
-      telemetry::metric_names::kReplicaLagVotes, {{"session", manifest_.name}});
+  lag_votes_->Set(max_cum_votes > applied_votes_
+                      ? static_cast<double>(max_cum_votes - applied_votes_)
+                      : 0.0);
   if (applied_votes_ != votes_before) session_->Publish();
   return Status::OK();
 }
@@ -704,8 +652,9 @@ Result<StandbyApplier::PromotionReport> StandbyApplier::Promote() {
   // longest clean prefix, which is exactly the durable-prefix guarantee.
   DQM_RETURN_NOT_OK(Poll());
   DQM_ASSIGN_OR_RETURN(uint64_t fence, transport_->Fence());
-  uint64_t new_token =
-      std::max({fence, max_token_seen_, manifest_.fencing_token}) + 1;
+  // Every shipping primary raised the fence to its own token in Start, and
+  // the transport rejects lower ones, so this outranks all of them.
+  const uint64_t new_token = std::max(fence, manifest_.fencing_token) + 1;
   DQM_RETURN_NOT_OK(transport_->RaiseFence(new_token));
   if (SessionDurability* durability = session_->durability_engine()) {
     // Persist the new epoch: if this promoted primary later replicates (or

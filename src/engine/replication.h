@@ -15,6 +15,7 @@
 #include "engine/durability.h"
 #include "engine/engine.h"
 #include "engine/session.h"
+#include "telemetry/metrics.h"
 
 namespace dqm::engine {
 
@@ -36,43 +37,57 @@ namespace dqm::engine {
 //
 // The transport namespace is flat and per session:
 //
-//   MANIFEST                      the session manifest (serving config)
-//   ckpt_<generation>.bin         checkpoint file bytes, verbatim
-//   seg_<generation>_<seq>.bin    a crowd::WalSegment (wal.h): a slice of
-//                                 the WAL body [start_offset, +payload)
-//                                 with generation / 1-based sequence /
-//                                 cumulative-vote / fencing metadata and a
-//                                 whole-segment CRC
-//   FENCE                         the current fencing token (decimal)
+//   MANIFEST                        the session manifest (serving config)
+//   ckpt_<generation>.bin           checkpoint file bytes, verbatim
+//   seg_<generation>_<start>_<cum>.bin
+//                                   WAL bytes [start, end) of the
+//                                   generation's wal.log, verbatim: whole
+//                                   record frames, each with its own CRC.
+//                                   <cum> is the primary's durable vote
+//                                   count at the range's end — the only
+//                                   metadata the records do not carry
+//   FENCE                           the current fencing token (decimal)
 //
 // Numbers in artifact names are zero-padded so lexicographic order equals
-// numeric order. Segments within one generation are contiguous: segment
-// seq+1 starts where segment seq ended. The applier refuses gaps, overlaps,
-// CRC damage, and torn record frames (divergence — counted, never partially
-// applied) and resynchronizes from the next shipped checkpoint.
+// numeric order. The standby reads a generation's ranges as one log, in
+// name order, from its applied offset and vote count: a range whose <cum>
+// it already holds is skipped, one that starts past its offset is a gap,
+// and otherwise the range's suffix from the applied offset is applied —
+// which also heals a range re-shipped wider at the same start. A suffix is
+// applied only if it scans clean to its end (the crash-recovery scanner)
+// and holds exactly <cum> minus the applied votes; anything else is
+// divergence — counted, never partially applied — and the applier
+// resynchronizes from the next shipped checkpoint.
 //
 // Fencing: every Put carries the shipper's fencing token and the transport
 // rejects tokens below the current fence (FailedPrecondition, counted as
-// dqm_replica_fence_rejections_total). StandbyApplier::Promote raises the
-// fence past every token it has observed and persists the new token in the
-// promoted session's manifest, so a zombie primary that wakes up after
-// failover can no longer publish artifacts — its late pushes bounce off the
-// fence instead of corrupting the promoted replica.
+// dqm_replica_fence_rejections_total). A shipping primary first raises the
+// fence to its own token, so StandbyApplier::Promote raises it past both the
+// fence and the manifest's token and persists the new token in the promoted
+// session's manifest: a zombie primary that wakes up after failover can no
+// longer publish artifacts — its late pushes bounce off the fence instead of
+// corrupting the promoted replica.
 // ---------------------------------------------------------------------------
 
 /// Artifact names, exported so tests and tools can address artifacts
 /// directly (e.g. to corrupt a specific segment in a fault drill).
 inline constexpr char kManifestArtifact[] = "MANIFEST";
 std::string CheckpointArtifactName(uint64_t generation);
-std::string SegmentArtifactName(uint64_t generation, uint64_t seq);
+/// The WAL range starting at byte `start_offset` of generation
+/// `generation`'s wal.log, after which the primary held `cum_votes` durable
+/// votes.
+std::string SegmentArtifactName(uint64_t generation, uint64_t start_offset,
+                                uint64_t cum_votes);
 
 /// Parsed artifact identity; see ParseArtifactName.
 struct ArtifactId {
   enum class Kind : uint8_t { kManifest, kCheckpoint, kSegment, kOther };
   Kind kind = Kind::kOther;
   uint64_t generation = 0;
-  /// Segment sequence number (segments only).
-  uint64_t seq = 0;
+  /// Segments only: the range's first WAL byte offset and the cumulative
+  /// durable vote count at its end.
+  uint64_t start_offset = 0;
+  uint64_t cum_votes = 0;
 };
 ArtifactId ParseArtifactName(std::string_view name);
 
@@ -140,19 +155,20 @@ struct ReplicationStats {
 /// Primary-side shipping pipeline for one durable session.
 ///
 /// Start() performs an initial sync — manifest, current checkpoint (if
-/// any), and the already-durable WAL tail as segment 1 — then installs a
+/// any), and the already-durable WAL tail — then installs a
 /// SessionDurability ship hook. From then on every acknowledged fsync
-/// ships the newly durable WAL bytes as the next segment *before* the
-/// commit returns to the producer (no-lost-ack: an acknowledged vote is
-/// either shipped or counted in dqm_replica_ship_errors_total and re-shipped
-/// with the next segment), and every checkpoint ships the checkpoint file
-/// and garbage-collects artifacts of older generations.
+/// ships the newly durable WAL bytes as one segment *before* the commit
+/// returns to the producer (no-lost-ack: an acknowledged vote is either
+/// shipped or counted in dqm_replica_ship_errors_total and re-shipped with
+/// the next segment), and every checkpoint ships the checkpoint file and
+/// garbage-collects artifacts of older generations.
 ///
 /// Ship failures NEVER fail the primary's commit: the primary's durability
-/// is its own WAL; replication lag is surfaced through
-/// dqm_replica_lag_bytes and the ship-error counter, and the pipeline
+/// is its own WAL; replication lag is surfaced through the per-session
+/// dqm_replica_lag_bytes gauge and the ship-error counter, and the pipeline
 /// catches up automatically (a later segment simply covers a wider byte
-/// range, and an unshipped checkpoint is re-shipped on the next event).
+/// range from the same start, and an unshipped checkpoint is re-shipped on
+/// the next event).
 ///
 /// The hook runs under the session's WAL mutex (LockRank::kWal) and takes
 /// only the replicator's own mutex (LockRank::kReplication) above it.
@@ -185,12 +201,18 @@ class SessionReplicator {
   void OnShipEvent(const SessionDurability::ShipEvent& event)
       DQM_EXCLUDES(mutex_);
 
+  /// Brings the transport up to `event`: the checkpoint of its generation
+  /// (if not shipped yet), then the WAL bytes durable below its size.
+  Status ShipLocked(const SessionDurability::ShipEvent& event)
+      DQM_REQUIRES(mutex_);
+
   /// (Re)ships the current checkpoint file and rebases the segment cursor
-  /// onto its generation. No-op when already on `generation`.
+  /// onto its generation. No-op when already on `generation`; generation 1
+  /// has no checkpoint and only rebases.
   Status ShipCheckpointLocked(uint64_t generation)
       DQM_REQUIRES(mutex_);
 
-  /// Ships WAL bytes [shipped_offset_, durable_size) as the next segment.
+  /// Ships WAL bytes [shipped_offset_, durable_size) as one segment.
   Status ShipSegmentLocked(uint64_t generation, uint64_t durable_size)
       DQM_REQUIRES(mutex_);
 
@@ -201,16 +223,18 @@ class SessionReplicator {
   const std::shared_ptr<ReplicationTransport> transport_;
   const uint64_t fencing_token_;
   SessionDurability* const durability_;
+  /// dqm_replica_lag_bytes{session=...}, held from construction to Stop().
+  telemetry::Gauge* const lag_bytes_;
 
   mutable Mutex mutex_{LockRank::kReplication, "session-replicator"};
   /// Read-only fd on the primary's wal.log (segments are read back from
   /// the file, not captured in memory — the durable prefix is stable below
   /// durable_size while the WAL mutex is held).
   int wal_fd_ DQM_GUARDED_BY(mutex_) = -1;
+  /// 0 until the initial sync rebased onto the WAL's generation.
   uint64_t shipped_generation_ DQM_GUARDED_BY(mutex_) = 0;
   /// Next unshipped byte of the current generation's WAL.
   uint64_t shipped_offset_ DQM_GUARDED_BY(mutex_) = 0;
-  uint64_t next_seq_ DQM_GUARDED_BY(mutex_) = 1;
   uint64_t shipped_votes_ DQM_GUARDED_BY(mutex_) = 0;
   ReplicationStats stats_ DQM_GUARDED_BY(mutex_);
   std::vector<crowd::VoteEvent> scan_scratch_ DQM_GUARDED_BY(mutex_);
@@ -223,11 +247,11 @@ class SessionReplicator {
 ///
 /// Poll() is the replay heartbeat — call it from a timer or loop. Each call
 /// lists the transport, loads a newer checkpoint if one appeared (this is
-/// also how divergence heals), then applies pending segments in sequence
-/// order through the ordinary ingest path. Applied votes are
-/// crash-consistent with the primary's acknowledged durable prefix:
-/// a segment is fully validated (CRC, contiguity, clean record scan)
-/// before a single vote of it is applied.
+/// also how divergence heals), then tails the generation's segments in
+/// name order through the ordinary ingest path. Applied votes are
+/// crash-consistent with the primary's acknowledged durable prefix: a
+/// segment's unapplied suffix is fully validated (contiguity, clean record
+/// scan, vote count) before a single vote of it is applied.
 ///
 /// Single-threaded by contract: Poll/Promote must not be called
 /// concurrently (drive it from one replay thread).
@@ -255,14 +279,16 @@ class StandbyApplier {
   StandbyApplier(const StandbyApplier&) = delete;
   StandbyApplier& operator=(const StandbyApplier&) = delete;
 
-  /// Applies everything currently shipped. Divergence (gap, overlap, CRC or
-  /// metadata mismatch, torn frame) is not an error: it is counted, the
-  /// offending segment is left unapplied, and the applier waits for a
-  /// fresh checkpoint to resync from. FailedPrecondition after Promote().
+  /// Applies everything currently shipped. Divergence (gap, torn or
+  /// corrupt record, a vote count that disagrees with the name) is not an
+  /// error: it is counted, the offending segment is left unapplied, and the
+  /// applier waits for a fresh checkpoint to resync from.
+  /// FailedPrecondition after Promote().
   Status Poll();
 
   struct PromotionReport {
-    /// The fence the promoted session now owns (> every token observed).
+    /// The fence the promoted session now owns (> the fence it found and
+    /// the shipping primary's token).
     uint64_t fencing_token = 0;
     uint64_t applied_votes = 0;
     uint64_t generation = 0;
@@ -296,9 +322,10 @@ class StandbyApplier {
   Status ResyncFromCheckpoint(uint64_t generation,
                               std::span<const uint8_t> ckpt);
 
-  /// Validates and applies one decoded segment; flags divergence and
-  /// returns without applying anything on any mismatch.
-  Status ApplySegment(const crowd::WalSegment& segment);
+  /// Validates and applies the unapplied suffix of one segment (`bytes`
+  /// start at WAL offset `id.start_offset`); flags divergence and returns
+  /// without applying anything on any mismatch.
+  Status ApplySegment(const ArtifactId& id, std::span<const uint8_t> bytes);
 
   void NoteDivergence(const std::string& why);
 
@@ -307,23 +334,18 @@ class StandbyApplier {
   const Options options_;
   SessionManifest manifest_;
   std::shared_ptr<EstimationSession> session_;
+  /// dqm_replica_lag_votes{session=...}, held for the applier's lifetime.
+  telemetry::Gauge* const lag_votes_;
 
   bool opened_ = false;
   bool promoted_ = false;
   bool divergent_ = false;
   uint64_t applied_generation_ = 0;
-  uint64_t next_seq_ = 1;
-  /// WAL byte offset the next segment must start at.
+  /// WAL byte offset of the applied generation the next vote starts at.
   uint64_t expected_offset_ = 0;
   uint64_t applied_votes_ = 0;
   uint64_t divergences_ = 0;
   uint64_t resyncs_ = 0;
-  /// Highest fencing token observed in shipped segments.
-  uint64_t max_token_seen_ = 0;
-  /// Highest cumulative vote count observed in decoded artifacts — the
-  /// basis for the lag gauge.
-  uint64_t max_cum_votes_seen_ = 0;
-
   std::vector<crowd::VoteEvent> scan_scratch_;
 };
 

@@ -646,6 +646,20 @@ Result<crowd::CheckpointData> EstimationSession::ExportState() {
   return crowd::CheckpointFromLog(metric_.log(), /*wal_generation=*/1);
 }
 
+Status EstimationSession::ImportState(const crowd::CheckpointData& state) {
+  DQM_RETURN_NOT_OK(crowd::EmitCheckpointVotes(
+      state, [this](std::span<const crowd::VoteEvent> votes) {
+        return AddVotes(votes);
+      }));
+  if (committed_votes() != state.num_events) {
+    return Status::Internal(StrFormat(
+        "session '%s' committed %llu votes restoring a snapshot of %llu",
+        name_.c_str(), static_cast<unsigned long long>(committed_votes()),
+        static_cast<unsigned long long>(state.num_events)));
+  }
+  return Status::OK();
+}
+
 size_t EstimationSession::RetainedBytes() const {
   // The session mutex excludes concurrent publishes (whose pause guard
   // holds every stripe lock — the log's RetainedBytes takes them one at a

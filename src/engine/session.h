@@ -320,6 +320,12 @@ class EstimationSession {
   /// the compacted counts do not carry and which cannot move this way.
   Result<crowd::CheckpointData> ExportState() DQM_EXCLUDES(mutex_);
 
+  /// The target half: replays `state` (an ExportState result or a decoded
+  /// checkpoint) through AddVotes into this freshly opened session, then
+  /// checks that exactly state.num_events votes were committed. Used by
+  /// migration and by a standby's checkpoint resync.
+  Status ImportState(const crowd::CheckpointData& state) DQM_EXCLUDES(mutex_);
+
   /// What RecoverFromDurability rebuilt (surfaced per session by
   /// DqmEngine::RecoverSessions).
   struct RecoveryReport {

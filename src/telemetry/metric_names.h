@@ -121,7 +121,7 @@ inline constexpr char kCheckpointBytes[] = "dqm_checkpoint_bytes";
 inline constexpr char kReplicaLagVotes[] = "dqm_replica_lag_votes";
 /// Durable primary WAL bytes not yet shipped, labeled session=...
 inline constexpr char kReplicaLagBytes[] = "dqm_replica_lag_bytes";
-/// WAL segments shipped by primaries.
+/// WAL segments (raw durable WAL ranges) shipped by primaries.
 inline constexpr char kReplicaSegmentsShippedTotal[] =
     "dqm_replica_segments_shipped_total";
 /// Checkpoint artifacts shipped by primaries.
@@ -131,11 +131,12 @@ inline constexpr char kReplicaCheckpointsShippedTotal[] =
 /// primary keeps serving and the standby resyncs from a fresh checkpoint.
 inline constexpr char kReplicaShipErrorsTotal[] =
     "dqm_replica_ship_errors_total";
-/// Segments a standby verified and applied.
+/// Segments (shipped WAL ranges) a standby verified and applied.
 inline constexpr char kReplicaSegmentsAppliedTotal[] =
     "dqm_replica_segments_applied_total";
-/// Divergence events a standby detected (generation/CRC mismatch, sequence
-/// gap, offset mismatch) — each forces a checkpoint resync.
+/// Divergence events a standby detected (a gap in WAL offsets, a torn or
+/// corrupt record, a segment holding fewer or more votes than its name
+/// says) — each forces a checkpoint resync.
 inline constexpr char kReplicaDivergencesTotal[] =
     "dqm_replica_divergences_total";
 /// Full standby resyncs from a shipped checkpoint.

@@ -145,11 +145,11 @@ TEST(Crc32Test, ChainingAtEverySplitEqualsOneShot) {
 
 // --- On-disk format goldens ------------------------------------------------
 //
-// Hex images of one WAL file, one shipped segment and one kTallies
-// checkpoint, recorded from the byte-at-a-time CRC-32 build. Any change to
-// the CRC kernel or the encoders must reproduce them byte for byte: files
-// written by an older binary have to recover under a newer one, and a
-// standby must accept segments from a primary of either build.
+// Hex images of one WAL file and one kTallies checkpoint, recorded from the
+// byte-at-a-time CRC-32 build. Any change to the CRC kernel or the encoders
+// must reproduce them byte for byte: files written by an older binary have
+// to recover under a newer one, and a standby must accept shipped WAL bytes
+// and checkpoints from a primary of either build (both ship verbatim).
 
 std::string Hex(std::span<const uint8_t> bytes) {
   static constexpr char kDigits[] = "0123456789abcdef";
@@ -182,13 +182,6 @@ constexpr char kGoldenWal[] =
     "02000000030000000104030201efcdab000700000000ffffff0fffffff000000"
     "000001";
 
-// EncodeWalSegment of the WAL body above as segment 2 of generation 3.
-constexpr char kGoldenSegment[] =
-    "4453454701000000030000000000000002000000000000001000000000000000"
-    "03000000000000000500000000000000330000002b0000007ec46a6c03000000"
-    "0100000002000000030000000104030201efcdab000700000000ffffff0fffff"
-    "ff0000000000013fa70b20";
-
 // A kTallies checkpoint (generation 2) of a 4-item log fed GoldenVotes()
 // plus {task 5, worker 1, item 3, clean}.
 constexpr char kGoldenCheckpoint[] =
@@ -215,49 +208,6 @@ TEST(WalFormatGoldenTest, RecordBytesAreUnchangedAndReplayClean) {
   EXPECT_EQ(stats.records, 1u);
   EXPECT_EQ(stats.torn_records, 0u);
   EXPECT_TRUE(SameEvents(*replayed, votes));
-}
-
-TEST(WalFormatGoldenTest, SegmentBytesAreUnchangedAndDecodeClean) {
-  std::string path = ScratchDir("golden_segment") + "/wal.log";
-  {
-    auto wal = VoteWal::Open(path);
-    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
-    wal->Append(GoldenVotes());
-    ASSERT_TRUE(wal->Sync().ok());
-  }
-  const std::vector<uint8_t> file = FileBytes(path);
-  crowd::WalSegment segment;
-  segment.generation = 3;
-  segment.seq = 2;
-  segment.start_offset = crowd::kWalHeaderBytes;
-  segment.cum_votes = 3;
-  segment.fencing_token = 5;
-  segment.payload.assign(file.begin() + crowd::kWalHeaderBytes, file.end());
-  std::vector<uint8_t> encoded;
-  crowd::EncodeWalSegment(segment, encoded);
-  EXPECT_EQ(Hex(encoded), kGoldenSegment);
-
-  auto decoded = crowd::DecodeWalSegment(encoded, "golden");
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->generation, 3u);
-  EXPECT_EQ(decoded->seq, 2u);
-  EXPECT_EQ(decoded->start_offset, crowd::kWalHeaderBytes);
-  EXPECT_EQ(decoded->cum_votes, 3u);
-  EXPECT_EQ(decoded->fencing_token, 5u);
-  EXPECT_EQ(decoded->payload, segment.payload);
-  std::vector<VoteEvent> scanned;
-  std::vector<VoteEvent> scratch;
-  auto scan = crowd::ScanWalRecords(
-      decoded->payload, 8,
-      [&](std::span<const VoteEvent> events) -> Status {
-        scanned.insert(scanned.end(), events.begin(), events.end());
-        return Status::OK();
-      },
-      scratch);
-  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
-  EXPECT_FALSE(scan->torn);
-  EXPECT_EQ(scan->clean_end, decoded->payload.size());
-  EXPECT_TRUE(SameEvents(scanned, GoldenVotes()));
 }
 
 TEST(WalFormatGoldenTest, TalliesCheckpointBytesAreUnchangedAndReadClean) {

@@ -1,6 +1,6 @@
 // End-to-end drills for the replicated hot-standby pipeline
-// (engine/replication.h): checkpoint/WAL-segment shipping, standby replay,
-// failover with fencing, and live session migration.
+// (engine/replication.h): checkpoint and raw WAL-range shipping, standby
+// replay, failover with fencing, and live session migration.
 //
 // The invariants, per drill:
 //
@@ -9,10 +9,11 @@
 //    acknowledged (the ship hook runs before the commit returns);
 //  - durable-prefix parity: the standby's state is bit-identical (in every
 //    count-derived estimate) to a reference session fed exactly the prefix
-//    the standby applied — a segment is applied whole or not at all;
-//  - damage is detected, never absorbed: torn, gapped, or overlapping
-//    segments flag divergence and leave the applied state untouched until
-//    a fresh checkpoint heals the stream;
+//    the standby applied — a segment's unapplied suffix is applied whole or
+//    not at all;
+//  - damage is detected, never absorbed: torn, gapped, overlapping, or
+//    short segments flag divergence and leave the applied state untouched
+//    until a fresh checkpoint heals the stream;
 //  - fencing is final: once a standby promotes, the old primary's pushes
 //    bounce off the raised fence and a restarted primary refuses to ship.
 //
@@ -29,6 +30,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <tuple>
@@ -161,7 +163,7 @@ SessionOptions DurableOptions(const std::string& root,
 }
 
 /// Segment artifact names of the highest generation on the transport,
-/// sorted (lexicographic = numeric, so this is sequence order).
+/// sorted (lexicographic = numeric, so this is WAL offset order).
 std::vector<std::string> SegmentsOfMaxGeneration(ReplicationTransport& t) {
   auto list = t.List();
   EXPECT_TRUE(list.ok()) << list.status().ToString();
@@ -210,18 +212,30 @@ TEST(ArtifactNameTest, RoundTripsAndSortsNumerically) {
   EXPECT_EQ(ckpt.kind, ArtifactId::Kind::kCheckpoint);
   EXPECT_EQ(ckpt.generation, 7u);
 
-  ArtifactId seg = ParseArtifactName(SegmentArtifactName(3, 42));
+  ArtifactId seg = ParseArtifactName(SegmentArtifactName(3, 4096, 42));
   EXPECT_EQ(seg.kind, ArtifactId::Kind::kSegment);
   EXPECT_EQ(seg.generation, 3u);
-  EXPECT_EQ(seg.seq, 42u);
+  EXPECT_EQ(seg.start_offset, 4096u);
+  EXPECT_EQ(seg.cum_votes, 42u);
+  EXPECT_EQ(SegmentArtifactName(3, 4096, 42),
+            "seg_00000000000000000003_00000000000000004096_"
+            "00000000000000000042.bin");
 
-  // Zero padding: lexicographic order equals numeric order.
-  EXPECT_LT(SegmentArtifactName(2, 9), SegmentArtifactName(2, 10));
-  EXPECT_LT(SegmentArtifactName(2, 10), SegmentArtifactName(10, 1));
+  // Zero padding: lexicographic order equals numeric (generation, start
+  // offset, cumulative votes) order — a generation's ranges sort by offset,
+  // and a range re-shipped wider at the same start sorts after the
+  // narrower copy.
+  EXPECT_LT(SegmentArtifactName(2, 99, 9), SegmentArtifactName(2, 100, 1));
+  EXPECT_LT(SegmentArtifactName(2, 100, 9), SegmentArtifactName(2, 100, 10));
+  EXPECT_LT(SegmentArtifactName(2, 900, 90), SegmentArtifactName(10, 16, 1));
   EXPECT_LT(CheckpointArtifactName(9), CheckpointArtifactName(11));
 
   EXPECT_EQ(ParseArtifactName("FENCE").kind, ArtifactId::Kind::kOther);
   EXPECT_EQ(ParseArtifactName("seg_junk.bin").kind, ArtifactId::Kind::kOther);
+  EXPECT_EQ(ParseArtifactName("seg_1_16.bin").kind, ArtifactId::Kind::kOther)
+      << "a name without the cumulative vote count is not a segment";
+  EXPECT_EQ(ParseArtifactName("seg_1_16_3_4.bin").kind,
+            ArtifactId::Kind::kOther);
   EXPECT_EQ(ParseArtifactName("").kind, ArtifactId::Kind::kOther);
 }
 
@@ -407,7 +421,109 @@ TEST(ReplicationPipelineTest, StartShipsPreexistingState) {
 }
 
 // ---------------------------------------------------------------------------
-// Transport faults: torn, gapped, overlapping, and duplicated segments.
+// Replication lag is per session.
+// ---------------------------------------------------------------------------
+
+/// A LocalDirTransport whose segment Puts fail while `fail_segments` is
+/// set — a primary whose shipping falls behind.
+class FailingSegmentTransport : public ReplicationTransport {
+ public:
+  explicit FailingSegmentTransport(std::unique_ptr<LocalDirTransport> inner)
+      : inner_(std::move(inner)) {}
+
+  Status Put(const std::string& name, std::span<const uint8_t> bytes,
+             uint64_t fencing_token) override {
+    if (fail_segments &&
+        ParseArtifactName(name).kind == ArtifactId::Kind::kSegment) {
+      return Status::IOError("segment put refused");
+    }
+    return inner_->Put(name, bytes, fencing_token);
+  }
+  Result<std::vector<std::string>> List() override { return inner_->List(); }
+  Result<std::vector<uint8_t>> Get(const std::string& name) override {
+    return inner_->Get(name);
+  }
+  Status Delete(const std::string& name) override {
+    return inner_->Delete(name);
+  }
+  Status RaiseFence(uint64_t token) override {
+    return inner_->RaiseFence(token);
+  }
+  Result<uint64_t> Fence() override { return inner_->Fence(); }
+
+  bool fail_segments = false;
+
+ private:
+  std::unique_ptr<LocalDirTransport> inner_;
+};
+
+/// The value of gauge `name`{session=`session`}, or nullopt when no such
+/// gauge is registered. Reads through Collect(): GetGauge would pin it.
+std::optional<double> SessionGauge(const char* name,
+                                   const std::string& session) {
+  const telemetry::LabelSet labels = {{"session", session}};
+  for (const auto& gauge :
+       telemetry::MetricsRegistry::Global().Collect().gauges) {
+    if (gauge.name == name && gauge.labels == labels) return gauge.value;
+  }
+  return std::nullopt;
+}
+
+TEST(ReplicaLagTest, LagBytesGaugeIsPerSessionAndGoneAfterStop) {
+  size_t num_items = 0;
+  std::vector<VoteEvent> votes =
+      GenerateVotes(FamilySpecs().front(), 0x1A6, &num_items);
+  std::string primary_root = ScratchDir("lag_primary");
+
+  DqmEngine primary;
+  std::vector<std::unique_ptr<SessionReplicator>> replicators;
+  std::shared_ptr<FailingSegmentTransport> behind_transport;
+  for (const std::string name : {"healthy", "behind"}) {
+    auto session = primary.OpenSession(
+        name, num_items, std::span<const std::string>(Panel()),
+        DurableOptions(primary_root, 16, 0));
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    auto local = LocalDirTransport::Open(ScratchDir("lag_ship_" + name));
+    ASSERT_TRUE(local.ok()) << local.status().ToString();
+    std::shared_ptr<ReplicationTransport> transport;
+    if (name == "behind") {
+      behind_transport =
+          std::make_shared<FailingSegmentTransport>(std::move(*local));
+      transport = behind_transport;
+    } else {
+      transport = std::move(*local);
+    }
+    auto replicator = SessionReplicator::Start(*session, transport);
+    ASSERT_TRUE(replicator.ok()) << replicator.status().ToString();
+    replicators.push_back(std::move(*replicator));
+  }
+
+  behind_transport->fail_segments = true;
+  for (const std::string name : {"healthy", "behind"}) {
+    IngestRange(primary, name, votes, 0, 64, 16);
+  }
+  EXPECT_GT(replicators[1]->stats().ship_errors, 0u);
+  std::optional<double> behind =
+      SessionGauge(telemetry::metric_names::kReplicaLagBytes, "behind");
+  std::optional<double> healthy =
+      SessionGauge(telemetry::metric_names::kReplicaLagBytes, "healthy");
+  ASSERT_TRUE(behind.has_value());
+  ASSERT_TRUE(healthy.has_value());
+  EXPECT_GT(*behind, 0.0);
+  EXPECT_DOUBLE_EQ(*healthy, 0.0);
+
+  for (auto& replicator : replicators) replicator->Stop();
+  EXPECT_FALSE(SessionGauge(telemetry::metric_names::kReplicaLagBytes,
+                            "behind")
+                   .has_value());
+  EXPECT_FALSE(SessionGauge(telemetry::metric_names::kReplicaLagBytes,
+                            "healthy")
+                   .has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Transport faults: torn, gapped, overlapping, short, re-shipped, and
+// duplicated segments.
 // Damage must be detected (never silently applied) and a later checkpoint
 // must heal the stream.
 // ---------------------------------------------------------------------------
@@ -450,8 +566,8 @@ void IngestAndFlush(PrimaryRig& rig, size_t begin, size_t end) {
   ASSERT_TRUE(rig.session->FlushDurability().ok());
 }
 
-/// Flips one payload byte of `artifact` on disk — a torn/bit-rotted
-/// segment whose whole-artifact CRC no longer matches.
+/// Flips one byte near the end of `artifact` on disk — a bit-rotted
+/// segment whose last record's CRC no longer matches.
 void CorruptArtifact(const std::string& ship_dir,
                      const std::string& artifact) {
   const std::string path = ship_dir + "/" + artifact;
@@ -551,26 +667,25 @@ TEST_F(TransportFaultTest, OverlappingSegmentIsRejectedWithoutApplying) {
   ASSERT_TRUE((*applier)->Poll().ok());
   ASSERT_EQ((*applier)->applied_votes(), 160u);
 
-  // A forged next-sequence segment that rewinds start_offset over already
-  // applied bytes (a replayed/reordered write). The applier must refuse it
-  // on metadata alone — the payload is garbage and must never be scanned
-  // into the session.
+  // A forged segment that starts at the WAL header, over already applied
+  // bytes, and runs past the applied offset (a replayed or reordered
+  // write). Its bytes are garbage: the part beyond the applied offset must
+  // fail the record scan and never reach the session.
   std::vector<std::string> segments = SegmentsOfMaxGeneration(*rig.transport);
   ASSERT_FALSE(segments.empty());
   ArtifactId last = ParseArtifactName(segments.back());
-  crowd::WalSegment forged;
-  forged.generation = last.generation;
-  forged.seq = last.seq + 1;
-  forged.start_offset = crowd::kWalHeaderBytes;  // overlaps segment 1
-  forged.cum_votes = 999999;
-  forged.fencing_token = 1;
-  forged.payload = {0xDE, 0xAD, 0xBE, 0xEF};
-  std::vector<uint8_t> bytes;
-  crowd::EncodeWalSegment(forged, bytes);
-  ASSERT_TRUE(
-      rig.transport->Put(SegmentArtifactName(forged.generation, forged.seq),
-                         bytes, 1)
-          .ok());
+  const uint64_t applied_end = fs::file_size(fs::path(rig.ship_dir) /
+                                             segments.back()) +
+                               last.start_offset;
+  std::vector<uint8_t> garbage(applied_end - crowd::kWalHeaderBytes + 64);
+  for (size_t i = 0; i < garbage.size(); ++i) {
+    garbage[i] = static_cast<uint8_t>(0xDE ^ (i * 0x9D));
+  }
+  ASSERT_TRUE(rig.transport
+                  ->Put(SegmentArtifactName(last.generation,
+                                            crowd::kWalHeaderBytes, 999999),
+                        garbage, 1)
+                  .ok());
 
   ASSERT_TRUE((*applier)->Poll().ok());
   EXPECT_TRUE((*applier)->divergent());
@@ -578,6 +693,90 @@ TEST_F(TransportFaultTest, OverlappingSegmentIsRejectedWithoutApplying) {
   auto snapshot = standby_engine.Query("s");
   ASSERT_TRUE(snapshot.ok());
   EXPECT_EQ(snapshot->num_votes, 160u);
+}
+
+TEST_F(TransportFaultTest, SegmentCutAtARecordBoundaryDivergesThenHeals) {
+  PrimaryRig rig;
+  StartRig(rig, "cut", 100);
+  if (testing::Test::HasFatalFailure()) return;
+  // Batches of 5 under a 16-vote group commit: each shipped range holds
+  // several records.
+  IngestRange(rig.engine, "s", rig.votes, 0, 160, 5);
+  ASSERT_TRUE(rig.session->FlushDurability().ok());
+  std::vector<std::string> segments = SegmentsOfMaxGeneration(*rig.transport);
+  ASSERT_GE(segments.size(), 2u);
+
+  // Cut the last segment after its first record. What is left scans clean;
+  // only the vote count in its name shows that it is short.
+  auto bytes = rig.transport->Get(segments.back());
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  ASSERT_GE(bytes->size(), 8u);
+  const uint64_t first_record =
+      8 + (uint64_t{(*bytes)[0]} | uint64_t{(*bytes)[1]} << 8 |
+           uint64_t{(*bytes)[2]} << 16 | uint64_t{(*bytes)[3]} << 24);
+  ASSERT_LT(first_record, bytes->size())
+      << "the last segment must hold more than one record";
+  fs::resize_file(fs::path(rig.ship_dir) / segments.back(), first_record);
+  const uint64_t before_cut =
+      ParseArtifactName(segments[segments.size() - 2]).cum_votes;
+
+  DqmEngine standby_engine;
+  StandbyApplier::Options standby_options;
+  standby_options.durability_dir = ScratchDir("cut_standby");
+  auto applier =
+      StandbyApplier::Open(standby_engine, rig.transport, standby_options);
+  ASSERT_TRUE(applier.ok()) << applier.status().ToString();
+  EXPECT_TRUE((*applier)->divergent());
+  EXPECT_EQ((*applier)->divergences(), 1u);
+  EXPECT_EQ((*applier)->applied_votes(), before_cut)
+      << "nothing of the cut segment may be applied";
+  ExpectPrefixParity(standby_engine, "s", rig.votes, before_cut,
+                     rig.num_items, "after cut segment");
+
+  // The next checkpoint (crossing 200) heals the stream.
+  IngestAndFlush(rig, 160, 220);
+  ASSERT_TRUE((*applier)->Poll().ok());
+  EXPECT_FALSE((*applier)->divergent());
+  EXPECT_GE((*applier)->resyncs(), 1u);
+  EXPECT_EQ((*applier)->applied_votes(), 220u);
+  ExpectPrefixParity(standby_engine, "s", rig.votes, 220, rig.num_items,
+                     "after heal");
+}
+
+TEST_F(TransportFaultTest, RangeReshippedWiderAppliesWithoutResync) {
+  PrimaryRig rig;
+  StartRig(rig, "wider", 0);  // one generation, no checkpoints
+  if (testing::Test::HasFatalFailure()) return;
+  IngestAndFlush(rig, 0, 80);
+
+  DqmEngine standby_engine;
+  auto applier = StandbyApplier::Open(standby_engine, rig.transport);
+  ASSERT_TRUE(applier.ok()) << applier.status().ToString();
+  ASSERT_EQ((*applier)->applied_votes(), 80u);
+
+  // The next range's Put fails after its rename: the artifact is
+  // published, but the primary counts a ship error and ships the same
+  // start again, wider, with its next flush.
+  ASSERT_TRUE(
+      failpoint::Configure("dqm.repl.dirsync=count(1):error(EIO)").ok());
+  IngestAndFlush(rig, 80, 96);
+  failpoint::DisarmAll();
+  EXPECT_EQ(rig.replicator->stats().ship_errors, 1u);
+  ASSERT_TRUE((*applier)->Poll().ok());
+  ASSERT_EQ((*applier)->applied_votes(), 96u)
+      << "the standby applies the published narrow copy";
+
+  IngestAndFlush(rig, 96, 160);
+  EXPECT_EQ(SegmentsOfMaxGeneration(*rig.transport).size(),
+            rig.replicator->stats().segments_shipped + 1)
+      << "the narrow and the wide copy share a start offset";
+  ASSERT_TRUE((*applier)->Poll().ok());
+  EXPECT_FALSE((*applier)->divergent());
+  EXPECT_EQ((*applier)->divergences(), 0u);
+  EXPECT_EQ((*applier)->resyncs(), 0u);
+  EXPECT_EQ((*applier)->applied_votes(), 160u);
+  ExpectPrefixParity(standby_engine, "s", rig.votes, 160, rig.num_items,
+                     "after wider re-ship");
 }
 
 TEST_F(TransportFaultTest, RedeliveryAndRepollAreIdempotent) {
@@ -771,7 +970,9 @@ TEST_P(ReplicationFailoverDeathTest, PromoteServesEveryAcknowledgedVote) {
 
   // The fence is up: a zombie write with the dead primary's token bounces.
   const std::vector<uint8_t> junk = {0xBA, 0xD0};
-  EXPECT_FALSE(shared->Put(SegmentArtifactName(99, 1), junk, 1).ok());
+  EXPECT_FALSE(
+      shared->Put(SegmentArtifactName(99, crowd::kWalHeaderBytes, 1), junk, 1)
+          .ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(
