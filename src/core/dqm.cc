@@ -107,9 +107,15 @@ void DataQualityMetric::EnableConcurrentIngest(size_t num_stripes) {
   log_->EnableConcurrentIngest(num_stripes);
 }
 
-void DataQualityMetric::CommitVotesConcurrent(
-    std::span<const crowd::VoteEvent> votes) {
-  log_->AppendConcurrent(votes);
+void DataQualityMetric::CommitVotes(std::span<const crowd::VoteEvent> votes) {
+  if (log_->concurrent_ingest()) {
+    log_->AppendConcurrent(votes);
+    return;
+  }
+  for (const crowd::VoteEvent& event : votes) {
+    AddVote(event.task, event.worker, event.item,
+            event.vote == crowd::Vote::kDirty);
+  }
 }
 
 crowd::ResponseLog::IngestPause DataQualityMetric::ReconcileForEstimates() {

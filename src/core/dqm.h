@@ -90,13 +90,16 @@ class DataQualityMetric {
   /// Switches the internal log to striped concurrent ingest (requires
   /// SupportsConcurrentIngest() and no votes yet; aborts otherwise). The
   /// stripes keep per-(worker, item) matrix shards iff the log is kCounts.
-  /// After this, votes arrive through CommitVotesConcurrent — AddVote
-  /// aborts.
+  /// After this, votes arrive through CommitVotes — AddVote aborts.
   void EnableConcurrentIngest(size_t num_stripes);
 
-  /// Thread-safe striped tally commit (enabled pipelines only). Item ids
-  /// must be < num_items(); the caller validates (the engine session does).
-  void CommitVotesConcurrent(std::span<const crowd::VoteEvent> votes);
+  /// Commits a batch in order — the engine session's one commit call. On a
+  /// striped pipeline it is the thread-safe stripe commit
+  /// (ResponseLog::AppendConcurrent); otherwise it is AddVote per vote (log
+  /// append plus the Observe fan-out), and the caller serializes calls.
+  /// Item ids must be < num_items(); the caller validates (the engine
+  /// session does).
+  void CommitVotes(std::span<const crowd::VoteEvent> votes);
 
   /// Pauses committers and reconciles the striped log, which sums the
   /// positive-vote fingerprints its stripes keep at commit (Debug builds

@@ -143,20 +143,20 @@ void ResponseLog::AppendCountMatrixBlocks(
       << "this log keeps no pair-count matrix; no response-matrix consumer "
          "was declared at pipeline construction";
   if (concurrent_ == nullptr) {
-    out.push_back(&compacted_);
+    out.push_back(&stats_.counts);
     return;
   }
   for (size_t s = 0; s < concurrent_->num_stripes; ++s) {
-    out.push_back(&concurrent_->stripes[s].counts);
+    out.push_back(&concurrent_->stripes[s].stats.counts);
   }
 }
 
 size_t ResponseLog::RetainedBytes() const {
   size_t bytes = events_.capacity() * sizeof(VoteEvent) +
-                 compacted_.MemoryBytes() +
+                 stats_.counts.MemoryBytes() +
                  (positive_.capacity() + total_.capacity()) * sizeof(uint32_t);
   if (concurrent_ == nullptr) {
-    bytes += positive_fingerprint_.capacity() * sizeof(uint64_t);
+    bytes += stats_.positive_f.capacity() * sizeof(uint64_t);
   } else {
     // The striped-mode fixed overhead was previously dropped from this sum,
     // under-reporting every striped kCounts session: the control block, the
@@ -171,52 +171,16 @@ size_t ResponseLog::RetainedBytes() const {
       // this while holding the PauseAndReconcile guard.
       Stripe& stripe = concurrent_->stripes[s];
       MutexLock lock(stripe.mutex);
-      bytes += stripe.counts.MemoryBytes() +
-               stripe.positive_f.capacity() * sizeof(uint64_t);
+      bytes += stripe.stats.counts.MemoryBytes() +
+               stripe.stats.positive_f.capacity() * sizeof(uint64_t);
       // The summed fingerprint is written only by a reconcile, which holds
       // every stripe lock, so holding any one of them reads it race-free.
       if (s == 0) {
-        bytes += positive_fingerprint_.capacity() * sizeof(uint64_t);
+        bytes += stats_.positive_f.capacity() * sizeof(uint64_t);
       }
     }
   }
   return bytes;
-}
-
-void ResponseLog::Append(const VoteEvent& event) {
-  // invariant: the ingest mode is chosen once, before the first vote.
-  DQM_CHECK(concurrent_ == nullptr)
-      << "Append is the serialized path; this log ingests through "
-         "AppendConcurrent";
-  // invariant: item ids were validated against num_items upstream.
-  DQM_CHECK_LT(event.item, positive_.size()) << "item id out of range";
-  const size_t item = event.item;
-
-  bool was_nominal = positive_[item] > 0;
-  bool was_majority = MajorityDirty(item);
-
-  ++total_[item];
-  if (event.vote == Vote::kDirty) {
-    PromoteInFingerprint(positive_fingerprint_, positive_[item]++);
-    ++total_positive_;
-  }
-
-  if (!was_nominal && positive_[item] > 0) ++nominal_count_;
-  bool is_majority = MajorityDirty(item);
-  if (!was_majority && is_majority) {
-    ++majority_count_;
-  } else if (was_majority && !is_majority) {
-    --majority_count_;
-  }
-
-  num_tasks_ = std::max(num_tasks_, static_cast<size_t>(event.task) + 1);
-  num_workers_ = std::max(num_workers_, static_cast<size_t>(event.worker) + 1);
-  ++num_events_;
-  if (retention_ == RetentionPolicy::kFullEvents) {
-    events_.push_back(event);
-  } else if (retention_ == RetentionPolicy::kCounts) {
-    compacted_.Add(event.worker, event.item, event.vote);
-  }
 }
 
 void ResponseLog::PromoteInFingerprint(Fingerprint& f, uint32_t from) {
@@ -231,13 +195,55 @@ void ResponseLog::PromoteInFingerprint(Fingerprint& f, uint32_t from) {
   ++f[from + 1];
 }
 
+// Inlined into both callers: the striped commit loop runs it per vote, and
+// an out-of-line call there costs more than the update itself. The
+// fingerprint move, which may resize, stays out of line.
+[[gnu::always_inline]] inline void ResponseLog::CountVote(
+    VoteStats& stats, const VoteEvent& event) {
+  uint32_t& positive = positive_[event.item];
+  uint32_t& total = total_[event.item];
+  // With p and t the item's tallies before the vote, a dirty vote makes the
+  // item a majority iff 2p == t (a tie it breaks) and a clean one unmakes
+  // it iff 2p == t + 1 (a one-vote lead it erases), so the VOTING move is
+  // one compare for either vote.
+  const uint32_t clean = event.vote != Vote::kDirty;
+  const int64_t flip = 2u * positive == total + clean;
+  stats.majority += clean ? -flip : flip;
+  ++total;
+  if (!clean) {
+    const uint32_t from = positive++;
+    stats.nominal += from == 0;
+    PromoteInFingerprint(stats.positive_f, from);
+    ++stats.total_positive;
+  }
+  ++stats.num_events;
+  stats.task_bound =
+      std::max(stats.task_bound, static_cast<uint64_t>(event.task) + 1);
+  stats.worker_bound =
+      std::max(stats.worker_bound, static_cast<uint64_t>(event.worker) + 1);
+  if (retention_ == RetentionPolicy::kCounts) {
+    stats.counts.Add(event.worker, event.item, event.vote);
+  }
+}
+
+void ResponseLog::Append(const VoteEvent& event) {
+  // invariant: the ingest mode is chosen once, before the first vote.
+  DQM_CHECK(concurrent_ == nullptr)
+      << "Append is the serialized path; this log ingests through "
+         "AppendConcurrent";
+  // invariant: item ids were validated against num_items upstream.
+  DQM_CHECK_LT(event.item, positive_.size()) << "item id out of range";
+  CountVote(stats_, event);
+  if (retention_ == RetentionPolicy::kFullEvents) events_.push_back(event);
+}
+
 void ResponseLog::EnableConcurrentIngest(size_t num_stripes) {
   // invariant: striping is a construction-time wiring decision.
   DQM_CHECK(retention_ != RetentionPolicy::kFullEvents)
       << "concurrent ingest requires kCounts or kTallies retention (there "
          "is no ordered event history to keep)";
   // invariant: striping cannot be retrofitted onto a live log.
-  DQM_CHECK_EQ(num_events_, 0u)
+  DQM_CHECK_EQ(stats_.num_events, 0u)
       << "concurrent ingest must be enabled before any vote arrives";
   // invariant: EnableConcurrentIngest is called at most once.
   DQM_CHECK(concurrent_ == nullptr) << "concurrent ingest already enabled";
@@ -259,7 +265,7 @@ void ResponseLog::EnableConcurrentIngest(size_t num_stripes) {
   for (size_t s = 0; s < state->num_stripes; ++s) {
     Stripe& stripe = state->stripes[s];
     MutexLock lock(stripe.mutex);
-    stripe.positive_f.reserve(kFingerprintLineEntries);
+    stripe.stats.positive_f.reserve(kFingerprintLineEntries);
   }
   // Per-stripe lock counters, resolved once here so the reconcile-time fold
   // never takes the registry mutex per stripe stat. Stripe indices repeat
@@ -371,43 +377,21 @@ void ResponseLog::CommitToStripeLocked(Stripe& stripe,
                                        std::span<const VoteEvent> events,
                                        std::span<const uint32_t> indices,
                                        bool timed) {
-  const bool pair_counts = retention_ == RetentionPolicy::kCounts;
   ++stripe.lock_acquisitions;
   // Hold-time sampling: 1 in 64 acquisitions, so the steady-state commit
   // pays no clock reads for it.
   const bool sample_hold = timed && (stripe.lock_acquisitions & 63) == 0;
   const uint64_t hold_start = sample_hold ? telemetry::NowNanos() : 0;
   for (size_t k = 0; k < indices.size(); ++k) {
-    // Every vote reads both tally lines of its item (the VOTING compare
-    // below), and over a tally table larger than the cache each is a miss:
-    // fetch them kPrefetchVotes votes ahead so the misses overlap.
+    // Every vote reads both tally lines of its item (the VOTING compare),
+    // and over a tally table larger than the cache each is a miss: fetch
+    // them kPrefetchVotes votes ahead so the misses overlap.
     if (k + kPrefetchVotes < indices.size()) {
       const uint32_t ahead = events[indices[k + kPrefetchVotes]].item;
       __builtin_prefetch(&positive_[ahead], /*rw=*/1);
       __builtin_prefetch(&total_[ahead], /*rw=*/1);
     }
-    const VoteEvent& event = events[indices[k]];
-    // The cheap commit: flat counter increments, the fingerprint move of a
-    // dirty vote (its item goes from f_from to f_{from+1}) and the VOTING
-    // move. With p and t the item's tallies before the vote, a dirty vote
-    // makes the item a majority iff 2p == t (a tie it breaks) and a clean
-    // one unmakes it iff 2p == t + 1 (a one-vote lead it erases), so the
-    // move is one compare for either vote.
-    const uint32_t clean = event.vote != Vote::kDirty;
-    const int64_t flip =
-        2u * positive_[event.item] == total_[event.item] + clean;
-    stripe.majority += clean ? -flip : flip;
-    ++total_[event.item];
-    if (event.vote == Vote::kDirty) {
-      PromoteInFingerprint(stripe.positive_f, positive_[event.item]++);
-      ++stripe.total_positive;
-    }
-    ++stripe.num_events;
-    stripe.task_bound =
-        std::max(stripe.task_bound, static_cast<uint64_t>(event.task) + 1);
-    stripe.worker_bound = std::max(stripe.worker_bound,
-                                   static_cast<uint64_t>(event.worker) + 1);
-    if (pair_counts) stripe.counts.Add(event.worker, event.item, event.vote);
+    CountVote(stripe.stats, events[indices[k]]);
   }
   if (sample_hold) stripe.lock_hold_ns += telemetry::NowNanos() - hold_start;
 }
@@ -465,28 +449,30 @@ ResponseLog::IngestPause ResponseLog::PauseAndReconcile() {
 }
 
 void ResponseLog::ReconcileLocked() {
-  uint64_t events = 0;
-  uint64_t positive = 0;
-  int64_t majority = 0;
-  uint64_t task_bound = 0;
-  uint64_t worker_bound = 0;
+  // Stripes partition the items, so the stripe stats sum to the log's
+  // exactly: O(stripes x deepest pile), independent of items.
+  Fingerprint& f_sum = stats_.positive_f;
+  f_sum.clear();
+  stats_.num_events = stats_.total_positive = stats_.nominal = 0;
+  stats_.majority = 0;
+  stats_.task_bound = stats_.worker_bound = 0;
   uint64_t max_stripe_events = 0;
-  // Stripes partition the items, so the stripe fingerprints sum to the
-  // global one exactly: O(stripes x deepest pile), independent of items.
-  positive_fingerprint_.clear();
   for (size_t s = 0; s < concurrent_->num_stripes; ++s) {
     Stripe& stripe = concurrent_->stripes[s];
-    const auto& f = stripe.positive_f;
-    if (f.size() > positive_fingerprint_.size()) {
-      positive_fingerprint_.resize(f.size(), 0);
+    const VoteStats& part = stripe.stats;
+    if (part.positive_f.size() > f_sum.size()) {
+      f_sum.resize(part.positive_f.size(), 0);
     }
-    for (size_t j = 0; j < f.size(); ++j) positive_fingerprint_[j] += f[j];
-    events += stripe.num_events;
-    positive += stripe.total_positive;
-    majority += stripe.majority;
-    task_bound = std::max(task_bound, stripe.task_bound);
-    worker_bound = std::max(worker_bound, stripe.worker_bound);
-    max_stripe_events = std::max(max_stripe_events, stripe.num_events);
+    for (size_t j = 0; j < part.positive_f.size(); ++j) {
+      f_sum[j] += part.positive_f[j];
+    }
+    stats_.num_events += part.num_events;
+    stats_.total_positive += part.total_positive;
+    stats_.nominal += part.nominal;
+    stats_.majority += part.majority;
+    stats_.task_bound = std::max(stats_.task_bound, part.task_bound);
+    stats_.worker_bound = std::max(stats_.worker_bound, part.worker_bound);
+    max_stripe_events = std::max(max_stripe_events, part.num_events);
     // Fold the lock telemetry deltas into the registry while we hold every
     // stripe anyway — the commit hot path never touches an atomic for them.
     const StripeMetrics& m = concurrent_->stripe_metrics[s];
@@ -499,6 +485,7 @@ void ResponseLog::ReconcileLocked() {
     stripe.lock_wait_ns = 0;
     stripe.lock_hold_ns = 0;
   }
+  const uint64_t events = stats_.num_events;
   // Stripe imbalance: hottest stripe's share of a perfectly even spread
   // (1.0 = balanced, num_stripes = everything on one stripe). Last striped
   // log to reconcile wins the gauge — a process-wide "how skewed is ingest
@@ -511,18 +498,6 @@ void ResponseLog::ReconcileLocked() {
                         static_cast<double>(concurrent_->num_stripes);
     imbalance->Set(static_cast<double>(max_stripe_events) / mean);
   }
-  // NOMINAL = sum_{j>=1} f_j: every item with a dirty vote sits in exactly
-  // one fingerprint class.
-  uint64_t nominal = 0;
-  for (size_t j = 1; j < positive_fingerprint_.size(); ++j) {
-    nominal += positive_fingerprint_[j];
-  }
-  num_events_ = events;
-  total_positive_ = positive;
-  nominal_count_ = static_cast<size_t>(nominal);
-  majority_count_ = static_cast<size_t>(majority);
-  num_tasks_ = task_bound;
-  num_workers_ = worker_bound;
   if (kAuditEveryReconcile || events >= next_audit_events_) {
     AuditTallies();
     next_audit_events_ = events + std::max<size_t>(num_items(), 1);
@@ -534,14 +509,17 @@ void ResponseLog::AuditTallies() const {
   // invariant: the tally columns must agree with the kept totals (the
   // stripe sums on the striped path); a mismatch means a committer raced
   // the pause guard.
-  DQM_CHECK_EQ(scan.total_votes, num_events_) << "tally audit: vote total";
-  DQM_CHECK_EQ(scan.positive_votes, total_positive_)
+  DQM_CHECK_EQ(scan.total_votes, stats_.num_events)
+      << "tally audit: vote total";
+  // invariant: as above, for the dirty-vote total.
+  DQM_CHECK_EQ(scan.positive_votes, stats_.total_positive)
       << "tally audit: dirty-vote total";
   uint64_t species = 0;
   uint64_t observations = 0;
-  for (size_t j = 1; j < positive_fingerprint_.size(); ++j) {
-    species += positive_fingerprint_[j];
-    observations += j * positive_fingerprint_[j];
+  const Fingerprint& f = stats_.positive_f;
+  for (size_t j = 1; j < f.size(); ++j) {
+    species += f[j];
+    observations += j * f[j];
   }
   // invariant: the commit-time fingerprint moves mirror the tally increments
   // under the same stripe lock; a mismatch means one of them lost a vote.
@@ -549,8 +527,9 @@ void ResponseLog::AuditTallies() const {
   // invariant: as above — sum_j j * f_j counts every dirty vote once.
   DQM_CHECK_EQ(observations, scan.positive_votes) << "tally audit: fingerprint";
   // invariant: NOMINAL and VOTING are kept at commit from the same tallies.
-  DQM_CHECK_EQ(nominal_count_, scan.nominal_count) << "tally audit: NOMINAL";
-  DQM_CHECK_EQ(majority_count_, scan.majority_count) << "tally audit: VOTING";
+  DQM_CHECK_EQ(stats_.nominal, scan.nominal_count) << "tally audit: NOMINAL";
+  DQM_CHECK_EQ(stats_.majority, static_cast<int64_t>(scan.majority_count))
+      << "tally audit: VOTING";
 }
 
 }  // namespace dqm::crowd

@@ -101,33 +101,35 @@ TallyScanResult ScanTallies(std::span<const uint32_t> positive,
 /// per-item tallies, the NOMINAL / VOTING counts, n^+ and the positive-vote
 /// fingerprint f_j are maintained incrementally, so appending an event is
 /// O(1) and estimators can be evaluated after every task without rescanning.
+/// Both commit paths run the same per-vote update (CountVote) over a
+/// VoteStats record: the whole log's on the serialized path, one stripe's
+/// on the striped path. It bumps the item's flat tally counters, moves the
+/// item from f_j to f_{j+1} on a dirty vote (counting the item into NOMINAL
+/// when j == 0), moves VOTING with one branch-free compare of the item's
+/// tallies before the vote, raises the task / worker bounds and, under
+/// kCounts, folds the vote into the pair matrix.
 ///
 /// ## Concurrent ingest (the striped commit path)
 ///
 /// A kCounts or kTallies log can additionally be switched into *concurrent
 /// ingest* mode (EnableConcurrentIngest): the item universe is partitioned
-/// into cache-line-aligned stripes, each with its own lock, per-stripe event
-/// / positive counters, and (under kCounts) its own CompactedVoteStore
-/// shard. `AppendConcurrent` then commits batches from any number of
-/// producer threads at once — a commit touches only the stripes its items
-/// map to, and does nothing but bump flat tally counters, the stripe's
-/// positive-vote fingerprint (one dirty vote moves its item from f_j to
-/// f_{j+1}) and the stripe's VOTING count (a branch-free compare of the
-/// item's tallies before the vote), so N producers scale until the stripes
-/// saturate. Vote totals and task/worker bounds are per stripe too.
+/// into cache-line-aligned stripes, each with its own lock and its own
+/// VoteStats (under kCounts including its CompactedVoteStore shard).
+/// `AppendConcurrent` then commits batches from any number of producer
+/// threads at once — a commit touches only the stripes its items map to —
+/// so N producers scale until the stripes saturate.
 ///
-/// `PauseAndReconcile` blocks committers and folds the stripes: it sums the
-/// counters, the VOTING counts and the fingerprints (stripes partition the
-/// items, so each sum is exact), and reads NOMINAL off the fingerprint as
-/// sum_{j>=1} f_j. A publish therefore costs O(stripes x deepest pile),
-/// independent of num_items. The O(num_items) tally scan (ScanTallies)
-/// survives as an audit of every reconciled count (AuditTallies); it runs
-/// at a log's first reconcile, then once at least num_items() votes were
-/// committed since the last audit (at most one item read per committed
-/// vote), on every checkpoint cut (CheckpointFromLog), and at every
-/// reconcile in builds with DQM_DCHECK live. The counts are cumulative, so
-/// a tally and a stripe count that diverge never agree again: a committer
-/// racing the pause guard still aborts, within num_items() committed votes.
+/// `PauseAndReconcile` blocks committers and sums the stripe VoteStats into
+/// the log's (stripes partition the items, so every sum is exact). A publish
+/// therefore costs O(stripes x deepest pile), independent of num_items. The
+/// O(num_items) tally scan (ScanTallies) survives as an audit of every
+/// reconciled count (AuditTallies); it runs at a log's first reconcile, then
+/// once at least num_items() votes were committed since the last audit (at
+/// most one item read per committed vote), on every checkpoint cut
+/// (CheckpointFromLog), and at every reconcile in builds with DQM_DCHECK
+/// live. The counts are cumulative, so a tally and a stripe count that
+/// diverge never agree again: a committer racing the pause guard still
+/// aborts, within num_items() committed votes.
 ///
 /// Read accessors reflect the most recent reconcile and may only race-free
 /// be called while the returned pause guard is held (or while no committer
@@ -142,13 +144,13 @@ class ResponseLog {
                        RetentionPolicy retention = RetentionPolicy::kFullEvents);
 
   size_t num_items() const { return positive_.size(); }
-  size_t num_events() const { return num_events_; }
+  size_t num_events() const { return stats_.num_events; }
 
   RetentionPolicy retention() const { return retention_; }
 
   /// Number of distinct tasks / workers seen so far (max id + 1).
-  size_t num_tasks() const { return num_tasks_; }
-  size_t num_workers() const { return num_workers_; }
+  size_t num_tasks() const { return stats_.task_bound; }
+  size_t num_workers() const { return stats_.worker_bound; }
 
   /// Appends one vote. `event.item` must be < num_items(). Serialized-path
   /// only: aborts once concurrent ingest is enabled (use AppendConcurrent).
@@ -165,7 +167,7 @@ class ResponseLog {
   /// AppendCountMatrixBlocks instead).
   const CompactedVoteStore* compacted() const {
     return retention_ == RetentionPolicy::kCounts && concurrent_ == nullptr
-               ? &compacted_
+               ? &stats_.counts
                : nullptr;
   }
 
@@ -188,9 +190,9 @@ class ResponseLog {
   std::span<const uint32_t> positive_counts() const { return positive_; }
   std::span<const uint32_t> total_counts() const { return total_; }
   /// n^+ — total positive votes across items.
-  uint64_t total_positive_votes() const { return total_positive_; }
+  uint64_t total_positive_votes() const { return stats_.total_positive; }
   /// Total votes across items.
-  uint64_t total_votes_all() const { return num_events_; }
+  uint64_t total_votes_all() const { return stats_.num_events; }
 
   /// The positive-vote fingerprint: entry j is f_j, the number of items with
   /// exactly j dirty votes (entry 0 is always 0; empty before the first
@@ -198,7 +200,7 @@ class ResponseLog {
   /// in concurrent ingest mode as the sum of the per-stripe histograms as of
   /// the most recent reconcile — so reading it costs nothing per item.
   std::span<const uint64_t> positive_fingerprint() const {
-    return positive_fingerprint_;
+    return stats_.positive_f;
   }
 
   /// Majority label of `item`: dirty iff n_i^+ > n_i / 2 (strictly more
@@ -221,11 +223,13 @@ class ResponseLog {
   size_t RetainedBytes() const;
 
   /// NOMINAL(I): items with at least one dirty vote (Section 2.2.1).
-  size_t NominalCount() const { return nominal_count_; }
+  size_t NominalCount() const { return stats_.nominal; }
 
   /// VOTING(I) = c_majority: items whose majority label is dirty
   /// (Section 2.2.2).
-  size_t MajorityCount() const { return majority_count_; }
+  size_t MajorityCount() const {
+    return static_cast<size_t>(stats_.majority);
+  }
 
   // --- Concurrent ingest -------------------------------------------------
 
@@ -297,10 +301,37 @@ class ResponseLog {
   /// votes), cache-line allocated so a stripe's copy never false-shares.
   using Fingerprint = std::vector<uint64_t, CacheAlignedAllocator<uint64_t>>;
 
+  /// The vote statistics both commit paths keep at commit: the whole log's
+  /// (serialized), or one stripe's (striped; ReconcileLocked sums them).
+  struct VoteStats {
+    /// The pair-count matrix (or this stripe's shard of it); empty unless
+    /// kCounts.
+    CompactedVoteStore counts;
+    /// Positive-vote fingerprint (entry j = #items with exactly j dirty
+    /// votes). A stripe's is cache-line allocated in whole lines, so
+    /// neighboring committers never false-share it.
+    Fingerprint positive_f;
+    uint64_t num_events = 0;
+    uint64_t total_positive = 0;
+    /// NOMINAL: #items with at least one dirty vote.
+    uint64_t nominal = 0;
+    /// VOTING (#items with 2 * positive > total): a vote adds or subtracts
+    /// one when it flips its item.
+    int64_t majority = 0;
+    /// max task id + 1
+    uint64_t task_bound = 0;
+    /// max worker id + 1
+    uint64_t worker_bound = 0;
+  };
+
   /// Moves an item with `from` dirty votes to `from + 1` in `f`: f_from to
-  /// f_{from+1}. The one fingerprint update of both commit paths; requires
-  /// f_from > 0 for from >= 1 (checked in every build).
+  /// f_{from+1}. Requires f_from > 0 for from >= 1 (checked in every build).
   static void PromoteInFingerprint(Fingerprint& f, uint32_t from);
+
+  /// The per-vote statistics update of both commit paths: the item's
+  /// tallies plus `stats` (see the class comment). The caller owns `stats`
+  /// and the item's tally lines (the stripe lock on the striped path).
+  inline void CountVote(VoteStats& stats, const VoteEvent& event);
 
   /// Per-stripe mutable ingest state, aligned so two producers committing
   /// into neighboring stripes never bounce a cache line between cores (the
@@ -310,21 +341,8 @@ class ResponseLog {
     /// kStripe rank: stripes nest inside the session mutex (publish) and
     /// under each other only in ascending address order (LockAllStripes).
     Mutex mutex{LockRank::kStripe, "response-log-stripe"};
-    CompactedVoteStore counts
-        DQM_GUARDED_BY(mutex);  // shard; empty unless kCounts
-    /// Positive-vote fingerprint of this stripe's items (entry j = #items
-    /// with exactly j dirty votes), kept at commit. Cache-line allocated in
-    /// whole lines, so neighboring committers never false-share it.
-    Fingerprint positive_f DQM_GUARDED_BY(mutex);
-    uint64_t num_events DQM_GUARDED_BY(mutex) = 0;
-    uint64_t total_positive DQM_GUARDED_BY(mutex) = 0;
-    /// VOTING over this stripe's items (#items with 2 * positive > total),
-    /// kept at commit: a vote adds or subtracts one when it flips its item.
-    int64_t majority DQM_GUARDED_BY(mutex) = 0;
-    /// max task id + 1 committed to this stripe
-    uint64_t task_bound DQM_GUARDED_BY(mutex) = 0;
-    /// max worker id + 1
-    uint64_t worker_bound DQM_GUARDED_BY(mutex) = 0;
+    /// This stripe's items' statistics, kept at commit.
+    VoteStats stats DQM_GUARDED_BY(mutex);
     // Lock telemetry, guarded by `mutex` like everything else in the stripe
     // (plain fields — the commit hot path pays no extra atomics for them).
     // Deltas since the last reconcile; ReconcileLocked folds them into the
@@ -365,8 +383,8 @@ class ResponseLog {
   // (same-rank locks must be taken in ascending address order).
   void LockAllStripes() DQM_NO_THREAD_SAFETY_ANALYSIS;
   void UnlockAllStripes() DQM_NO_THREAD_SAFETY_ANALYSIS;
-  /// Folds stripe counters into the canonical fields; caller holds every
-  /// stripe lock (via LockAllStripes).
+  /// Sums the stripe VoteStats into stats_; caller holds every stripe lock
+  /// (via LockAllStripes).
   void ReconcileLocked() DQM_NO_THREAD_SAFETY_ANALYSIS;
 
   /// Per-item tally column whose base address starts on a cache line: the
@@ -377,21 +395,15 @@ class ResponseLog {
 
   RetentionPolicy retention_;
   std::vector<VoteEvent> events_;    // kFullEvents only
-  CompactedVoteStore compacted_;     // kCounts, serialized mode only
   TallyColumn positive_;
   TallyColumn total_;
-  uint64_t num_events_ = 0;
-  uint64_t total_positive_ = 0;
-  /// Kept by Append serialized; in concurrent ingest mode the summed stripe
-  /// fingerprints, written only by ReconcileLocked.
-  Fingerprint positive_fingerprint_;
-  size_t nominal_count_ = 0;
-  size_t majority_count_ = 0;
+  /// Kept by Append serialized; in concurrent ingest mode the sum of the
+  /// stripe stats (`counts` then stays empty: the matrix lives in the stripe
+  /// shards), written only by ReconcileLocked.
+  VoteStats stats_;
   /// Concurrent ingest: the reconcile at or past this many committed votes
   /// audits the tallies (0, so the first reconcile always does).
   uint64_t next_audit_events_ = 0;
-  size_t num_tasks_ = 0;
-  size_t num_workers_ = 0;
   /// Heap-held so the log stays movable (a mutex is not).
   std::unique_ptr<ConcurrentState> concurrent_;
 };

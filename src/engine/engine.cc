@@ -67,6 +67,23 @@ Result<std::unique_ptr<SessionDurability>> CreateSessionDurability(
 
 }  // namespace
 
+Result<SessionOptions> SessionOptionsFromManifest(
+    const SessionManifest& manifest, const std::string& durability_root) {
+  DQM_ASSIGN_OR_RETURN(SessionOptions options,
+                       ParsePublishCadenceSpec(manifest.cadence));
+  options.publish_every_votes = manifest.publish_every_votes;
+  // 0 in the manifest means the serialized path was resolved at create
+  // time; 1 pins it (0 in SessionOptions would re-run auto-resolution).
+  options.ingest_stripes =
+      manifest.ingest_stripes == 0 ? 1 : manifest.ingest_stripes;
+  options.durability_dir = durability_root;
+  options.wal_group_commit_votes = manifest.wal_group_commit_votes;
+  options.wal_group_commit_ms = manifest.wal_group_commit_ms;
+  options.checkpoint_every_votes = manifest.checkpoint_every_votes;
+  options.durability_failure_policy = manifest.failure_policy;
+  return options;
+}
+
 DqmEngine::DqmEngine(const Options& options)
     : num_shards_(options.num_shards),
       shards_(std::make_unique<Shard[]>(options.num_shards)) {
@@ -155,18 +172,7 @@ Result<DqmEngine::RecoveredSession> DqmEngine::RecoverSessionDir(
     const std::string& dir, const std::string& root,
     SessionManifest manifest) {
   DQM_ASSIGN_OR_RETURN(SessionOptions options,
-                       ParsePublishCadenceSpec(manifest.cadence));
-  options.publish_every_votes = manifest.publish_every_votes;
-  // 0 in the manifest means the serialized path was resolved at create
-  // time; 1 pins it (0 in SessionOptions would re-run auto-resolution).
-  options.ingest_stripes = manifest.ingest_stripes == 0
-                               ? 1
-                               : manifest.ingest_stripes;
-  options.durability_dir = root;
-  options.wal_group_commit_votes = manifest.wal_group_commit_votes;
-  options.wal_group_commit_ms = manifest.wal_group_commit_ms;
-  options.checkpoint_every_votes = manifest.checkpoint_every_votes;
-  options.durability_failure_policy = manifest.failure_policy;
+                       SessionOptionsFromManifest(manifest, root));
   DQM_RETURN_NOT_OK(PrecheckName(manifest.name));
   DQM_ASSIGN_OR_RETURN(
       core::DataQualityMetric metric,

@@ -19,6 +19,14 @@
 
 namespace dqm::engine {
 
+/// The SessionOptions of the session `manifest` records, rebuilt to serve
+/// under `durability_root` ("" = in memory) — what recovery and a standby
+/// open. The recorded (resolved) stripe count is pinned, its 0 (the
+/// serialized path) as 1, so the layout is the same on any machine.
+/// InvalidArgument when the recorded cadence does not parse.
+Result<SessionOptions> SessionOptionsFromManifest(
+    const SessionManifest& manifest, const std::string& durability_root);
+
 /// Concurrent registry of named estimation sessions — the serving layer for
 /// monitoring many datasets at once.
 ///

@@ -308,11 +308,18 @@ Status SessionReplicator::ShipLocked(
   }
   stats_.shipped_generation = shipped_generation_;
   stats_.shipped_votes = shipped_votes_;
-  // Unshipped durable bytes — 0 the moment shipping caught up.
-  lag_bytes_->Set(event.generation == shipped_generation_ &&
-                          event.durable_size > shipped_offset_
-                      ? static_cast<double>(event.durable_size -
-                                            shipped_offset_)
+  // Unshipped durable bytes — 0 the moment shipping caught up. While the
+  // checkpoint of a newer generation has not shipped, none of that
+  // generation's records have either; an event of a generation a newer
+  // checkpoint already superseded has nothing left to ship.
+  uint64_t shipped_to = shipped_offset_;
+  if (event.generation > shipped_generation_) {
+    shipped_to = crowd::kWalHeaderBytes;
+  } else if (event.generation < shipped_generation_) {
+    shipped_to = event.durable_size;
+  }
+  lag_bytes_->Set(event.durable_size > shipped_to
+                      ? static_cast<double>(event.durable_size - shipped_to)
                       : 0.0);
   return status;
 }
@@ -409,10 +416,11 @@ void SessionReplicator::GarbageCollectLocked() {
 
 StandbyApplier::StandbyApplier(DqmEngine& engine,
                                std::shared_ptr<ReplicationTransport> transport,
-                               Options options, SessionManifest manifest)
+                               SessionOptions session_options,
+                               SessionManifest manifest)
     : engine_(engine),
       transport_(std::move(transport)),
-      options_(std::move(options)),
+      session_options_(std::move(session_options)),
       manifest_(std::move(manifest)),
       lag_votes_(telemetry::MetricsRegistry::Global().AcquireGauge(
           telemetry::metric_names::kReplicaLagVotes,
@@ -444,29 +452,18 @@ Result<std::unique_ptr<StandbyApplier>> StandbyApplier::Open(
         "rebuilt on a standby",
         manifest.name.c_str()));
   }
-  std::unique_ptr<StandbyApplier> applier(new StandbyApplier(
-      engine, std::move(transport), options, std::move(manifest)));
+  // The primary's serving configuration, or an error: a standby that
+  // silently served another cadence would not be the primary's replica.
+  DQM_ASSIGN_OR_RETURN(
+      SessionOptions session_options,
+      SessionOptionsFromManifest(manifest, options.durability_dir));
+  std::unique_ptr<StandbyApplier> applier(
+      new StandbyApplier(engine, std::move(transport),
+                         std::move(session_options), std::move(manifest)));
   // First Poll opens the warm session (from the best shipped checkpoint or
   // from scratch) and applies everything already shipped.
   DQM_RETURN_NOT_OK(applier->Poll());
   return applier;
-}
-
-SessionOptions StandbyApplier::BuildSessionOptions() const {
-  SessionOptions options;
-  Result<SessionOptions> parsed = ParsePublishCadenceSpec(manifest_.cadence);
-  if (parsed.ok()) options = parsed.value();
-  options.publish_every_votes = manifest_.publish_every_votes;
-  // Pin the primary's RESOLVED stripe layout (0 = serialized path → 1;
-  // 0 in SessionOptions would re-run auto-resolution on this machine).
-  options.ingest_stripes =
-      manifest_.ingest_stripes == 0 ? 1 : manifest_.ingest_stripes;
-  options.durability_dir = options_.durability_dir;
-  options.wal_group_commit_votes = manifest_.wal_group_commit_votes;
-  options.wal_group_commit_ms = manifest_.wal_group_commit_ms;
-  options.checkpoint_every_votes = manifest_.checkpoint_every_votes;
-  options.durability_failure_policy = manifest_.failure_policy;
-  return options;
 }
 
 Status StandbyApplier::ResyncFromCheckpoint(uint64_t generation,
@@ -476,20 +473,20 @@ Status StandbyApplier::ResyncFromCheckpoint(uint64_t generation,
     (void)engine_.CloseSession(manifest_.name);
     session_.reset();
   }
-  if (!options_.durability_dir.empty()) {
+  if (!session_options_.durability_dir.empty()) {
     // Standby state is entirely derived from the transport, so the local
     // session directory is disposable — wipe it rather than trip
     // OpenSession's already-holds-state guard.
     std::error_code ec;
     fs::remove_all(
-        options_.durability_dir + "/" + PercentEncode(manifest_.name), ec);
+        session_options_.durability_dir + "/" + PercentEncode(manifest_.name),
+        ec);
   }
   DQM_ASSIGN_OR_RETURN(
       std::shared_ptr<EstimationSession> session,
       engine_.OpenSession(
           manifest_.name, manifest_.num_items,
-          std::span<const std::string>(manifest_.specs),
-          BuildSessionOptions()));
+          std::span<const std::string>(manifest_.specs), session_options_));
   session_ = std::move(session);
   applied_votes_ = 0;
   if (!ckpt.empty()) {

@@ -267,9 +267,10 @@ class StandbyApplier {
   };
 
   /// Fetches the manifest artifact, rebuilds the primary's serving
-  /// configuration (specs, cadence, stripe pinning), and opens the warm
+  /// configuration (SessionOptionsFromManifest), and opens the warm
   /// session under the primary's name. Fails if no manifest was shipped
-  /// yet or the name is already taken on `engine`.
+  /// yet, its configuration does not parse (InvalidArgument), or the name
+  /// is already taken on `engine`.
   static Result<std::unique_ptr<StandbyApplier>> Open(
       DqmEngine& engine, std::shared_ptr<ReplicationTransport> transport,
       const Options& options = Options());
@@ -311,11 +312,7 @@ class StandbyApplier {
  private:
   StandbyApplier(DqmEngine& engine,
                  std::shared_ptr<ReplicationTransport> transport,
-                 Options options, SessionManifest manifest);
-
-  /// Builds the SessionOptions a recovered/standby session runs with
-  /// (mirrors DqmEngine recovery: manifest stripes are pinned, 0 -> 1).
-  SessionOptions BuildSessionOptions() const;
+                 SessionOptions session_options, SessionManifest manifest);
 
   /// Closes + reopens the warm session from checkpoint artifact bytes
   /// (empty `ckpt` = from scratch at generation `generation`).
@@ -331,7 +328,9 @@ class StandbyApplier {
 
   DqmEngine& engine_;
   const std::shared_ptr<ReplicationTransport> transport_;
-  const Options options_;
+  /// What the warm session opens with: the manifest's serving
+  /// configuration under Options::durability_dir.
+  const SessionOptions session_options_;
   SessionManifest manifest_;
   std::shared_ptr<EstimationSession> session_;
   /// dqm_replica_lag_votes{session=...}, held for the applier's lifetime.

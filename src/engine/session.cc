@@ -263,6 +263,16 @@ size_t DefaultStripeCount() {
   return std::clamp<size_t>(ThreadPool::DefaultThreadCount(), 2, 8);
 }
 
+/// True when a batch of `batch` votes that brought the committed total to
+/// `after` crossed a multiple of `every` (clamped to >= 1): the schedule of
+/// kEveryNVotes publishes and of checkpoints. The committer whose batch
+/// crosses pays; a pure function of the committed total, so striped and
+/// serialized sessions trigger at identical points for identical input.
+bool CrossesMultiple(uint64_t after, uint64_t batch, uint64_t every) {
+  const uint64_t n = std::max<uint64_t>(every, 1);
+  return (after - batch) / n != after / n;
+}
+
 /// The InvalidArgument for a batch that fails crowd::VotesInBounds, naming
 /// its first offending vote — built only once the batch is being rejected,
 /// so the commit path pays one branch-free pass.
@@ -367,84 +377,41 @@ Status EstimationSession::AddVotes(std::span<const crowd::VoteEvent> votes) {
   }
   if (votes.empty()) return Status::OK();
 
-  // Shared cadence rule for both commit paths: under kEveryNVotes the
-  // committer whose batch crosses a multiple-of-N boundary of the total
-  // committed count publishes. A pure function of the committed total, so
-  // striped and serialized sessions publish at identical points for
-  // identical input.
-  auto crosses_boundary = [this](uint64_t after, uint64_t batch) {
-    uint64_t n = std::max<uint64_t>(options_.publish_every_votes, 1);
-    return (after - batch) / n != after / n;
-  };
-
   SessionMetrics& tm = Metrics();
   const bool timed = telemetry::Enabled();
-
-  if (striped_) {
-    // Write-ahead first: the batch is in the WAL (buffer or disk, per the
-    // group-commit cadence) before a single vote is applied, so the log on
-    // disk is always a superset of the applied state. A WAL failure rejects
-    // the batch here. The WAL mutex is taken WITHOUT the session mutex on
-    // this path — the checkpoint quiesce drains the append->apply window
-    // via the in-flight count instead (NoteApplied below).
-    if (durability_ != nullptr) {
-      Status logged = durability_->AppendBatch(votes);
-      if (!logged.ok()) return logged;
-    }
-    // The cheap commit: stripe-local tally increments only, no session
-    // mutex — N producers commit into this session concurrently, bounded
-    // by stripe collisions rather than lock hand-off latency.
-    const uint64_t commit_start = timed ? telemetry::NowNanos() : 0;
-    metric_.CommitVotesConcurrent(votes);
-    if (durability_ != nullptr) durability_->NoteApplied();
-    uint64_t after = committed_votes_.fetch_add(votes.size(),
-                                                std::memory_order_relaxed) +
-                     votes.size();
-    tm.batches->Increment();
-    tm.votes->Add(votes.size());
-    tm.batch_votes->Record(votes.size());
-    if (timed) {
-      const uint64_t commit_end = telemetry::NowNanos();
-      tm.commit_ns->Record(commit_end - commit_start);
-      flight_.Record(telemetry::SpanKind::kCommit, commit_start, commit_end,
-                     votes.size());
-    }
-    switch (options_.cadence) {
-      case PublishCadence::kEveryBatch:
-        Publish();
-        break;
-      case PublishCadence::kEveryNVotes:
-        if (crosses_boundary(after, votes.size())) {
-          Publish();
-        } else {
-          tm.deferred->Increment();
-        }
-        break;
-      case PublishCadence::kManual:
-        tm.deferred->Increment();
-        break;
-    }
-    if (checkpointable_) MaybeCheckpoint(after, votes.size());
-    return Status::OK();
-  }
-
-  MutexLock lock(mutex_);
-  // Serialized path: append under the session mutex (session -> WAL nests
-  // in rank order), so during a checkpoint — which holds the session mutex
-  // — there is never an appended-but-unapplied batch to wait for.
-  if (durability_ != nullptr) {
-    Status logged = durability_->AppendBatch(votes);
-    if (!logged.ok()) return logged;
-  }
+  // The commit span is end to end: WAL append (with the fsync and ship a
+  // group-commit boundary runs inside it) plus the apply.
   const uint64_t commit_start = timed ? telemetry::NowNanos() : 0;
-  for (const crowd::VoteEvent& event : votes) {
-    metric_.AddVote(event.task, event.worker, event.item,
-                    event.vote == crowd::Vote::kDirty);
+  // Write-ahead first: the batch is in the WAL (buffer or disk, per the
+  // group-commit cadence) before a single vote is applied, so the log on
+  // disk is always a superset of the applied state. A WAL failure rejects
+  // the batch here.
+  auto log_and_apply = [&]() -> Status {
+    if (durability_ != nullptr) {
+      DQM_RETURN_NOT_OK(durability_->AppendBatch(votes));
+    }
+    metric_.CommitVotes(votes);
+    if (durability_ != nullptr) durability_->NoteApplied();
+    return Status::OK();
+  };
+  Status committed;
+  if (striped_) {
+    // Stripe-local commits take no session mutex: N producers commit into
+    // this session concurrently, bounded by stripe collisions rather than
+    // lock hand-off latency. The checkpoint quiesce drains their
+    // append->apply window through the WAL's in-flight count (NoteApplied).
+    committed = log_and_apply();
+  } else {
+    // The order-sensitive apply runs under the session mutex, and the WAL
+    // append with it (session -> WAL nests in rank order), so a checkpoint,
+    // which holds the session mutex, never waits on a serialized batch.
+    MutexLock lock(mutex_);
+    committed = log_and_apply();
   }
-  if (durability_ != nullptr) durability_->NoteApplied();
-  uint64_t after = committed_votes_.fetch_add(votes.size(),
-                                              std::memory_order_relaxed) +
-                   votes.size();
+  if (!committed.ok()) return committed;
+  const uint64_t after =
+      committed_votes_.fetch_add(votes.size(), std::memory_order_relaxed) +
+      votes.size();
   tm.batches->Increment();
   tm.votes->Add(votes.size());
   tm.batch_votes->Record(votes.size());
@@ -456,11 +423,11 @@ Status EstimationSession::AddVotes(std::span<const crowd::VoteEvent> votes) {
   }
   switch (options_.cadence) {
     case PublishCadence::kEveryBatch:
-      PublishInternalLocked();
+      Publish();
       break;
     case PublishCadence::kEveryNVotes:
-      if (crosses_boundary(after, votes.size())) {
-        PublishInternalLocked();
+      if (CrossesMultiple(after, votes.size(), options_.publish_every_votes)) {
+        Publish();
       } else {
         tm.deferred->Increment();
       }
@@ -469,22 +436,13 @@ Status EstimationSession::AddVotes(std::span<const crowd::VoteEvent> votes) {
       tm.deferred->Increment();
       break;
   }
-  if (checkpointable_) {
-    const uint64_t n =
-        std::max<uint64_t>(options_.checkpoint_every_votes, 1);
-    if ((after - votes.size()) / n != after / n) CheckpointLocked();
-  }
+  if (checkpointable_) MaybeCheckpoint(after, votes.size());
   return Status::OK();
 }
 
 void EstimationSession::MaybeCheckpoint(uint64_t after, uint64_t batch) {
-  const uint64_t n = std::max<uint64_t>(options_.checkpoint_every_votes, 1);
-  if ((after - batch) / n == after / n) return;
+  if (!CrossesMultiple(after, batch, options_.checkpoint_every_votes)) return;
   MutexLock lock(mutex_);
-  CheckpointLocked();
-}
-
-void EstimationSession::CheckpointLocked() {
   Status status = durability_->CommitCheckpoint(
       [this](uint64_t generation) -> Result<crowd::CheckpointData> {
         // Cut the snapshot with committers paused: the WAL quiesce already
@@ -507,25 +465,20 @@ void EstimationSession::CheckpointLocked() {
 
 void EstimationSession::Publish() {
   MutexLock lock(mutex_);
-  PublishInternalLocked();
-}
-
-void EstimationSession::PublishInternalLocked() {
   const bool timed = telemetry::Enabled();
   const uint64_t publish_start = timed ? telemetry::NowNanos() : 0;
-  if (striped_) {
-    // Pause committers for the reconcile + report window: estimators read
-    // the shared log directly, so the cut must hold still while the
-    // pipeline runs. Committers blocked here resume the moment the pause
-    // guard drops. (The pause/fold phase histograms are recorded inside
-    // PauseAndReconcile, where the phases live.)
+  {
+    // Pause striped committers for the reconcile + report window:
+    // estimators read the shared log directly, so the cut must hold still
+    // while the pipeline runs (serialized committers are held off by
+    // mutex_; their pause guard is empty). Committers blocked here resume
+    // the moment the guard drops. (The pause/fold phase histograms are
+    // recorded inside PauseAndReconcile, where the phases live.)
     crowd::ResponseLog::IngestPause pause = metric_.ReconcileForEstimates();
-    if (timed) {
+    if (timed && striped_) {
       flight_.Record(telemetry::SpanKind::kReconcile, publish_start,
                      telemetry::NowNanos(), metric_.num_votes());
     }
-    PublishLocked();
-  } else {
     PublishLocked();
   }
   if (timed) {
@@ -592,19 +545,12 @@ EstimationSession::RecoverFromDurability() {
     // the inversion of the session -> WAL edge the commit/checkpoint paths
     // establish. Instead hold mutex_ across the whole Recover call: same
     // ascending edge, and it gives the serialized replay the exact
-    // exclusion the serialized commit path has. The striped branch only
-    // takes per-stripe locks (rank 300), still ascending.
+    // exclusion the serialized commit path has. A striped commit only takes
+    // per-stripe locks (rank 300), still ascending.
     MutexLock lock(mutex_);
     auto restore =
         [this](std::span<const crowd::VoteEvent> votes) -> Status {
-      if (striped_) {
-        metric_.CommitVotesConcurrent(votes);
-      } else {
-        for (const crowd::VoteEvent& event : votes) {
-          metric_.AddVote(event.task, event.worker, event.item,
-                          event.vote == crowd::Vote::kDirty);
-        }
-      }
+      metric_.CommitVotes(votes);
       committed_votes_.fetch_add(votes.size(), std::memory_order_relaxed);
       return Status::OK();
     };

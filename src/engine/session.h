@@ -136,15 +136,17 @@ struct SessionOptions {
   PublishCadence cadence = PublishCadence::kEveryBatch;
   /// Threshold for PublishCadence::kEveryNVotes (clamped to >= 1).
   uint64_t publish_every_votes = 4096;
-  /// Ingest-stripe request. 0 = auto: hardware-scaled striping whenever the
-  /// estimator panel is producer-order independent AND the cadence is
-  /// coalesced (kEveryNVotes / kManual) — under the default kEveryBatch a
-  /// striped publish would pay an O(num_items) reconcile per batch where
-  /// the serialized path pays O(batch), so auto never pessimizes the
-  /// historical configuration. 1 = force the serialized commit path.
-  /// k >= 2 = ask for k stripes under any cadence (clamped to the item
-  /// universe). Panels containing an order-sensitive estimator (SWITCH)
-  /// fall back to the serialized path regardless.
+  /// Ingest-stripe request, choosing between the two locking modes of the
+  /// one commit sequence (see EstimationSession, "Commit paths"). 0 = auto:
+  /// hardware-scaled striping whenever the estimator panel is
+  /// producer-order independent AND the cadence is coalesced
+  /// (kEveryNVotes / kManual) — under the default kEveryBatch a single
+  /// producer gains nothing from stripes, while a striped publish per batch
+  /// locks every stripe, so auto keeps the historical configuration
+  /// serialized. 1 = not striped: the serialized mode. k >= 2 = ask for k
+  /// stripes under any cadence (clamped to the item universe). Panels
+  /// containing an order-sensitive estimator (SWITCH) stay serialized
+  /// regardless.
   size_t ingest_stripes = 0;
   /// Root directory for durable sessions ("" = in-memory only, the
   /// historical behavior). Each session gets its own subdirectory
@@ -205,22 +207,34 @@ class SessionDurability;
 ///
 /// ## Commit paths
 ///
+/// `AddVotes` is one sequence on every session: validate, then WAL append
+/// + `core::DataQualityMetric::CommitVotes` + WAL NoteApplied, then the
+/// commit counters and span, the publish cadence, and the checkpoint
+/// schedule. The two paths differ only in whether the session mutex is
+/// held around the middle step.
+///
 /// *Striped* (producer-order-independent panels — every estimator reads
 /// only the vote statistics of the pipeline's log: CHAO92 family, VOTING,
-/// NOMINAL, EM-VOTING): `AddVotes` commits tallies into
-/// per-item-range stripes of the shared log, each with its own lock, so N
-/// producers ingest into ONE session concurrently; the publish path pauses
-/// committers, reconciles, runs the estimator pipeline, and stores the
-/// seqlock snapshot. Tallies/counts are bit-identical to any serialized
-/// feed of the same votes; EM estimates agree within their declared
-/// tolerance (float summation order follows the stripe layout).
+/// NOMINAL, EM-VOTING): the mutex is not taken; `CommitVotes` commits
+/// tallies into per-item-range stripes of the shared log, each with its
+/// own lock, so N producers ingest into ONE session concurrently. The
+/// publish path pauses committers, reconciles, runs the estimator
+/// pipeline, and stores the seqlock snapshot. Tallies/counts are
+/// bit-identical to any serialized feed of the same votes; EM estimates
+/// agree within their declared tolerance (float summation order follows
+/// the stripe layout).
 ///
 /// *Serialized* (panels with an order-sensitive estimator, e.g. SWITCH, or
-/// SessionOptions::ingest_stripes == 1): batches from different threads are
-/// applied in lock-acquisition order under one mutex, vote order within a
-/// batch preserved — exactly the historical behavior. Order across
-/// concurrent writers is unspecified, so order-sensitive panels should be
-/// fed by a single producer per session.
+/// SessionOptions::ingest_stripes == 1): WAL append and apply run under the
+/// session mutex, so batches from different threads are applied in
+/// lock-acquisition order, vote order within a batch preserved. Order
+/// across concurrent writers is unspecified, so order-sensitive panels
+/// should be fed by a single producer per session. The mutex is released
+/// between apply and publish (the publish takes it again), so under
+/// several concurrent producers a kEveryBatch publish may already include
+/// a later batch of another producer. `version` still counts batches (one
+/// publish per batch), and a single producer's snapshots are exactly those
+/// of a publish under the same lock hold.
 class EstimationSession {
  public:
   /// Wraps an already-configured pipeline (the engine's OpenSession path).
@@ -349,26 +363,16 @@ class EstimationSession {
 
  private:
   /// Refreshes the publish scratch from the metric and stores the seqlock
-  /// snapshot. Caller holds mutex_ (and, for striped sessions, the log's
-  /// ingest pause).
+  /// snapshot. Caller holds mutex_ and the log's ingest pause.
   void PublishLocked() DQM_REQUIRES(mutex_);
-
-  /// Full publish under mutex_: pauses/reconciles striped logs, runs
-  /// PublishLocked, and records publish telemetry (latency split, flight
-  /// spans, quality gauges).
-  void PublishInternalLocked() DQM_REQUIRES(mutex_);
 
   /// Commits a checkpoint when the committed total crossed a
   /// checkpoint_every_votes boundary with this batch (the crossing
-  /// committer pays). Failures are logged, not returned — the votes are
-  /// already applied AND in the WAL, so the session stays correct and
-  /// recoverable either way.
-  void MaybeCheckpoint(uint64_t after, uint64_t batch) DQM_EXCLUDES(mutex_);
-
-  /// The checkpoint commit itself: quiesces the WAL, cuts the snapshot
+  /// committer pays): under mutex_, quiesces the WAL, cuts the snapshot
   /// (reconcile pause + CheckpointFromLog), rename-commits, resets the WAL.
-  /// Failures are logged (see MaybeCheckpoint).
-  void CheckpointLocked() DQM_REQUIRES(mutex_);
+  /// Failures are logged, not returned — the votes are already applied AND
+  /// in the WAL, so the session stays correct and recoverable either way.
+  void MaybeCheckpoint(uint64_t after, uint64_t batch) DQM_EXCLUDES(mutex_);
 
   const std::string name_;
   const size_t num_items_;
@@ -386,10 +390,10 @@ class EstimationSession {
   std::atomic<uint64_t> committed_votes_{0};
   mutable Mutex mutex_{LockRank::kSession, "session"};
   /// Deliberately NOT guarded by mutex_: on the striped path concurrent
-  /// committers call metric_.CommitVotesConcurrent under the log's
-  /// per-stripe locks with mutex_ unheld; only the serialized commit path
-  /// and the publish path touch it under mutex_. The striped/serialized
-  /// split (striped_, fixed at construction) is the real guard.
+  /// committers call metric_.CommitVotes under the log's per-stripe locks
+  /// with mutex_ unheld; only the serialized commit path and the publish
+  /// path touch it under mutex_. The striped/serialized split (striped_,
+  /// fixed at construction) is the real guard.
   core::DataQualityMetric metric_;
   uint64_t version_ DQM_GUARDED_BY(mutex_) = 0;
   /// Publish scratch, guarded by mutex_: the publish path refreshes these

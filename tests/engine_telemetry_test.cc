@@ -4,7 +4,8 @@
 // roll-up gauges count every session exactly once and return to zero after
 // churn, the deferred-publish counter tracks the coalesced cadence, striped
 // sessions export per-stripe lock counters, and the per-session flight
-// recorder captures commit/publish spans.
+// recorder captures commit/publish spans. The commit histogram times the
+// whole commit, WAL fsync included.
 //
 // Everything here reads the process-global registry, which other tests in
 // this binary also write — so every assertion is a *delta* against a
@@ -12,6 +13,8 @@
 
 #include "engine/engine.h"
 
+#include <bit>
+#include <filesystem>
 #include <memory>
 #include <span>
 #include <string>
@@ -19,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/failpoint.h"
 #include "crowd/vote.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
@@ -93,6 +97,18 @@ uint64_t HistogramCount(const MetricsRegistry::Collection& collection,
   return 0;
 }
 
+/// The unlabeled dqm_commit_latency_ns histogram in `collection`.
+telemetry::HistogramSnapshot CommitLatency(
+    const MetricsRegistry::Collection& collection) {
+  for (const auto& histogram : collection.histograms) {
+    if (histogram.name == "dqm_commit_latency_ns" &&
+        histogram.labels.empty()) {
+      return histogram.snapshot;
+    }
+  }
+  return {};
+}
+
 TEST(EngineTelemetryTest, CommitCountersAndHistogramsMoveWithIngest) {
   MetricsRegistry::Collection before = MetricsRegistry::Global().Collect();
   ASSERT_TRUE(telemetry::Enabled());
@@ -138,6 +154,45 @@ TEST(EngineTelemetryTest, CommitCountersAndHistogramsMoveWithIngest) {
     seqlock_registered |= counter.name == "dqm_seqlock_read_retries_total";
   }
   EXPECT_TRUE(seqlock_registered);
+}
+
+TEST(EngineTelemetryTest, CommitLatencyCoversTheWalFsync) {
+  // The commit histogram is end to end: the timer starts before the WAL
+  // append, so a batch that fsyncs (group commit of 1 vote) records at
+  // least the fsync's injected 2 ms. The histogram keeps no sum, so the
+  // check is per sample: each new one lands at or above the bucket that
+  // holds 2 ms, whose values are all >= 2^20 ns.
+  const std::string root =
+      (std::filesystem::path(testing::TempDir()) / "dqm_telem_commit_wal")
+          .string();
+  std::filesystem::remove_all(root);
+  DqmEngine engine;
+  SessionOptions options;
+  options.durability_dir = root;
+  options.wal_group_commit_votes = 1;
+  Result<std::shared_ptr<EstimationSession>> session = engine.OpenSession(
+      "telem-commit-wal", kItems, std::span<const std::string>(kPanel),
+      options);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_TRUE(failpoint::Configure("dqm.wal.fsync=delay(2ms)").ok());
+  const telemetry::HistogramSnapshot before =
+      CommitLatency(MetricsRegistry::Global().Collect());
+  constexpr size_t kBatches = 5;
+  for (size_t b = 0; b < kBatches; ++b) {
+    ASSERT_TRUE((*session)->AddVotes(MakeBatch(b, 4)).ok());
+  }
+  const telemetry::HistogramSnapshot after =
+      CommitLatency(MetricsRegistry::Global().Collect());
+  failpoint::DisarmAll();
+  constexpr uint64_t kTwoMs = 2'000'000;
+  const size_t two_ms_bucket = std::bit_width(kTwoMs);
+  ASSERT_EQ(after.count - before.count, kBatches);
+  uint64_t at_least_two_ms = 0;
+  for (size_t b = two_ms_bucket; b < 64; ++b) {
+    at_least_two_ms += after.buckets[b] - before.buckets[b];
+  }
+  EXPECT_EQ(at_least_two_ms, kBatches);
+  std::filesystem::remove_all(root);
 }
 
 TEST(EngineTelemetryTest, QualityGaugesTrackSessionLifetime) {

@@ -424,18 +424,17 @@ TEST(ReplicationPipelineTest, StartShipsPreexistingState) {
 // Replication lag is per session.
 // ---------------------------------------------------------------------------
 
-/// A LocalDirTransport whose segment Puts fail while `fail_segments` is
-/// set — a primary whose shipping falls behind.
-class FailingSegmentTransport : public ReplicationTransport {
+/// A LocalDirTransport whose Puts of one artifact kind fail while `refuse`
+/// names it — a primary whose shipping falls behind.
+class RefusingTransport : public ReplicationTransport {
  public:
-  explicit FailingSegmentTransport(std::unique_ptr<LocalDirTransport> inner)
+  explicit RefusingTransport(std::unique_ptr<LocalDirTransport> inner)
       : inner_(std::move(inner)) {}
 
   Status Put(const std::string& name, std::span<const uint8_t> bytes,
              uint64_t fencing_token) override {
-    if (fail_segments &&
-        ParseArtifactName(name).kind == ArtifactId::Kind::kSegment) {
-      return Status::IOError("segment put refused");
+    if (refuse == ParseArtifactName(name).kind) {
+      return Status::IOError("put refused");
     }
     return inner_->Put(name, bytes, fencing_token);
   }
@@ -451,7 +450,8 @@ class FailingSegmentTransport : public ReplicationTransport {
   }
   Result<uint64_t> Fence() override { return inner_->Fence(); }
 
-  bool fail_segments = false;
+  /// kOther (no artifact carries it) refuses nothing.
+  ArtifactId::Kind refuse = ArtifactId::Kind::kOther;
 
  private:
   std::unique_ptr<LocalDirTransport> inner_;
@@ -477,7 +477,7 @@ TEST(ReplicaLagTest, LagBytesGaugeIsPerSessionAndGoneAfterStop) {
 
   DqmEngine primary;
   std::vector<std::unique_ptr<SessionReplicator>> replicators;
-  std::shared_ptr<FailingSegmentTransport> behind_transport;
+  std::shared_ptr<RefusingTransport> behind_transport;
   for (const std::string name : {"healthy", "behind"}) {
     auto session = primary.OpenSession(
         name, num_items, std::span<const std::string>(Panel()),
@@ -488,7 +488,7 @@ TEST(ReplicaLagTest, LagBytesGaugeIsPerSessionAndGoneAfterStop) {
     std::shared_ptr<ReplicationTransport> transport;
     if (name == "behind") {
       behind_transport =
-          std::make_shared<FailingSegmentTransport>(std::move(*local));
+          std::make_shared<RefusingTransport>(std::move(*local));
       transport = behind_transport;
     } else {
       transport = std::move(*local);
@@ -498,7 +498,7 @@ TEST(ReplicaLagTest, LagBytesGaugeIsPerSessionAndGoneAfterStop) {
     replicators.push_back(std::move(*replicator));
   }
 
-  behind_transport->fail_segments = true;
+  behind_transport->refuse = ArtifactId::Kind::kSegment;
   for (const std::string name : {"healthy", "behind"}) {
     IngestRange(primary, name, votes, 0, 64, 16);
   }
@@ -519,6 +519,145 @@ TEST(ReplicaLagTest, LagBytesGaugeIsPerSessionAndGoneAfterStop) {
   EXPECT_FALSE(SessionGauge(telemetry::metric_names::kReplicaLagBytes,
                             "healthy")
                    .has_value());
+}
+
+TEST(ReplicaLagTest, LagBytesCountsANewGenerationWhileItsCheckpointFails) {
+  size_t num_items = 0;
+  std::vector<VoteEvent> votes =
+      GenerateVotes(FamilySpecs().front(), 0x1A7, &num_items);
+  ASSERT_GE(votes.size(), 144u);
+  DqmEngine primary;
+  auto session = primary.OpenSession(
+      "s", num_items, std::span<const std::string>(Panel()),
+      DurableOptions(ScratchDir("lag_gen_primary"), 16, 50));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto local = LocalDirTransport::Open(ScratchDir("lag_gen_ship"));
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  auto transport = std::make_shared<RefusingTransport>(std::move(*local));
+  auto replicator = SessionReplicator::Start(*session, transport);
+  ASSERT_TRUE(replicator.ok()) << replicator.status().ToString();
+
+  // Checkpoints at 50 and 100 open generations 2 and 3, whose checkpoints
+  // cannot ship, so none of their records can either.
+  transport->refuse = ArtifactId::Kind::kCheckpoint;
+  IngestRange(primary, "s", votes, 0, 128, 16);
+  EXPECT_GT((*replicator)->stats().ship_errors, 0u);
+  EXPECT_EQ((*replicator)->stats().shipped_generation, 1u);
+  std::optional<double> lag =
+      SessionGauge(telemetry::metric_names::kReplicaLagBytes, "s");
+  ASSERT_TRUE(lag.has_value());
+  EXPECT_GT(*lag, 0.0);
+
+  // The next durable batch ships the checkpoint and the segment behind it.
+  transport->refuse = ArtifactId::Kind::kOther;
+  IngestRange(primary, "s", votes, 128, 144, 16);
+  EXPECT_EQ((*replicator)->stats().shipped_votes, 144u);
+  lag = SessionGauge(telemetry::metric_names::kReplicaLagBytes, "s");
+  ASSERT_TRUE(lag.has_value());
+  EXPECT_DOUBLE_EQ(*lag, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// A standby serves the primary's configuration or refuses to open.
+// ---------------------------------------------------------------------------
+
+TEST(StandbyOpenTest, UnparsableCadenceInTheManifestFailsOpen) {
+  auto transport = LocalDirTransport::Open(ScratchDir("bogus_cadence_ship"));
+  ASSERT_TRUE(transport.ok()) << transport.status().ToString();
+  SessionManifest manifest;
+  manifest.name = "s";
+  manifest.num_items = 80;
+  manifest.specs = Panel();
+  manifest.cadence = "bogus";
+  const std::string content = ManifestContent(manifest);
+  ASSERT_TRUE((*transport)
+                  ->Put(kManifestArtifact,
+                        std::span<const uint8_t>(
+                            reinterpret_cast<const uint8_t*>(content.data()),
+                            content.size()),
+                        manifest.fencing_token)
+                  .ok());
+  DqmEngine standby_engine;
+  auto applier = StandbyApplier::Open(
+      standby_engine, std::shared_ptr<ReplicationTransport>(
+                          std::move(*transport)));
+  ASSERT_FALSE(applier.ok());
+  EXPECT_EQ(applier.status().code(), StatusCode::kInvalidArgument)
+      << applier.status().ToString();
+  EXPECT_FALSE(standby_engine.Query("s").ok());
+}
+
+// ---------------------------------------------------------------------------
+// A serialized session replicates: SWITCH keeps WAL-only durability, and
+// its standby replays the WAL in the primary's order.
+// ---------------------------------------------------------------------------
+
+TEST(ReplicationPipelineTest, SerializedSwitchSessionReplicates) {
+  size_t num_items = 0;
+  std::vector<VoteEvent> votes =
+      GenerateVotes(FamilySpecs().front(), 0x5A17, &num_items);
+  ASSERT_GE(votes.size(), 300u);
+  const std::vector<std::string> panel = {"switch", "chao92", "voting"};
+
+  DqmEngine primary;
+  auto session = primary.OpenSession(
+      "s", num_items, std::span<const std::string>(panel),
+      DurableOptions(ScratchDir("serial_primary"), 16, 64));
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_FALSE((*session)->concurrent_ingest());
+  auto transport = LocalDirTransport::Open(ScratchDir("serial_ship"));
+  ASSERT_TRUE(transport.ok()) << transport.status().ToString();
+  std::shared_ptr<ReplicationTransport> shared = std::move(*transport);
+  auto replicator = SessionReplicator::Start(*session, shared);
+  ASSERT_TRUE(replicator.ok()) << replicator.status().ToString();
+
+  DqmEngine standby_engine;
+  StandbyApplier::Options standby_options;
+  standby_options.durability_dir = ScratchDir("serial_standby");
+  auto applier = StandbyApplier::Open(standby_engine, shared, standby_options);
+  ASSERT_TRUE(applier.ok()) << applier.status().ToString();
+
+  // One producer, polls interleaved with its batches.
+  size_t polls = 0;
+  for (size_t begin = 0; begin < votes.size(); begin += 37) {
+    size_t size = std::min<size_t>(37, votes.size() - begin);
+    ASSERT_TRUE(
+        primary.Ingest("s", std::span<const VoteEvent>(&votes[begin], size))
+            .ok());
+    if (++polls % 3 == 0) {
+      ASSERT_TRUE((*applier)->Poll().ok());
+    }
+  }
+  ASSERT_TRUE((*session)->FlushDurability().ok());
+  ASSERT_TRUE((*applier)->Poll().ok());
+
+  ReplicationStats stats = (*replicator)->stats();
+  EXPECT_EQ(stats.ship_errors, 0u);
+  EXPECT_EQ(stats.checkpoints_shipped, 0u);  // WAL-only durability
+  EXPECT_EQ(stats.shipped_votes, votes.size());
+  EXPECT_EQ((*applier)->applied_votes(), stats.shipped_votes);
+  EXPECT_FALSE((*applier)->divergent());
+
+  auto promoted = (*applier)->Promote();
+  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+  EXPECT_EQ(promoted->applied_votes, stats.shipped_votes);
+  auto standby = standby_engine.Query("s");
+  ASSERT_TRUE(standby.ok()) << standby.status().ToString();
+  const Snapshot live = (*session)->snapshot();
+  EXPECT_EQ(standby->num_votes, live.num_votes);
+  EXPECT_EQ(standby->majority_count, live.majority_count);
+  EXPECT_EQ(standby->nominal_count, live.nominal_count);
+  ASSERT_EQ(standby->estimates.size(), live.estimates.size());
+  for (size_t i = 0; i < live.estimates.size(); ++i) {
+    SCOPED_TRACE(live.estimates[i].name);
+    EXPECT_EQ(standby->estimates[i].name, live.estimates[i].name);
+    EXPECT_EQ(standby->estimates[i].total_errors,
+              live.estimates[i].total_errors);
+    EXPECT_EQ(standby->estimates[i].undetected_errors,
+              live.estimates[i].undetected_errors);
+    EXPECT_EQ(standby->estimates[i].quality_score,
+              live.estimates[i].quality_score);
+  }
 }
 
 // ---------------------------------------------------------------------------
