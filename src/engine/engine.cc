@@ -206,28 +206,57 @@ Result<DqmEngine::RecoveredSession> DqmEngine::RecoverSessionDir(
   return row;
 }
 
-Result<std::vector<DqmEngine::RecoveredSession>> DqmEngine::RecoverSessions(
-    const std::string& root) {
+Result<std::vector<DqmEngine::SessionRecoveryOutcome>>
+DqmEngine::RecoverSessionDirs(const std::string& root, bool stop_at_failure) {
   DQM_ASSIGN_OR_RETURN(std::vector<std::string> dirs, ListSessionDirs(root));
-  std::vector<RecoveredSession> recovered;
-  for (const std::string& dir : dirs) {
-    Result<SessionManifest> manifest_or =
-        ReadManifestFile(SessionManifestPath(dir));
-    if (manifest_or.status().code() == StatusCode::kNotFound) {
+  std::vector<SessionRecoveryOutcome> outcomes(dirs.size());
+  for (size_t i = 0; i < dirs.size(); ++i) {
+    SessionRecoveryOutcome& outcome = outcomes[i];
+    outcome.dir = dirs[i];
+    Result<SessionManifest> manifest =
+        ReadManifestFile(SessionManifestPath(outcome.dir));
+    if (manifest.status().code() == StatusCode::kNotFound) {
       // No manifest means OpenSession crashed before the rename-commit —
       // by the write order there can be no WAL with accepted votes in such
       // a directory, so skipping loses nothing.
-      DQM_LOG(Warning) << "RecoverSessions: skipping '" << dir
-                       << "': " << manifest_or.status().message();
+      DQM_LOG(Warning) << "recovery: skipping '" << outcome.dir
+                       << "': " << manifest.status().message();
+      outcome.state = SessionRecoveryOutcome::State::kSkipped;
+      outcome.detail = manifest.status().message();
       continue;
     }
     // A manifest that exists but cannot be read or parsed may guard
-    // acknowledged votes: fail loudly instead of skipping them.
-    DQM_RETURN_NOT_OK(manifest_or.status());
-    DQM_ASSIGN_OR_RETURN(
-        RecoveredSession row,
-        RecoverSessionDir(dir, root, std::move(manifest_or).value()));
-    recovered.push_back(std::move(row));
+    // acknowledged votes: it fails the directory instead of skipping it.
+    Status failure = manifest.status();
+    if (failure.ok()) {
+      outcome.name = manifest->name;
+      Result<RecoveredSession> row =
+          RecoverSessionDir(outcome.dir, root, std::move(manifest).value());
+      if (row.ok()) {
+        outcome.state = SessionRecoveryOutcome::State::kRecovered;
+        outcome.report = std::move(row).value();
+        continue;
+      }
+      failure = row.status();
+    }
+    if (stop_at_failure) return failure;
+    outcome.state = SessionRecoveryOutcome::State::kFailed;
+    outcome.detail = failure.message();
+    DQM_LOG(Warning) << "recovery: '" << outcome.dir
+                     << "' failed: " << outcome.detail;
+  }
+  return outcomes;
+}
+
+Result<std::vector<DqmEngine::RecoveredSession>> DqmEngine::RecoverSessions(
+    const std::string& root) {
+  DQM_ASSIGN_OR_RETURN(std::vector<SessionRecoveryOutcome> outcomes,
+                       RecoverSessionDirs(root, /*stop_at_failure=*/true));
+  std::vector<RecoveredSession> recovered;
+  for (SessionRecoveryOutcome& outcome : outcomes) {
+    if (outcome.state == SessionRecoveryOutcome::State::kRecovered) {
+      recovered.push_back(std::move(outcome.report));
+    }
   }
   std::sort(recovered.begin(), recovered.end(),
             [](const RecoveredSession& a, const RecoveredSession& b) {
@@ -238,43 +267,7 @@ Result<std::vector<DqmEngine::RecoveredSession>> DqmEngine::RecoverSessions(
 
 Result<std::vector<DqmEngine::SessionRecoveryOutcome>>
 DqmEngine::RecoverSessionsKeepGoing(const std::string& root) {
-  DQM_ASSIGN_OR_RETURN(std::vector<std::string> dirs, ListSessionDirs(root));
-  std::vector<SessionRecoveryOutcome> outcomes;
-  outcomes.reserve(dirs.size());
-  for (const std::string& dir : dirs) {
-    SessionRecoveryOutcome outcome;
-    outcome.dir = dir;
-    Result<SessionManifest> manifest_or =
-        ReadManifestFile(SessionManifestPath(dir));
-    if (!manifest_or.ok()) {
-      const bool missing =
-          manifest_or.status().code() == StatusCode::kNotFound;
-      outcome.state = missing ? SessionRecoveryOutcome::State::kSkipped
-                              : SessionRecoveryOutcome::State::kFailed;
-      outcome.detail = manifest_or.status().message();
-      if (!missing) {
-        DQM_LOG(Warning) << "RecoverSessionsKeepGoing: '" << dir
-                         << "' failed: " << outcome.detail;
-      }
-      outcomes.push_back(std::move(outcome));
-      continue;
-    }
-    SessionManifest manifest = std::move(manifest_or).value();
-    outcome.name = manifest.name;
-    Result<RecoveredSession> row =
-        RecoverSessionDir(dir, root, std::move(manifest));
-    if (row.ok()) {
-      outcome.state = SessionRecoveryOutcome::State::kRecovered;
-      outcome.report = std::move(row).value();
-    } else {
-      outcome.state = SessionRecoveryOutcome::State::kFailed;
-      outcome.detail = row.status().message();
-      DQM_LOG(Warning) << "RecoverSessionsKeepGoing: '" << dir
-                       << "' failed: " << outcome.detail;
-    }
-    outcomes.push_back(std::move(outcome));
-  }
-  return outcomes;
+  return RecoverSessionDirs(root, /*stop_at_failure=*/false);
 }
 
 Result<std::shared_ptr<EstimationSession>> DqmEngine::GetSession(

@@ -247,11 +247,15 @@ class DqmEngine {
   Status InsertSession(const std::shared_ptr<EstimationSession>& session);
 
   /// Rebuilds and registers the session living in durability directory
-  /// `dir` from its already-parsed manifest. Shared by the strict and
-  /// keep-going recovery scans.
+  /// `dir` from its already-parsed manifest.
   Result<RecoveredSession> RecoverSessionDir(const std::string& dir,
                                              const std::string& root,
                                              SessionManifest manifest);
+
+  /// The one recovery scan: an outcome per session directory of `root`, or
+  /// with `stop_at_failure` the first failure's status.
+  Result<std::vector<SessionRecoveryOutcome>> RecoverSessionDirs(
+      const std::string& root, bool stop_at_failure);
 
   /// Lists the session subdirectories of a durability root, sorted.
   static Result<std::vector<std::string>> ListSessionDirs(

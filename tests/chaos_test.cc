@@ -2,14 +2,15 @@
 // derived from a seed: a mix of transient-error / delay failpoint specs
 // armed across the WAL, checkpoint, and manifest syscall edges, optionally
 // combined with a point-in-time crash image cut by a callback armed on a
-// commit-protocol phase failpoint. The invariants, per schedule:
+// commit-protocol phase failpoint. Every schedule runs as a recovery case
+// of the session-parity harness (conformance/session_parity.h), on the
+// tallies panel and two stripes. The invariants, per schedule:
 //
-//  - every ingested batch is acknowledged (the retry layer must absorb the
-//    injected transient faults);
+//  - every ingested batch but the one AddVotes must reject is acknowledged
+//    (the retry layer must absorb the injected transient faults);
 //  - recovery from the crash image (or the final on-disk state) succeeds
-//    with zero torn records, and the rebuilt session is bit-identical (in
-//    every count-derived estimate) to an uninterrupted session fed exactly
-//    the durable prefix;
+//    with zero torn records, and the rebuilt session serves what a
+//    reference fed exactly the durable prefix serves;
 //  - the same seed regenerates the same schedule, byte for byte.
 //
 // Real kill points — the process dies mid-syscall via the `crash` action —
@@ -33,13 +34,14 @@
 
 #include "common/failpoint.h"
 #include "common/string_util.h"
+#include "conformance/conformance_utils.h"
+#include "conformance/session_parity.h"
 #include "crowd/io.h"
 #include "engine/durability.h"
 #include "engine/engine.h"
 #include "engine/session.h"
 #include "telemetry/metric_names.h"
 #include "telemetry/metrics.h"
-#include "workload/workload.h"
 
 namespace dqm::engine {
 namespace {
@@ -49,77 +51,10 @@ namespace fs = std::filesystem;
 using crowd::Vote;
 using crowd::VoteEvent;
 
-std::string ScratchDir(const std::string& tag) {
-  fs::path dir = fs::path(testing::TempDir()) / ("dqm_chaos_" + tag);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
-
-/// Count-derived estimator panel (checkpointable: no SWITCH).
-const std::vector<std::string>& Panel() {
-  static const std::vector<std::string> panel = {
-      "chao92", "good-turing", "vchao92?shift=2", "chao1", "voting",
-      "nominal"};
-  return panel;
-}
-
-std::vector<std::string> FamilySpecs() {
-  std::vector<std::string> specs;
-  for (const std::string& name :
-       workload::WorkloadRegistry::Global().Names()) {
-    specs.push_back(name + "?n=80&dirty=12&tasks=50&ipt=8&batch=37");
-  }
-  return specs;
-}
-
-std::vector<VoteEvent> GenerateVotes(const std::string& spec, uint64_t seed,
-                                     size_t* num_items) {
-  auto generator = workload::WorkloadRegistry::Global().Create(spec);
-  EXPECT_TRUE(generator.ok()) << generator.status().ToString();
-  workload::GeneratedWorkload run = (*generator)->Generate(seed);
-  *num_items = run.log.num_items();
-  return std::vector<VoteEvent>(run.log.events().begin(),
-                                run.log.events().end());
-}
-
-void IngestBatches(DqmEngine& engine, const std::string& name,
-                   const std::vector<VoteEvent>& votes, size_t batch) {
-  for (size_t begin = 0; begin < votes.size(); begin += batch) {
-    size_t size = std::min(batch, votes.size() - begin);
-    ASSERT_TRUE(
-        engine.Ingest(name, std::span<const VoteEvent>(&votes[begin], size))
-            .ok())
-        << "acknowledgement lost at vote " << begin;
-  }
-}
-
-void ExpectWithinEmTolerance(double a, double b, const std::string& context) {
-  double tolerance = std::max(2.0, 0.02 * std::abs(b));
-  EXPECT_LE(std::abs(a - b), tolerance) << context << ": " << a << " vs " << b;
-}
-
-void ExpectSnapshotParity(const Snapshot& recovered, const Snapshot& reference,
-                          const std::string& context) {
-  EXPECT_EQ(recovered.num_votes, reference.num_votes) << context;
-  EXPECT_EQ(recovered.majority_count, reference.majority_count) << context;
-  EXPECT_EQ(recovered.nominal_count, reference.nominal_count) << context;
-  ASSERT_EQ(recovered.estimates.size(), reference.estimates.size()) << context;
-  for (size_t i = 0; i < recovered.estimates.size(); ++i) {
-    const std::string row = context + ", " + reference.estimates[i].name;
-    if (reference.estimates[i].name == "em-voting") {
-      ExpectWithinEmTolerance(recovered.estimates[i].total_errors,
-                              reference.estimates[i].total_errors, row);
-    } else {
-      EXPECT_EQ(recovered.estimates[i].total_errors,
-                reference.estimates[i].total_errors)
-          << row;
-      EXPECT_EQ(recovered.estimates[i].quality_score,
-                reference.estimates[i].quality_score)
-          << row;
-    }
-  }
-}
+using conformance::ParityCase;
+using conformance::ParityRun;
+using conformance::ParityStream;
+using conformance::ScratchDir;
 
 // ---------------------------------------------------------------------------
 // Schedule generation.
@@ -240,109 +175,44 @@ class ChaosHarnessTest : public testing::TestWithParam<int> {
 TEST_P(ChaosHarnessTest, AcksSurviveAndRecoveryMatchesDurablePrefix) {
   const uint64_t seed = static_cast<uint64_t>(GetParam());
   const ChaosSchedule schedule = MakeSchedule(seed);
-  const std::vector<std::string>& panel = Panel();
 
   int family = 0;
-  for (const std::string& spec : FamilySpecs()) {
+  for (const std::string& spec : conformance::ConformanceWorkloadSpecs()) {
     SCOPED_TRACE(StrFormat("seed %llu, %s, %s",
                            static_cast<unsigned long long>(seed),
                            spec.c_str(), ScheduleString(schedule).c_str()));
-    size_t num_items = 0;
-    std::vector<VoteEvent> votes =
-        GenerateVotes(spec, 0xC0FFEE + seed, &num_items);
-    ASSERT_GE(votes.size(), 300u);
-
-    const std::string tag =
-        StrFormat("s%llu_f%d", static_cast<unsigned long long>(seed),
-                  family++);
-    std::string root = ScratchDir(tag + "_live");
-    std::string crash_root = ScratchDir(tag + "_image");
-
-    SessionOptions options;
-    options.cadence = PublishCadence::kEveryNVotes;
-    options.publish_every_votes = 128;
-    options.ingest_stripes = 2;
-    options.durability_dir = root;
-    options.wal_group_commit_votes = 64;
-    options.checkpoint_every_votes = 150;
-
-    // Arm before OpenSession so the manifest / WAL-creation edges are in
+    ParityCase c;
+    c.name = StrFormat("s%llu_f%d", static_cast<unsigned long long>(seed),
+                       family++);
+    c.workload = spec;
+    c.seed = 0xC0FFEE + seed;
+    c.panel = conformance::TalliesPanel();
+    c.options.cadence = PublishCadence::kEveryNVotes;
+    c.options.publish_every_votes = 128;
+    c.options.ingest_stripes = 2;
+    c.options.wal_group_commit_votes = 64;
+    c.options.checkpoint_every_votes = 150;
+    // Armed before OpenSession, so the manifest / WAL-creation edges are in
     // play too; the retry layer has to carry the session all the way up.
+    c.faults = schedule.failpoints;
+    if (schedule.crash_image) {
+      c.kill_point = schedule.kill_point;
+      c.kill_firing = schedule.kill_firing;
+    }
+    const ParityStream stream = conformance::MakeParityStream(spec, c.seed);
     failpoint::SetSeed(schedule.failpoint_seed);
-    ASSERT_TRUE(failpoint::Configure(schedule.failpoints).ok())
-        << schedule.failpoints;
-
-    uint64_t durable_prefix = 0;
-    {
-      DqmEngine live;
-      auto session = live.OpenSession(
-          "s", num_items, std::span<const std::string>(panel), options);
-      ASSERT_TRUE(session.ok()) << session.status().ToString();
-      ASSERT_TRUE((*session)->durable());
-
-      int fired = 0;
-      bool copied = false;
-      if (schedule.crash_image) {
-        failpoint::Action copy_image;
-        copy_image.kind = failpoint::Action::Kind::kCallback;
-        copy_image.callback = [&] {
-          if (copied) return;
-          if (++fired < schedule.kill_firing) return;
-          fs::copy(root, crash_root,
-                   fs::copy_options::recursive |
-                       fs::copy_options::overwrite_existing);
-          copied = true;
-        };
-        failpoint::Registry::Global().Arm(schedule.kill_point, copy_image);
-      }
-
-      // Invariant 1: every batch is acknowledged despite the faults.
-      IngestBatches(live, "s", votes, 37);
-      if (schedule.crash_image) {
-        failpoint::Registry::Global().Disarm(schedule.kill_point);
-        ASSERT_TRUE(copied) << "kill point never fired";
-      }
-      // The live engine's destructor flushes — after it, `root` holds the
-      // complete durable state for the no-crash schedules.
+    ParityRun run;
+    conformance::RunRecovery(c, stream, &run);
+    if (HasFatalFailure()) return;
+    // Invariant 1: every batch but the rejected one is acknowledged despite
+    // the faults.
+    for (size_t i = 0; i < stream.batches.size(); ++i) {
+      EXPECT_EQ(run.acked[i], i != stream.rejected)
+          << "acknowledgement lost at batch " << i;
     }
-    failpoint::DisarmAll();
-
     // Invariant 2: recovery succeeds, nothing is torn, and the rebuilt
-    // session matches a reference fed exactly the durable prefix.
-    const std::string& recover_from =
-        schedule.crash_image ? crash_root : root;
-    DqmEngine recovered_engine;
-    auto reports = recovered_engine.RecoverSessions(recover_from);
-    ASSERT_TRUE(reports.ok()) << reports.status().ToString();
-    ASSERT_EQ(reports->size(), 1u);
-    const DqmEngine::RecoveredSession& report = (*reports)[0];
-    EXPECT_EQ(report.torn_records, 0u);
-    ASSERT_LE(report.votes_restored, votes.size());
-    if (!schedule.crash_image) {
-      // Nothing crashed: every acknowledged vote must have survived.
-      EXPECT_EQ(report.votes_restored, votes.size());
-    }
-    durable_prefix = report.votes_restored;
-
-    SessionOptions reference_options = options;
-    reference_options.durability_dir.clear();
-    reference_options.checkpoint_every_votes = 0;
-    DqmEngine reference_engine;
-    auto reference = reference_engine.OpenSession(
-        "ref", num_items, std::span<const std::string>(panel),
-        reference_options);
-    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    std::vector<VoteEvent> prefix(
-        votes.begin(), votes.begin() + static_cast<ptrdiff_t>(durable_prefix));
-    IngestBatches(reference_engine, "ref", prefix, 37);
-    (*reference)->Publish();
-
-    auto recovered_snapshot = recovered_engine.Query("s");
-    ASSERT_TRUE(recovered_snapshot.ok());
-    ExpectSnapshotParity(*recovered_snapshot, (*reference)->snapshot(), spec);
-    // A cleanly recovered session never reports itself degraded.
-    EXPECT_FALSE(recovered_snapshot->durability_degraded);
-    EXPECT_EQ(recovered_snapshot->dropped_durability_votes, 0u);
+    // session serves the reference fed exactly the durable prefix.
+    conformance::ExpectServesReference(c, stream, run);
   }
 }
 
@@ -374,90 +244,71 @@ class ChaosCrashDeathTest : public testing::Test {
   void TearDown() override { failpoint::DisarmAll(); }
 };
 
-/// Runs a durable session in a death-test child, arming `crash_spec` after
-/// `arm_after` votes so real traffic precedes the kill, then recovers in
-/// the parent and checks prefix parity. `tag` keys the scratch directory
-/// (recomputed identically in the child, which re-executes the test).
-void CrashAtFailpointAndRecover(const std::string& tag,
-                                const std::string& crash_spec) {
-  size_t num_items = 0;
-  std::vector<VoteEvent> votes =
-      GenerateVotes(FamilySpecs().front(), 20260807, &num_items);
-  ASSERT_GE(votes.size(), 300u);
-  const size_t arm_after = 185;  // past the first checkpoint boundary (150)
-
-  std::string root = ScratchDir("kill_" + tag);
-  SessionOptions options;
-  options.cadence = PublishCadence::kEveryNVotes;
-  options.publish_every_votes = 128;
-  options.durability_dir = root;
-  options.wal_group_commit_votes = 64;
-  options.checkpoint_every_votes = 150;
+/// Runs a durable session in a death-test child, arming `crash_spec` once
+/// 185 votes are in (past the first checkpoint boundary at 150), so real
+/// traffic precedes the kill. The parent then recovers what hit the disk.
+/// The scratch directory is keyed by the test, so the child, which
+/// re-executes the test, derives the same one.
+void CrashAtFailpointAndRecover(const std::string& crash_spec) {
+  ParityCase c;
+  c.name = "kill";
+  c.workload = conformance::ConformanceWorkloadSpecs().front();
+  c.seed = 20260807;
+  c.panel = conformance::TalliesPanel();
+  c.options.cadence = PublishCadence::kEveryNVotes;
+  c.options.publish_every_votes = 128;
+  c.options.wal_group_commit_votes = 64;
+  c.options.checkpoint_every_votes = 150;
+  const ParityStream stream =
+      conformance::MakeParityStream(c.workload, c.seed);
+  SessionOptions options = c.options;
+  options.durability_dir = ScratchDir("kill");
 
   EXPECT_EXIT(
       {
         DqmEngine engine;
         auto session = engine.OpenSession(
-            "s", num_items, std::span<const std::string>(Panel()), options);
+            "s", stream.num_items, std::span<const std::string>(c.panel),
+            options);
         if (!session.ok()) std::_Exit(3);
-        for (size_t begin = 0; begin < votes.size(); begin += 37) {
-          if (begin >= arm_after && !failpoint::AnyArmed()) {
+        size_t ingested = 0;
+        for (size_t i = 0; i < stream.batches.size(); ++i) {
+          if (ingested >= 185 && !failpoint::AnyArmed()) {
             if (!failpoint::Configure(crash_spec).ok()) std::_Exit(4);
           }
-          size_t size = std::min<size_t>(37, votes.size() - begin);
-          if (!engine
-                   .Ingest("s", std::span<const VoteEvent>(&votes[begin],
-                                                           size))
-                   .ok()) {
+          if ((*session)->AddVotes(stream.batches[i]).ok() !=
+              (i != stream.rejected)) {
             std::_Exit(5);
           }
+          if (i != stream.rejected) ingested += stream.batches[i].size();
         }
         // The kill point never fired — fail with a distinct code.
         std::_Exit(6);
       },
       testing::ExitedWithCode(failpoint::kCrashExitCode), "");
 
-  // Parent: the directory holds whatever the dead process left behind.
-  DqmEngine recovered_engine;
-  auto reports = recovered_engine.RecoverSessions(root);
-  ASSERT_TRUE(reports.ok()) << reports.status().ToString();
-  ASSERT_EQ(reports->size(), 1u);
-  const DqmEngine::RecoveredSession& report = (*reports)[0];
-  EXPECT_EQ(report.name, "s");
-  EXPECT_EQ(report.torn_records, 0u);
-  // Real traffic preceded the kill: something durable must exist, and the
-  // durable prefix can never exceed what was ingested.
-  EXPECT_GT(report.votes_restored, 0u);
-  ASSERT_LE(report.votes_restored, votes.size());
-
-  SessionOptions reference_options = options;
-  reference_options.durability_dir.clear();
-  reference_options.checkpoint_every_votes = 0;
-  DqmEngine reference_engine;
-  auto reference = reference_engine.OpenSession(
-      "ref", num_items, std::span<const std::string>(Panel()),
-      reference_options);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  std::vector<VoteEvent> prefix(
-      votes.begin(),
-      votes.begin() + static_cast<ptrdiff_t>(report.votes_restored));
-  IngestBatches(reference_engine, "ref", prefix, 37);
-  (*reference)->Publish();
-  auto snapshot = recovered_engine.Query("s");
-  ASSERT_TRUE(snapshot.ok());
-  ExpectSnapshotParity(*snapshot, (*reference)->snapshot(), tag);
+  // Parent: the child acknowledged every batch it reached but the rejected
+  // one; the recovered prefix says how far it reached.
+  ParityRun run;
+  run.acked.assign(stream.batches.size(), true);
+  run.acked[stream.rejected] = false;
+  conformance::RecoverDirectory(options.durability_dir, stream,
+                                /*complete=*/false, &run);
+  if (testing::Test::HasFatalFailure()) return;
+  EXPECT_GT(run.votes, 0u);  // real traffic preceded the kill
+  conformance::ExpectServesReference(c, stream, run);
 }
 
 TEST_F(ChaosCrashDeathTest, CrashInsideWalFsync) {
-  CrashAtFailpointAndRecover("wal_fsync", "dqm.wal.fsync=crash");
+  CrashAtFailpointAndRecover("dqm.wal.fsync=crash");
 }
 
 TEST_F(ChaosCrashDeathTest, CrashInsideCheckpointRename) {
-  CrashAtFailpointAndRecover("cp_rename", "dqm.checkpoint.rename=crash");
+  CrashAtFailpointAndRecover("dqm.checkpoint.rename=crash");
 }
 
 TEST_F(ChaosCrashDeathTest, CrashInsideCheckpointDirsync) {
-  CrashAtFailpointAndRecover("cp_dirsync", "dqm.checkpoint.dirsync=crash");
+  CrashAtFailpointAndRecover("dqm.checkpoint.dirsync=crash");
 }
 
 // ---------------------------------------------------------------------------
@@ -515,7 +366,8 @@ TEST_F(DegradationTest, SessionSurvivesPermanentWalFailureAndRearms) {
   {
     DqmEngine engine;
     auto session = engine.OpenSession(
-        "s", kNumItems, std::span<const std::string>(Panel()), options);
+        "s", kNumItems,
+        std::span<const std::string>(conformance::TalliesPanel()), options);
     ASSERT_TRUE(session.ok()) << session.status().ToString();
 
     // 16 clean votes, fully group-committed (multiples of 8).
@@ -581,7 +433,8 @@ TEST_F(DegradationTest, FailStopKeepsRejectingUntilCheckpointReset) {
 
   DqmEngine engine;
   auto session = engine.OpenSession(
-      "s", kNumItems, std::span<const std::string>(Panel()), options);
+      "s", kNumItems,
+      std::span<const std::string>(conformance::TalliesPanel()), options);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   ASSERT_TRUE(
       engine.Ingest("s", std::span<const VoteEvent>(&votes[0], 8)).ok());
@@ -618,7 +471,8 @@ TEST(KeepGoingRecoveryTest, BrokenSessionDoesNotAbortTheScan) {
     DqmEngine engine;
     for (const char* name : {"alpha", "bravo"}) {
       auto session = engine.OpenSession(
-          name, kNumItems, std::span<const std::string>(Panel()), options);
+          name, kNumItems,
+          std::span<const std::string>(conformance::TalliesPanel()), options);
       ASSERT_TRUE(session.ok()) << session.status().ToString();
       ASSERT_TRUE(
           engine.Ingest(name, std::span<const VoteEvent>(votes.data(), 64))

@@ -32,6 +32,14 @@ workload::GeneratedWorkload MustGenerate(const std::string& spec,
   return (*generator)->Generate(seed);
 }
 
+std::vector<crowd::VoteEvent> FirstFamilyVotes(uint64_t seed,
+                                               size_t* num_items) {
+  workload::GeneratedWorkload run =
+      MustGenerate(ConformanceWorkloadSpecs().front(), seed);
+  *num_items = run.log.num_items();
+  return run.log.events();
+}
+
 double OneRowEstimate(const std::string& spec, size_t num_items,
                       const std::vector<crowd::VoteEvent>& events) {
   return ReplayPipeline(num_items, {spec}, events).EstimatedTotalErrors();

@@ -27,6 +27,10 @@ std::vector<std::string> ConformanceWorkloadSpecs();
 workload::GeneratedWorkload MustGenerate(const std::string& spec,
                                          uint64_t seed);
 
+/// The first registered family's run for `seed` as one flat vote stream.
+std::vector<crowd::VoteEvent> FirstFamilyVotes(uint64_t seed,
+                                               size_t* num_items);
+
 /// Replays `events` through a one-row panel for `spec` and returns its
 /// final estimate — the reference every N-row panel row must reproduce.
 double OneRowEstimate(const std::string& spec, size_t num_items,

@@ -1,17 +1,11 @@
 // Durability contract tests: the write-ahead vote log, checkpoint files,
-// and crash recovery. The headline property is crash/recover/parity — kill
-// the process (modeled as a point-in-time copy of the durability
-// directory, taken by a callback armed on each commit-protocol phase
-// failpoint), recover
-// from the copy, and the rebuilt session must match an uninterrupted
-// session fed the same durable prefix: bit-identical tallies, pair
-// counts, and count-derived estimates, with EM inside its declared
-// conformance tolerance. Runs across every registered workload family.
+// manifests, and the recovery scan. Crash/recover parity across every
+// workload family and commit-phase kill point is a subject of the
+// session-parity harness (conformance/session_parity.h).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -20,13 +14,14 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "conformance/conformance_utils.h"
+#include "conformance/session_parity.h"
 #include "core/dqm.h"
 #include "crowd/response_log.h"
 #include "crowd/wal.h"
 #include "engine/durability.h"
 #include "engine/engine.h"
 #include "engine/session.h"
-#include "workload/workload.h"
 
 namespace dqm::engine {
 namespace {
@@ -38,14 +33,8 @@ using crowd::Vote;
 using crowd::VoteEvent;
 using crowd::VoteWal;
 
-/// Fresh empty scratch directory under the test tmpdir (wiped if a prior
-/// run left one behind).
-std::string ScratchDir(const std::string& tag) {
-  fs::path dir = fs::path(testing::TempDir()) / ("dqm_durability_" + tag);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
+using conformance::FirstFamilyVotes;
+using conformance::ScratchDir;
 
 std::vector<VoteEvent> MakeVotes(size_t count, size_t num_items) {
   std::vector<VoteEvent> votes;
@@ -785,37 +774,7 @@ TEST(SessionDurabilityTest, FlushFailureSealsWalUntilCheckpointHeals) {
   EXPECT_EQ(restored, 10u);
 }
 
-// --- crash / recover / parity ---------------------------------------------
-
-/// The serving estimator panel for durable-session tests: every
-/// count-derived estimator the engine can attach (SWITCH excluded — an
-/// order-sensitive panel disables checkpoints; it gets its own WAL-only
-/// test below).
-const std::vector<std::string>& CheckpointablePanel() {
-  static const std::vector<std::string> panel = {
-      "chao92",     "good-turing", "vchao92?shift=2", "chao1",
-      "jackknife1", "voting",      "nominal",         "em-voting"};
-  return panel;
-}
-
-std::vector<std::string> FamilySpecs() {
-  std::vector<std::string> specs;
-  for (const std::string& name :
-       workload::WorkloadRegistry::Global().Names()) {
-    specs.push_back(name + "?n=80&dirty=12&tasks=50&ipt=8&batch=37");
-  }
-  return specs;
-}
-
-std::vector<VoteEvent> GenerateVotes(const std::string& spec, uint64_t seed,
-                                     size_t* num_items) {
-  auto generator = workload::WorkloadRegistry::Global().Create(spec);
-  EXPECT_TRUE(generator.ok()) << generator.status().ToString();
-  workload::GeneratedWorkload run = (*generator)->Generate(seed);
-  *num_items = run.log.num_items();
-  return std::vector<VoteEvent>(run.log.events().begin(),
-                                run.log.events().end());
-}
+// --- recovery --------------------------------------------------------------
 
 /// Ingests `votes` into `name` in fixed-size batches (single producer, so
 /// the durable prefix is a prefix of this exact order).
@@ -829,150 +788,9 @@ void IngestBatches(DqmEngine& engine, const std::string& name,
   }
 }
 
-/// EM conformance tolerance (declared in the striped-ingest conformance
-/// suite): |a-b| <= max(2.0, 0.02 * |b|).
-void ExpectWithinEmTolerance(double a, double b, const std::string& context) {
-  double tolerance = std::max(2.0, 0.02 * std::abs(b));
-  EXPECT_LE(std::abs(a - b), tolerance) << context << ": " << a << " vs " << b;
-}
-
-void ExpectSnapshotParity(const Snapshot& recovered, const Snapshot& reference,
-                          const std::string& context) {
-  EXPECT_EQ(recovered.num_votes, reference.num_votes) << context;
-  EXPECT_EQ(recovered.majority_count, reference.majority_count) << context;
-  EXPECT_EQ(recovered.nominal_count, reference.nominal_count) << context;
-  ASSERT_EQ(recovered.estimates.size(), reference.estimates.size()) << context;
-  for (size_t i = 0; i < recovered.estimates.size(); ++i) {
-    const std::string row = context + ", " + reference.estimates[i].name;
-    if (reference.estimates[i].name == "em-voting") {
-      // EM's float accumulation order may legally differ; everything
-      // count-derived must not.
-      ExpectWithinEmTolerance(recovered.estimates[i].total_errors,
-                              reference.estimates[i].total_errors, row);
-      ExpectWithinEmTolerance(recovered.estimates[i].undetected_errors,
-                              reference.estimates[i].undetected_errors, row);
-    } else {
-      EXPECT_EQ(recovered.estimates[i].total_errors,
-                reference.estimates[i].total_errors)
-          << row;
-      EXPECT_EQ(recovered.estimates[i].quality_score,
-                reference.estimates[i].quality_score)
-          << row;
-    }
-  }
-}
-
-struct KillPoint {
-  const char* failpoint;
-  const char* name;
-};
-
-class CrashRecoverParityTest : public testing::TestWithParam<int> {
- protected:
-  void TearDown() override { failpoint::DisarmAll(); }
-};
-
-TEST_P(CrashRecoverParityTest, RecoveredPrefixMatchesUninterruptedRun) {
-  const KillPoint kill_points[] = {
-      {fpn::kAfterAppend, "append"},
-      {fpn::kAfterFsync, "fsync"},
-      {fpn::kAfterCheckpointWrite, "checkpoint_write"},
-      {fpn::kAfterWalReset, "wal_reset"},
-  };
-  const KillPoint& kill = kill_points[GetParam()];
-  const std::vector<std::string>& panel = CheckpointablePanel();
-
-  for (const std::string& spec : FamilySpecs()) {
-    SCOPED_TRACE(spec + " @ " + kill.name);
-    size_t num_items = 0;
-    std::vector<VoteEvent> votes = GenerateVotes(spec, 20260807, &num_items);
-    ASSERT_GE(votes.size(), 300u);
-
-    std::string root =
-        ScratchDir(std::string("crash_") + kill.name + "_live");
-    std::string crash_root =
-        ScratchDir(std::string("crash_") + kill.name + "_image");
-
-    SessionOptions options;
-    options.cadence = PublishCadence::kEveryNVotes;
-    options.publish_every_votes = 128;
-    options.ingest_stripes = 4;
-    options.durability_dir = root;
-    options.wal_group_commit_votes = 64;
-    options.checkpoint_every_votes = 150;
-
-    DqmEngine live;
-    auto session = live.OpenSession("s", num_items,
-                                    std::span<const std::string>(panel),
-                                    options);
-    ASSERT_TRUE(session.ok()) << session.status().ToString();
-    ASSERT_TRUE((*session)->durable());
-
-    // The "kill": on the second firing of the target phase, copy the whole
-    // durability directory. The copy sees exactly the bytes a process
-    // killed at that instant would leave on disk (the phase point is
-    // evaluated with the WAL mutex held, so no write races the copy).
-    int fired = 0;
-    bool copied = false;
-    failpoint::Action copy_image;
-    copy_image.kind = failpoint::Action::Kind::kCallback;
-    copy_image.callback = [&] {
-      if (copied) return;
-      if (++fired < 2) return;
-      fs::copy(root, crash_root, fs::copy_options::recursive |
-                                     fs::copy_options::overwrite_existing);
-      copied = true;
-    };
-    failpoint::Registry::Global().Arm(kill.failpoint, copy_image);
-    IngestBatches(live, "s", votes, 37);
-    failpoint::Registry::Global().Disarm(kill.failpoint);
-    ASSERT_TRUE(copied) << "kill point never fired";
-
-    // Recover from the crash image into a fresh engine.
-    DqmEngine recovered_engine;
-    auto reports = recovered_engine.RecoverSessions(crash_root);
-    ASSERT_TRUE(reports.ok()) << reports.status().ToString();
-    ASSERT_EQ(reports->size(), 1u);
-    const DqmEngine::RecoveredSession& report = (*reports)[0];
-    EXPECT_EQ(report.name, "s");
-    EXPECT_EQ(report.num_items, num_items);
-    EXPECT_EQ(report.torn_records, 0u);  // fsync'd prefixes are never torn
-    ASSERT_LE(report.votes_restored, votes.size());
-    if (kill.failpoint != fpn::kAfterAppend) {
-      // Past the first group commit something durable must exist.
-      EXPECT_GT(report.votes_restored, 0u);
-    }
-
-    // Parity: an uninterrupted in-memory session with the identical
-    // configuration, fed exactly the durable prefix.
-    SessionOptions reference_options = options;
-    reference_options.durability_dir.clear();
-    reference_options.checkpoint_every_votes = 0;
-    DqmEngine reference_engine;
-    auto reference = reference_engine.OpenSession(
-        "ref", num_items, std::span<const std::string>(panel),
-        reference_options);
-    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    std::vector<VoteEvent> prefix(
-        votes.begin(),
-        votes.begin() + static_cast<ptrdiff_t>(report.votes_restored));
-    IngestBatches(reference_engine, "ref", prefix, 37);
-    (*reference)->Publish();
-
-    auto recovered_snapshot = recovered_engine.Query("s");
-    ASSERT_TRUE(recovered_snapshot.ok());
-    ExpectSnapshotParity(*recovered_snapshot, (*reference)->snapshot(),
-                         spec + " @ " + kill.name);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(KillPoints, CrashRecoverParityTest,
-                         testing::Values(0, 1, 2, 3));
-
 TEST(EngineDurabilityTest, TornTailInCrashImageIsHealedOnRecovery) {
   size_t num_items = 0;
-  std::vector<VoteEvent> votes =
-      GenerateVotes(FamilySpecs().front(), 7, &num_items);
+  std::vector<VoteEvent> votes = FirstFamilyVotes(7, &num_items);
   std::string root = ScratchDir("torn_tail");
   SessionOptions options;
   options.durability_dir = root;
@@ -981,7 +799,7 @@ TEST(EngineDurabilityTest, TornTailInCrashImageIsHealedOnRecovery) {
     DqmEngine engine;
     auto session = engine.OpenSession(
         "s", num_items,
-        std::span<const std::string>(CheckpointablePanel()), options);
+        std::span<const std::string>(conformance::PairsPanel()), options);
     ASSERT_TRUE(session.ok()) << session.status().ToString();
     IngestBatches(engine, "s", votes, 37);
     ASSERT_TRUE((*session)->FlushDurability().ok());
@@ -999,55 +817,13 @@ TEST(EngineDurabilityTest, TornTailInCrashImageIsHealedOnRecovery) {
   EXPECT_EQ((*reports)[0].torn_records, 1u);
 }
 
-TEST(EngineDurabilityTest, OrderSensitivePanelRecoversViaFullWalReplay) {
-  // SWITCH consumes arrival order, so its panel gets WAL-only durability
-  // (checkpoints are refused by the session) — and full-WAL replay
-  // preserves order exactly, making even SWITCH bit-identical after
-  // recovery from a clean flush.
-  size_t num_items = 0;
-  std::vector<VoteEvent> votes =
-      GenerateVotes(FamilySpecs().front(), 11, &num_items);
-  const std::vector<std::string> panel = {"switch", "chao92", "em-voting"};
-  std::string root = ScratchDir("switch_wal_only");
-  SessionOptions options;
-  options.durability_dir = root;
-  options.wal_group_commit_votes = 64;
-  options.checkpoint_every_votes = 100;  // requested, but the panel refuses
-  Snapshot final_snapshot;
-  {
-    DqmEngine engine;
-    auto session = engine.OpenSession(
-        "s", num_items, std::span<const std::string>(panel), options);
-    ASSERT_TRUE(session.ok()) << session.status().ToString();
-    IngestBatches(engine, "s", votes, 37);
-    ASSERT_TRUE((*session)->FlushDurability().ok());
-    final_snapshot = (*session)->snapshot();
-  }
-  EXPECT_FALSE(fs::exists(root + "/s/checkpoint.bin"));
-  DqmEngine recovered;
-  auto reports = recovered.RecoverSessions(root);
-  ASSERT_TRUE(reports.ok()) << reports.status().ToString();
-  ASSERT_EQ(reports->size(), 1u);
-  EXPECT_FALSE((*reports)[0].had_checkpoint);
-  EXPECT_EQ((*reports)[0].votes_restored, votes.size());
-  auto snapshot = recovered.Query("s");
-  ASSERT_TRUE(snapshot.ok());
-  ASSERT_EQ(snapshot->estimates.size(), final_snapshot.estimates.size());
-  for (size_t i = 0; i < snapshot->estimates.size(); ++i) {
-    EXPECT_EQ(snapshot->estimates[i].total_errors,
-              final_snapshot.estimates[i].total_errors)
-        << panel[i];
-  }
-}
-
 TEST(EngineDurabilityTest, StripedTallyOnlyPanelRecoversLiveRows) {
   // A tally-only panel checkpoints the kTallies variant; the striped
   // session recovered from that checkpoint plus the WAL tail must serve the
   // live session's chao92 / vchao92 rows exactly. (The kPairs variant is
-  // covered by CrashRecoverParityTest's em-voting panel.)
+  // covered by the session-parity harness's pairs panel.)
   size_t num_items = 0;
-  std::vector<VoteEvent> votes =
-      GenerateVotes(FamilySpecs().front(), 13, &num_items);
+  std::vector<VoteEvent> votes = FirstFamilyVotes(13, &num_items);
   const std::vector<std::string> panel = {"chao92", "vchao92?shift=2",
                                           "voting"};
   std::string root = ScratchDir("striped_tallies");
@@ -1083,7 +859,8 @@ TEST(EngineDurabilityTest, StripedTallyOnlyPanelRecoversLiveRows) {
   EXPECT_EQ((*reports)[0].votes_restored, votes.size());
   auto snapshot = recovered.Query("s");
   ASSERT_TRUE(snapshot.ok());
-  ExpectSnapshotParity(*snapshot, live, "striped kTallies recovery");
+  conformance::ExpectSameServedState(panel, live, *snapshot,
+                                     "striped kTallies recovery");
 }
 
 TEST(EngineDurabilityTest, SerializedTallyOnlyPanelRecoversAndMigrates) {
@@ -1094,8 +871,7 @@ TEST(EngineDurabilityTest, SerializedTallyOnlyPanelRecoversAndMigrates) {
   // serialized session of this panel wrote when its log kept pair counts —
   // must recover into it with identical tallies and rows.
   size_t num_items = 0;
-  std::vector<VoteEvent> votes =
-      GenerateVotes(FamilySpecs().front(), 17, &num_items);
+  std::vector<VoteEvent> votes = FirstFamilyVotes(17, &num_items);
   const std::vector<std::string> panel = {"chao92", "voting"};
   std::string root = ScratchDir("serialized_tallies");
   std::string pairs_root = ScratchDir("serialized_tallies_pairs");
@@ -1129,7 +905,7 @@ TEST(EngineDurabilityTest, SerializedTallyOnlyPanelRecoversAndMigrates) {
     SCOPED_TRACE(context);
     auto snapshot = engine.Query("s");
     ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-    ExpectSnapshotParity(*snapshot, live, context);
+    conformance::ExpectSameServedState(panel, live, *snapshot, context);
     auto session = engine.GetSession("s");
     ASSERT_TRUE(session.ok());
     auto state = (*session)->ExportState();
@@ -1293,7 +1069,7 @@ TEST_F(ManifestFaultTest, UnreadableManifestFailsRecoveryLoudly) {
   {
     DqmEngine engine;
     auto session = engine.OpenSession(
-        "s", 16, std::span<const std::string>(CheckpointablePanel()),
+        "s", 16, std::span<const std::string>(conformance::PairsPanel()),
         options);
     ASSERT_TRUE(session.ok()) << session.status().ToString();
     ASSERT_TRUE(engine.Ingest("s", MakeVotes(50, 16)).ok());
@@ -1334,7 +1110,7 @@ TEST(EngineDurabilityTest, RecoverSessionsFailsLoudlyOnCorruptCheckpoint) {
   {
     DqmEngine engine;
     auto session = engine.OpenSession(
-        "s", 16, std::span<const std::string>(CheckpointablePanel()),
+        "s", 16, std::span<const std::string>(conformance::PairsPanel()),
         options);
     ASSERT_TRUE(session.ok()) << session.status().ToString();
     std::vector<VoteEvent> votes = MakeVotes(200, 16);

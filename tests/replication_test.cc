@@ -19,7 +19,9 @@
 //
 // The failover matrix crosses every kill point (segment-ship write/fsync/
 // rename, WAL fsync — real _Exit(77) crash failpoints) with every workload
-// family, mirroring the chaos harness next door.
+// family, mirroring the chaos harness next door. The healthy ship-and-promote
+// path across families is a subject of the session-parity harness
+// (conformance/session_parity.h).
 
 #include <gtest/gtest.h>
 
@@ -38,6 +40,8 @@
 
 #include "common/failpoint.h"
 #include "common/string_util.h"
+#include "conformance/conformance_utils.h"
+#include "conformance/session_parity.h"
 #include "crowd/io.h"
 #include "crowd/wal.h"
 #include "engine/durability.h"
@@ -46,7 +50,6 @@
 #include "engine/session.h"
 #include "telemetry/metric_names.h"
 #include "telemetry/metrics.h"
-#include "workload/workload.h"
 
 namespace dqm::engine {
 namespace {
@@ -55,39 +58,9 @@ namespace fs = std::filesystem;
 
 using crowd::VoteEvent;
 
-std::string ScratchDir(const std::string& tag) {
-  fs::path dir = fs::path(testing::TempDir()) / ("dqm_repl_" + tag);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
-
-/// Count-derived estimator panel (checkpointable: no SWITCH).
-const std::vector<std::string>& Panel() {
-  static const std::vector<std::string> panel = {
-      "chao92", "good-turing", "vchao92?shift=2", "chao1", "voting",
-      "nominal"};
-  return panel;
-}
-
-std::vector<std::string> FamilySpecs() {
-  std::vector<std::string> specs;
-  for (const std::string& name :
-       workload::WorkloadRegistry::Global().Names()) {
-    specs.push_back(name + "?n=80&dirty=12&tasks=50&ipt=8&batch=37");
-  }
-  return specs;
-}
-
-std::vector<VoteEvent> GenerateVotes(const std::string& spec, uint64_t seed,
-                                     size_t* num_items) {
-  auto generator = workload::WorkloadRegistry::Global().Create(spec);
-  EXPECT_TRUE(generator.ok()) << generator.status().ToString();
-  workload::GeneratedWorkload run = (*generator)->Generate(seed);
-  *num_items = run.log.num_items();
-  return std::vector<VoteEvent>(run.log.events().begin(),
-                                run.log.events().end());
-}
+using conformance::FirstFamilyVotes;
+using conformance::ScratchDir;
+using conformance::TalliesPanel;
 
 void IngestRange(DqmEngine& engine, const std::string& name,
                  const std::vector<VoteEvent>& votes, size_t begin, size_t end,
@@ -98,33 +71,6 @@ void IngestRange(DqmEngine& engine, const std::string& name,
         engine.Ingest(name, std::span<const VoteEvent>(&votes[begin], size))
             .ok())
         << "acknowledgement lost at vote " << begin;
-  }
-}
-
-void ExpectWithinEmTolerance(double a, double b, const std::string& context) {
-  double tolerance = std::max(2.0, 0.02 * std::abs(b));
-  EXPECT_LE(std::abs(a - b), tolerance) << context << ": " << a << " vs " << b;
-}
-
-void ExpectSnapshotParity(const Snapshot& standby, const Snapshot& reference,
-                          const std::string& context) {
-  EXPECT_EQ(standby.num_votes, reference.num_votes) << context;
-  EXPECT_EQ(standby.majority_count, reference.majority_count) << context;
-  EXPECT_EQ(standby.nominal_count, reference.nominal_count) << context;
-  ASSERT_EQ(standby.estimates.size(), reference.estimates.size()) << context;
-  for (size_t i = 0; i < standby.estimates.size(); ++i) {
-    const std::string row = context + ", " + reference.estimates[i].name;
-    if (reference.estimates[i].name == "em-voting") {
-      ExpectWithinEmTolerance(standby.estimates[i].total_errors,
-                              reference.estimates[i].total_errors, row);
-    } else {
-      EXPECT_EQ(standby.estimates[i].total_errors,
-                reference.estimates[i].total_errors)
-          << row;
-      EXPECT_EQ(standby.estimates[i].quality_score,
-                reference.estimates[i].quality_score)
-          << row;
-    }
   }
 }
 
@@ -139,7 +85,7 @@ void ExpectPrefixParity(DqmEngine& standby_engine, const std::string& name,
   reference_options.publish_every_votes = 128;
   DqmEngine reference_engine;
   auto reference = reference_engine.OpenSession(
-      "ref", num_items, std::span<const std::string>(Panel()),
+      "ref", num_items, std::span<const std::string>(TalliesPanel()),
       reference_options);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   IngestRange(reference_engine, "ref", votes, 0,
@@ -147,7 +93,8 @@ void ExpectPrefixParity(DqmEngine& standby_engine, const std::string& name,
   (*reference)->Publish();
   auto snapshot = standby_engine.Query(name);
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  ExpectSnapshotParity(*snapshot, (*reference)->snapshot(), context);
+  conformance::ExpectSameServedState(TalliesPanel(), (*reference)->snapshot(),
+                                     *snapshot, context);
 }
 
 SessionOptions DurableOptions(const std::string& root,
@@ -308,96 +255,18 @@ TEST(LocalDirTransportTest, UnreadableFenceRefusesToShip) {
 }
 
 // ---------------------------------------------------------------------------
-// The healthy pipeline: primary ships, standby tracks, lag drains, promote
-// serves — across every workload family.
+// A primary that attaches replication late ships what it already holds.
 // ---------------------------------------------------------------------------
-
-TEST(ReplicationPipelineTest, StandbyTracksPrimaryAcrossFamilies) {
-  int family = 0;
-  for (const std::string& spec : FamilySpecs()) {
-    SCOPED_TRACE(spec);
-    size_t num_items = 0;
-    std::vector<VoteEvent> votes =
-        GenerateVotes(spec, 0x5EED + family, &num_items);
-    ASSERT_GE(votes.size(), 300u);
-
-    const std::string tag = StrFormat("pipe_f%d", family++);
-    std::string primary_root = ScratchDir(tag + "_primary");
-    std::string ship_dir = ScratchDir(tag + "_ship");
-    std::string standby_root = ScratchDir(tag + "_standby");
-
-    DqmEngine primary;
-    auto session = primary.OpenSession(
-        "s", num_items, std::span<const std::string>(Panel()),
-        DurableOptions(primary_root, 64, 150));
-    ASSERT_TRUE(session.ok()) << session.status().ToString();
-
-    auto transport = LocalDirTransport::Open(ship_dir);
-    ASSERT_TRUE(transport.ok()) << transport.status().ToString();
-    std::shared_ptr<ReplicationTransport> shared = std::move(*transport);
-    auto replicator = SessionReplicator::Start(*session, shared);
-    ASSERT_TRUE(replicator.ok()) << replicator.status().ToString();
-
-    DqmEngine standby_engine;
-    StandbyApplier::Options standby_options;
-    standby_options.durability_dir = standby_root;
-    auto applier =
-        StandbyApplier::Open(standby_engine, shared, standby_options);
-    ASSERT_TRUE(applier.ok()) << applier.status().ToString();
-
-    // Interleave ingest and replay so the standby crosses checkpoint
-    // rebases mid-stream, not just at the end.
-    size_t polls = 0;
-    for (size_t begin = 0; begin < votes.size(); begin += 37) {
-      size_t size = std::min<size_t>(37, votes.size() - begin);
-      ASSERT_TRUE(
-          primary.Ingest("s", std::span<const VoteEvent>(&votes[begin], size))
-              .ok());
-      if (++polls % 3 == 0) {
-        ASSERT_TRUE((*applier)->Poll().ok());
-      }
-    }
-    ASSERT_TRUE((*session)->FlushDurability().ok());
-    ASSERT_TRUE((*applier)->Poll().ok());
-
-    // An idle pair fully drains: every durable vote is applied and the lag
-    // gauge reads zero.
-    EXPECT_EQ((*applier)->applied_votes(), votes.size());
-    EXPECT_FALSE((*applier)->divergent());
-    EXPECT_EQ((*applier)->divergences(), 0u);
-    telemetry::Gauge* lag = telemetry::MetricsRegistry::Global().GetGauge(
-        telemetry::metric_names::kReplicaLagVotes, {{"session", "s"}});
-    EXPECT_DOUBLE_EQ(lag->Value(), 0.0);
-
-    ReplicationStats stats = (*replicator)->stats();
-    EXPECT_EQ(stats.ship_errors, 0u);
-    EXPECT_GT(stats.segments_shipped, 0u);
-    EXPECT_EQ(stats.shipped_votes, votes.size());
-
-    auto promoted = (*applier)->Promote();
-    ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
-    EXPECT_GE(promoted->fencing_token, 2u);
-    EXPECT_EQ(promoted->applied_votes, votes.size());
-    ExpectPrefixParity(standby_engine, "s", votes, votes.size(), num_items,
-                       spec);
-
-    // The promoted session serves as a normal primary: new traffic lands.
-    ASSERT_TRUE(
-        standby_engine.Ingest("s", std::span<const VoteEvent>(&votes[0], 37))
-            .ok());
-  }
-}
 
 TEST(ReplicationPipelineTest, StartShipsPreexistingState) {
   size_t num_items = 0;
-  std::vector<VoteEvent> votes =
-      GenerateVotes(FamilySpecs().front(), 0xA77ACE, &num_items);
+  std::vector<VoteEvent> votes = FirstFamilyVotes(0xA77ACE, &num_items);
   std::string primary_root = ScratchDir("late_primary");
   std::string ship_dir = ScratchDir("late_ship");
 
   DqmEngine primary;
   auto session = primary.OpenSession(
-      "s", num_items, std::span<const std::string>(Panel()),
+      "s", num_items, std::span<const std::string>(TalliesPanel()),
       DurableOptions(primary_root, 16, 64));
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   // 100 votes BEFORE replication attaches: a checkpoint (at 64) plus a WAL
@@ -471,8 +340,7 @@ std::optional<double> SessionGauge(const char* name,
 
 TEST(ReplicaLagTest, LagBytesGaugeIsPerSessionAndGoneAfterStop) {
   size_t num_items = 0;
-  std::vector<VoteEvent> votes =
-      GenerateVotes(FamilySpecs().front(), 0x1A6, &num_items);
+  std::vector<VoteEvent> votes = FirstFamilyVotes(0x1A6, &num_items);
   std::string primary_root = ScratchDir("lag_primary");
 
   DqmEngine primary;
@@ -480,7 +348,7 @@ TEST(ReplicaLagTest, LagBytesGaugeIsPerSessionAndGoneAfterStop) {
   std::shared_ptr<RefusingTransport> behind_transport;
   for (const std::string name : {"healthy", "behind"}) {
     auto session = primary.OpenSession(
-        name, num_items, std::span<const std::string>(Panel()),
+        name, num_items, std::span<const std::string>(TalliesPanel()),
         DurableOptions(primary_root, 16, 0));
     ASSERT_TRUE(session.ok()) << session.status().ToString();
     auto local = LocalDirTransport::Open(ScratchDir("lag_ship_" + name));
@@ -523,12 +391,11 @@ TEST(ReplicaLagTest, LagBytesGaugeIsPerSessionAndGoneAfterStop) {
 
 TEST(ReplicaLagTest, LagBytesCountsANewGenerationWhileItsCheckpointFails) {
   size_t num_items = 0;
-  std::vector<VoteEvent> votes =
-      GenerateVotes(FamilySpecs().front(), 0x1A7, &num_items);
+  std::vector<VoteEvent> votes = FirstFamilyVotes(0x1A7, &num_items);
   ASSERT_GE(votes.size(), 144u);
   DqmEngine primary;
   auto session = primary.OpenSession(
-      "s", num_items, std::span<const std::string>(Panel()),
+      "s", num_items, std::span<const std::string>(TalliesPanel()),
       DurableOptions(ScratchDir("lag_gen_primary"), 16, 50));
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   auto local = LocalDirTransport::Open(ScratchDir("lag_gen_ship"));
@@ -567,7 +434,7 @@ TEST(StandbyOpenTest, UnparsableCadenceInTheManifestFailsOpen) {
   SessionManifest manifest;
   manifest.name = "s";
   manifest.num_items = 80;
-  manifest.specs = Panel();
+  manifest.specs = TalliesPanel();
   manifest.cadence = "bogus";
   const std::string content = ManifestContent(manifest);
   ASSERT_TRUE((*transport)
@@ -585,79 +452,6 @@ TEST(StandbyOpenTest, UnparsableCadenceInTheManifestFailsOpen) {
   EXPECT_EQ(applier.status().code(), StatusCode::kInvalidArgument)
       << applier.status().ToString();
   EXPECT_FALSE(standby_engine.Query("s").ok());
-}
-
-// ---------------------------------------------------------------------------
-// A serialized session replicates: SWITCH keeps WAL-only durability, and
-// its standby replays the WAL in the primary's order.
-// ---------------------------------------------------------------------------
-
-TEST(ReplicationPipelineTest, SerializedSwitchSessionReplicates) {
-  size_t num_items = 0;
-  std::vector<VoteEvent> votes =
-      GenerateVotes(FamilySpecs().front(), 0x5A17, &num_items);
-  ASSERT_GE(votes.size(), 300u);
-  const std::vector<std::string> panel = {"switch", "chao92", "voting"};
-
-  DqmEngine primary;
-  auto session = primary.OpenSession(
-      "s", num_items, std::span<const std::string>(panel),
-      DurableOptions(ScratchDir("serial_primary"), 16, 64));
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-  ASSERT_FALSE((*session)->concurrent_ingest());
-  auto transport = LocalDirTransport::Open(ScratchDir("serial_ship"));
-  ASSERT_TRUE(transport.ok()) << transport.status().ToString();
-  std::shared_ptr<ReplicationTransport> shared = std::move(*transport);
-  auto replicator = SessionReplicator::Start(*session, shared);
-  ASSERT_TRUE(replicator.ok()) << replicator.status().ToString();
-
-  DqmEngine standby_engine;
-  StandbyApplier::Options standby_options;
-  standby_options.durability_dir = ScratchDir("serial_standby");
-  auto applier = StandbyApplier::Open(standby_engine, shared, standby_options);
-  ASSERT_TRUE(applier.ok()) << applier.status().ToString();
-
-  // One producer, polls interleaved with its batches.
-  size_t polls = 0;
-  for (size_t begin = 0; begin < votes.size(); begin += 37) {
-    size_t size = std::min<size_t>(37, votes.size() - begin);
-    ASSERT_TRUE(
-        primary.Ingest("s", std::span<const VoteEvent>(&votes[begin], size))
-            .ok());
-    if (++polls % 3 == 0) {
-      ASSERT_TRUE((*applier)->Poll().ok());
-    }
-  }
-  ASSERT_TRUE((*session)->FlushDurability().ok());
-  ASSERT_TRUE((*applier)->Poll().ok());
-
-  ReplicationStats stats = (*replicator)->stats();
-  EXPECT_EQ(stats.ship_errors, 0u);
-  EXPECT_EQ(stats.checkpoints_shipped, 0u);  // WAL-only durability
-  EXPECT_EQ(stats.shipped_votes, votes.size());
-  EXPECT_EQ((*applier)->applied_votes(), stats.shipped_votes);
-  EXPECT_FALSE((*applier)->divergent());
-
-  auto promoted = (*applier)->Promote();
-  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
-  EXPECT_EQ(promoted->applied_votes, stats.shipped_votes);
-  auto standby = standby_engine.Query("s");
-  ASSERT_TRUE(standby.ok()) << standby.status().ToString();
-  const Snapshot live = (*session)->snapshot();
-  EXPECT_EQ(standby->num_votes, live.num_votes);
-  EXPECT_EQ(standby->majority_count, live.majority_count);
-  EXPECT_EQ(standby->nominal_count, live.nominal_count);
-  ASSERT_EQ(standby->estimates.size(), live.estimates.size());
-  for (size_t i = 0; i < live.estimates.size(); ++i) {
-    SCOPED_TRACE(live.estimates[i].name);
-    EXPECT_EQ(standby->estimates[i].name, live.estimates[i].name);
-    EXPECT_EQ(standby->estimates[i].total_errors,
-              live.estimates[i].total_errors);
-    EXPECT_EQ(standby->estimates[i].undetected_errors,
-              live.estimates[i].undetected_errors);
-    EXPECT_EQ(standby->estimates[i].quality_score,
-              live.estimates[i].quality_score);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -681,13 +475,13 @@ struct PrimaryRig {
 
 void StartRig(PrimaryRig& rig, const std::string& tag,
               uint64_t checkpoint_every_votes) {
-  rig.votes = GenerateVotes(FamilySpecs().front(), 0xFAB, &rig.num_items);
+  rig.votes = FirstFamilyVotes(0xFAB, &rig.num_items);
   ASSERT_GE(rig.votes.size(), 300u);
   rig.ship_dir = ScratchDir(tag + "_ship");
   std::string primary_root = ScratchDir(tag + "_primary");
 
   auto session = rig.engine.OpenSession(
-      "s", rig.num_items, std::span<const std::string>(Panel()),
+      "s", rig.num_items, std::span<const std::string>(TalliesPanel()),
       DurableOptions(primary_root, 16, checkpoint_every_votes));
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   rig.session = *session;
@@ -1018,55 +812,58 @@ class ReplicationFailoverDeathTest
 TEST_P(ReplicationFailoverDeathTest, PromoteServesEveryAcknowledgedVote) {
   const int family = std::get<0>(GetParam());
   const KillPoint& kill = kKillPoints[std::get<1>(GetParam())];
-  std::vector<std::string> families = FamilySpecs();
+  const std::vector<std::string> families =
+      conformance::ConformanceWorkloadSpecs();
   ASSERT_LT(static_cast<size_t>(family), families.size());
   SCOPED_TRACE(StrFormat("kill=%s, %s", kill.spec, families[family].c_str()));
 
-  size_t num_items = 0;
-  std::vector<VoteEvent> votes =
-      GenerateVotes(families[family], 0xFA170 + family, &num_items);
-  ASSERT_GE(votes.size(), 300u);
-
-  const std::string tag = StrFormat("kill_%s_f%d", kill.tag, family);
-  std::string primary_root = ScratchDir(tag + "_primary");
-  std::string ship_dir = ScratchDir(tag + "_ship");
-  std::string standby_root = ScratchDir(tag + "_standby");
+  conformance::ParityCase c;
+  c.name = StrFormat("kill_%s_f%d", kill.tag, family);
+  c.workload = families[family];
+  c.seed = 0xFA170 + family;
+  c.panel = TalliesPanel();
+  c.options = DurableOptions(ScratchDir("primary"), 64, 150);
+  const conformance::ParityStream stream =
+      conformance::MakeParityStream(c.workload, c.seed);
+  const std::string ship_dir = ScratchDir("ship");
   // The child records the high-water mark of votes acknowledged as DURABLE
   // (FlushDurability returned, which fsyncs and ships before returning);
   // the no-lost-ack check reads it back in the parent. Group-committed
   // acks without the barrier are explicitly weaker — they may ride in the
   // tail the crash destroys, exactly as on a single node.
-  const std::string ack_path = ScratchDir(tag + "_ack") + "/acked";
+  const std::string ack_path = ScratchDir("ack") + "/acked";
   const size_t arm_after = 185;  // past the first checkpoint boundary (150)
 
   EXPECT_EXIT(
       {
         DqmEngine engine;
         auto session = engine.OpenSession(
-            "s", num_items, std::span<const std::string>(Panel()),
-            DurableOptions(primary_root, 64, 150));
+            "s", stream.num_items, std::span<const std::string>(c.panel),
+            c.options);
         if (!session.ok()) std::_Exit(3);
         auto transport = LocalDirTransport::Open(ship_dir);
         if (!transport.ok()) std::_Exit(3);
         std::shared_ptr<ReplicationTransport> shared = std::move(*transport);
         auto replicator = SessionReplicator::Start(*session, shared);
         if (!replicator.ok()) std::_Exit(4);
-        for (size_t begin = 0; begin < votes.size(); begin += 37) {
-          if (begin >= arm_after && !failpoint::AnyArmed()) {
+        size_t ingested = 0;
+        uint64_t acked = 0;
+        for (size_t i = 0; i < stream.batches.size(); ++i) {
+          if (ingested >= arm_after && !failpoint::AnyArmed()) {
             if (!failpoint::Configure(kill.spec).ok()) std::_Exit(4);
           }
-          size_t size = std::min<size_t>(37, votes.size() - begin);
-          if (!engine
-                   .Ingest("s",
-                           std::span<const VoteEvent>(&votes[begin], size))
-                   .ok()) {
+          const std::vector<VoteEvent>& batch = stream.batches[i];
+          if (i != stream.rejected) ingested += batch.size();
+          if ((*session)->AddVotes(batch).ok() != (i != stream.rejected)) {
             std::_Exit(5);
           }
+          if (i == stream.rejected) continue;
           // The durability barrier: when it returns, this batch is fsynced
           // AND its ship hook has run (or the crash fired and we never got
           // here) — the acknowledged durable prefix now covers it.
           if (!(*session)->FlushDurability().ok()) std::_Exit(5);
-          std::ofstream(ack_path, std::ios::trunc) << (begin + size);
+          acked += batch.size();
+          std::ofstream(ack_path, std::ios::trunc) << acked;
         }
         std::_Exit(6);  // the kill point never fired
       },
@@ -1086,7 +883,7 @@ TEST_P(ReplicationFailoverDeathTest, PromoteServesEveryAcknowledgedVote) {
   std::shared_ptr<ReplicationTransport> shared = std::move(*transport);
   DqmEngine standby_engine;
   StandbyApplier::Options standby_options;
-  standby_options.durability_dir = standby_root;
+  standby_options.durability_dir = ScratchDir("standby");
   auto applier =
       StandbyApplier::Open(standby_engine, shared, standby_options);
   ASSERT_TRUE(applier.ok()) << applier.status().ToString();
@@ -1095,17 +892,22 @@ TEST_P(ReplicationFailoverDeathTest, PromoteServesEveryAcknowledgedVote) {
 
   // No lost acknowledgement: every batch whose durability barrier returned
   // on the primary was shipped before the barrier returned, so the
-  // promoted standby serves at least that prefix — and never more than was
-  // ingested.
+  // promoted standby serves at least that prefix.
   EXPECT_GE(promoted->applied_votes, acked)
       << "the promoted standby lost votes acknowledged as durable";
-  ASSERT_LE(promoted->applied_votes, votes.size());
   EXPECT_GE(promoted->fencing_token, 2u);
 
-  // Durable-prefix parity: the standby is bit-identical to a reference fed
-  // exactly the applied prefix.
-  ExpectPrefixParity(standby_engine, "s", votes, promoted->applied_votes,
-                     num_items, tag);
+  // Durable-prefix parity: the standby serves what the reference fed
+  // exactly the applied prefix serves. The child acknowledged every batch
+  // it reached but the rejected one.
+  conformance::ParityRun run;
+  run.acked.assign(stream.batches.size(), true);
+  run.acked[stream.rejected] = false;
+  run.votes = promoted->applied_votes;
+  auto served = standby_engine.Query("s");
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  run.served = std::move(served).value();
+  conformance::ExpectServesReference(c, stream, run);
 
   // The fence is up: a zombie write with the dead primary's token bounces.
   const std::vector<uint8_t> junk = {0xBA, 0xD0};
@@ -1127,8 +929,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(MigrateSessionTest, MovesSessionAcrossEnginesWithDurability) {
   size_t num_items = 0;
-  std::vector<VoteEvent> votes =
-      GenerateVotes(FamilySpecs().front(), 0x316EA7E, &num_items);
+  std::vector<VoteEvent> votes = FirstFamilyVotes(0x316EA7E, &num_items);
   std::string root_a = ScratchDir("mig_a");
   std::string root_b = ScratchDir("mig_b");
 
@@ -1140,7 +941,7 @@ TEST(MigrateSessionTest, MovesSessionAcrossEnginesWithDurability) {
   {
     DqmEngine a;
     auto session = a.OpenSession(
-        "m", num_items, std::span<const std::string>(Panel()),
+        "m", num_items, std::span<const std::string>(TalliesPanel()),
         DurableOptions(root_a, 16, 100));
     ASSERT_TRUE(session.ok()) << session.status().ToString();
     IngestRange(a, "m", votes, 0, 160, 16);
@@ -1156,7 +957,8 @@ TEST(MigrateSessionTest, MovesSessionAcrossEnginesWithDurability) {
     EXPECT_FALSE(a.Query("m").ok());
     auto after = b.Query("m");
     ASSERT_TRUE(after.ok()) << after.status().ToString();
-    ExpectSnapshotParity(*after, before, "post-migration");
+    conformance::ExpectSameServedState(TalliesPanel(), before, *after,
+                                       "post-migration");
     IngestRange(b, "m", votes, 160, 200, 16);
     // b's destructor flushes the migrated session's WAL.
   }
