@@ -643,6 +643,113 @@ TEST(ManifestTest, RoundTripsHostileNamesAndSpecs) {
   EXPECT_EQ(loaded->checkpoint_every_votes, manifest.checkpoint_every_votes);
 }
 
+/// One MANIFEST text as written by an earlier build (verbatim), plus the
+/// serving configuration and commit layout a recovery of it must produce.
+struct RecordedManifest {
+  const char* text;
+  std::string name;
+  uint64_t num_items;
+  std::vector<std::string> specs;
+  PublishCadence cadence;
+  uint64_t publish_every_votes;
+  size_t ingest_stripes;
+  uint64_t wal_group_commit_votes;
+  uint64_t wal_group_commit_ms;
+  uint64_t checkpoint_every_votes;
+  DurabilityFailurePolicy failure_policy;
+  bool concurrent_ingest;
+};
+
+TEST(ManifestTest, ParentManifestsRecoverUnchanged) {
+  const std::vector<RecordedManifest> recorded = {
+      // A serialized SWITCH session: the resolved serialized path was
+      // recorded as ingest_stripes=0.
+      {"name=serialized\n"
+       "num_items=64\n"
+       "specs=switch,chao92\n"
+       "cadence=every_batch\n"
+       "ingest_stripes=0\n"
+       "publish_every_votes=4096\n"
+       "wal_group_commit_votes=256\n"
+       "wal_group_commit_ms=0\n"
+       "checkpoint_every_votes=0\n"
+       "durability_failure_policy=fail_stop\n"
+       "fencing_token=1\n",
+       "serialized", 64, {"switch", "chao92"}, PublishCadence::kEveryBatch,
+       4096, 1, 256, 0, 0, DurabilityFailurePolicy::kFailStop, false},
+      // A striped durable session with every serving knob non-default.
+      {"name=striped\n"
+       "num_items=4096\n"
+       "specs=chao92,vchao92%3Fshift%3D2,voting\n"
+       "cadence=every_n_votes:8192\n"
+       "ingest_stripes=4\n"
+       "publish_every_votes=8192\n"
+       "wal_group_commit_votes=512\n"
+       "wal_group_commit_ms=25\n"
+       "checkpoint_every_votes=100000\n"
+       "durability_failure_policy=degrade_to_volatile\n"
+       "fencing_token=1\n",
+       "striped", 4096, {"chao92", "vchao92?shift=2", "voting"},
+       PublishCadence::kEveryNVotes, 8192, 4, 512, 25, 100000,
+       DurabilityFailurePolicy::kDegradeToVolatile, true},
+      // The hostile name of RoundTripsHostileNamesAndSpecs, auto-striped.
+      {"name=prod%2Fus%20east%3D1%25done%2Creally\n"
+       "num_items=1234\n"
+       "specs=chao92,vchao92%3Fshift%3D2\n"
+       "cadence=manual\n"
+       "ingest_stripes=4\n"
+       "publish_every_votes=4096\n"
+       "wal_group_commit_votes=256\n"
+       "wal_group_commit_ms=0\n"
+       "checkpoint_every_votes=0\n"
+       "durability_failure_policy=fail_stop\n"
+       "fencing_token=1\n",
+       "prod/us east=1%done,really", 1234, {"chao92", "vchao92?shift=2"},
+       PublishCadence::kManual, 4096, 4, 256, 0, 0,
+       DurabilityFailurePolicy::kFailStop, true},
+  };
+  for (const RecordedManifest& want : recorded) {
+    SCOPED_TRACE(want.name);
+    const std::string root = ScratchDir("parent_manifest_" +
+                                        PercentEncode(want.name));
+    const std::string dir = root + "/" + PercentEncode(want.name);
+    fs::create_directories(dir);
+    {
+      std::ofstream f(SessionManifestPath(dir), std::ios::binary);
+      f << want.text;
+    }
+    auto parsed = ReadManifestFile(SessionManifestPath(dir));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed->name, want.name);
+    EXPECT_EQ(parsed->num_items, want.num_items);
+    EXPECT_EQ(parsed->specs, want.specs);
+    EXPECT_EQ(parsed->fencing_token, 1u);
+
+    DqmEngine engine;
+    auto recovered = engine.RecoverSessions(root);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    ASSERT_EQ(recovered->size(), 1u);
+    auto session = engine.GetSession(want.name);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    const SessionOptions& options = (*session)->options();
+    EXPECT_EQ(options.cadence, want.cadence);
+    EXPECT_EQ(options.publish_every_votes, want.publish_every_votes);
+    EXPECT_EQ(options.ingest_stripes, want.ingest_stripes);
+    EXPECT_EQ(options.durability_dir, root);
+    EXPECT_EQ(options.wal_group_commit_votes, want.wal_group_commit_votes);
+    EXPECT_EQ(options.wal_group_commit_ms, want.wal_group_commit_ms);
+    EXPECT_EQ(options.checkpoint_every_votes, want.checkpoint_every_votes);
+    EXPECT_EQ(options.durability_failure_policy, want.failure_policy);
+    EXPECT_EQ((*session)->concurrent_ingest(), want.concurrent_ingest);
+    EXPECT_EQ((*session)->specs(), want.specs);
+    // The recovered session serves: a batch commits and publishes.
+    std::vector<VoteEvent> votes = MakeVotes(40, want.num_items);
+    ASSERT_TRUE((*session)->AddVotes(votes).ok());
+    (*session)->Publish();
+    EXPECT_EQ((*session)->snapshot().num_votes, votes.size());
+  }
+}
+
 TEST(ManifestTest, PercentCodecRoundTripsAndRejectsBadHex) {
   const std::string hostile = "a/b c%d=e,f\ng\x7f";
   auto decoded = PercentDecode(PercentEncode(hostile));
