@@ -114,6 +114,11 @@ Result<uint64_t> ParseU64(std::string_view text, std::string_view what) {
   uint64_t value = 0;
   auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec == std::errc::result_out_of_range) {
+    return Status::InvalidArgument(StrFormat(
+        "%.*s: '%.*s' overflows uint64", static_cast<int>(what.size()),
+        what.data(), static_cast<int>(text.size()), text.data()));
+  }
   if (text.empty() || ec != std::errc() || ptr != text.data() + text.size()) {
     return Status::InvalidArgument(StrFormat(
         "%.*s: '%.*s' is not an unsigned integer",

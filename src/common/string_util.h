@@ -44,7 +44,8 @@ std::string StrFormat(const char* format, ...)
 bool IsDigits(std::string_view text);
 
 /// Parses a non-empty run of ASCII decimal digits (no sign, no whitespace)
-/// that fits in 64 bits. InvalidArgument names `what` and echoes `text`.
+/// that fits in 64 bits. InvalidArgument names `what` and echoes `text`;
+/// digits too large for 64 bits read "... overflows uint64".
 Result<uint64_t> ParseU64(std::string_view text, std::string_view what);
 
 }  // namespace dqm

@@ -80,28 +80,6 @@ int HexValue(char c) {
 
 }  // namespace
 
-const char* DurabilityFailurePolicyName(DurabilityFailurePolicy policy) {
-  switch (policy) {
-    case DurabilityFailurePolicy::kFailStop:
-      return "fail_stop";
-    case DurabilityFailurePolicy::kDegradeToVolatile:
-      return "degrade_to_volatile";
-  }
-  return "fail_stop";
-}
-
-Result<DurabilityFailurePolicy> ParseDurabilityFailurePolicy(
-    std::string_view text) {
-  if (text == "fail_stop") return DurabilityFailurePolicy::kFailStop;
-  if (text == "degrade_to_volatile") {
-    return DurabilityFailurePolicy::kDegradeToVolatile;
-  }
-  return Status::InvalidArgument(StrFormat(
-      "unknown durability failure policy '%.*s' (want fail_stop or "
-      "degrade_to_volatile)",
-      static_cast<int>(text.size()), text.data()));
-}
-
 std::string PercentEncode(std::string_view raw) {
   static constexpr char kHex[] = "0123456789ABCDEF";
   std::string out;
@@ -147,12 +125,20 @@ Result<std::string> PercentDecode(std::string_view encoded) {
 }
 
 std::string ManifestContent(const SessionManifest& m) {
+  const SessionOptions& o = m.options;
   std::vector<std::string> encoded_specs;
   encoded_specs.reserve(m.specs.size());
   for (const std::string& spec : m.specs) {
     encoded_specs.push_back(PercentEncode(spec));
   }
-  std::string content = StrFormat(
+  // The cadence in its ParsePublishCadenceSpec spelling.
+  std::string cadence = "every_batch";
+  if (o.cadence == PublishCadence::kManual) cadence = "manual";
+  if (o.cadence == PublishCadence::kEveryNVotes) {
+    cadence = StrFormat("every_n_votes:%llu", static_cast<unsigned long long>(
+                                                  o.publish_every_votes));
+  }
+  return StrFormat(
       "name=%s\n"
       "num_items=%llu\n"
       "specs=%s\n"
@@ -166,15 +152,14 @@ std::string ManifestContent(const SessionManifest& m) {
       "fencing_token=%llu\n",
       PercentEncode(m.name).c_str(),
       static_cast<unsigned long long>(m.num_items),
-      Join(encoded_specs, ",").c_str(), m.cadence.c_str(),
-      static_cast<unsigned long long>(m.ingest_stripes),
-      static_cast<unsigned long long>(m.publish_every_votes),
-      static_cast<unsigned long long>(m.wal_group_commit_votes),
-      static_cast<unsigned long long>(m.wal_group_commit_ms),
-      static_cast<unsigned long long>(m.checkpoint_every_votes),
-      DurabilityFailurePolicyName(m.failure_policy),
+      Join(encoded_specs, ",").c_str(), cadence.c_str(),
+      static_cast<unsigned long long>(o.ingest_stripes),
+      static_cast<unsigned long long>(o.publish_every_votes),
+      static_cast<unsigned long long>(o.wal_group_commit_votes),
+      static_cast<unsigned long long>(o.wal_group_commit_ms),
+      static_cast<unsigned long long>(o.checkpoint_every_votes),
+      DurabilityFailurePolicyName(o.durability_failure_policy),
       static_cast<unsigned long long>(m.fencing_token));
-  return content;
 }
 
 Status WriteManifestFile(const std::string& path, const SessionManifest& m) {
@@ -188,6 +173,18 @@ Status WriteManifestFile(const std::string& path, const SessionManifest& m) {
 Result<SessionManifest> ParseManifestContent(std::string_view content,
                                              const std::string& context) {
   SessionManifest m;
+  // Earlier builds recorded the serialized path as 0 (and the oldest
+  // manifests have no ingest_stripes key at all); both resolve to 1.
+  uint64_t stripes = 1;
+  const std::pair<std::string_view, uint64_t*> numeric_keys[] = {
+      {"num_items", &m.num_items},
+      {"ingest_stripes", &stripes},
+      {"publish_every_votes", &m.options.publish_every_votes},
+      {"wal_group_commit_votes", &m.options.wal_group_commit_votes},
+      {"wal_group_commit_ms", &m.options.wal_group_commit_ms},
+      {"checkpoint_every_votes", &m.options.checkpoint_every_votes},
+      {"fencing_token", &m.fencing_token},
+  };
   bool saw_name = false;
   bool saw_items = false;
   for (std::string_view line : Split(content, '\n')) {
@@ -203,10 +200,6 @@ Result<SessionManifest> ParseManifestContent(std::string_view content,
     if (key == "name") {
       DQM_ASSIGN_OR_RETURN(m.name, PercentDecode(value));
       saw_name = true;
-    } else if (key == "num_items") {
-      DQM_ASSIGN_OR_RETURN(m.num_items,
-                           ParseU64(value, "manifest key num_items"));
-      saw_items = true;
     } else if (key == "specs") {
       m.specs.clear();
       if (!value.empty()) {
@@ -216,32 +209,17 @@ Result<SessionManifest> ParseManifestContent(std::string_view content,
         }
       }
     } else if (key == "cadence") {
-      m.cadence = std::string(value);
-    } else if (key == "ingest_stripes") {
-      DQM_ASSIGN_OR_RETURN(m.ingest_stripes,
-                           ParseU64(value, "manifest key ingest_stripes"));
-    } else if (key == "publish_every_votes") {
-      DQM_ASSIGN_OR_RETURN(
-          m.publish_every_votes,
-          ParseU64(value, "manifest key publish_every_votes"));
-    } else if (key == "wal_group_commit_votes") {
-      DQM_ASSIGN_OR_RETURN(
-          m.wal_group_commit_votes,
-          ParseU64(value, "manifest key wal_group_commit_votes"));
-    } else if (key == "wal_group_commit_ms") {
-      DQM_ASSIGN_OR_RETURN(
-          m.wal_group_commit_ms,
-          ParseU64(value, "manifest key wal_group_commit_ms"));
-    } else if (key == "checkpoint_every_votes") {
-      DQM_ASSIGN_OR_RETURN(
-          m.checkpoint_every_votes,
-          ParseU64(value, "manifest key checkpoint_every_votes"));
+      DQM_ASSIGN_OR_RETURN(m.options,
+                           ParsePublishCadenceSpec(value, m.options));
     } else if (key == "durability_failure_policy") {
-      DQM_ASSIGN_OR_RETURN(m.failure_policy,
+      DQM_ASSIGN_OR_RETURN(m.options.durability_failure_policy,
                            ParseDurabilityFailurePolicy(value));
-    } else if (key == "fencing_token") {
-      DQM_ASSIGN_OR_RETURN(m.fencing_token,
-                           ParseU64(value, "manifest key fencing_token"));
+    }
+    for (const auto& [numeric_key, field] : numeric_keys) {
+      if (key != numeric_key) continue;
+      DQM_ASSIGN_OR_RETURN(
+          *field, ParseU64(value, "manifest key " + std::string(key)));
+      saw_items |= field == &m.num_items;
     }
     // Unknown keys are skipped: a manifest written by a newer build stays
     // recoverable by this one.
@@ -251,6 +229,7 @@ Result<SessionManifest> ParseManifestContent(std::string_view content,
         "%s: manifest is missing required keys (name, num_items)",
         context.c_str()));
   }
+  m.options.ingest_stripes = std::max<uint64_t>(stripes, 1);
   return m;
 }
 
@@ -269,31 +248,28 @@ std::string SessionManifestPath(const std::string& session_dir) {
 
 // --- SessionDurability -----------------------------------------------------
 
-SessionDurability::SessionDurability(DurabilityOptions options)
-    : options_([&options] {
-        options.group_commit_votes =
-            std::max<uint64_t>(options.group_commit_votes, 1);
-        return std::move(options);
-      }()) {}
+SessionDurability::SessionDurability(const std::string& dir,
+                                     const SessionManifest& manifest)
+    : dir_(dir), name_(manifest.name), options_(manifest.options) {}
 
 std::string SessionDurability::wal_path() const {
-  return options_.dir + "/" + kWalFile;
+  return dir_ + "/" + kWalFile;
 }
 
 std::string SessionDurability::checkpoint_path() const {
-  return options_.dir + "/" + kCheckpointFile;
+  return dir_ + "/" + kCheckpointFile;
 }
 
 Result<std::unique_ptr<SessionDurability>> SessionDurability::Create(
-    const DurabilityOptions& options, const SessionManifest& manifest) {
+    const std::string& dir, const SessionManifest& manifest) {
   namespace fs = std::filesystem;
   std::error_code ec;
-  if (fs::exists(options.dir, ec)) {
-    if (!fs::is_empty(options.dir, ec)) {
+  if (fs::exists(dir, ec)) {
+    if (!fs::is_empty(dir, ec)) {
       return Status::FailedPrecondition(StrFormat(
           "durability dir '%s' already holds session state; recover it via "
           "RecoverSessions instead of opening fresh",
-          options.dir.c_str()));
+          dir.c_str()));
     }
   } else {
     // Record the directories create_directories is about to make (deepest
@@ -301,63 +277,62 @@ Result<std::unique_ptr<SessionDurability>> SessionDurability::Create(
     // otherwise the session directory itself can vanish at power loss even
     // though every vote record inside it was fsync'd.
     std::vector<std::string> created;
-    for (fs::path p(options.dir); !p.empty() && !fs::exists(p, ec);
+    for (fs::path p(dir); !p.empty() && !fs::exists(p, ec);
          p = p.parent_path()) {
       created.push_back(p.string());
     }
-    fs::create_directories(options.dir, ec);
+    fs::create_directories(dir, ec);
     if (ec) {
-      return Status::IOError(StrFormat("mkdir '%s': %s", options.dir.c_str(),
-                                       ec.message().c_str()));
+      return Status::IOError(
+          StrFormat("mkdir '%s': %s", dir.c_str(), ec.message().c_str()));
     }
     for (auto it = created.rbegin(); it != created.rend(); ++it) {
       DQM_RETURN_NOT_OK(
           io::FsyncParentDir(io::fpn::kManifest.dirsync, *it));
     }
   }
-  std::unique_ptr<SessionDurability> durability(
-      new SessionDurability(options));
   // Manifest before WAL: a directory with a manifest is recoverable; one
   // without (a crash inside Create) is skipped by RecoverSessions with a
   // warning instead of surfacing a half-created session.
-  DQM_RETURN_NOT_OK(WriteManifestFile(
-      durability->options_.dir + "/" + kManifestFile, manifest));
-  DQM_RETURN_NOT_OK(durability->OpenWal());
-  // wal.log was just created; the manifest's atomic write synced the
-  // session directory BEFORE it existed, so its dirent needs its own fsync
-  // to survive power loss.
-  DQM_RETURN_NOT_OK(io::FsyncParentDir(io::fpn::kManifest.dirsync,
-                                       durability->wal_path()));
-  durability->checkpoint_bytes_gauge_ =
-      telemetry::MetricsRegistry::Global().AcquireGauge(
-          telemetry::metric_names::kCheckpointBytes,
-          {{"session", durability->options_.session_name}});
-  durability->StartFlusher();
-  return durability;
+  DQM_RETURN_NOT_OK(WriteManifestFile(SessionManifestPath(dir), manifest));
+  return Open(dir, manifest);
 }
 
 Result<std::unique_ptr<SessionDurability>> SessionDurability::Attach(
-    const DurabilityOptions& options) {
-  std::unique_ptr<SessionDurability> durability(
-      new SessionDurability(options));
+    const std::string& dir, const SessionManifest& manifest) {
   struct stat st;
-  const std::string manifest_path =
-      durability->options_.dir + "/" + kManifestFile;
-  if (::stat(manifest_path.c_str(), &st) != 0) {
-    return Status::NotFound(StrFormat(
-        "'%s' is not a session durability dir (no %s)",
-        durability->options_.dir.c_str(), kManifestFile));
+  if (::stat(SessionManifestPath(dir).c_str(), &st) != 0) {
+    return Status::NotFound(
+        StrFormat("'%s' is not a session durability dir (no %s)", dir.c_str(),
+                  kManifestFile));
   }
-  DQM_RETURN_NOT_OK(durability->OpenWal());
-  // OpenWal recreates wal.log if it was missing (a crash between the
-  // manifest commit and the WAL's creation); persist that dirent too.
+  return Open(dir, manifest);
+}
+
+Result<std::unique_ptr<SessionDurability>> SessionDurability::Open(
+    const std::string& dir, const SessionManifest& manifest) {
+  std::unique_ptr<SessionDurability> durability(
+      new SessionDurability(dir, manifest));
+  DQM_ASSIGN_OR_RETURN(crowd::VoteWal wal,
+                       crowd::VoteWal::Open(durability->wal_path()));
+  {
+    MutexLock lock(durability->wal_mutex_);
+    durability->wal_ = std::move(wal);
+  }
+  // A fresh wal.log (just created, or recreated after a crash between the
+  // manifest commit and the WAL's creation) is a new dirent the manifest's
+  // atomic write did not sync; it needs its own fsync to survive power
+  // loss.
   DQM_RETURN_NOT_OK(io::FsyncParentDir(io::fpn::kManifest.dirsync,
                                        durability->wal_path()));
   durability->checkpoint_bytes_gauge_ =
       telemetry::MetricsRegistry::Global().AcquireGauge(
           telemetry::metric_names::kCheckpointBytes,
-          {{"session", durability->options_.session_name}});
-  durability->StartFlusher();
+          {{"session", durability->name_}});
+  if (durability->options_.wal_group_commit_ms > 0) {
+    durability->flusher_ =
+        std::thread([raw = durability.get()] { raw->FlusherLoop(); });
+  }
   return durability;
 }
 
@@ -387,27 +362,15 @@ SessionDurability::~SessionDurability() {
   if (checkpoint_bytes_gauge_ != nullptr) {
     telemetry::MetricsRegistry::Global().ReleaseGauge(
         telemetry::metric_names::kCheckpointBytes,
-        {{"session", options_.session_name}});
+        {{"session", name_}});
   }
-}
-
-Status SessionDurability::OpenWal() {
-  DQM_ASSIGN_OR_RETURN(crowd::VoteWal wal, crowd::VoteWal::Open(wal_path()));
-  MutexLock lock(wal_mutex_);
-  wal_ = std::move(wal);
-  return Status::OK();
-}
-
-void SessionDurability::StartFlusher() {
-  if (options_.group_commit_ms == 0) return;
-  flusher_ = std::thread([this] { FlusherLoop(); });
 }
 
 void SessionDurability::FlusherLoop() {
   MutexLock lock(wal_mutex_);
   while (!stop_flusher_) {
-    flusher_cv_.WaitFor(wal_mutex_,
-                        std::chrono::milliseconds(options_.group_commit_ms));
+    flusher_cv_.WaitFor(
+        wal_mutex_, std::chrono::milliseconds(options_.wal_group_commit_ms));
     if (stop_flusher_) break;
     // The flusher's own kill/skip point: error and return actions drop
     // this wake (the next one retries); delay stalls the flusher with the
@@ -469,7 +432,7 @@ Status SessionDurability::FlushLocked(bool sync) {
     // the loss where an operator can see it.
     tm.seals->Increment();
     tm.dropped->Add(pending_votes_);
-    if (options_.failure_policy ==
+    if (options_.durability_failure_policy ==
         DurabilityFailurePolicy::kDegradeToVolatile) {
       // Everything unsynced was acknowledged to callers; under degradation
       // those votes stay committed in memory, so account them as acked-
@@ -487,7 +450,7 @@ void SessionDurability::EnterDegradedLocked(const Status& cause) {
   if (degraded_.load(std::memory_order_relaxed)) return;
   degraded_.store(true, std::memory_order_release);
   Metrics().sessions_degraded->Add(1.0);
-  DQM_LOG(Warning) << "session '" << options_.session_name
+  DQM_LOG(Warning) << "session '" << name_
                    << "': durability DEGRADED to volatile mode ("
                    << cause.message()
                    << "); commits continue in memory only until a "
@@ -500,7 +463,7 @@ Status SessionDurability::AppendBatch(
   DurabilityMetrics& tm = Metrics();
   MutexLock lock(wal_mutex_);
   if (wal_.sealed()) {
-    if (options_.failure_policy ==
+    if (options_.durability_failure_policy ==
         DurabilityFailurePolicy::kDegradeToVolatile) {
       // Volatile mode: the batch is accepted into memory with no durable
       // record. EnterDegradedLocked is idempotent but normally a no-op
@@ -523,10 +486,10 @@ Status SessionDurability::AppendBatch(
   tm.votes->Add(votes.size());
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
   failpoint::Eval(fpn::kAfterAppend);
-  if (pending_votes_ >= options_.group_commit_votes) {
+  if (pending_votes_ >= options_.wal_group_commit_votes) {
     Status status = FlushLocked(/*sync=*/true);
     if (!status.ok()) {
-      if (options_.failure_policy ==
+      if (options_.durability_failure_policy ==
           DurabilityFailurePolicy::kDegradeToVolatile) {
         // FlushLocked just accounted this batch (it was part of the
         // unsynced backlog) and flipped the session degraded; the caller
@@ -553,7 +516,7 @@ Status SessionDurability::Flush() {
     // Degraded sessions are volatile BY POLICY: a flush has nothing to do
     // and callers (close paths, CLI) should not error on it. The degraded
     // flag and dropped-vote count are the honest signal.
-    if (options_.failure_policy ==
+    if (options_.durability_failure_policy ==
         DurabilityFailurePolicy::kDegradeToVolatile) {
       return Status::OK();
     }
@@ -604,7 +567,7 @@ Status SessionDurability::CommitCheckpoint(
     degraded_.store(false, std::memory_order_release);
     tm.sessions_degraded->Add(-1.0);
     tm.degraded_rearms->Increment();
-    DQM_LOG(Info) << "session '" << options_.session_name
+    DQM_LOG(Info) << "session '" << name_
                   << "': durability re-armed by checkpoint (generation "
                   << next_generation << ") after "
                   << degraded_votes_.load(std::memory_order_relaxed)

@@ -17,26 +17,10 @@
 #include "common/status.h"
 #include "crowd/vote.h"
 #include "crowd/wal.h"
+#include "engine/session.h"
 #include "telemetry/metrics.h"
 
 namespace dqm::engine {
-
-/// What a session does when its WAL seals (an I/O failure survived the
-/// retry budget): fail-stop rejects every later batch until a checkpoint
-/// reset; degrade-to-volatile keeps committing in memory, loudly flagging
-/// itself (snapshots, dqm_sessions_degraded) and counting every vote acked
-/// without a durable record, then re-arms at the next successful
-/// checkpoint reset.
-enum class DurabilityFailurePolicy : uint8_t {
-  kFailStop = 0,
-  kDegradeToVolatile = 1,
-};
-
-/// Canonical spellings, as accepted by --durability_failure_policy and the
-/// manifest: "fail_stop" | "degrade_to_volatile".
-const char* DurabilityFailurePolicyName(DurabilityFailurePolicy policy);
-Result<DurabilityFailurePolicy> ParseDurabilityFailurePolicy(
-    std::string_view text);
 
 /// Failpoint names owned by this layer (the file-edge sets, manifest
 /// included, live in crowd/io.h).
@@ -58,49 +42,20 @@ inline constexpr char kAfterCheckpointWrite[] =
 inline constexpr char kAfterWalReset[] = "dqm.durability.after_wal_reset";
 }  // namespace fpn
 
-/// Per-session durability knobs (resolved from SessionOptions by the
-/// engine; `dir` is this session's own directory, not the engine root).
-struct DurabilityOptions {
-  std::string dir;
-  /// Session name, for the session=... label on the checkpoint-size gauge.
-  std::string session_name;
-  /// fsync the WAL whenever at least this many votes accumulated since the
-  /// last sync (clamped to >= 1; 1 = fsync every batch).
-  uint64_t group_commit_votes = 256;
-  /// Additionally fsync at most this many milliseconds after a vote was
-  /// buffered (0 = no timed flusher): bounds the durability lag of a
-  /// trickle workload that never fills a vote-count group.
-  uint64_t group_commit_ms = 0;
-  /// Checkpoint whenever the session's committed total crosses a multiple
-  /// of this (0 = never; recovery then replays the whole WAL).
-  uint64_t checkpoint_every_votes = 0;
-  /// What to do when the WAL seals; see DurabilityFailurePolicy.
-  DurabilityFailurePolicy failure_policy = DurabilityFailurePolicy::kFailStop;
-};
-
-/// Everything needed to rebuild a session's configuration at recovery,
-/// persisted as a key=value text file (`MANIFEST`) in the session dir.
-/// Holds primitives only — the engine re-derives SessionOptions from it —
-/// so this header stays independent of engine/session.h.
+/// Everything needed to rebuild a session at recovery, persisted as a
+/// key=value text file (`MANIFEST`) in the session dir. The manifest codec
+/// (ManifestContent / ParseManifestContent) is the one place that knows the
+/// key list.
 struct SessionManifest {
   std::string name;
   uint64_t num_items = 0;
   std::vector<std::string> specs;
-  /// ParsePublishCadenceSpec spelling ("every_batch" | "manual" |
-  /// "every_n_votes:N").
-  std::string cadence = "every_batch";
-  /// The RESOLVED stripe count the live session used (log.num_stripes();
-  /// 0 = serialized path) — recorded so recovery rebuilds the same stripe
-  /// layout deterministically instead of re-deriving it from the hardware
-  /// it happens to recover on.
-  uint64_t ingest_stripes = 0;
-  uint64_t publish_every_votes = 4096;
-  uint64_t wal_group_commit_votes = 256;
-  uint64_t wal_group_commit_ms = 0;
-  uint64_t checkpoint_every_votes = 0;
-  /// Persisted as its canonical spelling; manifests from before this key
-  /// existed recover as fail_stop (the old behavior).
-  DurabilityFailurePolicy failure_policy = DurabilityFailurePolicy::kFailStop;
+  /// The session's RESOLVED serving options (ingest_stripes is the stripe
+  /// count the live session used, 1 = serialized), so recovery rebuilds
+  /// the same layout on any machine instead of re-deriving it from the
+  /// hardware it recovers on. durability_dir is not persisted: a session
+  /// serves under whichever root it is recovered from.
+  SessionOptions options;
   /// Monotonic replication fencing token. A primary stamps every shipped
   /// artifact with its token; promoting a standby raises the transport
   /// fence past the old primary's token, so a zombie primary's late pushes
@@ -120,7 +75,11 @@ Result<SessionManifest> ReadManifestFile(const std::string& path);
 
 /// Parses manifest content already in memory (the replication path receives
 /// manifests as shipped artifact bytes). `context` names the source for
-/// error messages; ReadManifestFile is this plus the file read.
+/// error messages; ReadManifestFile is this plus the file read. Unknown
+/// keys are skipped and missing ones keep their defaults (so a manifest
+/// from before a key existed recovers); a recorded ingest_stripes of 0 (the
+/// serialized path, as earlier builds wrote it) reads as 1.
+/// InvalidArgument when a value, the cadence included, does not parse.
 Result<SessionManifest> ParseManifestContent(std::string_view content,
                                              const std::string& context);
 
@@ -161,18 +120,19 @@ std::string SessionManifestPath(const std::string& session_dir);
 /// build callback pauses stripes while holding both outer locks.
 class SessionDurability {
  public:
-  /// Creates a FRESH session directory (mkdir -p), writes the manifest, and
-  /// opens an empty WAL. FailedPrecondition when the directory already
-  /// holds state — recovering an existing session must go through
+  /// Creates a FRESH session directory `dir` (mkdir -p), writes `manifest`,
+  /// and opens an empty WAL. The WAL group-commit and failure-policy knobs
+  /// come from manifest.options. FailedPrecondition when the directory
+  /// already holds state — recovering an existing session must go through
   /// DqmEngine::RecoverSessions, not OpenSession.
   static Result<std::unique_ptr<SessionDurability>> Create(
-      const DurabilityOptions& options, const SessionManifest& manifest);
+      const std::string& dir, const SessionManifest& manifest);
 
-  /// Attaches to an EXISTING session directory for recovery (the caller has
-  /// already read the manifest). Opens the WAL but replays nothing until
-  /// Recover.
+  /// Attaches to the EXISTING session directory `dir` for recovery;
+  /// `manifest` is the one the caller already read from it. Opens the WAL
+  /// but replays nothing until Recover.
   static Result<std::unique_ptr<SessionDurability>> Attach(
-      const DurabilityOptions& options);
+      const std::string& dir, const SessionManifest& manifest);
 
   /// Stops the timed flusher and flushes+fsyncs any buffered records
   /// (best-effort; failures are logged).
@@ -195,13 +155,6 @@ class SessionDurability {
   /// write(2)+fsyncs everything buffered regardless of cadence — the
   /// explicit durability point (close, tests, CLI flush).
   Status Flush() DQM_EXCLUDES(wal_mutex_);
-
-  bool checkpoints_enabled() const {
-    return options_.checkpoint_every_votes > 0;
-  }
-  uint64_t checkpoint_every_votes() const {
-    return options_.checkpoint_every_votes;
-  }
 
   /// Snapshots the session state and swaps it in for the WAL. `build` runs
   /// with the WAL quiesced (appends blocked, in-flight batches drained) and
@@ -235,8 +188,7 @@ class SessionDurability {
   /// session's RetainedBytes accounting.
   size_t RetainedBytes() const DQM_EXCLUDES(wal_mutex_);
 
-  const DurabilityOptions& options() const { return options_; }
-  const std::string& dir() const { return options_.dir; }
+  const std::string& dir() const { return dir_; }
   std::string wal_path() const;
   std::string checkpoint_path() const;
 
@@ -295,17 +247,22 @@ class SessionDurability {
   }
 
  private:
-  explicit SessionDurability(DurabilityOptions options);
+  SessionDurability(const std::string& dir, const SessionManifest& manifest);
 
-  Status OpenWal() DQM_EXCLUDES(wal_mutex_);
+  /// The tail Create and Attach share: opens (or creates) the WAL, fsyncs
+  /// its dirent, acquires the checkpoint-size gauge, starts the flusher.
+  static Result<std::unique_ptr<SessionDurability>> Open(
+      const std::string& dir, const SessionManifest& manifest);
   Status FlushLocked(bool sync) DQM_REQUIRES(wal_mutex_);
   /// Flips the session into degraded mode (gauge, log) the first time a
   /// seal is absorbed under degrade_to_volatile.
   void EnterDegradedLocked(const Status& cause) DQM_REQUIRES(wal_mutex_);
-  void StartFlusher();
   void FlusherLoop() DQM_EXCLUDES(wal_mutex_);
 
-  const DurabilityOptions options_;
+  const std::string dir_;
+  /// Session name (the session=... gauge label) and WAL knobs.
+  const std::string name_;
+  const SessionOptions options_;
   mutable Mutex wal_mutex_{LockRank::kWal, "session-wal"};
   crowd::VoteWal wal_ DQM_GUARDED_BY(wal_mutex_);
   /// Votes buffered/written since the last fsync — the group-commit gauge.

@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "engine/durability.h"
 #include "telemetry/metrics.h"
 #include "telemetry/metric_names.h"
@@ -15,74 +16,29 @@ namespace dqm::engine {
 
 namespace {
 
-/// Inverse of ParsePublishCadenceSpec — the spelling the manifest records.
-std::string CadenceSpecString(const SessionOptions& options) {
-  switch (options.cadence) {
-    case PublishCadence::kEveryBatch:
-      return "every_batch";
-    case PublishCadence::kManual:
-      return "manual";
-    case PublishCadence::kEveryNVotes:
-      return StrFormat(
-          "every_n_votes:%llu",
-          static_cast<unsigned long long>(options.publish_every_votes));
-  }
-  return "every_batch";
-}
-
-DurabilityOptions MakeDurabilityOptions(const std::string& name,
-                                        const SessionOptions& options) {
-  DurabilityOptions durability;
-  durability.dir = options.durability_dir + "/" + PercentEncode(name);
-  durability.session_name = name;
-  durability.group_commit_votes = options.wal_group_commit_votes;
-  durability.group_commit_ms = options.wal_group_commit_ms;
-  durability.checkpoint_every_votes = options.checkpoint_every_votes;
-  durability.failure_policy = options.durability_failure_policy;
-  return durability;
-}
-
-Result<std::unique_ptr<SessionDurability>> CreateSessionDurability(
-    const std::string& name, size_t num_items,
-    std::span<const std::string> specs, const SessionOptions& options,
-    bool supports_concurrent_ingest) {
-  SessionManifest manifest;
-  manifest.name = name;
-  manifest.num_items = num_items;
-  manifest.specs.assign(specs.begin(), specs.end());
-  manifest.cadence = CadenceSpecString(options);
-  // Record the RESOLVED stripe count (0 = serialized): an "auto" request
-  // resolves against the hardware it first ran on, and recovery must
-  // rebuild that layout — not re-roll it on whatever machine recovers.
-  manifest.ingest_stripes =
-      ResolveIngestStripes(options, supports_concurrent_ingest);
-  manifest.publish_every_votes = options.publish_every_votes;
-  manifest.wal_group_commit_votes = options.wal_group_commit_votes;
-  manifest.wal_group_commit_ms = options.wal_group_commit_ms;
-  manifest.checkpoint_every_votes = options.checkpoint_every_votes;
-  manifest.failure_policy = options.durability_failure_policy;
-  return SessionDurability::Create(MakeDurabilityOptions(name, options),
-                                   manifest);
+/// Resolves SessionOptions::ingest_stripes against a panel's capability:
+/// 1 = the serialized commit path, otherwise the stripe count k >= 2 the
+/// session runs with. Stripe on explicit request (>= 2), or automatically
+/// when the cadence is coalesced, with enough stripes that a producer per
+/// core rarely collides (the log clamps further so every stripe spans at
+/// least a cache line of tallies) — never by default under kEveryBatch: a
+/// single producer gains nothing from stripes, while a striped publish per
+/// batch locks every stripe and pays the O(num_items) tally audit once per
+/// num_items votes on top of the O(batch) commit the serialized path pays
+/// alone. A resolved value resolves to itself.
+size_t ResolveIngestStripes(const SessionOptions& options,
+                            bool supports_concurrent_ingest) {
+  const bool want_striping =
+      options.ingest_stripes >= 2 ||
+      (options.ingest_stripes == 0 &&
+       options.cadence != PublishCadence::kEveryBatch);
+  if (!want_striping || !supports_concurrent_ingest) return 1;
+  return options.ingest_stripes == 0
+             ? std::clamp<size_t>(ThreadPool::DefaultThreadCount(), 2, 8)
+             : options.ingest_stripes;
 }
 
 }  // namespace
-
-Result<SessionOptions> SessionOptionsFromManifest(
-    const SessionManifest& manifest, const std::string& durability_root) {
-  DQM_ASSIGN_OR_RETURN(SessionOptions options,
-                       ParsePublishCadenceSpec(manifest.cadence));
-  options.publish_every_votes = manifest.publish_every_votes;
-  // 0 in the manifest means the serialized path was resolved at create
-  // time; 1 pins it (0 in SessionOptions would re-run auto-resolution).
-  options.ingest_stripes =
-      manifest.ingest_stripes == 0 ? 1 : manifest.ingest_stripes;
-  options.durability_dir = durability_root;
-  options.wal_group_commit_votes = manifest.wal_group_commit_votes;
-  options.wal_group_commit_ms = manifest.wal_group_commit_ms;
-  options.checkpoint_every_votes = manifest.checkpoint_every_votes;
-  options.durability_failure_policy = manifest.failure_policy;
-  return options;
-}
 
 DqmEngine::DqmEngine(const Options& options)
     : num_shards_(options.num_shards),
@@ -121,31 +77,55 @@ Status DqmEngine::InsertSession(
   return Status::OK();
 }
 
-Result<std::shared_ptr<EstimationSession>> DqmEngine::OpenSession(
-    const std::string& name, size_t num_items,
-    std::span<const std::string> specs,
-    const SessionOptions& session_options) {
+Result<std::shared_ptr<EstimationSession>> DqmEngine::StartSession(
+    SessionManifest manifest, const std::string& dir,
+    EstimationSession::RecoveryReport* recovered) {
   // Name first (cheap), then the specs: a bad or duplicate name never pays
   // the pipeline construction, and a typo'd spec never half-opens a
   // session.
-  DQM_RETURN_NOT_OK(PrecheckName(name));
-  DQM_ASSIGN_OR_RETURN(core::DataQualityMetric metric,
-                       core::DataQualityMetric::Create(num_items, specs));
+  DQM_RETURN_NOT_OK(PrecheckName(manifest.name));
+  DQM_ASSIGN_OR_RETURN(
+      core::DataQualityMetric metric,
+      core::DataQualityMetric::Create(manifest.num_items, manifest.specs));
+  // The one stripe resolution: an "auto" request resolves against the
+  // hardware the session first runs on, and the manifest records the result
+  // so recovery rebuilds that layout instead of re-rolling it.
+  manifest.options.ingest_stripes = ResolveIngestStripes(
+      manifest.options, metric.SupportsConcurrentIngest());
   std::unique_ptr<SessionDurability> durability;
-  if (!session_options.durability_dir.empty()) {
-    // Directory + manifest + empty WAL exist before the session does, so
-    // from the first accepted batch onward the write-ahead invariant holds.
-    DQM_ASSIGN_OR_RETURN(
-        durability,
-        CreateSessionDurability(name, num_items, specs, session_options,
-                                metric.SupportsConcurrentIngest()));
+  if (!dir.empty()) {
+    // Directory + manifest + WAL exist before the session does, so from the
+    // first accepted batch onward the write-ahead invariant holds.
+    DQM_ASSIGN_OR_RETURN(durability,
+                         recovered == nullptr
+                             ? SessionDurability::Create(dir, manifest)
+                             : SessionDurability::Attach(dir, manifest));
   }
   // Constructed outside the shard lock; a racing open of the same name is
   // resolved by the insert (first writer wins).
   auto session = std::make_shared<EstimationSession>(
-      name, std::move(metric), session_options, std::move(durability));
+      manifest.name, std::move(metric), manifest.options,
+      std::move(durability));
+  if (recovered != nullptr) {
+    DQM_ASSIGN_OR_RETURN(*recovered, session->RecoverFromDurability());
+  }
   DQM_RETURN_NOT_OK(InsertSession(session));
   return session;
+}
+
+Result<std::shared_ptr<EstimationSession>> DqmEngine::OpenSession(
+    const std::string& name, size_t num_items,
+    std::span<const std::string> specs,
+    const SessionOptions& session_options) {
+  SessionManifest manifest;
+  manifest.name = name;
+  manifest.num_items = num_items;
+  manifest.specs.assign(specs.begin(), specs.end());
+  manifest.options = session_options;
+  const std::string& root = session_options.durability_dir;
+  return StartSession(std::move(manifest),
+                      root.empty() ? "" : root + "/" + PercentEncode(name),
+                      /*recovered=*/nullptr);
 }
 
 Result<std::vector<std::string>> DqmEngine::ListSessionDirs(
@@ -171,27 +151,15 @@ Result<std::vector<std::string>> DqmEngine::ListSessionDirs(
 Result<DqmEngine::RecoveredSession> DqmEngine::RecoverSessionDir(
     const std::string& dir, const std::string& root,
     SessionManifest manifest) {
-  DQM_ASSIGN_OR_RETURN(SessionOptions options,
-                       SessionOptionsFromManifest(manifest, root));
-  DQM_RETURN_NOT_OK(PrecheckName(manifest.name));
-  DQM_ASSIGN_OR_RETURN(
-      core::DataQualityMetric metric,
-      core::DataQualityMetric::Create(manifest.num_items, manifest.specs));
-  DurabilityOptions durability_options =
-      MakeDurabilityOptions(manifest.name, options);
-  // Trust the directory actually scanned over the re-derived encoding, in
+  manifest.options.durability_dir = root;
+  EstimationSession::RecoveryReport report;
+  // The directory actually scanned is trusted over the name's encoding, in
   // case the tree was relocated by hand.
-  durability_options.dir = dir;
-  DQM_ASSIGN_OR_RETURN(std::unique_ptr<SessionDurability> durability,
-                       SessionDurability::Attach(durability_options));
-  auto session = std::make_shared<EstimationSession>(
-      manifest.name, std::move(metric), options, std::move(durability));
-  DQM_ASSIGN_OR_RETURN(EstimationSession::RecoveryReport report,
-                       session->RecoverFromDurability());
-  DQM_RETURN_NOT_OK(InsertSession(session));
+  DQM_ASSIGN_OR_RETURN(std::shared_ptr<EstimationSession> session,
+                       StartSession(std::move(manifest), dir, &report));
   RecoveredSession row;
-  row.name = manifest.name;
-  row.num_items = manifest.num_items;
+  row.name = session->name();
+  row.num_items = session->num_items();
   row.votes_restored = report.votes_restored;
   row.torn_records = report.torn_records;
   row.had_checkpoint = report.had_checkpoint;

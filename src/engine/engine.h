@@ -15,17 +15,10 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "core/dqm.h"
+#include "engine/durability.h"
 #include "engine/session.h"
 
 namespace dqm::engine {
-
-/// The SessionOptions of the session `manifest` records, rebuilt to serve
-/// under `durability_root` ("" = in memory) — what recovery and a standby
-/// open. The recorded (resolved) stripe count is pinned, its 0 (the
-/// serialized path) as 1, so the layout is the same on any machine.
-/// InvalidArgument when the recorded cadence does not parse.
-Result<SessionOptions> SessionOptionsFromManifest(
-    const SessionManifest& manifest, const std::string& durability_root);
 
 /// Concurrent registry of named estimation sessions — the serving layer for
 /// monitoring many datasets at once.
@@ -78,13 +71,16 @@ class DqmEngine {
   /// SWITCH) get the striped multi-producer commit path; with a coalesced
   /// cadence (kEveryNVotes / kManual) many writer threads can ingest into
   /// the one session while a single publisher runs the estimator pipeline.
+  /// The stripe request is resolved here, once, and the session's
+  /// options() report the resolved count (1 = serialized).
   ///
   /// When SessionOptions::durability_dir is set this also creates the
   /// session's durability directory (`<dir>/<percent-encoded name>/` with
-  /// manifest + WAL) and every accepted batch is write-ahead logged before
-  /// it is applied. FailedPrecondition when that directory already holds
-  /// state — an existing durable session must be re-opened through
-  /// RecoverSessions, never overwritten by OpenSession.
+  /// a manifest recording the resolved options, and the WAL) and every
+  /// accepted batch is write-ahead logged before it is applied.
+  /// FailedPrecondition when that directory already holds state — an
+  /// existing durable session must be re-opened through RecoverSessions,
+  /// never overwritten by OpenSession.
   Result<std::shared_ptr<EstimationSession>> OpenSession(
       const std::string& name, size_t num_items,
       std::span<const std::string> specs,
@@ -195,15 +191,15 @@ class DqmEngine {
 
   /// Planned movement of a session to another engine: flushes the source's
   /// WAL, exports its compacted state (quiescing ingest for the cut),
-  /// rebuilds an identical session on `target` (same specs and serving
-  /// options; `target_durability_root` gives the target its own durable
-  /// home, "" = in-memory), verifies the restored vote count, publishes,
-  /// and closes the source registration. The caller must stop routing
-  /// traffic to the source before migrating — votes ingested after the
-  /// export cut would stay behind. FailedPrecondition for panels whose
-  /// state cannot be rebuilt from compacted counts (SWITCH); on any
-  /// failure the source stays registered and serving, and a half-built
-  /// target session is closed.
+  /// rebuilds an identical session on `target` (same specs and resolved
+  /// serving options, so the same stripe count; `target_durability_root`
+  /// gives the target its own durable home, "" = in-memory), verifies the
+  /// restored vote count, publishes, and closes the source registration.
+  /// The caller must stop routing traffic to the source before migrating —
+  /// votes ingested after the export cut would stay behind.
+  /// FailedPrecondition for panels whose state cannot be rebuilt from
+  /// compacted counts (SWITCH); on any failure the source stays registered
+  /// and serving, and a half-built target session is closed.
   Status MigrateSession(const std::string& name, DqmEngine& target,
                         const std::string& target_durability_root = "");
 
@@ -246,8 +242,17 @@ class DqmEngine {
   /// racing open of the same name won (first writer wins).
   Status InsertSession(const std::shared_ptr<EstimationSession>& session);
 
+  /// The one way a session comes up (open, recovery, and so a standby and
+  /// a migration target): builds the pipeline from `manifest`, resolves its
+  /// stripe count, creates the durability directory `dir` ("" = in memory)
+  /// — or, with `recovered` set, attaches to it and recovers into the
+  /// session, filling `recovered` — and registers the session.
+  Result<std::shared_ptr<EstimationSession>> StartSession(
+      SessionManifest manifest, const std::string& dir,
+      EstimationSession::RecoveryReport* recovered);
+
   /// Rebuilds and registers the session living in durability directory
-  /// `dir` from its already-parsed manifest.
+  /// `dir` (under `root`) from its already-parsed manifest.
   Result<RecoveredSession> RecoverSessionDir(const std::string& dir,
                                              const std::string& root,
                                              SessionManifest manifest);

@@ -416,11 +416,9 @@ void SessionReplicator::GarbageCollectLocked() {
 
 StandbyApplier::StandbyApplier(DqmEngine& engine,
                                std::shared_ptr<ReplicationTransport> transport,
-                               SessionOptions session_options,
                                SessionManifest manifest)
     : engine_(engine),
       transport_(std::move(transport)),
-      session_options_(std::move(session_options)),
       manifest_(std::move(manifest)),
       lag_votes_(telemetry::MetricsRegistry::Global().AcquireGauge(
           telemetry::metric_names::kReplicaLagVotes,
@@ -452,14 +450,11 @@ Result<std::unique_ptr<StandbyApplier>> StandbyApplier::Open(
         "rebuilt on a standby",
         manifest.name.c_str()));
   }
-  // The primary's serving configuration, or an error: a standby that
-  // silently served another cadence would not be the primary's replica.
-  DQM_ASSIGN_OR_RETURN(
-      SessionOptions session_options,
-      SessionOptionsFromManifest(manifest, options.durability_dir));
+  // The primary's serving configuration (a manifest whose configuration
+  // does not parse failed above) under this standby's own root.
+  manifest.options.durability_dir = options.durability_dir;
   std::unique_ptr<StandbyApplier> applier(
-      new StandbyApplier(engine, std::move(transport),
-                         std::move(session_options), std::move(manifest)));
+      new StandbyApplier(engine, std::move(transport), std::move(manifest)));
   // First Poll opens the warm session (from the best shipped checkpoint or
   // from scratch) and applies everything already shipped.
   DQM_RETURN_NOT_OK(applier->Poll());
@@ -473,20 +468,19 @@ Status StandbyApplier::ResyncFromCheckpoint(uint64_t generation,
     (void)engine_.CloseSession(manifest_.name);
     session_.reset();
   }
-  if (!session_options_.durability_dir.empty()) {
+  const std::string& root = manifest_.options.durability_dir;
+  if (!root.empty()) {
     // Standby state is entirely derived from the transport, so the local
     // session directory is disposable — wipe it rather than trip
     // OpenSession's already-holds-state guard.
     std::error_code ec;
-    fs::remove_all(
-        session_options_.durability_dir + "/" + PercentEncode(manifest_.name),
-        ec);
+    fs::remove_all(root + "/" + PercentEncode(manifest_.name), ec);
   }
   DQM_ASSIGN_OR_RETURN(
       std::shared_ptr<EstimationSession> session,
       engine_.OpenSession(
           manifest_.name, manifest_.num_items,
-          std::span<const std::string>(manifest_.specs), session_options_));
+          std::span<const std::string>(manifest_.specs), manifest_.options));
   session_ = std::move(session);
   applied_votes_ = 0;
   if (!ckpt.empty()) {

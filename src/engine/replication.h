@@ -266,11 +266,10 @@ class StandbyApplier {
     std::string durability_dir;
   };
 
-  /// Fetches the manifest artifact, rebuilds the primary's serving
-  /// configuration (SessionOptionsFromManifest), and opens the warm
-  /// session under the primary's name. Fails if no manifest was shipped
-  /// yet, its configuration does not parse (InvalidArgument), or the name
-  /// is already taken on `engine`.
+  /// Fetches the manifest artifact and opens the warm session under the
+  /// primary's name with the primary's recorded (resolved) SessionOptions.
+  /// Fails if no manifest was shipped yet, it does not parse
+  /// (InvalidArgument), or the name is already taken on `engine`.
   static Result<std::unique_ptr<StandbyApplier>> Open(
       DqmEngine& engine, std::shared_ptr<ReplicationTransport> transport,
       const Options& options = Options());
@@ -312,7 +311,7 @@ class StandbyApplier {
  private:
   StandbyApplier(DqmEngine& engine,
                  std::shared_ptr<ReplicationTransport> transport,
-                 SessionOptions session_options, SessionManifest manifest);
+                 SessionManifest manifest);
 
   /// Closes + reopens the warm session from checkpoint artifact bytes
   /// (empty `ckpt` = from scratch at generation `generation`).
@@ -328,9 +327,8 @@ class StandbyApplier {
 
   DqmEngine& engine_;
   const std::shared_ptr<ReplicationTransport> transport_;
-  /// What the warm session opens with: the manifest's serving
-  /// configuration under Options::durability_dir.
-  const SessionOptions session_options_;
+  /// The primary's manifest; the warm session opens with its options,
+  /// under Options::durability_dir.
   SessionManifest manifest_;
   std::shared_ptr<EstimationSession> session_;
   /// dqm_replica_lag_votes{session=...}, held for the applier's lifetime.

@@ -7,26 +7,27 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "crowd/wal.h"
 #include "engine/durability.h"
 #include "telemetry/metric_names.h"
 
 namespace dqm::engine {
 
-SnapshotCell::SnapshotCell(size_t num_estimators)
+SnapshotCell::SnapshotCell(size_t num_estimators, size_t num_items)
     : num_estimators_(num_estimators),
       words_(std::make_unique<std::atomic<uint64_t>[]>(num_words())) {
   // invariant: a metric always carries at least one estimator.
   DQM_CHECK_GT(num_estimators_, 0u);
-  for (size_t i = 0; i < num_words(); ++i) {
-    words_[i].store(0, std::memory_order_relaxed);
-  }
+  core::DataQualityMetric::QualityReport empty;
+  empty.num_items = num_items;
+  empty.estimators.resize(num_estimators);
+  Store(0, empty);
 }
 
-void SnapshotCell::Store(const Snapshot& snapshot) {
+void SnapshotCell::Store(
+    uint64_t version, const core::DataQualityMetric::QualityReport& report) {
   // invariant: the cell is sized for this pipeline's estimator count.
-  DQM_CHECK_EQ(snapshot.estimates.size(), num_estimators_);
+  DQM_CHECK_EQ(report.estimators.size(), num_estimators_);
   // Boehm's seqlock recipe ("Can seqlocks get along with programming
   // language memory models?"): odd sequence marks a write in flight.
   uint64_t seq = seq_.load(std::memory_order_relaxed);
@@ -35,16 +36,19 @@ void SnapshotCell::Store(const Snapshot& snapshot) {
   auto put = [this](size_t index, uint64_t word) {
     words_[index].store(word, std::memory_order_relaxed);
   };
-  put(0, snapshot.version);
-  put(1, snapshot.num_votes);
-  put(2, static_cast<uint64_t>(snapshot.num_items));
-  put(3, static_cast<uint64_t>(snapshot.majority_count));
-  put(4, static_cast<uint64_t>(snapshot.nominal_count));
-  put(5, std::bit_cast<uint64_t>(snapshot.estimated_total_errors));
-  put(6, std::bit_cast<uint64_t>(snapshot.estimated_undetected_errors));
-  put(7, std::bit_cast<uint64_t>(snapshot.quality_score));
+  const core::DataQualityMetric::EstimatorReport& primary =
+      report.estimators.front();
+  put(0, version);
+  put(1, report.num_votes);
+  put(2, static_cast<uint64_t>(report.num_items));
+  put(3, static_cast<uint64_t>(report.majority_count));
+  put(4, static_cast<uint64_t>(report.nominal_count));
+  put(5, std::bit_cast<uint64_t>(primary.total_errors));
+  put(6, std::bit_cast<uint64_t>(primary.undetected_errors));
+  put(7, std::bit_cast<uint64_t>(primary.quality_score));
   for (size_t i = 0; i < num_estimators_; ++i) {
-    const EstimatorEstimate& row = snapshot.estimates[i];
+    const core::DataQualityMetric::EstimatorReport& row =
+        report.estimators[i];
     put(kHeaderWords + 3 * i + 0, std::bit_cast<uint64_t>(row.total_errors));
     put(kHeaderWords + 3 * i + 1,
         std::bit_cast<uint64_t>(row.undetected_errors));
@@ -102,26 +106,6 @@ void SnapshotCell::LoadInto(Snapshot& snapshot) const {
   }
 }
 
-namespace {
-
-enum class DecimalParse { kOk, kNotDigits, kOverflow };
-
-/// Parses a run of decimal digits into `*out`, refusing any non-digit and
-/// any value that does not fit in uint64 (instead of wrapping).
-DecimalParse ParseDecimalU64(std::string_view digits, uint64_t* out) {
-  uint64_t n = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') return DecimalParse::kNotDigits;
-    const uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (n > (UINT64_MAX - digit) / 10) return DecimalParse::kOverflow;
-    n = n * 10 + digit;
-  }
-  *out = n;
-  return DecimalParse::kOk;
-}
-
-}  // namespace
-
 Result<SessionOptions> ParsePublishCadenceSpec(std::string_view spec,
                                                SessionOptions base) {
   if (spec == "every_batch") {
@@ -143,22 +127,8 @@ Result<SessionOptions> ParsePublishCadenceSpec(std::string_view spec,
           static_cast<int>(spec.size()), spec.data()));
     }
     rest.remove_prefix(1);
-    uint64_t n = 0;
-    if (rest.empty()) {
-      return Status::InvalidArgument("publish cadence every_n_votes: missing N");
-    }
-    switch (ParseDecimalU64(rest, &n)) {
-      case DecimalParse::kOk:
-        break;
-      case DecimalParse::kNotDigits:
-        return Status::InvalidArgument(StrFormat(
-            "bad publish cadence threshold '%.*s'",
-            static_cast<int>(rest.size()), rest.data()));
-      case DecimalParse::kOverflow:
-        return Status::InvalidArgument(StrFormat(
-            "bad publish cadence '%.*s': overflows uint64",
-            static_cast<int>(spec.size()), spec.data()));
-    }
+    DQM_ASSIGN_OR_RETURN(uint64_t n,
+                         ParseU64(rest, "publish cadence every_n_votes:N"));
     if (n == 0) {
       return Status::InvalidArgument(
           "publish cadence every_n_votes: N must be positive");
@@ -172,32 +142,35 @@ Result<SessionOptions> ParsePublishCadenceSpec(std::string_view spec,
       static_cast<int>(spec.size()), spec.data()));
 }
 
+const char* DurabilityFailurePolicyName(DurabilityFailurePolicy policy) {
+  switch (policy) {
+    case DurabilityFailurePolicy::kFailStop:
+      return "fail_stop";
+    case DurabilityFailurePolicy::kDegradeToVolatile:
+      return "degrade_to_volatile";
+  }
+  return "fail_stop";
+}
+
+Result<DurabilityFailurePolicy> ParseDurabilityFailurePolicy(
+    std::string_view text) {
+  if (text == "fail_stop") return DurabilityFailurePolicy::kFailStop;
+  if (text == "degrade_to_volatile") {
+    return DurabilityFailurePolicy::kDegradeToVolatile;
+  }
+  return Status::InvalidArgument(StrFormat(
+      "unknown durability failure policy '%.*s' (want fail_stop or "
+      "degrade_to_volatile)",
+      static_cast<int>(text.size()), text.data()));
+}
+
 Result<SessionOptions> ParseWalGroupCommitSpec(std::string_view spec,
                                                SessionOptions base) {
   std::string_view digits = spec;
-  bool is_ms = false;
-  if (digits.size() >= 2 && digits.substr(digits.size() - 2) == "ms") {
-    is_ms = true;
-    digits.remove_suffix(2);
-  }
-  if (digits.empty()) {
-    return Status::InvalidArgument(StrFormat(
-        "bad WAL group commit '%.*s': expected N (votes) or Nms",
-        static_cast<int>(spec.size()), spec.data()));
-  }
-  uint64_t n = 0;
-  switch (ParseDecimalU64(digits, &n)) {
-    case DecimalParse::kOk:
-      break;
-    case DecimalParse::kNotDigits:
-      return Status::InvalidArgument(StrFormat(
-          "bad WAL group commit '%.*s': expected N (votes) or Nms",
-          static_cast<int>(spec.size()), spec.data()));
-    case DecimalParse::kOverflow:
-      return Status::InvalidArgument(StrFormat(
-          "bad WAL group commit '%.*s': overflows uint64",
-          static_cast<int>(spec.size()), spec.data()));
-  }
+  const bool is_ms = digits.ends_with("ms");
+  if (is_ms) digits.remove_suffix(2);
+  DQM_ASSIGN_OR_RETURN(uint64_t n,
+                       ParseU64(digits, "WAL group commit (N or Nms)"));
   if (n == 0) {
     return Status::InvalidArgument(
         "WAL group commit threshold must be positive");
@@ -245,24 +218,6 @@ SessionMetrics& Metrics() {
   return *metrics;
 }
 
-std::vector<std::string> InitialNames(const core::DataQualityMetric& metric) {
-  return metric.estimator_names();
-}
-
-Snapshot InitialSnapshot(size_t num_items, size_t num_estimators) {
-  Snapshot initial;
-  initial.num_items = num_items;
-  initial.estimates.resize(num_estimators);
-  return initial;
-}
-
-/// Auto stripe count: enough stripes that a producer per core rarely
-/// collides, without sharding tiny universes to confetti (the log clamps
-/// further so every stripe spans at least a cache line of tallies).
-size_t DefaultStripeCount() {
-  return std::clamp<size_t>(ThreadPool::DefaultThreadCount(), 2, 8);
-}
-
 /// True when a batch of `batch` votes that brought the committed total to
 /// `after` crossed a multiple of `every` (clamped to >= 1): the schedule of
 /// kEveryNVotes publishes and of checkpoints. The committer whose batch
@@ -298,22 +253,6 @@ Status RejectedBatch(const std::string& session,
 
 }  // namespace
 
-size_t ResolveIngestStripes(const SessionOptions& options,
-                            bool supports_concurrent_ingest) {
-  // Stripe on explicit request (>= 2), or automatically when the cadence is
-  // coalesced — never by default under kEveryBatch: a single producer gains
-  // nothing from stripes, while a striped publish per batch locks every
-  // stripe and pays the O(num_items) tally audit once per num_items votes
-  // on top of the O(batch) commit the serialized path pays alone.
-  const bool want_striping =
-      options.ingest_stripes >= 2 ||
-      (options.ingest_stripes == 0 &&
-       options.cadence != PublishCadence::kEveryBatch);
-  if (!want_striping || !supports_concurrent_ingest) return 0;
-  return options.ingest_stripes == 0 ? DefaultStripeCount()
-                                     : options.ingest_stripes;
-}
-
 EstimationSession::EstimationSession(
     std::string name, core::DataQualityMetric metric,
     const SessionOptions& session_options,
@@ -323,23 +262,18 @@ EstimationSession::EstimationSession(
       options_(session_options),
       durability_(std::move(durability)),
       metric_(std::move(metric)),
-      estimator_names_(InitialNames(metric_)),
-      snapshot_(estimator_names_.size()) {
+      estimator_names_(metric_.estimator_names()),
+      snapshot_(estimator_names_.size(), num_items_) {
   // Checkpoints serialize the counts the log keeps; order-sensitive panels
   // (SWITCH), which those counts cannot restore, keep the full-order WAL
   // instead — decided before striping flips the log's mode.
   checkpointable_ = durability_ != nullptr &&
-                    durability_->checkpoints_enabled() &&
+                    options_.checkpoint_every_votes > 0 &&
                     metric_.SupportsConcurrentIngest();
-  // One resolution path (shared with the engine's durability manifest, so
-  // a recovered session reproduces this layout exactly).
-  const size_t resolved_stripes =
-      ResolveIngestStripes(options_, metric_.SupportsConcurrentIngest());
-  if (resolved_stripes >= 2) {
-    metric_.EnableConcurrentIngest(resolved_stripes);
+  if (options_.ingest_stripes >= 2) {
+    metric_.EnableConcurrentIngest(options_.ingest_stripes);
     striped_ = true;
   }
-  snapshot_.Store(InitialSnapshot(num_items_, estimator_names_.size()));
   // Per-session×estimator exported quality gauges, refreshed on every
   // publish. Acquired (refcounted), not pinned: when the last session
   // carrying a (session, estimator) identity dies, the gauge leaves the
@@ -493,35 +427,18 @@ void EstimationSession::PublishLocked() {
   const bool timed = telemetry::Enabled();
   const uint64_t estimate_start = timed ? telemetry::NowNanos() : 0;
   ++version_;
-  // Refresh the per-session scratch in place — after the first publish the
-  // whole publish path (report, snapshot rows, seqlock store) touches no
+  // Refresh the per-session scratch in place and store it straight into
+  // the cell — after the first publish the whole publish path touches no
   // heap. Names are deliberately not carried here: they are immutable per
   // session and the cell does not store them (see SnapshotInto).
   metric_.ReportInto(report_scratch_);
-  Snapshot& next = publish_scratch_;
-  next.version = version_;
-  next.num_votes = report_scratch_.num_votes;
-  next.num_items = report_scratch_.num_items;
-  next.majority_count = report_scratch_.majority_count;
-  next.nominal_count = report_scratch_.nominal_count;
-  next.estimates.resize(report_scratch_.estimators.size());
-  for (size_t i = 0; i < report_scratch_.estimators.size(); ++i) {
-    const core::DataQualityMetric::EstimatorReport& row =
-        report_scratch_.estimators[i];
-    next.estimates[i].total_errors = row.total_errors;
-    next.estimates[i].undetected_errors = row.undetected_errors;
-    next.estimates[i].quality_score = row.quality_score;
-  }
-  next.estimated_total_errors = next.estimates.front().total_errors;
-  next.estimated_undetected_errors = next.estimates.front().undetected_errors;
-  next.quality_score = next.estimates.front().quality_score;
-  snapshot_.Store(next);
+  snapshot_.Store(version_, report_scratch_);
   // Export the freshly published estimates as per-session×estimator gauges
   // — the ChungKK17 quality signal as a first-class time series. Relaxed
   // stores; off the commit hot path (publishes are already coalesced).
-  for (size_t i = 0; i < next.estimates.size(); ++i) {
-    quality_gauges_[i]->Set(next.estimates[i].quality_score);
-    total_errors_gauges_[i]->Set(next.estimates[i].total_errors);
+  for (size_t i = 0; i < report_scratch_.estimators.size(); ++i) {
+    quality_gauges_[i]->Set(report_scratch_.estimators[i].quality_score);
+    total_errors_gauges_[i]->Set(report_scratch_.estimators[i].total_errors);
   }
   Metrics().publishes->Increment();
   if (timed) {

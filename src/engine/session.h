@@ -15,7 +15,7 @@
 #include "common/status.h"
 #include "core/dqm.h"
 #include "crowd/vote.h"
-#include "engine/durability.h"
+#include "crowd/wal.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/metrics.h"
 
@@ -89,11 +89,15 @@ struct Snapshot {
 /// in.
 class SnapshotCell {
  public:
-  explicit SnapshotCell(size_t num_estimators);
+  /// Starts at the empty session's snapshot: version 0, no votes, every
+  /// quality score 1.
+  SnapshotCell(size_t num_estimators, size_t num_items);
 
-  /// Publishes `snapshot` (which must carry exactly the configured number
-  /// of estimator rows). Callers must serialize Store() invocations.
-  void Store(const Snapshot& snapshot);
+  /// Publishes `report` as snapshot `version`; row 0 fills the primary
+  /// header fields. `report` must carry exactly the configured number of
+  /// estimator rows. Callers must serialize Store() invocations.
+  void Store(uint64_t version,
+             const core::DataQualityMetric::QualityReport& report);
 
   /// Returns a consistent copy; lock-free (retries only while a concurrent
   /// Store is mid-flight). Row names are left empty.
@@ -131,13 +135,35 @@ enum class PublishCadence {
   kManual,
 };
 
-/// Per-session serving knobs (all orthogonal to the estimator panel).
+/// What a session does when its WAL seals (an I/O failure survived the
+/// retry budget): fail-stop rejects every later batch until a checkpoint
+/// reset; degrade-to-volatile keeps committing in memory, loudly flagging
+/// itself (snapshots, dqm_sessions_degraded) and counting every vote acked
+/// without a durable record, then re-arms at the next successful
+/// checkpoint reset.
+enum class DurabilityFailurePolicy : uint8_t {
+  kFailStop = 0,
+  kDegradeToVolatile = 1,
+};
+
+/// Canonical spellings, as accepted by --durability_failure_policy and the
+/// manifest: "fail_stop" | "degrade_to_volatile".
+const char* DurabilityFailurePolicyName(DurabilityFailurePolicy policy);
+Result<DurabilityFailurePolicy> ParseDurabilityFailurePolicy(
+    std::string_view text);
+
+/// Per-session serving knobs (all orthogonal to the estimator panel). The
+/// one declaration of a session's configuration: a durable session's
+/// MANIFEST records these (resolved, minus durability_dir), and recovery,
+/// a standby and migration open sessions from them.
 struct SessionOptions {
   PublishCadence cadence = PublishCadence::kEveryBatch;
   /// Threshold for PublishCadence::kEveryNVotes (clamped to >= 1).
   uint64_t publish_every_votes = 4096;
   /// Ingest-stripe request, choosing between the two locking modes of the
-  /// one commit sequence (see EstimationSession, "Commit paths"). 0 = auto:
+  /// one commit sequence (see EstimationSession, "Commit paths"). DqmEngine
+  /// resolves it once per session, to 1 or the stripe count k >= 2, and
+  /// the session, its manifest and a migration carry that value. 0 = auto:
   /// hardware-scaled striping whenever the estimator panel is
   /// producer-order independent AND the cadence is coalesced
   /// (kEveryNVotes / kManual) — under the default kEveryBatch a single
@@ -189,14 +215,6 @@ Result<SessionOptions> ParsePublishCadenceSpec(std::string_view spec,
 Result<SessionOptions> ParseWalGroupCommitSpec(std::string_view spec,
                                                SessionOptions base = {});
 
-/// Resolves SessionOptions::ingest_stripes against a panel's capability:
-/// 0 = the serialized commit path, otherwise the stripe count the session
-/// will enable (auto requests resolve against this machine's hardware).
-/// The engine records the RESOLVED value in a durable session's manifest so
-/// recovery rebuilds the same stripe layout on any machine.
-size_t ResolveIngestStripes(const SessionOptions& options,
-                            bool supports_concurrent_ingest);
-
 class SessionDurability;
 
 /// One live estimation stream: a `core::DataQualityMetric` (possibly with
@@ -238,8 +256,11 @@ class SessionDurability;
 class EstimationSession {
  public:
   /// Wraps an already-configured pipeline (the engine's OpenSession path).
-  /// `durability`, when non-null, write-ahead logs every committed batch
-  /// (the engine constructs it from SessionOptions::durability_dir).
+  /// `session_options.ingest_stripes` must already be resolved (DqmEngine
+  /// does it): k >= 2 stripes the pipeline's log, anything else keeps the
+  /// serialized path. `durability`, when non-null, write-ahead logs every
+  /// committed batch (the engine constructs it from
+  /// SessionOptions::durability_dir).
   EstimationSession(std::string name, core::DataQualityMetric metric,
                     const SessionOptions& session_options = SessionOptions(),
                     std::unique_ptr<SessionDurability> durability = nullptr);
@@ -292,6 +313,9 @@ class EstimationSession {
     return committed_votes_.load(std::memory_order_relaxed);
   }
 
+  /// The session's resolved options: ingest_stripes is the stripe count
+  /// it runs with (1 = serialized), so a migrated session keeps its
+  /// source's layout.
   const SessionOptions& options() const { return options_; }
 
   /// Name of the primary estimation method ("SWITCH", "CHAO92", ...).
@@ -362,8 +386,8 @@ class EstimationSession {
   Status FlushDurability() DQM_EXCLUDES(mutex_);
 
  private:
-  /// Refreshes the publish scratch from the metric and stores the seqlock
-  /// snapshot. Caller holds mutex_ and the log's ingest pause.
+  /// Refreshes the report scratch from the metric and stores it in the
+  /// seqlock cell. Caller holds mutex_ and the log's ingest pause.
   void PublishLocked() DQM_REQUIRES(mutex_);
 
   /// Commits a checkpoint when the committed total crossed a
@@ -396,12 +420,11 @@ class EstimationSession {
   /// fixed at construction) is the real guard.
   core::DataQualityMetric metric_;
   uint64_t version_ DQM_GUARDED_BY(mutex_) = 0;
-  /// Publish scratch, guarded by mutex_: the publish path refreshes these
-  /// in place instead of building a fresh report + snapshot, so publishing
-  /// performs no heap allocations in steady state.
+  /// Publish scratch, guarded by mutex_: the publish path refreshes it in
+  /// place and stores it straight into the cell, so publishing performs no
+  /// heap allocations in steady state.
   core::DataQualityMetric::QualityReport report_scratch_
       DQM_GUARDED_BY(mutex_);
-  Snapshot publish_scratch_ DQM_GUARDED_BY(mutex_);
   const std::vector<std::string> estimator_names_;  // immutable
   SnapshotCell snapshot_;
   /// Per-session×estimator exported gauges (refcounted in the global

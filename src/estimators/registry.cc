@@ -84,14 +84,11 @@ Result<uint32_t> SpecParamReader::GetUint32(std::string_view key,
                                             uint32_t fallback) {
   const std::string* raw = Consume(key);
   if (raw == nullptr) return fallback;
-  if (!IsDigits(*raw)) {
-    return Status::InvalidArgument(
-        StrFormat("spec '%s': param %s=%s is not a non-negative integer",
-                  spec_.name.c_str(), std::string(key).c_str(), raw->c_str()));
-  }
-  errno = 0;
-  unsigned long long value = std::strtoull(raw->c_str(), nullptr, 10);
-  if (errno != 0 || value > UINT32_MAX) {
+  DQM_ASSIGN_OR_RETURN(
+      uint64_t value,
+      ParseU64(*raw, StrFormat("spec '%s': param %s", spec_.name.c_str(),
+                               std::string(key).c_str())));
+  if (value > UINT32_MAX) {
     return Status::InvalidArgument(
         StrFormat("spec '%s': param %s=%s is out of range",
                   spec_.name.c_str(), std::string(key).c_str(), raw->c_str()));

@@ -622,12 +622,12 @@ TEST(ManifestTest, RoundTripsHostileNamesAndSpecs) {
   manifest.name = "prod/us east=1%done,really";
   manifest.num_items = 1234;
   manifest.specs = {"chao92", "vchao92?shift=2", "workload?a=1&b=2,c"};
-  manifest.cadence = "every_n_votes:8192";
-  manifest.ingest_stripes = 4;
-  manifest.publish_every_votes = 8192;
-  manifest.wal_group_commit_votes = 512;
-  manifest.wal_group_commit_ms = 25;
-  manifest.checkpoint_every_votes = 100000;
+  manifest.options.cadence = PublishCadence::kEveryNVotes;
+  manifest.options.ingest_stripes = 4;
+  manifest.options.publish_every_votes = 8192;
+  manifest.options.wal_group_commit_votes = 512;
+  manifest.options.wal_group_commit_ms = 25;
+  manifest.options.checkpoint_every_votes = 100000;
   std::string path = dir + "/MANIFEST";
   ASSERT_TRUE(WriteManifestFile(path, manifest).ok());
   auto loaded = ReadManifestFile(path);
@@ -635,12 +635,16 @@ TEST(ManifestTest, RoundTripsHostileNamesAndSpecs) {
   EXPECT_EQ(loaded->name, manifest.name);
   EXPECT_EQ(loaded->num_items, manifest.num_items);
   EXPECT_EQ(loaded->specs, manifest.specs);
-  EXPECT_EQ(loaded->cadence, manifest.cadence);
-  EXPECT_EQ(loaded->ingest_stripes, manifest.ingest_stripes);
-  EXPECT_EQ(loaded->publish_every_votes, manifest.publish_every_votes);
-  EXPECT_EQ(loaded->wal_group_commit_votes, manifest.wal_group_commit_votes);
-  EXPECT_EQ(loaded->wal_group_commit_ms, manifest.wal_group_commit_ms);
-  EXPECT_EQ(loaded->checkpoint_every_votes, manifest.checkpoint_every_votes);
+  EXPECT_EQ(loaded->options.cadence, manifest.options.cadence);
+  EXPECT_EQ(loaded->options.ingest_stripes, manifest.options.ingest_stripes);
+  EXPECT_EQ(loaded->options.publish_every_votes,
+            manifest.options.publish_every_votes);
+  EXPECT_EQ(loaded->options.wal_group_commit_votes,
+            manifest.options.wal_group_commit_votes);
+  EXPECT_EQ(loaded->options.wal_group_commit_ms,
+            manifest.options.wal_group_commit_ms);
+  EXPECT_EQ(loaded->options.checkpoint_every_votes,
+            manifest.options.checkpoint_every_votes);
 }
 
 /// One MANIFEST text as written by an earlier build (verbatim), plus the
@@ -761,16 +765,14 @@ TEST(ManifestTest, PercentCodecRoundTripsAndRejectsBadHex) {
 
 TEST(SessionDurabilityTest, CreateRefusesDirectoryWithExistingState) {
   std::string root = ScratchDir("create_refuse");
-  DurabilityOptions options;
-  options.dir = root + "/s";
-  options.session_name = "s";
+  const std::string dir = root + "/s";
   SessionManifest manifest;
   manifest.name = "s";
   manifest.num_items = 8;
-  auto first = SessionDurability::Create(options, manifest);
+  auto first = SessionDurability::Create(dir, manifest);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   first->reset();  // release the WAL fd and flusher before re-creating
-  auto second = SessionDurability::Create(options, manifest);
+  auto second = SessionDurability::Create(dir, manifest);
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -815,14 +817,12 @@ TEST(EngineDurabilityTest, RetainedBytesCountsWalBuffers) {
 
 TEST(SessionDurabilityTest, FlushFailureSealsWalUntilCheckpointHeals) {
   std::string root = ScratchDir("seal_heal");
-  DurabilityOptions options;
-  options.dir = root + "/s";
-  options.session_name = "s";
-  options.group_commit_votes = 1;  // fsync every batch
+  const std::string dir = root + "/s";
   SessionManifest manifest;
   manifest.name = "s";
   manifest.num_items = 8;
-  auto durability = SessionDurability::Create(options, manifest);
+  manifest.options.wal_group_commit_votes = 1;  // fsync every batch
+  auto durability = SessionDurability::Create(dir, manifest);
   ASSERT_TRUE(durability.ok()) << durability.status().ToString();
   std::vector<VoteEvent> votes = MakeVotes(15, 8);
 
@@ -866,8 +866,7 @@ TEST(SessionDurabilityTest, FlushFailureSealsWalUntilCheckpointHeals) {
 
   // Recovery over the healed directory sees checkpoint + tail = 10 votes.
   durability->reset();
-  DurabilityOptions attach_options = options;
-  auto attached = SessionDurability::Attach(attach_options);
+  auto attached = SessionDurability::Attach(dir, manifest);
   ASSERT_TRUE(attached.ok()) << attached.status().ToString();
   uint64_t restored = 0;
   auto recovered = (*attached)->Recover(

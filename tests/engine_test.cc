@@ -363,6 +363,8 @@ TEST(EstimationSessionTest, PanelCadenceAndStripesDecideCommitPath) {
       "default", 64, std::span<const std::string>(tally_panel));
   ASSERT_TRUE(default_session.ok());
   EXPECT_FALSE((*default_session)->concurrent_ingest());
+  // options() reports the resolved stripe count: 1 = serialized.
+  EXPECT_EQ((*default_session)->options().ingest_stripes, 1u);
   // A coalesced cadence turns auto striping on for eligible panels...
   SessionOptions coalesced;
   coalesced.cadence = PublishCadence::kEveryNVotes;
@@ -370,11 +372,13 @@ TEST(EstimationSessionTest, PanelCadenceAndStripesDecideCommitPath) {
       "tally", 64, std::span<const std::string>(tally_panel), coalesced);
   ASSERT_TRUE(tally.ok());
   EXPECT_TRUE((*tally)->concurrent_ingest());
+  EXPECT_GE((*tally)->options().ingest_stripes, 2u);
   // ...but order-sensitive panels always fall back.
   auto ordered = engine.OpenSession(
       "ordered", 64, std::span<const std::string>(switch_panel), coalesced);
   ASSERT_TRUE(ordered.ok());
   EXPECT_FALSE((*ordered)->concurrent_ingest());
+  EXPECT_EQ((*ordered)->options().ingest_stripes, 1u);
   // Explicit stripes >= 2 force striping under any cadence;
   // ingest_stripes = 1 forces the serialized path under any cadence.
   SessionOptions explicit_stripes;
@@ -384,6 +388,7 @@ TEST(EstimationSessionTest, PanelCadenceAndStripesDecideCommitPath) {
       explicit_stripes);
   ASSERT_TRUE(striped_batch.ok());
   EXPECT_TRUE((*striped_batch)->concurrent_ingest());
+  EXPECT_EQ((*striped_batch)->options().ingest_stripes, 4u);
   SessionOptions forced = coalesced;
   forced.ingest_stripes = 1;
   auto serialized = engine.OpenSession(

@@ -435,8 +435,11 @@ TEST(StandbyOpenTest, UnparsableCadenceInTheManifestFailsOpen) {
   manifest.name = "s";
   manifest.num_items = 80;
   manifest.specs = TalliesPanel();
-  manifest.cadence = "bogus";
-  const std::string content = ManifestContent(manifest);
+  // A manifest text whose cadence line no build writes.
+  std::string content = ManifestContent(manifest);
+  const std::string every_batch = "cadence=every_batch";
+  content.replace(content.find(every_batch), every_batch.size(),
+                  "cadence=bogus");
   ASSERT_TRUE((*transport)
                   ->Put(kManifestArtifact,
                         std::span<const uint8_t>(
@@ -955,6 +958,9 @@ TEST(MigrateSessionTest, MovesSessionAcrossEnginesWithDurability) {
     // The source engine no longer routes; the target serves bit-identical
     // state and accepts new traffic into its new durable home.
     EXPECT_FALSE(a.Query("m").ok());
+    // The target runs the source's resolved stripe layout.
+    EXPECT_EQ(b.GetSession("m").value()->options().ingest_stripes,
+              (*session)->options().ingest_stripes);
     auto after = b.Query("m");
     ASSERT_TRUE(after.ok()) << after.status().ToString();
     conformance::ExpectSameServedState(TalliesPanel(), before, *after,
