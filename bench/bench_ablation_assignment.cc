@@ -13,7 +13,6 @@
 #include "core/dqm.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
-#include "estimators/switch_total.h"
 #include "figure_common.h"
 
 namespace {
@@ -33,7 +32,9 @@ RunResult Evaluate(const dqm::core::Scenario& scenario, bool fixed_quorum,
                                                 seed ^ 0xabc)
           : dqm::core::MakeSimulator(scenario, truth, seed ^ 0xabc);
   dqm::crowd::ResponseLog log(scenario.num_items);
-  dqm::estimators::SwitchTotalErrorEstimator estimator(scenario.num_items);
+  // The quickstart pipeline is SWITCH over its own log, fed each task's
+  // votes once the simulator has appended them.
+  dqm::core::DataQualityMetric metric(scenario.num_items);
   double truth_count = static_cast<double>(scenario.num_dirty());
 
   RunResult result;
@@ -41,15 +42,17 @@ RunResult Evaluate(const dqm::core::Scenario& scenario, bool fixed_quorum,
   for (size_t task = 0; task < num_tasks; ++task) {
     simulator.RunTask(log);
     while (processed < log.num_events()) {
-      estimator.Observe(log.events()[processed++]);
+      const dqm::crowd::VoteEvent& event = log.events()[processed++];
+      metric.AddVote(event.task, event.worker, event.item,
+                     event.vote == dqm::crowd::Vote::kDirty);
     }
-    double estimate = estimator.Estimate();
+    double estimate = metric.EstimatedTotalErrors();
     if (result.tasks_to_10pct == 0 &&
         std::abs(estimate - truth_count) <= 0.1 * truth_count) {
       result.tasks_to_10pct = task + 1;
     }
   }
-  result.final_estimate = estimator.Estimate();
+  result.final_estimate = metric.EstimatedTotalErrors();
   result.final_majority = log.MajorityCount();
   return result;
 }

@@ -131,10 +131,10 @@ void DataQualityMetric::AddVote(uint32_t task, uint32_t worker, uint32_t item,
                                 bool is_dirty) {
   crowd::VoteEvent event{task, worker, item,
                          is_dirty ? crowd::Vote::kDirty : crowd::Vote::kClean};
-  log_->Append(event);
   for (estimators::TotalErrorEstimator* estimator : observing_) {
     estimator->Observe(event);
   }
+  log_->Append(event);
 }
 
 double DataQualityMetric::EstimatedTotalErrors() const {

@@ -71,9 +71,10 @@ class DataQualityMetric {
   DataQualityMetric(DataQualityMetric&&) noexcept = default;
   DataQualityMetric& operator=(DataQualityMetric&&) noexcept = default;
 
-  /// Records one worker vote and fans it out to every attached estimator.
-  /// Tasks must arrive in non-decreasing task id order (append-only
-  /// stream).
+  /// Records one worker vote: fans it out to every observing estimator,
+  /// then appends it to the log (the TotalErrorEstimator::Observe ordering
+  /// contract). Tasks must arrive in non-decreasing task id order
+  /// (append-only stream).
   void AddVote(uint32_t task, uint32_t worker, uint32_t item, bool is_dirty);
 
   // --- Concurrent ingest (the engine's striped commit path) --------------

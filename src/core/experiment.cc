@@ -176,15 +176,15 @@ ExperimentRunner::SwitchDiagnostics ExperimentRunner::RunSwitchDiagnostics(
   auto replay = [&](size_t p) {
     crowd::ResponseLog permuted =
         PermuteTasks(log, PermutationSeed(config_.seed, p));
-    estimators::SwitchTotalErrorEstimator estimator(num_items, config);
-    std::vector<uint32_t> positive(num_items, 0), total(num_items, 0);
+    crowd::ResponseLog tallies(num_items, crowd::RetentionPolicy::kTallies);
+    estimators::SwitchTotalErrorEstimator estimator(tallies, config);
     std::vector<double> s_pos, s_neg, s_pos_needed, s_neg_needed;
 
     auto sample = [&]() {
       s_pos.push_back(estimator.RemainingPositive());
       s_neg.push_back(estimator.RemainingNegative());
-      estimators::SwitchesNeeded needed =
-          estimators::ComputeSwitchesNeeded(positive, total, truth);
+      estimators::SwitchesNeeded needed = estimators::ComputeSwitchesNeeded(
+          tallies.positive_counts(), tallies.total_counts(), truth);
       s_pos_needed.push_back(static_cast<double>(needed.positive));
       s_neg_needed.push_back(static_cast<double>(needed.negative));
     };
@@ -197,8 +197,7 @@ ExperimentRunner::SwitchDiagnostics ExperimentRunner::RunSwitchDiagnostics(
         current_task = event.task;
       }
       estimator.Observe(event);
-      ++total[event.item];
-      if (event.vote == crowd::Vote::kDirty) ++positive[event.item];
+      tallies.Append(event);
     }
     if (!events.empty()) sample();
 

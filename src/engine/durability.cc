@@ -349,7 +349,7 @@ SessionDurability::~SessionDurability() {
     MutexLock lock(wal_mutex_);
     if (wal_.is_open() &&
         (wal_.buffered_bytes() > 0 || pending_votes_ > 0)) {
-      Status status = FlushLocked(/*sync=*/true);
+      Status status = FlushLocked();
       if (!status.ok()) {
         DQM_LOG(Error) << "WAL close flush failed: " << status.message();
       }
@@ -380,7 +380,7 @@ void SessionDurability::FlusherLoop() {
       continue;
     }
     if (pending_votes_ > 0 || wal_.buffered_bytes() > 0) {
-      Status status = FlushLocked(/*sync=*/true);
+      Status status = FlushLocked();
       if (!status.ok()) {
         DQM_LOG(Error) << "timed WAL flush for '" << wal_.path()
                        << "' failed: " << status.message();
@@ -395,22 +395,17 @@ void SessionDurability::SetShipHook(
   ship_hook_ = std::move(hook);
 }
 
-Status SessionDurability::FlushLocked(bool sync) {
+Status SessionDurability::FlushLocked() {
   DurabilityMetrics& tm = Metrics();
   const uint64_t before = wal_.bytes_written();
   const bool was_sealed = wal_.sealed();
-  Status status;
-  if (sync) {
-    const bool timed = telemetry::Enabled();
-    const uint64_t start = timed ? telemetry::NowNanos() : 0;
-    status = wal_.Sync();
-    if (timed) tm.fsync_ns->Record(telemetry::NowNanos() - start);
-    tm.fsyncs->Increment();
-  } else {
-    status = wal_.WriteBuffered();
-  }
+  const bool timed = telemetry::Enabled();
+  const uint64_t start = timed ? telemetry::NowNanos() : 0;
+  Status status = wal_.Sync();
+  if (timed) tm.fsync_ns->Record(telemetry::NowNanos() - start);
+  tm.fsyncs->Increment();
   tm.bytes->Add(wal_.bytes_written() - before);
-  if (status.ok() && sync) {
+  if (status.ok()) {
     pending_votes_ = 0;
     failpoint::Eval(fpn::kAfterFsync);
     if (ship_hook_) {
@@ -487,7 +482,7 @@ Status SessionDurability::AppendBatch(
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
   failpoint::Eval(fpn::kAfterAppend);
   if (pending_votes_ >= options_.wal_group_commit_votes) {
-    Status status = FlushLocked(/*sync=*/true);
+    Status status = FlushLocked();
     if (!status.ok()) {
       if (options_.durability_failure_policy ==
           DurabilityFailurePolicy::kDegradeToVolatile) {
@@ -526,7 +521,7 @@ Status SessionDurability::Flush() {
     return wal_.SealedStatus();
   }
   if (wal_.buffered_bytes() == 0 && pending_votes_ == 0) return Status::OK();
-  return FlushLocked(/*sync=*/true);
+  return FlushLocked();
 }
 
 Status SessionDurability::CommitCheckpoint(
@@ -584,7 +579,7 @@ Status SessionDurability::CommitCheckpoint(
   return Status::OK();
 }
 
-Result<SessionDurability::RecoveryStats> SessionDurability::Recover(
+Result<RecoveryStats> SessionDurability::Recover(
     size_t num_items,
     const std::function<Status(std::span<const crowd::VoteEvent>)>& restore) {
   DurabilityMetrics& tm = Metrics();

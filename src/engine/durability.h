@@ -166,15 +166,6 @@ class SessionDurability {
       const std::function<Result<crowd::CheckpointData>(uint64_t generation)>&
           build) DQM_EXCLUDES(wal_mutex_);
 
-  struct RecoveryStats {
-    /// Votes re-emitted from the checkpoint snapshot.
-    uint64_t checkpoint_votes = 0;
-    /// Votes replayed from the WAL tail.
-    uint64_t replayed_votes = 0;
-    uint64_t torn_records = 0;
-    bool had_checkpoint = false;
-  };
-
   /// Full recovery: loads the latest checkpoint (if any) and replays the
   /// WAL tail through `restore`, healing the checkpoint/WAL generation
   /// seam and truncating a torn tail. Call once, before the first
@@ -253,7 +244,8 @@ class SessionDurability {
   /// its dirent, acquires the checkpoint-size gauge, starts the flusher.
   static Result<std::unique_ptr<SessionDurability>> Open(
       const std::string& dir, const SessionManifest& manifest);
-  Status FlushLocked(bool sync) DQM_REQUIRES(wal_mutex_);
+  /// Writes and fsyncs the WAL buffer, then ships the new durable boundary.
+  Status FlushLocked() DQM_REQUIRES(wal_mutex_);
   /// Flips the session into degraded mode (gauge, log) the first time a
   /// seal is absorbed under degrade_to_volatile.
   void EnterDegradedLocked(const Status& cause) DQM_REQUIRES(wal_mutex_);

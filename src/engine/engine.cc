@@ -40,15 +40,8 @@ size_t ResolveIngestStripes(const SessionOptions& options,
 
 }  // namespace
 
-DqmEngine::DqmEngine(const Options& options)
-    : num_shards_(options.num_shards),
-      shards_(std::make_unique<Shard[]>(options.num_shards)) {
-  // invariant: Options defaults and callers guarantee a shard exists.
-  DQM_CHECK_GT(num_shards_, 0u);
-}
-
 DqmEngine::Shard& DqmEngine::ShardFor(std::string_view name) const {
-  return shards_[std::hash<std::string_view>{}(name) % num_shards_];
+  return shards_[std::hash<std::string_view>{}(name) % kNumShards];
 }
 
 Status DqmEngine::PrecheckName(const std::string& name) const {
@@ -79,7 +72,7 @@ Status DqmEngine::InsertSession(
 
 Result<std::shared_ptr<EstimationSession>> DqmEngine::StartSession(
     SessionManifest manifest, const std::string& dir,
-    EstimationSession::RecoveryReport* recovered) {
+    RecoveryStats* recovered) {
   // Name first (cheap), then the specs: a bad or duplicate name never pays
   // the pipeline construction, and a typo'd spec never half-opens a
   // session.
@@ -87,11 +80,15 @@ Result<std::shared_ptr<EstimationSession>> DqmEngine::StartSession(
   DQM_ASSIGN_OR_RETURN(
       core::DataQualityMetric metric,
       core::DataQualityMetric::Create(manifest.num_items, manifest.specs));
-  // The one stripe resolution: an "auto" request resolves against the
-  // hardware the session first runs on, and the manifest records the result
-  // so recovery rebuilds that layout instead of re-rolling it.
-  manifest.options.ingest_stripes = ResolveIngestStripes(
-      manifest.options, metric.SupportsConcurrentIngest());
+  // The one options resolution: an "auto" stripe request resolves against
+  // the hardware the session first runs on, and the manifest records the
+  // result so recovery rebuilds that layout instead of re-rolling it. An
+  // order-sensitive panel (SWITCH) cannot be restored from a checkpoint's
+  // counts, so it keeps WAL-only durability.
+  const bool order_free = metric.SupportsConcurrentIngest();
+  manifest.options.ingest_stripes =
+      ResolveIngestStripes(manifest.options, order_free);
+  if (!order_free) manifest.options.checkpoint_every_votes = 0;
   std::unique_ptr<SessionDurability> durability;
   if (!dir.empty()) {
     // Directory + manifest + WAL exist before the session does, so from the
@@ -152,17 +149,17 @@ Result<DqmEngine::RecoveredSession> DqmEngine::RecoverSessionDir(
     const std::string& dir, const std::string& root,
     SessionManifest manifest) {
   manifest.options.durability_dir = root;
-  EstimationSession::RecoveryReport report;
+  RecoveryStats stats;
   // The directory actually scanned is trusted over the name's encoding, in
   // case the tree was relocated by hand.
   DQM_ASSIGN_OR_RETURN(std::shared_ptr<EstimationSession> session,
-                       StartSession(std::move(manifest), dir, &report));
+                       StartSession(std::move(manifest), dir, &stats));
   RecoveredSession row;
   row.name = session->name();
   row.num_items = session->num_items();
-  row.votes_restored = report.votes_restored;
-  row.torn_records = report.torn_records;
-  row.had_checkpoint = report.had_checkpoint;
+  row.votes_restored = stats.checkpoint_votes + stats.replayed_votes;
+  row.torn_records = stats.torn_records;
+  row.had_checkpoint = stats.had_checkpoint;
   // A session can come up serving with its durability already compromised
   // (e.g. a fault sealed the WAL during the recovery-time flush under
   // degrade_to_volatile) — surface that per session instead of letting
@@ -284,7 +281,7 @@ std::vector<std::pair<std::string, Snapshot>> DqmEngine::QueryAll() const {
   // slow estimator read never extends any shard's critical section.
   std::vector<std::pair<std::string, std::shared_ptr<EstimationSession>>>
       sessions;
-  for (size_t i = 0; i < num_shards_; ++i) {
+  for (size_t i = 0; i < kNumShards; ++i) {
     // Bind the shard once: the analysis ties shard.sessions to shard.mutex
     // through the one local, where an index expression would defeat it.
     Shard& shard = shards_[i];
@@ -353,7 +350,7 @@ Status DqmEngine::MigrateSession(const std::string& name, DqmEngine& target,
 
 size_t DqmEngine::num_sessions() const {
   size_t count = 0;
-  for (size_t i = 0; i < num_shards_; ++i) {
+  for (size_t i = 0; i < kNumShards; ++i) {
     Shard& shard = shards_[i];
     MutexLock lock(shard.mutex);
     count += shard.sessions.size();
@@ -367,7 +364,7 @@ void DqmEngine::RefreshTelemetry() const {
   // holds it at most once, so a live session contributes exactly one handle
   // no matter how much open/close churn races this walk.
   std::vector<std::shared_ptr<EstimationSession>> sessions;
-  for (size_t i = 0; i < num_shards_; ++i) {
+  for (size_t i = 0; i < kNumShards; ++i) {
     Shard& shard = shards_[i];
     MutexLock lock(shard.mutex);
     for (const auto& [name, session] : shard.sessions) {
@@ -393,7 +390,7 @@ void DqmEngine::RefreshTelemetry() const {
 
 std::vector<std::string> DqmEngine::SessionNames() const {
   std::vector<std::string> names;
-  for (size_t i = 0; i < num_shards_; ++i) {
+  for (size_t i = 0; i < kNumShards; ++i) {
     Shard& shard = shards_[i];
     MutexLock lock(shard.mutex);
     for (const auto& [name, session] : shard.sessions) {

@@ -40,14 +40,7 @@ namespace dqm::engine {
 ///     // s.estimated_total_errors, s.quality_score, ...
 class DqmEngine {
  public:
-  struct Options {
-    /// Number of registry shards. More shards = less lock contention on
-    /// open/lookup with many concurrent datasets; must be positive.
-    size_t num_shards = 16;
-  };
-
-  DqmEngine() : DqmEngine(Options()) {}
-  explicit DqmEngine(const Options& options);
+  DqmEngine() = default;
 
   DqmEngine(const DqmEngine&) = delete;
   DqmEngine& operator=(const DqmEngine&) = delete;
@@ -244,12 +237,13 @@ class DqmEngine {
 
   /// The one way a session comes up (open, recovery, and so a standby and
   /// a migration target): builds the pipeline from `manifest`, resolves its
-  /// stripe count, creates the durability directory `dir` ("" = in memory)
-  /// — or, with `recovered` set, attaches to it and recovers into the
-  /// session, filling `recovered` — and registers the session.
+  /// stripe count and checkpoint cadence, creates the durability directory
+  /// `dir` ("" = in memory) — or, with `recovered` set, attaches to it and
+  /// recovers into the session, filling `recovered` — and registers the
+  /// session.
   Result<std::shared_ptr<EstimationSession>> StartSession(
       SessionManifest manifest, const std::string& dir,
-      EstimationSession::RecoveryReport* recovered);
+      RecoveryStats* recovered);
 
   /// Rebuilds and registers the session living in durability directory
   /// `dir` (under `root`) from its already-parsed manifest.
@@ -266,8 +260,10 @@ class DqmEngine {
   static Result<std::vector<std::string>> ListSessionDirs(
       const std::string& root);
 
-  size_t num_shards_;
-  std::unique_ptr<Shard[]> shards_;
+  /// Registry shards: enough that opens and lookups of many concurrent
+  /// datasets rarely contend on one shard mutex.
+  static constexpr size_t kNumShards = 16;
+  std::unique_ptr<Shard[]> shards_ = std::make_unique<Shard[]>(kNumShards);
 };
 
 }  // namespace dqm::engine

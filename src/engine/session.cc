@@ -264,12 +264,13 @@ EstimationSession::EstimationSession(
       metric_(std::move(metric)),
       estimator_names_(metric_.estimator_names()),
       snapshot_(estimator_names_.size(), num_items_) {
-  // Checkpoints serialize the counts the log keeps; order-sensitive panels
-  // (SWITCH), which those counts cannot restore, keep the full-order WAL
-  // instead — decided before striping flips the log's mode.
-  checkpointable_ = durability_ != nullptr &&
-                    options_.checkpoint_every_votes > 0 &&
-                    metric_.SupportsConcurrentIngest();
+  // invariant: options arrive resolved (DqmEngine::StartSession): a
+  // checkpoint serializes the counts the log keeps, which cannot restore an
+  // order-sensitive panel (SWITCH), so such a panel never checkpoints.
+  DQM_CHECK(options_.checkpoint_every_votes == 0 ||
+            metric_.SupportsConcurrentIngest())
+      << "checkpoint_every_votes must resolve to 0 for an order-sensitive "
+         "panel";
   if (options_.ingest_stripes >= 2) {
     metric_.EnableConcurrentIngest(options_.ingest_stripes);
     striped_ = true;
@@ -370,7 +371,9 @@ Status EstimationSession::AddVotes(std::span<const crowd::VoteEvent> votes) {
       tm.deferred->Increment();
       break;
   }
-  if (checkpointable_) MaybeCheckpoint(after, votes.size());
+  if (durability_ != nullptr && options_.checkpoint_every_votes > 0) {
+    MaybeCheckpoint(after, votes.size());
+  }
   return Status::OK();
 }
 
@@ -449,13 +452,12 @@ void EstimationSession::PublishLocked() {
   }
 }
 
-Result<EstimationSession::RecoveryReport>
-EstimationSession::RecoverFromDurability() {
+Result<RecoveryStats> EstimationSession::RecoverFromDurability() {
   if (durability_ == nullptr) {
     return Status::FailedPrecondition(
         StrFormat("session '%s' is not durable", name_.c_str()));
   }
-  SessionDurability::RecoveryStats stats;
+  RecoveryStats stats;
   {
     // Recover invokes the restore callback under wal_mutex_ (rank 250), so
     // the callback must not acquire the session mutex (rank 200) — that is
@@ -471,20 +473,13 @@ EstimationSession::RecoverFromDurability() {
       committed_votes_.fetch_add(votes.size(), std::memory_order_relaxed);
       return Status::OK();
     };
-    Result<SessionDurability::RecoveryStats> recovered =
-        durability_->Recover(num_items_, restore);
-    if (!recovered.ok()) return recovered.status();
-    stats = *recovered;
+    DQM_ASSIGN_OR_RETURN(stats, durability_->Recover(num_items_, restore));
   }
   // Recovery replays into the log without publishing; one publish at the
   // end brings the snapshot (and the exported quality gauges) current so
   // queries against the recovered session see the recovered estimates.
   Publish();
-  RecoveryReport report;
-  report.votes_restored = stats.checkpoint_votes + stats.replayed_votes;
-  report.torn_records = stats.torn_records;
-  report.had_checkpoint = stats.had_checkpoint;
-  return report;
+  return stats;
 }
 
 Status EstimationSession::FlushDurability() {

@@ -189,10 +189,10 @@ struct SessionOptions {
   uint64_t wal_group_commit_ms = 0;
   /// Checkpoint the compacted log state whenever the committed-vote total
   /// crosses a multiple of this, truncating the WAL (0 = never checkpoint;
-  /// recovery replays the whole WAL). Only takes effect for
-  /// concurrent-capable panels; order-sensitive panels (SWITCH) get
-  /// WAL-only durability — a checkpoint's synthetic replay cannot
-  /// reproduce arrival order, which those estimators consume.
+  /// recovery replays the whole WAL). DqmEngine resolves it to 0 for
+  /// order-sensitive panels (SWITCH), which get WAL-only durability — a
+  /// checkpoint's synthetic replay cannot reproduce arrival order, which
+  /// those estimators consume.
   uint64_t checkpoint_every_votes = 0;
   /// What the session does when its WAL seals after an I/O failure:
   /// fail_stop (reject batches until a checkpoint reset — the default) or
@@ -216,6 +216,19 @@ Result<SessionOptions> ParseWalGroupCommitSpec(std::string_view spec,
                                                SessionOptions base = {});
 
 class SessionDurability;
+
+/// What recovery rebuilt from a session's durable state
+/// (SessionDurability::Recover, through
+/// EstimationSession::RecoverFromDurability).
+struct RecoveryStats {
+  /// Votes re-emitted from the checkpoint snapshot.
+  uint64_t checkpoint_votes = 0;
+  /// Votes replayed from the WAL tail.
+  uint64_t replayed_votes = 0;
+  /// Torn/corrupt trailing WAL records truncated away.
+  uint64_t torn_records = 0;
+  bool had_checkpoint = false;
+};
 
 /// One live estimation stream: a `core::DataQualityMetric` (possibly with
 /// several attached estimators) made safe for concurrent use. Readers poll
@@ -256,10 +269,11 @@ class SessionDurability;
 class EstimationSession {
  public:
   /// Wraps an already-configured pipeline (the engine's OpenSession path).
-  /// `session_options.ingest_stripes` must already be resolved (DqmEngine
-  /// does it): k >= 2 stripes the pipeline's log, anything else keeps the
-  /// serialized path. `durability`, when non-null, write-ahead logs every
-  /// committed batch (the engine constructs it from
+  /// `session_options` must already be resolved (DqmEngine does it):
+  /// ingest_stripes k >= 2 stripes the pipeline's log, anything else keeps
+  /// the serialized path; checkpoint_every_votes is 0 for an
+  /// order-sensitive panel (aborts otherwise). `durability`, when non-null,
+  /// write-ahead logs every committed batch (the engine constructs it from
   /// SessionOptions::durability_dir).
   EstimationSession(std::string name, core::DataQualityMetric metric,
                     const SessionOptions& session_options = SessionOptions(),
@@ -364,21 +378,12 @@ class EstimationSession {
   /// migration and by a standby's checkpoint resync.
   Status ImportState(const crowd::CheckpointData& state) DQM_EXCLUDES(mutex_);
 
-  /// What RecoverFromDurability rebuilt (surfaced per session by
-  /// DqmEngine::RecoverSessions).
-  struct RecoveryReport {
-    /// Checkpoint-restored + WAL-replayed votes.
-    uint64_t votes_restored = 0;
-    /// Torn/corrupt trailing WAL records truncated away.
-    uint64_t torn_records = 0;
-    bool had_checkpoint = false;
-  };
-
   /// Replays this session's durable state (checkpoint + WAL tail) into the
   /// pipeline and publishes one snapshot of the recovered estimates. Call
   /// exactly once, before the first AddVotes, on a freshly constructed
-  /// session (DqmEngine::RecoverSessions does).
-  Result<RecoveryReport> RecoverFromDurability() DQM_EXCLUDES(mutex_);
+  /// session (DqmEngine::RecoverSessions does, and surfaces the stats per
+  /// session).
+  Result<RecoveryStats> RecoverFromDurability() DQM_EXCLUDES(mutex_);
 
   /// Forces the WAL to disk (write + fsync) regardless of the group-commit
   /// cadence — the explicit durability barrier. No-op for in-memory
@@ -405,9 +410,6 @@ class EstimationSession {
   /// own kWal-ranked mutex (see engine/durability.h for the commit
   /// protocol); declared before metric_ so appends outlive nothing.
   std::unique_ptr<SessionDurability> durability_;
-  /// Checkpoints need a panel restorable from counts; order-sensitive
-  /// panels (SWITCH) get WAL-only durability.
-  bool checkpointable_ = false;
   bool striped_ = false;
   /// Total votes committed; drives the kEveryNVotes trigger on the striped
   /// path without any shared lock.

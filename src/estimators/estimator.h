@@ -20,8 +20,11 @@ class TotalErrorEstimator {
  public:
   virtual ~TotalErrorEstimator() = default;
 
-  /// Consumes the next vote. Events must arrive in the same order the
-  /// ResponseLog received them.
+  /// Consumes the next vote, in the order the ResponseLog receives them.
+  /// Ordering contract: when Observe(event) runs, the log holds exactly the
+  /// votes observed before `event` — the pipeline fans a vote out first and
+  /// appends it after, so the log's statistics are the state just before
+  /// this vote.
   virtual void Observe(const crowd::VoteEvent& event) = 0;
 
   /// Current point estimate of |R_dirty|.

@@ -9,18 +9,21 @@
 
 namespace dqm::estimators {
 
-SwitchTotalErrorEstimator::SwitchTotalErrorEstimator(size_t num_items)
-    : SwitchTotalErrorEstimator(num_items, Config()) {}
+SwitchTotalErrorEstimator::SwitchTotalErrorEstimator(
+    const crowd::ResponseLog& log)
+    : SwitchTotalErrorEstimator(log, Config()) {}
 
-SwitchTotalErrorEstimator::SwitchTotalErrorEstimator(size_t num_items,
-                                                     const Config& config)
+SwitchTotalErrorEstimator::SwitchTotalErrorEstimator(
+    const crowd::ResponseLog& log, const Config& config)
     : config_(config),
-      tracker_(num_items, config.tracker),
+      log_(&log),
+      tracker_(log, config.tracker),
       history_capacity_(std::max<size_t>(
           {config.trend_window, config.smooth_window, 1})) {}
 
 void SwitchTotalErrorEstimator::Observe(const crowd::VoteEvent& event) {
   if (any_event_ && event.task != current_task_) {
+    // A task boundary: the log's VOTING count before this task's first vote.
     if (majority_history_.size() < history_capacity_) {
       majority_history_.push_back(MajorityCount());
     } else {
@@ -204,8 +207,7 @@ void internal::RegisterBuiltinSwitch(EstimatorRegistry& registry) {
         DQM_ASSIGN_OR_RETURN(SwitchTotalErrorEstimator::Config config,
                              SwitchConfigFromSpec(spec));
         return std::unique_ptr<TotalErrorEstimator>(
-            std::make_unique<SwitchTotalErrorEstimator>(
-                log.num_items(), config));
+            std::make_unique<SwitchTotalErrorEstimator>(log, config));
       }});
   DQM_CHECK(status.ok()) << status.ToString();
 }

@@ -21,6 +21,10 @@ namespace dqm::estimators {
 /// `trend_window` task boundaries; a non-negative slope selects the positive
 /// branch (the paper's monotone-improvement argument: one-sided correction
 /// keeps SWITCH at least as good as VOTING).
+///
+/// VOTING and the item tallies are the pipeline's log's (which must outlive
+/// the estimator); SWITCH itself keeps only the tracker's switch state and
+/// the VOTING trend.
 class SwitchTotalErrorEstimator : public TotalErrorEstimator {
  public:
   struct Config {
@@ -49,8 +53,9 @@ class SwitchTotalErrorEstimator : public TotalErrorEstimator {
     bool two_sided = false;
   };
 
-  explicit SwitchTotalErrorEstimator(size_t num_items);
-  SwitchTotalErrorEstimator(size_t num_items, const Config& config);
+  explicit SwitchTotalErrorEstimator(const crowd::ResponseLog& log);
+  SwitchTotalErrorEstimator(const crowd::ResponseLog& log,
+                            const Config& config);
 
   void Observe(const crowd::VoteEvent& event) override;
   double Estimate() const override;
@@ -64,9 +69,10 @@ class SwitchTotalErrorEstimator : public TotalErrorEstimator {
     return tracker_.EstimateRemainingNegative();
   }
 
-  /// Current VOTING count (the quantity being corrected).
+  /// Current VOTING count (the quantity being corrected), read from the
+  /// log.
   double MajorityCount() const {
-    return static_cast<double>(tracker_.MajorityCount());
+    return static_cast<double>(log_->MajorityCount());
   }
 
   /// Slope of the recent VOTING history (exposed for diagnostics/tests).
@@ -87,8 +93,7 @@ class SwitchTotalErrorEstimator : public TotalErrorEstimator {
   size_t PreviousSlot(size_t slot) const;
 
   Config config_;
-  /// Also keeps the VOTING count (MajorityCount()) from its per-item
-  /// tallies.
+  const crowd::ResponseLog* log_;
   SwitchTracker tracker_;
   /// VOTING count sampled at the most recent task boundaries: a ring of at
   /// most history_capacity_ samples, grown lazily (the windows are user

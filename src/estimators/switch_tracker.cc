@@ -6,24 +6,25 @@
 
 namespace dqm::estimators {
 
-SwitchTracker::SwitchTracker(size_t num_items)
-    : SwitchTracker(num_items, Config()) {}
+SwitchTracker::SwitchTracker(const crowd::ResponseLog& log)
+    : SwitchTracker(log, Config()) {}
 
-SwitchTracker::SwitchTracker(size_t num_items, const Config& config)
-    : config_(config), items_(num_items) {}
+SwitchTracker::SwitchTracker(const crowd::ResponseLog& log,
+                             const Config& config)
+    : config_(config), log_(&log), items_(log.num_items()) {}
 
-bool SwitchTracker::DetectSwitch(const ItemState& state) const {
-  const uint32_t total = state.pos + state.neg;
+bool SwitchTracker::DetectSwitch(const ItemState& state, uint32_t dirty_votes,
+                                 uint32_t clean_votes) const {
   switch (config_.tie_policy) {
     case TiePolicy::kTieAsSwitch:
       // Eq. (7): part (ii) — the very first vote is positive; part (i) —
       // any later tie in the running tallies.
-      if (total == 1) return state.pos == 1;
-      return state.pos == state.neg;
+      if (dirty_votes + clean_votes == 1) return dirty_votes == 1;
+      return dirty_votes == clean_votes;
     case TiePolicy::kStrictMajority: {
       // A switch is a change of the strict-majority label. The label after
       // this vote:
-      bool label_now = state.pos > state.neg;
+      bool label_now = dirty_votes > clean_votes;
       return label_now != state.consensus_dirty;
     }
   }
@@ -65,23 +66,19 @@ void SwitchTracker::Rediscover(ItemState& state) {
 
 void SwitchTracker::Observe(const crowd::VoteEvent& event) {
   DQM_CHECK_LT(event.item, items_.size());
+  DQM_DCHECK(log_->num_events() == observed_votes_)
+      << "SWITCH observed a vote out of lockstep with the log: "
+      << log_->num_events() << " logged, " << observed_votes_ << " observed";
+  ++observed_votes_;
   ItemState& state = items_[event.item];
-  const bool was_majority = state.pos > state.neg;
-  if (event.vote == crowd::Vote::kDirty) {
-    ++state.pos;
-  } else {
-    ++state.neg;
-  }
-  const bool is_majority = state.pos > state.neg;
-  if (is_majority != was_majority) {
-    if (is_majority) {
-      ++majority_count_;
-    } else {
-      --majority_count_;
-    }
-  }
+  // The item's tallies after this vote: the log's plus `event`.
+  const bool dirty = event.vote == crowd::Vote::kDirty;
+  const uint32_t logged_positive = log_->positive_votes(event.item);
+  const uint32_t dirty_votes = logged_positive + (dirty ? 1 : 0);
+  const uint32_t clean_votes =
+      log_->total_votes(event.item) - logged_positive + (dirty ? 0 : 1);
 
-  if (DetectSwitch(state)) {
+  if (DetectSwitch(state, dirty_votes, clean_votes)) {
     // The consensus flips; the live switch (if any) freezes at its current
     // frequency and a new species is born.
     bool positive;
@@ -92,7 +89,7 @@ void SwitchTracker::Observe(const crowd::VoteEvent& event) {
         break;
       case TiePolicy::kStrictMajority:
         positive = !state.consensus_dirty;
-        state.consensus_dirty = state.pos > state.neg;
+        state.consensus_dirty = dirty_votes > clean_votes;
         DQM_DCHECK(state.consensus_dirty == positive);
         break;
     }
@@ -202,8 +199,8 @@ double SwitchTracker::EstimateRemainingNegative() const {
   return RemainingFrom(NegativeStatistics(), config_.skew_correction);
 }
 
-SwitchesNeeded ComputeSwitchesNeeded(const std::vector<uint32_t>& positive,
-                                     const std::vector<uint32_t>& total,
+SwitchesNeeded ComputeSwitchesNeeded(std::span<const uint32_t> positive,
+                                     std::span<const uint32_t> total,
                                      const std::vector<bool>& truth) {
   DQM_CHECK_EQ(positive.size(), truth.size());
   DQM_CHECK_EQ(total.size(), truth.size());

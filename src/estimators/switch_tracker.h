@@ -2,8 +2,10 @@
 #define DQM_ESTIMATORS_SWITCH_TRACKER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "crowd/response_log.h"
 #include "crowd/vote.h"
 #include "estimators/f_statistics.h"
 
@@ -82,7 +84,9 @@ struct SwitchesNeeded {
 
 /// The consensus state machine behind the SWITCH estimator (Section 4).
 ///
-/// Every item starts with the default label "clean". As votes arrive the
+/// The item tallies it detects switches from are the pipeline's
+/// crowd::ResponseLog's (which must outlive the tracker); the tracker keeps
+/// only each item's switch state. Every item starts with the default label "clean". As votes arrive the
 /// tracker detects consensus switches per the configured TiePolicy; each
 /// switch is a species, every later vote on the item that does not flip the
 /// consensus "rediscovers" the live switch (raising its frequency), and
@@ -101,10 +105,12 @@ class SwitchTracker {
     bool skew_correction = true;
   };
 
-  explicit SwitchTracker(size_t num_items);
-  SwitchTracker(size_t num_items, const Config& config);
+  explicit SwitchTracker(const crowd::ResponseLog& log);
+  SwitchTracker(const crowd::ResponseLog& log, const Config& config);
 
-  /// Consumes one vote (events must arrive in log order).
+  /// Consumes one vote just before the log appends it (the
+  /// TotalErrorEstimator::Observe contract): the item's tallies after this
+  /// vote are the log's plus `event`.
   void Observe(const crowd::VoteEvent& event);
 
   /// switch(I) — total observed switches (Eq. 7 under kTieAsSwitch).
@@ -117,11 +123,6 @@ class SwitchTracker {
 
   /// The tracker's current consensus label for `item`.
   bool ConsensusDirty(size_t item) const;
-
-  /// c_majority: items with strictly more dirty than clean votes — the
-  /// VOTING count, kept current by Observe from the same per-item tallies.
-  /// Independent of the tie policy (it is not the tracked label).
-  size_t MajorityCount() const { return majority_count_; }
 
   /// Combined / sign-restricted statistics in species-estimator form.
   SwitchStatistics Statistics() const;
@@ -141,17 +142,17 @@ class SwitchTracker {
 
  private:
   struct ItemState {
-    uint32_t pos = 0;
-    uint32_t neg = 0;
     bool has_switched = false;
     bool consensus_dirty = false;   // tracked label, default clean
     bool live_positive = false;     // sign of the live (latest) switch
     uint32_t live_freq = 0;         // frequency of the live switch
   };
+  static_assert(sizeof(ItemState) == 8, "switch state only, no tallies");
 
-  /// Applies the tie policy: did this vote (already tallied into `state`)
-  /// create a new switch?
-  bool DetectSwitch(const ItemState& state) const;
+  /// Applies the tie policy: did this vote, which brought the item's
+  /// tallies to `dirty_votes` and `clean_votes`, create a new switch?
+  bool DetectSwitch(const ItemState& state, uint32_t dirty_votes,
+                    uint32_t clean_votes) const;
 
   void StartSwitch(ItemState& state, bool positive);
   void Rediscover(ItemState& state);
@@ -160,20 +161,22 @@ class SwitchTracker {
                               uint64_t observed_switches) const;
 
   Config config_;
+  const crowd::ResponseLog* log_;
+  /// Votes observed so far; the log must hold exactly these.
+  uint64_t observed_votes_ = 0;
   std::vector<ItemState> items_;
   FStatistics positive_f_;
   FStatistics negative_f_;
   uint64_t positive_switches_ = 0;
   uint64_t negative_switches_ = 0;
   uint64_t items_with_switches_ = 0;
-  size_t majority_count_ = 0;
 };
 
 /// Ground-truth switches needed: compares the strict-majority labels implied
-/// by per-item tallies against the true labels. `positive[i]`/`total[i]`
-/// come from a ResponseLog; `truth[i]` is the hidden label.
-SwitchesNeeded ComputeSwitchesNeeded(const std::vector<uint32_t>& positive,
-                                     const std::vector<uint32_t>& total,
+/// by per-item tallies against the true labels. `positive`/`total` are a
+/// ResponseLog's tally columns; `truth[i]` is the hidden label.
+SwitchesNeeded ComputeSwitchesNeeded(std::span<const uint32_t> positive,
+                                     std::span<const uint32_t> total,
                                      const std::vector<bool>& truth);
 
 }  // namespace dqm::estimators

@@ -84,7 +84,7 @@ TEST(EngineStressTest, ConcurrentOpenAddVotesQueryCloseStaysConsistent) {
   constexpr size_t kReaders = 2;
   constexpr size_t kChurnCycles = 200;
 
-  DqmEngine engine(DqmEngine::Options{.num_shards = 4});
+  DqmEngine engine;
   for (size_t w = 0; w < kWriters; ++w) {
     ASSERT_TRUE(engine
                     .OpenSession("stable-" + std::to_string(w), kItems,
@@ -334,7 +334,7 @@ TEST(EngineStressTest, RefreshTelemetryDuringSessionChurn) {
   constexpr size_t kCyclesPerThread = 120;
   const std::vector<std::string> kTallyPanel = {"chao92", "voting"};
 
-  DqmEngine engine(DqmEngine::Options{.num_shards = 4});
+  DqmEngine engine;
   std::atomic<bool> done{false};
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kChurnThreads; ++t) {

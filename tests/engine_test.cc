@@ -220,7 +220,7 @@ TEST(EngineTest, UnknownSessionErrorsUseStatusCodes) {
 }
 
 TEST(EngineTest, SessionLifecycle) {
-  DqmEngine engine(DqmEngine::Options{.num_shards = 4});
+  DqmEngine engine;
   EXPECT_EQ(engine.num_sessions(), 0u);
   ASSERT_TRUE(engine.OpenSession("b", 10, kSwitch).ok());
   ASSERT_TRUE(engine.OpenSession("a", 10, kSwitch).ok());
@@ -245,7 +245,7 @@ TEST(EngineTest, SessionLifecycle) {
 }
 
 TEST(EngineTest, ConcurrentOpenCloseAcrossShards) {
-  DqmEngine engine(DqmEngine::Options{.num_shards = 3});
+  DqmEngine engine;
   ThreadPool pool(4);
   std::atomic<int> opened{0};
   ParallelFor(&pool, 64, [&](size_t i) {
@@ -368,17 +368,21 @@ TEST(EstimationSessionTest, PanelCadenceAndStripesDecideCommitPath) {
   // A coalesced cadence turns auto striping on for eligible panels...
   SessionOptions coalesced;
   coalesced.cadence = PublishCadence::kEveryNVotes;
+  coalesced.checkpoint_every_votes = 150;
   auto tally = engine.OpenSession(
       "tally", 64, std::span<const std::string>(tally_panel), coalesced);
   ASSERT_TRUE(tally.ok());
   EXPECT_TRUE((*tally)->concurrent_ingest());
   EXPECT_GE((*tally)->options().ingest_stripes, 2u);
-  // ...but order-sensitive panels always fall back.
+  EXPECT_EQ((*tally)->options().checkpoint_every_votes, 150u);
+  // ...but order-sensitive panels always fall back, and never checkpoint: a
+  // checkpoint's counts cannot restore the arrival order SWITCH consumes.
   auto ordered = engine.OpenSession(
       "ordered", 64, std::span<const std::string>(switch_panel), coalesced);
   ASSERT_TRUE(ordered.ok());
   EXPECT_FALSE((*ordered)->concurrent_ingest());
   EXPECT_EQ((*ordered)->options().ingest_stripes, 1u);
+  EXPECT_EQ((*ordered)->options().checkpoint_every_votes, 0u);
   // Explicit stripes >= 2 force striping under any cadence;
   // ingest_stripes = 1 forces the serialized path under any cadence.
   SessionOptions explicit_stripes;

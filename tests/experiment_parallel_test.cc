@@ -9,6 +9,7 @@
 
 #include "core/experiment.h"
 #include "estimators/switch_total.h"
+#include "lockstep_feed.h"
 
 namespace dqm::core {
 namespace {
@@ -53,7 +54,8 @@ TEST(ExperimentRunnerParallelTest, RunnerUsesThePermutationSeedSchedule) {
   for (size_t p = 0; p < kPermutations; ++p) {
     crowd::ResponseLog permuted =
         PermuteTasks(run.log, PermutationSeed(kSeed, p));
-    estimators::SwitchTotalErrorEstimator estimator(s.num_items);
+    test::LockstepFeed<estimators::SwitchTotalErrorEstimator> estimator(
+        s.num_items);
     std::vector<double> series;
     const std::vector<crowd::VoteEvent>& events = permuted.events();
     for (size_t e = 0; e < events.size(); ++e) {

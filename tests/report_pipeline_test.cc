@@ -20,6 +20,7 @@
 #include "estimators/chao92.h"
 #include "estimators/em_voting.h"
 #include "estimators/switch_total.h"
+#include "lockstep_feed.h"
 
 namespace dqm::core {
 namespace {
@@ -90,7 +91,8 @@ TEST(ReportPipelineTest, RowsAreTheirFormulaOverRebuiltStatistics) {
        ++j) {
     ASSERT_EQ(estimators::FingerprintAt(kept, j), f.f(j)) << "f_" << j;
   }
-  estimators::SwitchTotalErrorEstimator switch_estimator(num_items);
+  test::LockstepFeed<estimators::SwitchTotalErrorEstimator> switch_estimator(
+      num_items);
   for (const crowd::VoteEvent& event : run.log.events()) {
     switch_estimator.Observe(event);
   }

@@ -13,6 +13,7 @@
 #include "core/experiment.h"
 #include "core/scenario.h"
 #include "estimators/registry.h"
+#include "lockstep_feed.h"
 #include "workload/workload.h"
 
 namespace dqm::estimators {
@@ -21,14 +22,17 @@ namespace {
 using crowd::Vote;
 using crowd::VoteEvent;
 
+/// A SWITCH estimator over its own tally log, fed in lockstep.
+using Switch = test::LockstepFeed<SwitchTotalErrorEstimator>;
+
 TEST(SwitchTotalTest, EmptyEstimateIsZero) {
-  SwitchTotalErrorEstimator estimator(10);
+  Switch estimator(10);
   EXPECT_DOUBLE_EQ(estimator.Estimate(), 0.0);
   EXPECT_EQ(estimator.name(), "SWITCH");
 }
 
 TEST(SwitchTotalTest, EstimateNeverNegative) {
-  SwitchTotalErrorEstimator estimator(5);
+  Switch estimator(5);
   // Feed many clean votes plus one retracted dirty vote.
   uint32_t task = 0;
   estimator.Observe({task, task, 0, Vote::kDirty});
@@ -40,7 +44,7 @@ TEST(SwitchTotalTest, EstimateNeverNegative) {
 }
 
 TEST(SwitchTotalTest, InitialDirectionIsPositive) {
-  SwitchTotalErrorEstimator estimator(5);
+  Switch estimator(5);
   EXPECT_EQ(estimator.direction(), 1);
 }
 
@@ -48,7 +52,7 @@ TEST(SwitchTotalTest, DirectionFlipsWhenVotingFalls) {
   SwitchTotalErrorEstimator::Config config;
   config.smooth_window = 1;
   config.flip_threshold_abs = 2.0;
-  SwitchTotalErrorEstimator estimator(20, config);
+  Switch estimator(20, config);
   // Tasks 0..9: one fresh dirty vote each -> VOTING rises to 10.
   for (uint32_t t = 0; t < 10; ++t) {
     estimator.Observe({t, t, t, Vote::kDirty});
@@ -67,8 +71,8 @@ TEST(SwitchTotalTest, DirectionFlipsWhenVotingFalls) {
 TEST(SwitchTotalTest, TwoSidedModeAppliesBothCorrections) {
   SwitchTotalErrorEstimator::Config two_sided;
   two_sided.two_sided = true;
-  SwitchTotalErrorEstimator both(10, two_sided);
-  SwitchTotalErrorEstimator one_sided(10);
+  Switch both(10, two_sided);
+  Switch one_sided(10);
   core::Scenario scenario = core::SimulationScenario(0.05, 0.2, 5);
   scenario.num_items = 10;
   scenario.dirty_in_candidates = 3;
@@ -96,7 +100,7 @@ TEST(SwitchTotalTest, ConvergesOnCleanCrowd) {
   // true error count.
   core::Scenario scenario = core::SimulationScenario(0.0, 0.02, 20);
   core::SimulatedRun run = core::SimulateScenario(scenario, 600, 5);
-  SwitchTotalErrorEstimator estimator(scenario.num_items);
+  Switch estimator(scenario.num_items);
   for (const VoteEvent& event : run.log.events()) estimator.Observe(event);
   EXPECT_NEAR(estimator.Estimate(), 100.0, 8.0);
 }
@@ -121,7 +125,7 @@ TEST(SwitchTotalTest, RobustToFalsePositivesAtScale) {
 }
 
 TEST(SwitchTotalTest, VotingTrendReflectsHistory) {
-  SwitchTotalErrorEstimator estimator(50);
+  Switch estimator(50);
   for (uint32_t t = 0; t < 20; ++t) {
     estimator.Observe({t, t, t, Vote::kDirty});  // VOTING rises by 1/task
   }
@@ -148,7 +152,7 @@ TEST(SwitchTotalTest, SpecParamsMatchConfigStruct) {
   config.tracker.n_mode = SwitchNMode::kSpeciesSum;
   config.tracker.counting = SwitchCountingMode::kPerRecord;
   config.tracker.memory = SwitchMemory::kAllSwitches;
-  SwitchTotalErrorEstimator direct(num_items, config);
+  Switch direct(num_items, config);
 
   const std::string spec =
       "switch?tau=30&flip_abs=5&flip_rel=0.08&up_flip_factor=1.5"
@@ -239,7 +243,7 @@ TEST(SwitchTotalTest, BoundedHistoryMatchesFullHistoryOverLongStream) {
     config.flip_threshold_abs = 0.5;
     config.flip_threshold_rel = 0.0;
     config.up_flip_factor = 1.0;
-    SwitchTotalErrorEstimator estimator(scenario.num_items, config);
+    Switch estimator(scenario.num_items, config);
     FullHistoryReference reference(config);
 
     bool any_event = false;

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "crowd/response_log.h"
+#include "lockstep_feed.h"
 
 namespace dqm::estimators {
 namespace {
@@ -13,8 +13,11 @@ namespace {
 using crowd::Vote;
 using crowd::VoteEvent;
 
+/// A tracker over its own tally log, fed in lockstep.
+using Tracker = test::LockstepFeed<SwitchTracker>;
+
 // Feeds a vote sequence for a single item (item 0).
-void Feed(SwitchTracker& tracker, const std::vector<Vote>& votes,
+void Feed(Tracker& tracker, const std::vector<Vote>& votes,
           uint32_t item = 0) {
   for (uint32_t j = 0; j < votes.size(); ++j) {
     tracker.Observe({j, j, item, votes[j]});
@@ -25,7 +28,7 @@ constexpr Vote D = Vote::kDirty;
 constexpr Vote C = Vote::kClean;
 
 TEST(SwitchTrackerTest, FirstPositiveVoteIsASwitch) {
-  SwitchTracker tracker(1);
+  Tracker tracker(1);
   Feed(tracker, {D});
   EXPECT_EQ(tracker.TotalSwitches(), 1u);
   EXPECT_EQ(tracker.PositiveSwitches(), 1u);
@@ -37,7 +40,7 @@ TEST(SwitchTrackerTest, FirstPositiveVoteIsASwitch) {
 }
 
 TEST(SwitchTrackerTest, FirstNegativeVoteIsANoOp) {
-  SwitchTracker tracker(1);
+  Tracker tracker(1);
   Feed(tracker, {C});
   EXPECT_EQ(tracker.TotalSwitches(), 0u);
   EXPECT_FALSE(tracker.ConsensusDirty(0));
@@ -47,7 +50,7 @@ TEST(SwitchTrackerTest, FirstNegativeVoteIsANoOp) {
 }
 
 TEST(SwitchTrackerTest, ConfirmationRediscoversSwitch) {
-  SwitchTracker tracker(1);
+  Tracker tracker(1);
   Feed(tracker, {D, D});
   SwitchStatistics stats = tracker.Statistics();
   EXPECT_EQ(tracker.TotalSwitches(), 1u);
@@ -57,7 +60,7 @@ TEST(SwitchTrackerTest, ConfirmationRediscoversSwitch) {
 }
 
 TEST(SwitchTrackerTest, TieCreatesNewSwitch) {
-  SwitchTracker tracker(1);
+  Tracker tracker(1);
   Feed(tracker, {D, C});  // 1-1 tie flips dirty -> clean
   EXPECT_EQ(tracker.TotalSwitches(), 2u);
   EXPECT_EQ(tracker.PositiveSwitches(), 1u);
@@ -76,7 +79,7 @@ TEST(SwitchTrackerTest, TieCreatesNewSwitch) {
 TEST(SwitchTrackerTest, TieCreatesNewSwitchAllSwitchesMemory) {
   SwitchTracker::Config config;
   config.memory = SwitchMemory::kAllSwitches;
-  SwitchTracker tracker(1, config);
+  Tracker tracker(1, config);
   Feed(tracker, {D, C});
   // Frozen-history ablation variant: both switches remain singletons.
   SwitchStatistics stats = tracker.Statistics();
@@ -86,7 +89,7 @@ TEST(SwitchTrackerTest, TieCreatesNewSwitchAllSwitchesMemory) {
 }
 
 TEST(SwitchTrackerTest, LateTieAfterCleanStart) {
-  SwitchTracker tracker(1);
+  Tracker tracker(1);
   Feed(tracker, {C, D});  // no-op, then 1-1 tie -> positive switch
   EXPECT_EQ(tracker.TotalSwitches(), 1u);
   EXPECT_EQ(tracker.PositiveSwitches(), 1u);
@@ -97,7 +100,7 @@ TEST(SwitchTrackerTest, LateTieAfterCleanStart) {
 
 TEST(SwitchTrackerTest, AlternatingVotesHandComputed) {
   // [D, C, D, C]: switch(+), tie switch(-), rediscovery, tie switch(+).
-  SwitchTracker tracker(1);
+  Tracker tracker(1);
   Feed(tracker, {D, C, D, C});
   // All-time counters (Eq. 7) are memory-independent.
   EXPECT_EQ(tracker.TotalSwitches(), 3u);
@@ -114,7 +117,7 @@ TEST(SwitchTrackerTest, AlternatingVotesHandComputed) {
 TEST(SwitchTrackerTest, AlternatingVotesAllSwitchesMemory) {
   SwitchTracker::Config config;
   config.memory = SwitchMemory::kAllSwitches;
-  SwitchTracker tracker(1, config);
+  Tracker tracker(1, config);
   Feed(tracker, {D, C, D, C});
   SwitchStatistics stats = tracker.Statistics();
   EXPECT_EQ(stats.c, 3u);
@@ -127,7 +130,7 @@ TEST(SwitchTrackerTest, AlternatingVotesAllSwitchesMemory) {
 }
 
 TEST(SwitchTrackerTest, ItemsWithSwitchesVsTotalSwitches) {
-  SwitchTracker tracker(2);
+  Tracker tracker(2);
   Feed(tracker, {D, C, D, C}, 0);  // 3 switches on item 0
   Feed(tracker, {D}, 1);           // 1 switch on item 1
   EXPECT_EQ(tracker.TotalSwitches(), 4u);
@@ -137,7 +140,7 @@ TEST(SwitchTrackerTest, ItemsWithSwitchesVsTotalSwitches) {
 TEST(SwitchTrackerTest, PerRecordCountingUsesItemCount) {
   SwitchTracker::Config config;
   config.counting = SwitchCountingMode::kPerRecord;
-  SwitchTracker tracker(2, config);
+  Tracker tracker(2, config);
   Feed(tracker, {D, C, D, C}, 0);
   Feed(tracker, {D}, 1);
   EXPECT_EQ(tracker.Statistics().c, 2u);  // records, not switches
@@ -146,7 +149,7 @@ TEST(SwitchTrackerTest, PerRecordCountingUsesItemCount) {
 TEST(SwitchTrackerTest, SpeciesSumNMode) {
   SwitchTracker::Config config;
   config.n_mode = SwitchNMode::kSpeciesSum;
-  SwitchTracker tracker(1, config);
+  Tracker tracker(1, config);
   Feed(tracker, {D, D, D});
   // One switch rediscovered twice; n = species count = 1 under this mode.
   EXPECT_EQ(tracker.Statistics().n, 1u);
@@ -155,7 +158,7 @@ TEST(SwitchTrackerTest, SpeciesSumNMode) {
 TEST(SwitchTrackerStrictMajorityTest, TieKeepsLabel) {
   SwitchTracker::Config config;
   config.tie_policy = TiePolicy::kStrictMajority;
-  SwitchTracker tracker(1, config);
+  Tracker tracker(1, config);
   Feed(tracker, {C, D});  // 1-1 tie: label stays clean, no switch
   EXPECT_EQ(tracker.TotalSwitches(), 0u);
   EXPECT_FALSE(tracker.ConsensusDirty(0));
@@ -164,7 +167,7 @@ TEST(SwitchTrackerStrictMajorityTest, TieKeepsLabel) {
 TEST(SwitchTrackerStrictMajorityTest, MajorityChangeSwitches) {
   SwitchTracker::Config config;
   config.tie_policy = TiePolicy::kStrictMajority;
-  SwitchTracker tracker(1, config);
+  Tracker tracker(1, config);
   Feed(tracker, {C, D, D});  // no-op, no-op, 2-1 -> positive switch
   EXPECT_EQ(tracker.TotalSwitches(), 1u);
   EXPECT_EQ(tracker.PositiveSwitches(), 1u);
@@ -175,7 +178,7 @@ TEST(SwitchTrackerStrictMajorityTest, MajorityChangeSwitches) {
 TEST(SwitchTrackerStrictMajorityTest, AlternatingVotes) {
   SwitchTracker::Config config;
   config.tie_policy = TiePolicy::kStrictMajority;
-  SwitchTracker tracker(1, config);
+  Tracker tracker(1, config);
   // [D, C, D, C]: 1-0 dirty, 1-1 clean, 2-1 dirty, 2-2 clean: 4 switches.
   Feed(tracker, {D, C, D, C});
   EXPECT_EQ(tracker.TotalSwitches(), 4u);
@@ -194,7 +197,7 @@ TEST_P(SwitchEquationPropertyTest, MatchesEquationSeven) {
   // switch onward, which is the kAllSwitches accounting.
   SwitchTracker::Config config;
   config.memory = SwitchMemory::kAllSwitches;
-  SwitchTracker tracker(num_items, config);
+  Tracker tracker(num_items, config);
   std::vector<std::vector<Vote>> votes(num_items);
   for (uint32_t step = 0; step < 300; ++step) {
     auto item = static_cast<uint32_t>(rng.UniformIndex(num_items));
@@ -246,7 +249,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SwitchEquationPropertyTest,
 TEST_P(SwitchEquationPropertyTest, LiveOnlyInvariants) {
   Rng rng(GetParam() ^ 0x5555);
   const size_t num_items = 12;
-  SwitchTracker tracker(num_items);
+  Tracker tracker(num_items);
   for (uint32_t step = 0; step < 300; ++step) {
     tracker.Observe({step, step,
                      static_cast<uint32_t>(rng.UniformIndex(num_items)),
@@ -263,33 +266,24 @@ TEST_P(SwitchEquationPropertyTest, LiveOnlyInvariants) {
   }
 }
 
-TEST(SwitchTrackerMajorityTest, MajorityCountMatchesResponseLogAfterEveryVote) {
-  // SWITCH reads the VOTING count off its tracker; it must be exactly the
-  // log's strict-majority count at every point of a seeded stream, whatever
-  // the tie policy (ties are clean for VOTING in both).
-  for (TiePolicy policy :
-       {TiePolicy::kTieAsSwitch, TiePolicy::kStrictMajority}) {
-    SCOPED_TRACE(policy == TiePolicy::kTieAsSwitch ? "tie" : "strict");
-    const size_t num_items = 25;
-    SwitchTracker::Config config;
-    config.tie_policy = policy;
-    SwitchTracker tracker(num_items, config);
-    crowd::ResponseLog log(num_items);
-    Rng rng(1234);
-    for (uint32_t i = 0; i < 2000; ++i) {
-      VoteEvent event{i / 8, i / 8,
-                      static_cast<uint32_t>(rng.UniformIndex(num_items)),
-                      rng.Bernoulli(0.45) ? D : C};
-      tracker.Observe(event);
-      log.Append(event);
-      ASSERT_EQ(tracker.MajorityCount(), log.MajorityCount()) << "vote " << i;
-    }
-  }
+TEST(SwitchTrackerDeathTest, ObservingOutOfLockstepWithTheLogAborts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the lockstep check is a DQM_DCHECK, compiled out of "
+                  "Release builds";
+#else
+  // The log appended the vote before the tracker observed it, so the
+  // tallies the tracker would read already include it.
+  crowd::ResponseLog log(1, crowd::RetentionPolicy::kTallies);
+  SwitchTracker tracker(log);
+  const VoteEvent event{0, 0, 0, D};
+  log.Append(event);
+  EXPECT_DEATH(tracker.Observe(event), "out of lockstep");
+#endif
 }
 
 TEST(SwitchTrackerEstimateTest, RemainingNonNegative) {
   Rng rng(77);
-  SwitchTracker tracker(20);
+  Tracker tracker(20);
   for (uint32_t step = 0; step < 500; ++step) {
     tracker.Observe({step / 5, step / 5,
                      static_cast<uint32_t>(rng.UniformIndex(20)),
@@ -303,7 +297,7 @@ TEST(SwitchTrackerEstimateTest, RemainingNonNegative) {
 TEST(SwitchTrackerEstimateTest, StableConsensusShrinksRemaining) {
   // One strong dirty item repeatedly confirmed: the lone switch gets
   // promoted far beyond singleton status, so remaining -> 0.
-  SwitchTracker tracker(1);
+  Tracker tracker(1);
   Feed(tracker, {D, D, D, D, D, D, D, D});
   EXPECT_DOUBLE_EQ(tracker.EstimateRemainingSwitches(), 0.0);
   EXPECT_NEAR(tracker.EstimateTotalSwitches(), 1.0, 1e-9);
