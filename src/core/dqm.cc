@@ -112,10 +112,17 @@ void DataQualityMetric::CommitVotes(std::span<const crowd::VoteEvent> votes) {
     log_->AppendConcurrent(votes);
     return;
   }
-  for (const crowd::VoteEvent& event : votes) {
-    AddVote(event.task, event.worker, event.item,
-            event.vote == crowd::Vote::kDirty);
+  for (const crowd::VoteEvent& event : votes) ObserveAndAppend(event);
+}
+
+Status DataQualityMetric::RestoreCheckpoint(
+    const crowd::CheckpointData& data) {
+  if (!SupportsConcurrentIngest()) {
+    return Status::FailedPrecondition(
+        "the panel has an order-sensitive estimator; its state cannot be "
+        "restored from a checkpoint's counts");
   }
+  return log_->RestoreCheckpoint(data);
 }
 
 crowd::ResponseLog::IngestPause DataQualityMetric::ReconcileForEstimates() {
@@ -129,8 +136,12 @@ crowd::ResponseLog::IngestPause DataQualityMetric::ReconcileForEstimates() {
 
 void DataQualityMetric::AddVote(uint32_t task, uint32_t worker, uint32_t item,
                                 bool is_dirty) {
-  crowd::VoteEvent event{task, worker, item,
-                         is_dirty ? crowd::Vote::kDirty : crowd::Vote::kClean};
+  ObserveAndAppend(crowd::VoteEvent{
+      task, worker, item,
+      is_dirty ? crowd::Vote::kDirty : crowd::Vote::kClean});
+}
+
+void DataQualityMetric::ObserveAndAppend(const crowd::VoteEvent& event) {
   for (estimators::TotalErrorEstimator* estimator : observing_) {
     estimator->Observe(event);
   }

@@ -96,11 +96,19 @@ class DataQualityMetric {
 
   /// Commits a batch in order — the engine session's one commit call. On a
   /// striped pipeline it is the thread-safe stripe commit
-  /// (ResponseLog::AppendConcurrent); otherwise it is AddVote per vote (log
-  /// append plus the Observe fan-out), and the caller serializes calls.
+  /// (ResponseLog::AppendConcurrent); otherwise each vote takes AddVote's
+  /// step (the Observe fan-out, then the log append), and the caller
+  /// serializes calls.
   /// Item ids must be < num_items(); the caller validates (the engine
   /// session does).
   void CommitVotes(std::span<const crowd::VoteEvent> votes);
+
+  /// Restores a checkpoint into this pipeline's empty log
+  /// (crowd::ResponseLog::RestoreCheckpoint), in O(items + pairs) on either
+  /// ingest mode. FailedPrecondition for a panel with an order-sensitive
+  /// estimator (SWITCH): it keeps state the checkpoint's counts do not
+  /// carry.
+  Status RestoreCheckpoint(const crowd::CheckpointData& data);
 
   /// Pauses committers and reconciles the striped log, which sums the
   /// positive-vote fingerprints its stripes keep at commit (Debug builds
@@ -191,6 +199,10 @@ class DataQualityMetric {
   /// Builds the log and the panel; shared by Create and the quickstart
   /// constructor.
   Status AttachSpecs(size_t num_items, std::span<const std::string> specs);
+
+  /// The serialized path's per-vote step, shared by AddVote and
+  /// CommitVotes: the Observe fan-out, then the log append.
+  void ObserveAndAppend(const crowd::VoteEvent& event);
 
   /// Heap-pinned: estimators hold pointers to it, so the metric object
   /// itself stays cheaply movable.

@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "crowd/wal.h"
 #include "telemetry/metric_names.h"
 
 namespace dqm::crowd {
@@ -56,6 +57,13 @@ void CompactedVoteStore::Add(uint32_t worker, uint32_t item, Vote vote) {
   } else {
     ++clean_[slot];
   }
+}
+
+void CompactedVoteStore::AddCounts(uint32_t worker, uint32_t item,
+                                   uint32_t dirty, uint32_t clean) {
+  size_t slot = FindOrInsertSlot(worker, item);
+  dirty_[slot] += dirty;
+  clean_[slot] += clean;
 }
 
 size_t CompactedVoteStore::MemoryBytes() const {
@@ -235,6 +243,92 @@ void ResponseLog::Append(const VoteEvent& event) {
   DQM_CHECK_LT(event.item, positive_.size()) << "item id out of range";
   CountVote(stats_, event);
   if (retention_ == RetentionPolicy::kFullEvents) events_.push_back(event);
+}
+
+Status ResponseLog::RestoreCheckpoint(const CheckpointData& data) {
+  const bool pairs = data.variant == CheckpointData::Variant::kPairs;
+  if (retention_ == RetentionPolicy::kFullEvents) {
+    return Status::FailedPrecondition(
+        "a checkpoint holds counts; this log retains full events");
+  }
+  if (!pairs && retention_ == RetentionPolicy::kCounts) {
+    return Status::FailedPrecondition(
+        "a tally checkpoint holds no pair counts for this log's matrix");
+  }
+  const size_t n = num_items();
+  const size_t slots = data.items.size();
+  const bool shaped =
+      pairs ? data.workers.size() == slots && data.dirty.size() == slots &&
+                  data.clean.size() == slots
+            : data.positive.size() == n && data.total.size() == n;
+  if (data.num_items != n || !shaped) {
+    return Status::InvalidArgument(StrFormat(
+        "checkpoint of %llu items does not fit a log of %zu items",
+        static_cast<unsigned long long>(data.num_items), n));
+  }
+  // Holds every stripe lock until the restored stats are folded, and brings
+  // the log's totals current for the emptiness check.
+  IngestPause pause = PauseAndReconcile();
+  if (stats_.num_events != 0) {
+    return Status::FailedPrecondition(
+        "a checkpoint restores into an empty log only");
+  }
+  const uint32_t shift = concurrent_ == nullptr ? 0 : concurrent_->stripe_shift;
+  auto stats_of = [&](size_t stripe) -> VoteStats& {
+    return concurrent_ == nullptr ? stats_ : concurrent_->stripes[stripe].stats;
+  };
+  if (pairs) {
+    for (size_t slot = 0; slot < slots; ++slot) {
+      const uint32_t worker = data.workers[slot];
+      const uint32_t item = data.items[slot];
+      // invariant: DecodeCheckpoint and CheckpointFromLog bound item ids.
+      DQM_CHECK_LT(item, n) << "item id out of range";
+      positive_[item] += data.dirty[slot];
+      total_[item] += data.dirty[slot] + data.clean[slot];
+      VoteStats& stats = stats_of(item >> shift);
+      stats.worker_bound =
+          std::max(stats.worker_bound, static_cast<uint64_t>(worker) + 1);
+      if (retention_ == RetentionPolicy::kCounts) {
+        stats.counts.AddCounts(worker, item, data.dirty[slot],
+                               data.clean[slot]);
+      }
+    }
+  } else {
+    std::copy(data.positive.begin(), data.positive.end(), positive_.begin());
+    std::copy(data.total.begin(), data.total.end(), total_.begin());
+  }
+  // The rest of each VoteStats is a function of its items' tallies.
+  const size_t num_parts =
+      concurrent_ == nullptr ? 1 : concurrent_->num_stripes;
+  const size_t part_items = concurrent_ == nullptr ? n : size_t{1} << shift;
+  for (size_t part = 0; part < num_parts; ++part) {
+    const size_t begin = std::min(part * part_items, n);
+    const size_t count = std::min(part_items, n - begin);
+    const std::span<const uint32_t> positive(positive_.data() + begin, count);
+    const TallyScanResult scan =
+        ScanTallies(positive, std::span<const uint32_t>(total_.data() + begin,
+                                                        count));
+    VoteStats& stats = stats_of(part);
+    stats.num_events = scan.total_votes;
+    stats.total_positive = scan.positive_votes;
+    stats.nominal = scan.nominal_count;
+    stats.majority = static_cast<int64_t>(scan.majority_count);
+    if (scan.total_votes > 0) {
+      stats.task_bound = data.num_tasks;
+      if (!pairs) stats.worker_bound = data.num_workers;
+    }
+    if (scan.nominal_count > 0) {
+      // Entry j counts the items with j dirty votes; the deepest item sets
+      // the length, as its last dirty vote did, and entry 0 stays 0.
+      stats.positive_f.resize(*std::max_element(positive.begin(),
+                                                positive.end()) + size_t{1},
+                              0);
+      for (uint32_t dirty : positive) ++stats.positive_f[dirty];
+      stats.positive_f[0] = 0;
+    }
+  }
+  if (concurrent_ != nullptr) ReconcileLocked();
+  return Status::OK();
 }
 
 void ResponseLog::EnableConcurrentIngest(size_t num_stripes) {

@@ -10,10 +10,13 @@
 
 #include "common/align.h"
 #include "common/mutex.h"
+#include "common/status.h"
 #include "crowd/vote.h"
 #include "telemetry/metrics.h"
 
 namespace dqm::crowd {
+
+struct CheckpointData;  // crowd/wal.h
 
 /// Compacted columnar realization of the paper's response matrix `I`:
 /// per-(worker, item) dirty/clean vote counts in flat parallel arrays, with
@@ -34,6 +37,11 @@ class CompactedVoteStore {
   /// Folds one vote into its (worker, item) slot, creating it on first
   /// contact.
   void Add(uint32_t worker, uint32_t item, Vote vote);
+
+  /// Adds `dirty` and `clean` votes to the (worker, item) slot at once, as
+  /// that many Add calls would (the dirty ones first).
+  void AddCounts(uint32_t worker, uint32_t item, uint32_t dirty,
+                 uint32_t clean);
 
   /// Number of distinct (worker, item) pairs seen.
   size_t num_pairs() const { return workers_.size(); }
@@ -155,6 +163,26 @@ class ResponseLog {
   /// Appends one vote. `event.item` must be < num_items(). Serialized-path
   /// only: aborts once concurrent ingest is enabled (use AppendConcurrent).
   void Append(const VoteEvent& event);
+
+  /// Restores `data` (a CheckpointData cut by CheckpointFromLog, or a
+  /// decoded checkpoint file) into this empty log in O(items + pairs), on
+  /// either ingest mode: it sets the tally columns, under kCounts adds each
+  /// pair's counts in slot order to the matrix (to the shard of the stripe
+  /// that owns the item, in concurrent ingest mode), and derives every
+  /// VoteStats — fingerprint, NOMINAL, VOTING, totals, bounds — from its
+  /// items' tallies. The result equals, field for field and slot for slot,
+  /// a log that appended the checkpoint's counts as votes in slot order
+  /// (dirty before clean, every vote at task num_tasks - 1, and under
+  /// kTallies at worker num_workers - 1). A kPairs checkpoint restores
+  /// into a kCounts or kTallies log, a kTallies one into a kTallies log
+  /// only (it holds no pairs). FailedPrecondition for a kFullEvents log, a
+  /// log that already holds votes, or a variant the log cannot hold;
+  /// InvalidArgument when the item count or the column shape does not fit
+  /// the log. Takes every stripe lock, so no committer may hold one.
+  // Writes the stripe stats under the pause guard's stripe locks, which the
+  // analysis cannot model (see LockAllStripes).
+  Status RestoreCheckpoint(const CheckpointData& data)
+      DQM_NO_THREAD_SAFETY_ANALYSIS;
 
   /// All events in arrival order. Only available under kFullEvents — a
   /// kCounts or kTallies log has, by design, forgotten arrival history

@@ -31,8 +31,6 @@ constexpr size_t kVoteBytes = 13;                  // 3 x u32 + vote byte
 constexpr uint32_t kCheckpointMagic = 0x50435144;  // "DQCP" on disk
 constexpr uint32_t kCheckpointVersion = 1;
 
-constexpr size_t kEmitBatchVotes = 4096;
-
 // --- Little-endian (de)serialization helpers -------------------------------
 
 // On a little-endian host a load or store is one plain unaligned move. The
@@ -484,9 +482,9 @@ Result<CheckpointData> CheckpointFromLog(const ResponseLog& log,
     data.dirty.reserve(pairs);
     data.clean.reserve(pairs);
     // Shards are concatenated in stripe order; within a shard slots keep
-    // their first-arrival order. Restoring replays the same concatenation,
-    // which routes each pair back to its stripe and rebuilds every shard
-    // slot-for-slot.
+    // their first-arrival order. ResponseLog::RestoreCheckpoint walks the
+    // same concatenation, routing each pair back to its stripe, so every
+    // shard is rebuilt slot for slot.
     for (const CompactedVoteStore* block : blocks) {
       data.workers.insert(data.workers.end(), block->workers().begin(),
                           block->workers().end());
@@ -628,52 +626,6 @@ Result<CheckpointData> DecodeCheckpoint(std::span<const uint8_t> bytes,
     return corrupt("task/worker bound exceeds id cap");
   }
   return data;
-}
-
-Status EmitCheckpointVotes(
-    const CheckpointData& data,
-    const std::function<Status(std::span<const VoteEvent>)>& apply) {
-  if (data.num_events == 0) return Status::OK();
-  std::vector<VoteEvent> batch;
-  batch.reserve(kEmitBatchVotes);
-  auto flush = [&]() -> Status {
-    if (batch.empty()) return Status::OK();
-    Status status = apply(std::span<const VoteEvent>(batch));
-    batch.clear();
-    return status;
-  };
-  // All synthetic votes carry the max observed task id so the rebuilt
-  // pipeline's task bound lands exactly on num_tasks (tasks are not part of
-  // the compacted state — only their bound survives a checkpoint).
-  const uint32_t task = static_cast<uint32_t>(data.num_tasks - 1);
-  auto emit = [&](uint32_t worker, uint32_t item, Vote vote,
-                  uint32_t count) -> Status {
-    for (uint32_t i = 0; i < count; ++i) {
-      batch.push_back(VoteEvent{task, worker, item, vote});
-      if (batch.size() == kEmitBatchVotes) DQM_RETURN_NOT_OK(flush());
-    }
-    return Status::OK();
-  };
-  if (data.variant == CheckpointData::Variant::kPairs) {
-    for (size_t slot = 0; slot < data.workers.size(); ++slot) {
-      DQM_RETURN_NOT_OK(emit(data.workers[slot], data.items[slot],
-                             Vote::kDirty, data.dirty[slot]));
-      DQM_RETURN_NOT_OK(emit(data.workers[slot], data.items[slot],
-                             Vote::kClean, data.clean[slot]));
-    }
-  } else {
-    // Tally-only panels never read (worker, item) pairs, so the synthetic
-    // worker id only has to restore the worker *bound*.
-    const uint32_t worker = static_cast<uint32_t>(data.num_workers - 1);
-    for (size_t item = 0; item < data.total.size(); ++item) {
-      DQM_RETURN_NOT_OK(emit(worker, static_cast<uint32_t>(item), Vote::kDirty,
-                             data.positive[item]));
-      DQM_RETURN_NOT_OK(
-          emit(worker, static_cast<uint32_t>(item), Vote::kClean,
-               data.total[item] - data.positive[item]));
-    }
-  }
-  return flush();
 }
 
 }  // namespace dqm::crowd

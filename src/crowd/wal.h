@@ -230,10 +230,12 @@ Result<WalScanResult> ScanWalRecords(
 // first-arrival slot order (kPairs — kCounts logs, striped shards
 // concatenated in stripe order), or the per-item tally columns (kTallies —
 // kTallies logs, whose panels by construction have no matrix consumer).
-// Restoring is a synthetic replay: EmitCheckpointVotes re-emits the counts
-// as a vote stream in slot order, which rebuilds a bit-identical store
-// through the ordinary ingest path — no deserialization backdoor into the
-// log's internals.
+// Restoring costs O(items + pairs), not O(votes):
+// ResponseLog::RestoreCheckpoint sets an empty log's tally columns, adds the
+// pair counts in slot order, and derives every other statistic the
+// estimators read (fingerprint, NOMINAL, VOTING, totals, bounds) from the
+// tallies. The restored log equals one that ingested the counts as votes in
+// slot order, so a pair-count matrix comes back slot for slot.
 // ---------------------------------------------------------------------------
 struct CheckpointData {
   enum class Variant : uint8_t {
@@ -289,15 +291,6 @@ Result<CheckpointData> ReadCheckpointFile(const std::string& path);
 /// names the source for error messages.
 Result<CheckpointData> DecodeCheckpoint(std::span<const uint8_t> bytes,
                                         const std::string& context);
-
-/// Re-emits the checkpoint's state as a synthetic vote stream, in slot
-/// (kPairs) or item (kTallies) order, batched through `apply`. Feeding the
-/// stream to an empty pipeline rebuilds tallies, pair counts, and
-/// task/worker bounds bit-identically (see CompactedVoteStore's
-/// first-arrival slot-order guarantee).
-Status EmitCheckpointVotes(
-    const CheckpointData& data,
-    const std::function<Status(std::span<const VoteEvent>)>& apply);
 
 }  // namespace dqm::crowd
 

@@ -581,7 +581,9 @@ Status SessionDurability::CommitCheckpoint(
 
 Result<RecoveryStats> SessionDurability::Recover(
     size_t num_items,
-    const std::function<Status(std::span<const crowd::VoteEvent>)>& restore) {
+    const std::function<Status(const crowd::CheckpointData&)>&
+        restore_checkpoint,
+    const std::function<Status(std::span<const crowd::VoteEvent>)>& replay) {
   DurabilityMetrics& tm = Metrics();
   MutexLock lock(wal_mutex_);
   RecoveryStats stats;
@@ -597,7 +599,7 @@ Result<RecoveryStats> SessionDurability::Recover(
           cp.c_str(), static_cast<unsigned long long>(data.num_items),
           num_items));
     }
-    DQM_RETURN_NOT_OK(crowd::EmitCheckpointVotes(data, restore));
+    DQM_RETURN_NOT_OK(restore_checkpoint(data));
     stats.had_checkpoint = true;
     stats.checkpoint_votes = data.num_events;
     checkpoint_generation = data.wal_generation;
@@ -637,12 +639,12 @@ Result<RecoveryStats> SessionDurability::Recover(
         static_cast<unsigned long long>(checkpoint_generation)));
   }
   if (replay_tail) {
-    DQM_ASSIGN_OR_RETURN(crowd::VoteWal::ReplayStats replay,
-                         wal_.ReplayAndTruncate(num_items, restore));
-    stats.replayed_votes = replay.votes;
-    stats.torn_records = replay.torn_records;
-    tm.replayed->Add(replay.votes);
-    tm.torn->Add(replay.torn_records);
+    DQM_ASSIGN_OR_RETURN(crowd::VoteWal::ReplayStats tail,
+                         wal_.ReplayAndTruncate(num_items, replay));
+    stats.replayed_votes = tail.votes;
+    stats.torn_records = tail.torn_records;
+    tm.replayed->Add(tail.votes);
+    tm.torn->Add(tail.torn_records);
   }
   return stats;
 }

@@ -166,13 +166,16 @@ class SessionDurability {
       const std::function<Result<crowd::CheckpointData>(uint64_t generation)>&
           build) DQM_EXCLUDES(wal_mutex_);
 
-  /// Full recovery: loads the latest checkpoint (if any) and replays the
-  /// WAL tail through `restore`, healing the checkpoint/WAL generation
-  /// seam and truncating a torn tail. Call once, before the first
-  /// AppendBatch, with the session not yet serving.
+  /// Full recovery: loads the latest checkpoint (if any) into
+  /// `restore_checkpoint`, then replays the WAL tail through `replay`,
+  /// healing the checkpoint/WAL generation seam and truncating a torn tail.
+  /// Call once, before the first AppendBatch, with the session not yet
+  /// serving.
   Result<RecoveryStats> Recover(
       size_t num_items,
-      const std::function<Status(std::span<const crowd::VoteEvent>)>& restore)
+      const std::function<Status(const crowd::CheckpointData&)>&
+          restore_checkpoint,
+      const std::function<Status(std::span<const crowd::VoteEvent>)>& replay)
       DQM_EXCLUDES(wal_mutex_);
 
   /// Heap retained by the WAL buffer + replay scratch — rolled into the

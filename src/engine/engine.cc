@@ -329,9 +329,9 @@ Status DqmEngine::MigrateSession(const std::string& name, DqmEngine& target,
       std::shared_ptr<EstimationSession> moved,
       target.OpenSession(name, session->num_items(), session->specs(),
                          options));
-  // The synthetic replay rebuilds tallies and pair counts bit-identically
-  // through the target's ordinary ingest path (and write-ahead logs them
-  // when the target is durable).
+  // The restore rebuilds tallies and pair counts bit-identically in
+  // O(items + pairs) and publishes them; a durable target commits them as
+  // its first checkpoint.
   Status restored = moved->ImportState(state);
   if (!restored.ok()) {
     // Roll back the half-built target; the source keeps serving.
@@ -339,7 +339,6 @@ Status DqmEngine::MigrateSession(const std::string& name, DqmEngine& target,
     (void)closed;
     return restored;
   }
-  moved->Publish();
   DQM_RETURN_NOT_OK(CloseSession(name));
   static telemetry::Counter* migrated =
       telemetry::MetricsRegistry::Global().GetCounter(

@@ -186,8 +186,10 @@ class DqmEngine {
   /// WAL, exports its compacted state (quiescing ingest for the cut),
   /// rebuilds an identical session on `target` (same specs and resolved
   /// serving options, so the same stripe count; `target_durability_root`
-  /// gives the target its own durable home, "" = in-memory), verifies the
-  /// restored vote count, publishes, and closes the source registration.
+  /// gives the target its own durable home, "" = in-memory), restores the
+  /// state into it (EstimationSession::ImportState: one publish, and a
+  /// first checkpoint on a durable target), and closes the source
+  /// registration.
   /// The caller must stop routing traffic to the source before migrating —
   /// votes ingested after the export cut would stay behind.
   /// FailedPrecondition for panels whose state cannot be rebuilt from

@@ -487,9 +487,12 @@ Status StandbyApplier::ResyncFromCheckpoint(uint64_t generation,
     DQM_ASSIGN_OR_RETURN(
         crowd::CheckpointData data,
         crowd::DecodeCheckpoint(ckpt, CheckpointArtifactName(generation)));
+    // Restores and publishes the checkpoint's state.
     DQM_RETURN_NOT_OK(session_->ImportState(data));
     applied_votes_ = data.num_events;
     generation = data.wal_generation;
+  } else {
+    session_->Publish();
   }
   applied_generation_ = generation;
   expected_offset_ = crowd::kWalHeaderBytes;
@@ -499,7 +502,6 @@ Status StandbyApplier::ResyncFromCheckpoint(uint64_t generation,
     resyncs_++;
     CounterFor(telemetry::metric_names::kReplicaResyncsTotal).Increment();
   }
-  session_->Publish();
   return Status::OK();
 }
 
@@ -528,14 +530,21 @@ Status StandbyApplier::ApplySegment(const ArtifactId& id,
     return Status::OK();
   }
   const std::span<const uint8_t> suffix = bytes.subspan(applied_bytes);
-  // Validate end to end BEFORE applying a single vote: the suffix is
-  // applied whole or not at all. The vote count catches an artifact cut
-  // short at a record boundary, which scans clean.
+  // Decode the suffix once and validate it end to end BEFORE applying a
+  // single vote: the suffix is applied whole or not at all. The vote count
+  // catches an artifact cut short at a record boundary, which scans clean.
+  segment_votes_.clear();
+  segment_record_ends_.clear();
   DQM_ASSIGN_OR_RETURN(
       crowd::WalScanResult precheck,
       crowd::ScanWalRecords(
           suffix, manifest_.num_items,
-          [](std::span<const crowd::VoteEvent>) { return Status::OK(); },
+          [this](std::span<const crowd::VoteEvent> votes) {
+            segment_votes_.insert(segment_votes_.end(), votes.begin(),
+                                  votes.end());
+            segment_record_ends_.push_back(segment_votes_.size());
+            return Status::OK();
+          },
           scan_scratch_));
   if (precheck.torn || precheck.clean_end != suffix.size()) {
     NoteDivergence(StrFormat(
@@ -555,12 +564,14 @@ Status StandbyApplier::ApplySegment(const ArtifactId& id,
         static_cast<unsigned long long>(applied_votes_ + precheck.votes)));
     return Status::OK();
   }
-  auto apply = [this](std::span<const crowd::VoteEvent> votes) {
-    return session_->AddVotes(votes);
-  };
-  DQM_RETURN_NOT_OK(
-      crowd::ScanWalRecords(suffix, manifest_.num_items, apply, scan_scratch_)
-          .status());
+  // One commit per WAL record, as the primary committed them.
+  size_t begin = 0;
+  for (size_t end : segment_record_ends_) {
+    DQM_RETURN_NOT_OK(session_->AddVotes(
+        std::span<const crowd::VoteEvent>(segment_votes_).subspan(
+            begin, end - begin)));
+    begin = end;
+  }
   applied_votes_ = id.cum_votes;
   expected_offset_ = id.start_offset + bytes.size();
   CounterFor(telemetry::metric_names::kReplicaSegmentsAppliedTotal)

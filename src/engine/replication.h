@@ -246,8 +246,9 @@ class SessionReplicator {
 /// Promote() is called.
 ///
 /// Poll() is the replay heartbeat — call it from a timer or loop. Each call
-/// lists the transport, loads a newer checkpoint if one appeared (this is
-/// also how divergence heals), then tails the generation's segments in
+/// lists the transport, loads a newer checkpoint if one appeared (restored
+/// in O(items + pairs) by ImportState; this is also how divergence heals),
+/// then tails the generation's segments in
 /// name order through the ordinary ingest path. Applied votes are
 /// crash-consistent with the primary's acknowledged durable prefix: a
 /// segment's unapplied suffix is fully validated (contiguity, clean record
@@ -318,9 +319,10 @@ class StandbyApplier {
   Status ResyncFromCheckpoint(uint64_t generation,
                               std::span<const uint8_t> ckpt);
 
-  /// Validates and applies the unapplied suffix of one segment (`bytes`
-  /// start at WAL offset `id.start_offset`); flags divergence and returns
-  /// without applying anything on any mismatch.
+  /// Decodes the unapplied suffix of one segment once (`bytes` start at
+  /// WAL offset `id.start_offset`), validates it, then applies it one
+  /// commit per WAL record; flags divergence and returns without applying
+  /// anything on any mismatch.
   Status ApplySegment(const ArtifactId& id, std::span<const uint8_t> bytes);
 
   void NoteDivergence(const std::string& why);
@@ -344,6 +346,10 @@ class StandbyApplier {
   uint64_t divergences_ = 0;
   uint64_t resyncs_ = 0;
   std::vector<crowd::VoteEvent> scan_scratch_;
+  /// ApplySegment's decoded suffix: its votes, and where each WAL record's
+  /// votes end.
+  std::vector<crowd::VoteEvent> segment_votes_;
+  std::vector<size_t> segment_record_ends_;
 };
 
 }  // namespace dqm::engine

@@ -380,7 +380,18 @@ Status EstimationSession::AddVotes(std::span<const crowd::VoteEvent> votes) {
 void EstimationSession::MaybeCheckpoint(uint64_t after, uint64_t batch) {
   if (!CrossesMultiple(after, batch, options_.checkpoint_every_votes)) return;
   MutexLock lock(mutex_);
-  Status status = durability_->CommitCheckpoint(
+  Status status = CheckpointLocked();
+  if (!status.ok()) {
+    // The batch is applied AND write-ahead logged, so failing to compact
+    // the WAL into a snapshot loses nothing — recovery just replays a
+    // longer tail. Log and serve on.
+    DQM_LOG(Error) << "session '" << name_
+                   << "': checkpoint failed: " << status.message();
+  }
+}
+
+Status EstimationSession::CheckpointLocked() {
+  return durability_->CommitCheckpoint(
       [this](uint64_t generation) -> Result<crowd::CheckpointData> {
         // Cut the snapshot with committers paused: the WAL quiesce already
         // drained appended-but-unapplied batches, the reconcile pause stops
@@ -391,13 +402,6 @@ void EstimationSession::MaybeCheckpoint(uint64_t after, uint64_t batch) {
             metric_.ReconcileForEstimates();
         return crowd::CheckpointFromLog(metric_.log(), generation);
       });
-  if (!status.ok()) {
-    // The batch is applied AND write-ahead logged, so failing to compact
-    // the WAL into a snapshot loses nothing — recovery just replays a
-    // longer tail. Log and serve on.
-    DQM_LOG(Error) << "session '" << name_
-                   << "': checkpoint failed: " << status.message();
-  }
 }
 
 void EstimationSession::Publish() {
@@ -467,13 +471,16 @@ Result<RecoveryStats> EstimationSession::RecoverFromDurability() {
     // exclusion the serialized commit path has. A striped commit only takes
     // per-stripe locks (rank 300), still ascending.
     MutexLock lock(mutex_);
-    auto restore =
-        [this](std::span<const crowd::VoteEvent> votes) -> Status {
+    auto restore_checkpoint = [this](const crowd::CheckpointData& data) {
+      return Restore(data);
+    };
+    auto replay = [this](std::span<const crowd::VoteEvent> votes) -> Status {
       metric_.CommitVotes(votes);
       committed_votes_.fetch_add(votes.size(), std::memory_order_relaxed);
       return Status::OK();
     };
-    DQM_ASSIGN_OR_RETURN(stats, durability_->Recover(num_items_, restore));
+    DQM_ASSIGN_OR_RETURN(
+        stats, durability_->Recover(num_items_, restore_checkpoint, replay));
   }
   // Recovery replays into the log without publishing; one publish at the
   // end brings the snapshot (and the exported quality gauges) current so
@@ -504,17 +511,22 @@ Result<crowd::CheckpointData> EstimationSession::ExportState() {
   return crowd::CheckpointFromLog(metric_.log(), /*wal_generation=*/1);
 }
 
+Status EstimationSession::Restore(const crowd::CheckpointData& data) {
+  // Refuses an order-sensitive panel and a log that holds votes.
+  DQM_RETURN_NOT_OK(metric_.RestoreCheckpoint(data));
+  committed_votes_.fetch_add(data.num_events, std::memory_order_relaxed);
+  return Status::OK();
+}
+
 Status EstimationSession::ImportState(const crowd::CheckpointData& state) {
-  DQM_RETURN_NOT_OK(crowd::EmitCheckpointVotes(
-      state, [this](std::span<const crowd::VoteEvent> votes) {
-        return AddVotes(votes);
-      }));
-  if (committed_votes() != state.num_events) {
-    return Status::Internal(StrFormat(
-        "session '%s' committed %llu votes restoring a snapshot of %llu",
-        name_.c_str(), static_cast<unsigned long long>(committed_votes()),
-        static_cast<unsigned long long>(state.num_events)));
+  {
+    MutexLock lock(mutex_);
+    DQM_RETURN_NOT_OK(Restore(state));
+    // The restored votes exist in memory only: a durable session makes
+    // them its first checkpoint, which is what recovery reads back.
+    if (durability_ != nullptr) DQM_RETURN_NOT_OK(CheckpointLocked());
   }
+  Publish();
   return Status::OK();
 }
 

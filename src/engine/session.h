@@ -188,11 +188,12 @@ struct SessionOptions {
   /// vote was buffered (0 = off). The "Nms" spelling.
   uint64_t wal_group_commit_ms = 0;
   /// Checkpoint the compacted log state whenever the committed-vote total
-  /// crosses a multiple of this, truncating the WAL (0 = never checkpoint;
-  /// recovery replays the whole WAL). DqmEngine resolves it to 0 for
+  /// crosses a multiple of this, truncating the WAL (0 = no scheduled
+  /// checkpoint; recovery replays the whole WAL past the one ImportState
+  /// commits). DqmEngine resolves it to 0 for
   /// order-sensitive panels (SWITCH), which get WAL-only durability — a
-  /// checkpoint's synthetic replay cannot reproduce arrival order, which
-  /// those estimators consume.
+  /// checkpoint keeps counts, not the arrival order those estimators
+  /// consume.
   uint64_t checkpoint_every_votes = 0;
   /// What the session does when its WAL seals after an I/O failure:
   /// fail_stop (reject batches until a checkpoint reset — the default) or
@@ -221,7 +222,7 @@ class SessionDurability;
 /// (SessionDurability::Recover, through
 /// EstimationSession::RecoverFromDurability).
 struct RecoveryStats {
-  /// Votes re-emitted from the checkpoint snapshot.
+  /// Votes restored from the checkpoint snapshot.
   uint64_t checkpoint_votes = 0;
   /// Votes replayed from the WAL tail.
   uint64_t replayed_votes = 0;
@@ -366,16 +367,20 @@ class EstimationSession {
 
   /// Snapshots this session's full compacted state as checkpoint data
   /// (generation 1), quiescing ingest for the duration — the source half of
-  /// a migration: EmitCheckpointVotes over the result rebuilds tallies and
-  /// pair counts bit-identically through a fresh session's ingest path.
+  /// a migration: ImportState restores the result into a fresh session
+  /// with bit-identical tallies and pair counts.
   /// FailedPrecondition for order-sensitive panels (SWITCH), whose state
   /// the compacted counts do not carry and which cannot move this way.
   Result<crowd::CheckpointData> ExportState() DQM_EXCLUDES(mutex_);
 
-  /// The target half: replays `state` (an ExportState result or a decoded
-  /// checkpoint) through AddVotes into this freshly opened session, then
-  /// checks that exactly state.num_events votes were committed. Used by
-  /// migration and by a standby's checkpoint resync.
+  /// The target half: restores `state` (an ExportState result or a decoded
+  /// checkpoint) into this empty session in O(items + pairs)
+  /// (crowd::ResponseLog::RestoreCheckpoint), counts its votes as
+  /// committed, and publishes once. A durable session then commits the
+  /// restored state as its first checkpoint, so recovery finds it; nothing
+  /// goes through the WAL. FailedPrecondition for an order-sensitive panel
+  /// or a session that already holds votes. Used by migration and by a
+  /// standby's checkpoint resync.
   Status ImportState(const crowd::CheckpointData& state) DQM_EXCLUDES(mutex_);
 
   /// Replays this session's durable state (checkpoint + WAL tail) into the
@@ -395,12 +400,23 @@ class EstimationSession {
   /// seqlock cell. Caller holds mutex_ and the log's ingest pause.
   void PublishLocked() DQM_REQUIRES(mutex_);
 
+  /// Restores `data` into the empty pipeline and counts its votes as
+  /// committed: the one restore step of recovery, migration and a standby.
+  /// Callers hold mutex_; not annotated, because recovery calls it from
+  /// the callback it hands SessionDurability::Recover, which the analysis
+  /// cannot see is under the lock.
+  Status Restore(const crowd::CheckpointData& data);
+
+  /// Commits a checkpoint of the current state: quiesces the WAL, cuts the
+  /// snapshot (reconcile pause + CheckpointFromLog), rename-commits it and
+  /// resets the WAL. Durable sessions only.
+  Status CheckpointLocked() DQM_REQUIRES(mutex_);
+
   /// Commits a checkpoint when the committed total crossed a
   /// checkpoint_every_votes boundary with this batch (the crossing
-  /// committer pays): under mutex_, quiesces the WAL, cuts the snapshot
-  /// (reconcile pause + CheckpointFromLog), rename-commits, resets the WAL.
-  /// Failures are logged, not returned — the votes are already applied AND
-  /// in the WAL, so the session stays correct and recoverable either way.
+  /// committer pays), through CheckpointLocked under mutex_. Failures are
+  /// logged, not returned — the votes are already applied AND in the WAL,
+  /// so the session stays correct and recoverable either way.
   void MaybeCheckpoint(uint64_t after, uint64_t batch) DQM_EXCLUDES(mutex_);
 
   const std::string name_;

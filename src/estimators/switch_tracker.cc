@@ -32,11 +32,9 @@ bool SwitchTracker::DetectSwitch(const ItemState& state, uint32_t dirty_votes,
 }
 
 void SwitchTracker::StartSwitch(ItemState& state, bool positive) {
-  if (!state.has_switched) {
-    state.has_switched = true;
-    ++items_with_switches_;
-  } else if (config_.memory == SwitchMemory::kLiveOnly &&
-             state.live_freq > 0) {
+  if (state.live_freq == 0) {
+    ++items_with_switches_;  // the item's first switch
+  } else if (config_.memory == SwitchMemory::kLiveOnly) {
     // The superseded switch leaves the fingerprint with its mass.
     if (state.live_positive) {
       positive_f_.Remove(state.live_freq);
@@ -94,7 +92,7 @@ void SwitchTracker::Observe(const crowd::VoteEvent& event) {
         break;
     }
     StartSwitch(state, positive);
-  } else if (state.has_switched) {
+  } else if (state.live_freq > 0) {
     // A vote that does not flip the consensus rediscovers the live switch.
     Rediscover(state);
   }

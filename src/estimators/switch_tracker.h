@@ -142,10 +142,11 @@ class SwitchTracker {
 
  private:
   struct ItemState {
-    bool has_switched = false;
     bool consensus_dirty = false;   // tracked label, default clean
     bool live_positive = false;     // sign of the live (latest) switch
-    uint32_t live_freq = 0;         // frequency of the live switch
+    /// Frequency of the live switch: 0 until the item's first switch, at
+    /// least 1 from then on.
+    uint32_t live_freq = 0;
   };
   static_assert(sizeof(ItemState) == 8, "switch state only, no tallies");
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <span>
@@ -79,6 +80,52 @@ bool WarmStarted(const std::string& spec) {
   estimators::SpecParamReader params(*parsed);
   Result<bool> warm = params.GetBool("warm", true);
   return !warm.ok() || *warm;
+}
+
+/// Flips the last byte of the newest shipped segment under `ship_dir` that
+/// holds two or more WAL records, so that its last record fails its CRC,
+/// and returns the cumulative votes of the segments before it. One WAL
+/// generation, nothing re-shipped.
+uint64_t TearNewestMultiRecordSegment(engine::ReplicationTransport& transport,
+                                      const std::string& ship_dir) {
+  Result<std::vector<std::string>> names = transport.List();
+  EXPECT_TRUE(names.ok()) << names.status().ToString();
+  std::string torn;
+  uint64_t before_torn = 0;
+  uint64_t shipped = 0;
+  for (const std::string& name : names.ok() ? *names
+                                            : std::vector<std::string>()) {
+    const engine::ArtifactId id = engine::ParseArtifactName(name);
+    if (id.kind != engine::ArtifactId::Kind::kSegment) continue;
+    Result<std::vector<uint8_t>> bytes = transport.Get(name);
+    EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+    if (!bytes.ok()) break;
+    // A record is an 8-byte frame (little-endian payload size, CRC) plus
+    // its payload.
+    size_t records = 0;
+    for (size_t offset = 0; offset + 8 <= bytes->size(); ++records) {
+      const uint8_t* frame = bytes->data() + offset;
+      offset += 8 + (uint32_t{frame[0]} | uint32_t{frame[1]} << 8 |
+                     uint32_t{frame[2]} << 16 | uint32_t{frame[3]} << 24);
+    }
+    if (records >= 2) {
+      torn = name;
+      before_torn = shipped;
+    }
+    shipped = id.cum_votes;
+  }
+  EXPECT_FALSE(torn.empty()) << "no shipped segment holds two records";
+  if (torn.empty()) return 0;
+  std::fstream file(ship_dir + "/" + torn,
+                    std::ios::in | std::ios::out | std::ios::binary);
+  EXPECT_TRUE(file.is_open()) << torn;
+  file.seekg(-1, std::ios::end);
+  char byte = 0;
+  file.read(&byte, 1);
+  byte = static_cast<char>(byte ^ 0xFF);
+  file.seekp(-1, std::ios::end);
+  file.write(&byte, 1);
+  return before_torn;
 }
 
 void Finish(const engine::EstimationSession& session,
@@ -265,8 +312,8 @@ void RunPromotion(const ParityCase& c, const ParityStream& stream,
   auto session =
       Open(primary, c, stream, ScratchDir(c.name + "_primary"), run);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
-  auto transport =
-      engine::LocalDirTransport::Open(ScratchDir(c.name + "_ship"));
+  const std::string ship_dir = ScratchDir(c.name + "_ship");
+  auto transport = engine::LocalDirTransport::Open(ship_dir);
   ASSERT_TRUE(transport.ok()) << transport.status().ToString();
   std::shared_ptr<engine::ReplicationTransport> shared =
       std::move(*transport);
@@ -279,11 +326,27 @@ void RunPromotion(const ParityCase& c, const ParityStream& stream,
 
   // Polling after every batch makes the standby cross checkpoint rebases
   // and ranges re-shipped wider mid-stream.
-  Ingest(c, stream, **session, 0, c.cut, run,
-         [&] { EXPECT_TRUE((*applier)->Poll().ok()); });
+  Ingest(c, stream, **session, 0, c.cut, run, [&] {
+    if (!c.tear_shipped_tail) {
+      EXPECT_TRUE((*applier)->Poll().ok());
+    }
+  });
   // The durability barrier: every acknowledged vote is fsynced and shipped.
   ASSERT_TRUE((*session)->FlushDurability().ok());
   failpoint::DisarmAll();
+  if (c.tear_shipped_tail) {
+    const uint64_t prefix = TearNewestMultiRecordSegment(*shared, ship_dir);
+    auto promoted = (*applier)->Promote();
+    ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+    EXPECT_TRUE((*applier)->divergent());
+    EXPECT_EQ(promoted->applied_votes, prefix);
+    EXPECT_EQ((*applier)->session()->committed_votes(), prefix)
+        << "the torn segment was applied in part";
+    (*replicator)->Stop();
+    run->served = (*applier)->session()->snapshot();
+    run->votes = prefix;
+    return;
+  }
   ASSERT_TRUE((*applier)->Poll().ok());
   // An idle pair fully drains.
   const uint64_t acked = AckedVotes(stream, *run);

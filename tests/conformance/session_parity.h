@@ -102,6 +102,11 @@ struct ParityCase {
   size_t fault_after = 0;
   /// RunMigration / RunPromotion: the batch the session moves at.
   size_t cut = 0;
+  /// RunPromotion: the standby polls only when it promotes, after the last
+  /// record of the newest shipped segment holding two or more records was
+  /// damaged. It must promote the clean prefix before that segment, none
+  /// of the segment applied, and the subject ends there.
+  bool tear_shipped_tail = false;
 };
 
 /// The four subjects.

@@ -3,8 +3,9 @@
 // stripes, seed 2 the tallies panel serialized; both run 4-producer striped
 // ingest on each panel, mid-stream migration, promotion, and a SWITCH panel.
 // Seed 1 recovers an image cut at each dqm.durability.after_* phase. Seed 2
-// recovers a clean shutdown after a one-shot WAL fsync EIO, and promotes
-// after a one-shot EIO on the ship's directory sync. A newly registered
+// recovers a clean shutdown after a one-shot WAL fsync EIO, promotes
+// after a one-shot EIO on the ship's directory sync, and promotes over a
+// shipped segment torn in its last record. A newly registered
 // workload family is enrolled automatically.
 
 #include "conformance/session_parity.h"
@@ -93,6 +94,12 @@ std::vector<ParityCase> ParityCases() {
       promotion->faults = "dqm.repl.dirsync=count(1):error(EIO)";
       promotion->fault_after =
           1 + rng.UniformIndex(std::max<size_t>(cut, 5) - 4);
+      // One WAL generation, and group commits long enough that segments
+      // hold several records.
+      ParityCase* torn = add(RunPromotion, "promotion_torn");
+      torn->options.checkpoint_every_votes = 0;
+      torn->options.wal_group_commit_votes = 256;
+      torn->tear_shipped_tail = true;
       // No checkpoint resets the WAL: a batch whose fsync failed stays in it
       // unless the WAL seals and truncates it away.
       ParityCase* eio = add(RunRecovery, "recovery_fsync_eio");

@@ -965,6 +965,30 @@ TEST(MigrateSessionTest, MovesSessionAcrossEnginesWithDurability) {
     ASSERT_TRUE(after.ok()) << after.status().ToString();
     conformance::ExpectSameServedState(TalliesPanel(), before, *after,
                                        "post-migration");
+    // A state restores into an empty session only.
+    auto moved = b.GetSession("m");
+    ASSERT_TRUE(moved.ok());
+    auto state = (*moved)->ExportState();
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    EXPECT_EQ((*moved)->ImportState(*state).code(),
+              StatusCode::kFailedPrecondition);
+    // The restore is durable at once: a copy of the target's directory
+    // taken now recovers the migrated state (its first checkpoint).
+    const std::string image_b = ScratchDir("mig_b_image");
+    fs::copy(root_b, image_b, fs::copy_options::recursive |
+                                  fs::copy_options::overwrite_existing);
+    {
+      DqmEngine image;
+      auto reports = image.RecoverSessions(image_b);
+      ASSERT_TRUE(reports.ok()) << reports.status().ToString();
+      ASSERT_EQ(reports->size(), 1u);
+      EXPECT_TRUE((*reports)[0].had_checkpoint);
+      EXPECT_EQ((*reports)[0].votes_restored, 160u);
+      auto recovered = image.Query("m");
+      ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+      conformance::ExpectSameServedState(TalliesPanel(), before, *recovered,
+                                         "recovered migration target");
+    }
     IngestRange(b, "m", votes, 160, 200, 16);
     // b's destructor flushes the migrated session's WAL.
   }

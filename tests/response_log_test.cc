@@ -560,5 +560,128 @@ TEST(ResponseLogConcurrentDeathTest, MatrixBlocksAbortWithoutPairCounts) {
   EXPECT_DEATH(striped.AppendCountMatrixBlocks(blocks), "pair-count");
 }
 
+// --- Checkpoint restore ----------------------------------------------------
+
+/// A log over `num_items` with `retention`, striped into `stripes` when
+/// that is 2 or more.
+ResponseLog MakeLog(size_t num_items, RetentionPolicy retention,
+                    size_t stripes) {
+  ResponseLog log(num_items, retention);
+  if (stripes >= 2) log.EnableConcurrentIngest(stripes);
+  return log;
+}
+
+/// Feeds `events` through the log's own commit path (one producer, batches
+/// of 37 when striped) and reconciles.
+void Feed(ResponseLog& log, std::span<const VoteEvent> events) {
+  if (!log.concurrent_ingest()) {
+    for (const VoteEvent& event : events) log.Append(event);
+    return;
+  }
+  for (size_t b = 0; b < events.size(); b += 37) {
+    log.AppendConcurrent(
+        events.subspan(b, std::min<size_t>(37, events.size() - b)));
+  }
+  auto pause = log.PauseAndReconcile();
+}
+
+/// Everything an estimator or a checkpoint reads from a log must agree:
+/// tallies, the fingerprint (length included), the kept counts and bounds,
+/// and under kCounts every count-matrix block slot by slot.
+void ExpectSameLogState(const ResponseLog& live, const ResponseLog& restored) {
+  EXPECT_TRUE(std::ranges::equal(restored.positive_counts(),
+                                 live.positive_counts()));
+  EXPECT_TRUE(std::ranges::equal(restored.total_counts(), live.total_counts()));
+  EXPECT_EQ(std::vector<uint64_t>(restored.positive_fingerprint().begin(),
+                                  restored.positive_fingerprint().end()),
+            std::vector<uint64_t>(live.positive_fingerprint().begin(),
+                                  live.positive_fingerprint().end()));
+  EXPECT_EQ(restored.NominalCount(), live.NominalCount());
+  EXPECT_EQ(restored.MajorityCount(), live.MajorityCount());
+  EXPECT_EQ(restored.num_events(), live.num_events());
+  EXPECT_EQ(restored.total_positive_votes(), live.total_positive_votes());
+  EXPECT_EQ(restored.num_tasks(), live.num_tasks());
+  EXPECT_EQ(restored.num_workers(), live.num_workers());
+  if (live.retention() != RetentionPolicy::kCounts) return;
+  std::vector<const CompactedVoteStore*> live_blocks;
+  std::vector<const CompactedVoteStore*> restored_blocks;
+  live.AppendCountMatrixBlocks(live_blocks);
+  restored.AppendCountMatrixBlocks(restored_blocks);
+  ASSERT_EQ(restored_blocks.size(), live_blocks.size());
+  for (size_t b = 0; b < live_blocks.size(); ++b) {
+    SCOPED_TRACE(testing::Message() << "block " << b);
+    EXPECT_EQ(restored_blocks[b]->workers(), live_blocks[b]->workers());
+    EXPECT_EQ(restored_blocks[b]->items(), live_blocks[b]->items());
+    EXPECT_EQ(restored_blocks[b]->dirty_counts(),
+              live_blocks[b]->dirty_counts());
+    EXPECT_EQ(restored_blocks[b]->clean_counts(),
+              live_blocks[b]->clean_counts());
+  }
+}
+
+/// (retention, stripes): stripes 1 is the serialized log.
+class RestoreCheckpointTest
+    : public testing::TestWithParam<std::tuple<RetentionPolicy, size_t>> {};
+
+TEST_P(RestoreCheckpointTest, RestoredLogEqualsLiveLog) {
+  const auto [retention, stripes] = GetParam();
+  constexpr size_t kItems = 200;
+  for (size_t count : {size_t{0}, size_t{3000}}) {
+    SCOPED_TRACE(testing::Message() << count << " votes");
+    std::vector<VoteEvent> events = StripedTestEvents(kItems, count, 11);
+    ResponseLog live = MakeLog(kItems, retention, stripes);
+    Feed(live, events);
+    auto data = CheckpointFromLog(live, 1);
+    ASSERT_TRUE(data.ok()) << data.status().ToString();
+
+    ResponseLog restored = MakeLog(kItems, retention, stripes);
+    ASSERT_TRUE(restored.RestoreCheckpoint(*data).ok());
+    ExpectSameLogState(live, restored);
+
+    // The restored log carries on as the live one does.
+    std::vector<VoteEvent> more = StripedTestEvents(kItems, 1000, 12);
+    for (VoteEvent& event : more) event.task += static_cast<uint32_t>(count);
+    Feed(live, more);
+    Feed(restored, more);
+    ExpectSameLogState(live, restored);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RetentionAndStripes, RestoreCheckpointTest,
+    testing::Combine(testing::Values(RetentionPolicy::kCounts,
+                                     RetentionPolicy::kTallies),
+                     testing::Values(size_t{1}, size_t{2}, size_t{4})));
+
+TEST(RestoreCheckpointRefusalTest, RefusesWhatTheLogCannotHold) {
+  std::vector<VoteEvent> events = StripedTestEvents(64, 500, 13);
+  ResponseLog counts(64, RetentionPolicy::kCounts);
+  ResponseLog tallies(64, RetentionPolicy::kTallies);
+  Feed(counts, events);
+  Feed(tallies, events);
+  auto pairs = CheckpointFromLog(counts, 1);
+  auto tally = CheckpointFromLog(tallies, 1);
+  ASSERT_TRUE(pairs.ok() && tally.ok());
+
+  // A log that already holds votes.
+  EXPECT_EQ(counts.RestoreCheckpoint(*pairs).code(),
+            StatusCode::kFailedPrecondition);
+  // Tallies hold no pairs for a matrix; a full-events log keeps history.
+  ResponseLog empty_counts(64, RetentionPolicy::kCounts);
+  EXPECT_EQ(empty_counts.RestoreCheckpoint(*tally).code(),
+            StatusCode::kFailedPrecondition);
+  ResponseLog full(64, RetentionPolicy::kFullEvents);
+  EXPECT_EQ(full.RestoreCheckpoint(*pairs).code(),
+            StatusCode::kFailedPrecondition);
+  // Another item universe.
+  ResponseLog wider(128, RetentionPolicy::kTallies);
+  EXPECT_EQ(wider.RestoreCheckpoint(*pairs).code(),
+            StatusCode::kInvalidArgument);
+  // Pairs restore into a tally log: the tallies they sum to.
+  ResponseLog from_pairs(64, RetentionPolicy::kTallies);
+  ASSERT_TRUE(from_pairs.RestoreCheckpoint(*pairs).ok());
+  ExpectSameLogState(tallies, from_pairs);
+}
+
 }  // namespace
 }  // namespace dqm::crowd
